@@ -4,14 +4,14 @@
    servers (front-ends) share a pool of NVM blades (back-ends) much larger
    than any one server's DRAM. Here a hash-table KV store is partitioned
    over two back-end blades, driven by a Zipfian YCSB workload from two
-   front-ends, and reports throughput/cache statistics per front-end.
+   front-ends, reports throughput/cache statistics per front-end, and
+   checks that every key reads back through the second front-end.
 
    Run with: dune exec examples/kv_store.exe *)
 
 open Asym_core
 open Asym_sim
 module H = Asym_structs.Phash.Make (Client)
-module Part = Asym_structs.Partition.Make (Client)
 
 let blades = 2
 let frontends = 2
@@ -43,7 +43,7 @@ let () =
     (clock, Array.of_list parts)
   in
   let fes = List.init frontends make_frontend in
-  let route parts key = parts.(Part.hash key blades) in
+  let route parts key = parts.(Asym_structs.Partition.hash key blades) in
 
   (* Front-end 0 loads the data set. *)
   let _, parts0 = List.hd fes in
@@ -84,4 +84,15 @@ let () =
   in
   List.iteri run fes;
   Fmt.pr "(fe0 is warm — it loaded the data; fe1 starts with a cold cache)@.";
-  Fmt.pr "@.kv_store OK@."
+  (* Every loaded key is still reachable through the other front-end. *)
+  let _, parts1 = List.nth fes 1 in
+  let missing = ref 0 in
+  for i = 0 to keys - 1 do
+    let key = Int64.of_int i in
+    if H.get (snd (route parts1 key)) ~key = None then incr missing
+  done;
+  if !missing = 0 then Fmt.pr "@.kv_store OK@."
+  else begin
+    Fmt.pr "@.kv_store FAILED: %d keys missing@." !missing;
+    exit 1
+  end

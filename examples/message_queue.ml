@@ -67,8 +67,8 @@ let () =
   in
   Sched.run
     [
-      Sched.stepper ~clock:pclock ~step:producer_step;
-      Sched.stepper ~clock:cclock ~step:consumer_step;
+      Sched.client ~clock:pclock ~run:(fun () -> while producer_step () do () done);
+      Sched.client ~clock:cclock ~run:(fun () -> while consumer_step () do () done);
     ];
   (* Drain the tail. *)
   let rec drain () =

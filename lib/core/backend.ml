@@ -14,7 +14,6 @@ type ds_record = {
   root : Types.addr;
   lock : Types.addr;
   sn : Types.addr;
-  conflict : Conflict.t;
 }
 
 type session = {
@@ -174,7 +173,7 @@ let attach_mirror t m =
 (* -- ds registry -------------------------------------------------------- *)
 
 let register_ds_record t ~ds ~ds_name ~root ~lock ~sn =
-  let r = { ds; ds_name; root; lock; sn; conflict = Conflict.create () } in
+  let r = { ds; ds_name; root; lock; sn } in
   Hashtbl.replace t.ds_by_id ds r;
   Hashtbl.replace t.ds_by_name ds_name r;
   r
@@ -227,7 +226,6 @@ let apply_tx t ~at ~ring_base ~ring_off (tx : Log.Tx.t) raw =
   (match Hashtbl.find_opt t.ds_by_id tx.Log.Tx.ds with
   | Some r ->
       ignore (Device.fetch_add t.dev ~addr:r.sn 1L);
-      Conflict.record r.conflict ~start_:start ~stop;
       List.iter
         (fun { Log.Mem_entry.addr; value; _ } ->
           Device.write t.dev ~addr value;
@@ -356,7 +354,7 @@ let note_op_offset t ~session ~opnum ~offset =
 
 let replicate_raw t ~at ~addr b = repl t ~at ~addr b
 
-(* -- locks and conflicts ------------------------------------------------ *)
+(* -- locks and sequence numbers ------------------------------------------------ *)
 
 let lock_timeline t addr =
   match Hashtbl.find_opt t.locks addr with
@@ -365,11 +363,6 @@ let lock_timeline t addr =
       let tl = Timeline.create ~name:(Printf.sprintf "lock@%#x" addr) () in
       Hashtbl.replace t.locks addr tl;
       tl
-
-let conflict_overlaps t ~ds ~start_ ~stop =
-  match Hashtbl.find_opt t.ds_by_id ds with
-  | Some r -> Conflict.overlaps r.conflict ~start_ ~stop
-  | None -> false
 
 let seqno t ~ds =
   match Hashtbl.find_opt t.ds_by_id ds with

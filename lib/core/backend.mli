@@ -71,10 +71,11 @@ val oplog_ring : t -> session:Types.session_id -> int * int
 val drain_session : t -> session:Types.session_id -> arrival:Asym_sim.Simtime.t -> unit
 (** Replay all complete transactions sitting in the session's memory-log
     ring: apply entries to the data area, bump the per-structure sequence
-    number around each application (recording the conflict window), advance
-    and persist the LPN and OPN, forward the stream to mirrors. Work is
-    charged to the back-end CPU timeline starting at [arrival]; the caller
-    is not blocked. *)
+    number around each application (the SN optimistic readers validate
+    against, Algorithm 2), advance and persist the LPN and OPN, forward the
+    stream to mirrors. Media changes immediately; the work is charged to
+    the back-end CPU timeline starting at [arrival], and the caller is not
+    blocked. *)
 
 val note_heads :
   t -> session:Types.session_id -> ?memlog_head:int -> ?oplog_head:int ->
@@ -95,12 +96,6 @@ val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> un
 
 val lock_timeline : t -> Types.addr -> Asym_sim.Timeline.t
 (** The contention timeline of the writer lock at [addr]. *)
-
-val conflict_overlaps :
-  t -> ds:Types.ds_id -> start_:Asym_sim.Simtime.t -> stop:Asym_sim.Simtime.t -> bool
-(** Did any memory-log application to structure [ds] overlap the window?
-    This is the simulation's equivalent of comparing the sequence number
-    before and after an optimistic read (§6.3 Algorithm 2). *)
 
 val seqno : t -> ds:Types.ds_id -> int64
 

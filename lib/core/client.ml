@@ -727,40 +727,33 @@ let writer_unlock t (h : Types.handle) =
 let max_read_retries = 64
 
 (* Optimistic read section (Algorithm 2). The section runs against the
-   front-end cache; validation compares the per-structure sequence number
-   (here: the conflict-window tracker) around the section. A failed
-   validation — or a traversal that tripped over bytes a concurrent writer
-   reclaimed — drops the cached pages and retries against fresh remote
-   state. Pages cached across sections may thus serve a slightly stale but
+   front-end cache; Reader_Lock and Reader_Unlock read the per-structure
+   sequence number from NVM, and the section conflicts when the first
+   read is odd (a replay is mid-application) or the two differ (a replay
+   changed the data area in between). A failed validation — or a
+   traversal that tripped over bytes a concurrent writer reclaimed —
+   drops the cached pages and retries against fresh remote state. Pages
+   cached across sections may thus serve a slightly stale but
    structurally consistent version between writer transactions, which is
    the same freshness contract the multi-version readers get (§6.2). *)
 let read_section ?(retry_on = `Conflict) t (h : Types.handle) f =
   check_live t;
-  let ds = h.Types.id in
-  (* Under the verb-granular co-simulation the section truly interleaves
-     with concurrent writers: a writer's log-application window lands in
-     the conflict tracker while this reader is suspended mid-section, so
-     validating exactly the section's own [started, now) span is
-     Algorithm 2 as written. *)
+  let read_sn () =
+    Bytes.get_int64_le (with_retry t (fun () -> Verbs.read t.conn ~addr:h.Types.sn ~len:8)) 0
+  in
   let rec attempt n =
     let amark =
       if Asym_obs.enabled () then Some (Asym_obs.Attr.local_snapshot (Clock.attr t.clk))
       else None
     in
-    (* Reader_Lock: fetch the sequence number. *)
-    let _sn_begin = with_retry t (fun () -> Verbs.read t.conn ~addr:h.Types.sn ~len:8) in
-    let started = Clock.now t.clk in
+    let sn_begin = read_sn () in
     let outcome = try `Ok (f ()) with Invalid_argument _ | Failure _ -> `Torn_traversal in
-    (* Reader_Unlock: re-fetch and compare. *)
-    let _sn_end = with_retry t (fun () -> Verbs.read t.conn ~addr:h.Types.sn ~len:8) in
+    let sn_end = read_sn () in
     let conflicted =
-      match outcome with
-      | `Torn_traversal -> true
-      | `Ok _ -> (
-          match retry_on with
-          | `Torn -> false
-          | `Conflict ->
-              Backend.conflict_overlaps t.bk ~ds ~start_:started ~stop:(Clock.now t.clk))
+      match (outcome, retry_on) with
+      | `Torn_traversal, _ -> true
+      | `Ok _, `Torn -> false
+      | `Ok _, `Conflict -> Int64.logand sn_begin 1L <> 0L || sn_begin <> sn_end
     in
     if conflicted && n < max_read_retries then begin
       t.n_retries <- t.n_retries + 1;

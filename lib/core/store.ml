@@ -71,10 +71,11 @@ module type S = sig
 
   val read_section : ?retry_on:[ `Conflict | `Torn ] -> t -> Types.handle -> (unit -> 'a) -> 'a
   (** Run an optimistic read section under the write-preferred reader lock
-      (Algorithm 2), retrying until it observes no concurrent memory-log
-      application. [`Torn] (multi-version readers) retries only when the
-      traversal itself tripped over reclaimed memory: any version a
-      multi-version reader completes on is consistent by construction. *)
+      (Algorithm 2), retrying while the structure's sequence number was odd
+      or changed across the section. [`Torn] (multi-version readers)
+      retries only when the traversal itself tripped over reclaimed memory:
+      any version a multi-version reader completes on is consistent by
+      construction. *)
 
   val invalidate_cache : t -> unit
   (** Drop every cached page. Multi-version readers call this when they

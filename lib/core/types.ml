@@ -6,7 +6,8 @@ type addr = int
 type ds_id = int
 (** Identifier of one persistent data-structure instance, as registered in
     the back-end's global naming space. The back-end keeps one sequence
-    number and one conflict tracker per [ds_id]. *)
+    number per [ds_id], which optimistic readers validate against
+    (Algorithm 2). *)
 
 type session_id = int
 (** Identifier of one front-end connection to a back-end. Each session owns

@@ -12,11 +12,9 @@
    Same program + same seeds therefore produce the same interleaving,
    byte for byte. *)
 
-type body = Run of (unit -> unit) | Step of (unit -> bool)
-type client = { clock : Clock.t; body : body }
+type client = { clock : Clock.t; body : unit -> unit }
 
-let client ~clock ~run = { clock; body = Run run }
-let stepper ~clock ~step = { clock; body = Step step }
+let client ~clock ~run = { clock; body = run }
 
 (* -- task execution under the handler ----------------------------------- *)
 
@@ -104,29 +102,13 @@ end
 
 (* -- scheduler ------------------------------------------------------------ *)
 
-let run ?deadline clients =
+let run clients =
   match clients with
   | [] -> ()
   | clients ->
-      let thunk c =
-        match c.body with
-        | Run f -> f
-        | Step step ->
-            (* Whole-operation compatibility clients: the deadline is
-               checked at step boundaries, exactly as the pre-effects
-               scheduler did. [Run] bodies own their loop condition. *)
-            let past () =
-              match deadline with Some d -> Clock.now c.clock >= d | None -> false
-            in
-            fun () ->
-              while (not (past ())) && step () do
-                ()
-              done
-      in
       let tasks =
         List.mapi
-          (fun id c ->
-            { id; tclock = c.clock; at = Clock.now c.clock; state = Start (thunk c) })
+          (fun id c -> { id; tclock = c.clock; at = Clock.now c.clock; state = Start c.body })
           clients
       in
       let h = Heap.create ~dummy:(List.hd tasks) (List.length tasks) in

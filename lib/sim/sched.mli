@@ -20,18 +20,10 @@ val client : clock:Clock.t -> run:(unit -> unit) -> client
     suspended transparently at every clock advance. Loop/termination
     conditions (e.g. a measurement deadline) live in the body itself. *)
 
-val stepper : clock:Clock.t -> step:(unit -> bool) -> client
-(** Compatibility constructor: [step] is called repeatedly until it
-    returns [false] (or the {!run} deadline passes, checked at step
-    boundaries). The steps themselves still interleave with other
-    clients at every clock advance. *)
-
-val run : ?deadline:Simtime.t -> client list -> unit
-(** Run all clients to completion. [deadline] stops {!stepper} clients
-    whose clock reached it (checked between steps); straight-line
-    clients check their own loop conditions. Clients never suspend
-    permanently: an abandoned continuation would strand counters and
-    locks mid-operation. *)
+val run : client list -> unit
+(** Run all clients to completion. Clients never suspend permanently: an
+    abandoned continuation would strand counters and locks
+    mid-operation. *)
 
 val makespan : Clock.t list -> Simtime.t
 (** Largest [now] among the given clocks. *)

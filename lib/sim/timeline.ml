@@ -1,9 +1,12 @@
-(* Busy intervals are kept sorted so that requests arriving slightly out
-   of (virtual-time) order — possible for clocks advanced outside the
-   co-simulation scheduler, which resumes the globally-earliest clock —
-   backfill idle gaps instead of queueing behind bookings made for later
-   times. Old intervals are pruned behind a horizon; requests older than
-   the horizon are conservatively clamped to it. *)
+(* Busy intervals are kept sorted so that requests arriving out of
+   virtual-time order backfill idle gaps instead of queueing behind
+   bookings made for later times. The co-simulation scheduler resumes the
+   globally-earliest clock, but some bookings are still made ahead of the
+   caller's clock: a back-end replay books its CPU slot behind queued
+   work, and mirror forwarding books NIC slots at the replay's end.
+   Clocks advanced outside the scheduler arrive out of order too. Old
+   intervals are pruned behind a horizon; requests older than the horizon
+   are conservatively clamped to it. *)
 
 type t = {
   name : string;

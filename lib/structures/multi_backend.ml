@@ -4,22 +4,18 @@
     distributed data structure partitioning across multiple back-ends").
 
     The front-end opens one connection (one {!Asym_core.Client}) per
-    back-end, all sharing its clock; keys route by hash exactly as
-    {!Partition}; the partition count is persisted in back-end 0's naming
+    back-end, all sharing its clock; keys route by {!Partition.hash}; the
+    partition map is {!Partition}'s, persisted in back-end 0's naming
     space so recovery and other front-ends route identically. *)
 
 open Asym_core
+module Pmap = Partition.Make (Client)
 
 type 'ds t = {
   clients : Client.t array;
   parts : 'ds array;
   name : string;
 }
-
-let hash key n =
-  let z = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
-  Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int n))
 
 let create ?(cfg = Client.rcb ()) ?(name = "mb") ~clock ~backends ~attach () =
   let backends = Array.of_list backends in
@@ -32,27 +28,15 @@ let create ?(cfg = Client.rcb ()) ?(name = "mb") ~clock ~backends ~attach () =
       backends
   in
   (* Persist (or read back) the partition count on back-end 0. *)
-  let h = Client.register_ds clients.(0) (name ^ "!pmap") in
-  let persisted = Client.read_u64 ~hint:`Hot clients.(0) h.Types.root in
-  let n =
-    if persisted = 0L then begin
-      Client.write_u64 clients.(0) ~ds:h.Types.id h.Types.root (Int64.of_int n);
-      Client.flush clients.(0);
-      n
-    end
-    else begin
-      let p = Int64.to_int persisted in
-      if p > n then
-        invalid_arg
-          (Printf.sprintf "Multi_backend.create: map says %d partitions, only %d back-ends" p n);
-      p
-    end
-  in
-  let parts = Array.init n (fun i -> attach clients.(i) i) in
+  let p = Pmap.npartitions (Pmap.create clients.(0) ~name ~n ~attach:Fun.id) in
+  if p > n then
+    invalid_arg
+      (Printf.sprintf "Multi_backend.create: map says %d partitions, only %d back-ends" p n);
+  let parts = Array.init p (fun i -> attach clients.(i) i) in
   { clients; parts; name }
 
 let npartitions t = Array.length t.parts
-let route t key = t.parts.(hash key (Array.length t.parts))
+let route t key = t.parts.(Partition.hash key (Array.length t.parts))
 let part t i = t.parts.(i)
 let client t i = t.clients.(i)
 let iter_parts t f = Array.iteri f t.parts

@@ -2,14 +2,12 @@
     NVM blades (§4.3 / §8.3 / Figure 10).
 
     The front-end keeps one connection per back-end (all on its clock);
-    keys route by the same hash {!Partition} uses; the partition count is
-    persisted on back-end 0's naming space. Each partition is an
+    keys route by {!Partition.hash}; the partition count is persisted by
+    {!Partition}'s map on back-end 0's naming space. Each partition is an
     independent instance with its own lock and index, so the usual SWMR
     rules apply per partition. *)
 
 type 'ds t
-
-val hash : int64 -> int -> int
 
 val create :
   ?cfg:Asym_core.Client.config ->

@@ -10,13 +10,13 @@
 
 open Asym_core
 
+let hash key n =
+  let z = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
+  Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int n))
+
 module Make (S : Store.S) = struct
   type 'ds t = { parts : 'ds array; name : string }
-
-  let hash key n =
-    let z = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 33) in
-    Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int n))
 
   (* [map_store] is where the partition map lives (typically partition 0's
      store); [attach i] builds or opens the i-th underlying instance. *)

@@ -6,13 +6,13 @@
     spread the NIC load (Figure 10). The partition count is persisted in
     the global naming space so recovery routes keys identically. *)
 
+val hash : int64 -> int -> int
+(** [hash key n] is the partition index of [key] among [n] partitions —
+    shared with external routers (multi-back-end deployments with one
+    client per back-end) so they agree with [route]. *)
+
 module Make (S : Asym_core.Store.S) : sig
   type 'ds t
-
-  val hash : int64 -> int -> int
-  (** [hash key n] is the partition index of [key] among [n] partitions —
-      exposed so external routers (multi-back-end deployments with one
-      client per back-end) agree with {!route}. *)
 
   val create : S.t -> name:string -> n:int -> attach:(int -> 'ds) -> 'ds t
   (** Build or open the partition map on [map_store], then attach every

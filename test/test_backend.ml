@@ -246,16 +246,42 @@ let test_writer_lock_serializes () =
   check Alcotest.bool "second writer waited" true (Clock.now c2 >= Clock.now c1 - Simtime.us 5);
   Client.writer_unlock fe2 h2
 
-let test_conflict_window_recorded () =
+(* Replay changes media (and bumps the SN) when the writer posts its
+   transaction, but books its CPU slot behind whatever the back-end CPU
+   has queued. A reader whose section straddles the post must retry even
+   though the replay's CPU slot lies far after the section. *)
+let test_reader_straddling_queued_replay_retries () =
   let bk = mk_backend () in
-  let fe, _ = mk_client bk in
-  let h = Client.register_ds fe "t" in
-  let addr = Client.malloc fe 8 in
-  ignore (Client.op_begin fe ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
-  Client.write_u64 fe ~ds:h.Types.id addr 1L;
-  Client.op_end fe ~ds:h.Types.id;
-  check Alcotest.bool "window exists" true
-    (Backend.conflict_overlaps bk ~ds:h.Types.id ~start_:0 ~stop:max_int)
+  let wr, wclk = mk_client ~name:"w" bk in
+  let rd, rclk = mk_client ~name:"r" bk in
+  let h = Client.register_ds wr "t" in
+  let hr = Client.register_ds rd "t" in
+  let addr = Client.malloc wr 8 in
+  let commit v =
+    ignore (Client.op_begin wr ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
+    Client.write_u64 wr ~ds:h.Types.id addr v;
+    Client.op_end wr ~ds:h.Types.id
+  in
+  commit 1L;
+  let t0 = Simtime.max (Clock.now wclk) (Clock.now rclk) in
+  Clock.wait_until wclk t0;
+  Clock.wait_until rclk t0;
+  ignore (Timeline.acquire (Backend.cpu bk) ~at:t0 ~dur:(Simtime.ms 10));
+  let seen = ref 0L in
+  Sched.run
+    [
+      Sched.client ~clock:wclk ~run:(fun () ->
+          Clock.advance wclk (Simtime.us 10);
+          commit 2L);
+      Sched.client ~clock:rclk ~run:(fun () ->
+          seen :=
+            Client.read_section rd hr (fun () ->
+                let v = Client.read_u64 rd addr in
+                Clock.advance rclk (Simtime.us 60);
+                v));
+    ];
+  check Alcotest.int "reader retried once" 1 (Client.read_retries rd);
+  check Alcotest.int64 "reader returned the new value" 2L !seen
 
 let () =
   Alcotest.run "backend"
@@ -297,6 +323,7 @@ let () =
       ( "locks",
         [
           Alcotest.test_case "writer lock serializes" `Quick test_writer_lock_serializes;
-          Alcotest.test_case "conflict window recorded" `Quick test_conflict_window_recorded;
+          Alcotest.test_case "reader straddling a queued replay retries" `Quick
+            test_reader_straddling_queued_replay_retries;
         ] );
     ]

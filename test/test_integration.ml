@@ -205,8 +205,8 @@ let test_mv_reader_consistency_under_churn () =
   in
   Sched.run
     [
-      Sched.stepper ~clock:(Client.clock writer) ~step:wstep;
-      Sched.stepper ~clock:(Client.clock reader) ~step:rstep;
+      Sched.client ~clock:(Client.clock writer) ~run:(fun () -> while wstep () do () done);
+      Sched.client ~clock:(Client.clock reader) ~run:(fun () -> while rstep () do () done);
     ];
   check Alcotest.int "no reader ever missed a key" 0 !inconsistent
 

@@ -114,28 +114,6 @@ let test_timeline_hold_release () =
   check Alcotest.int "held until release" 200 (Timeline.hold tl ~at:100);
   check Alcotest.int "free after release" 250 (Timeline.hold tl ~at:250)
 
-(* -- Conflict ------------------------------------------------------------- *)
-
-let test_conflict_overlap () =
-  let c = Conflict.create () in
-  Conflict.record c ~start_:100 ~stop:200;
-  check Alcotest.bool "inside" true (Conflict.overlaps c ~start_:150 ~stop:160);
-  check Alcotest.bool "straddles" true (Conflict.overlaps c ~start_:50 ~stop:150);
-  check Alcotest.bool "before" false (Conflict.overlaps c ~start_:0 ~stop:100);
-  check Alcotest.bool "after" false (Conflict.overlaps c ~start_:200 ~stop:300)
-
-let test_conflict_ring_eviction_conservative () =
-  let c = Conflict.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Conflict.record c ~start_:(i * 100) ~stop:((i * 100) + 10)
-  done;
-  (* Windows 0..5 were evicted; queries reaching before the evicted
-     horizon must conservatively report an overlap. *)
-  check Alcotest.bool "old window conservative" true (Conflict.overlaps c ~start_:115 ~stop:118);
-  check Alcotest.bool "recent non-overlap precise" false
-    (Conflict.overlaps c ~start_:915 ~stop:920);
-  check Alcotest.int "count" 10 (Conflict.count c)
-
 (* -- Sched ----------------------------------------------------------------- *)
 
 let test_sched_interleaves_by_time () =
@@ -144,14 +122,12 @@ let test_sched_interleaves_by_time () =
     let clk = Clock.create ~name () in
     let left = ref n in
     ( clk,
-      Sched.stepper ~clock:clk ~step:(fun () ->
-          if !left = 0 then false
-          else begin
+      Sched.client ~clock:clk ~run:(fun () ->
+          while !left > 0 do
             decr left;
             log := (name, Clock.now clk) :: !log;
-            Clock.advance clk cost;
-            true
-          end) )
+            Clock.advance clk cost
+          done) )
   in
   let _, fast = mk "fast" 10 6 in
   let _, slow = mk "slow" 25 3 in
@@ -161,18 +137,6 @@ let test_sched_interleaves_by_time () =
   check Alcotest.int "all steps ran" 9 (List.length order);
   check Alcotest.string "starts with one of each" "fast"
     (match order with a :: _ -> a | [] -> "none")
-
-let test_sched_deadline () =
-  let clk = Clock.create () in
-  let steps = ref 0 in
-  let c =
-    Sched.stepper ~clock:clk ~step:(fun () ->
-        incr steps;
-        Clock.advance clk 100;
-        true)
-  in
-  Sched.run ~deadline:1000 [ c ];
-  check Alcotest.int "stopped at deadline" 10 !steps
 
 let test_sched_makespan () =
   let a = Clock.create () and b = Clock.create () in
@@ -207,16 +171,9 @@ let () =
           Alcotest.test_case "hold/release" `Quick test_timeline_hold_release;
           QCheck_alcotest.to_alcotest prop_timeline_no_overlap;
         ] );
-      ( "conflict",
-        [
-          Alcotest.test_case "overlap detection" `Quick test_conflict_overlap;
-          Alcotest.test_case "ring eviction conservative" `Quick
-            test_conflict_ring_eviction_conservative;
-        ] );
       ( "sched",
         [
           Alcotest.test_case "virtual-time interleaving" `Quick test_sched_interleaves_by_time;
-          Alcotest.test_case "deadline" `Quick test_sched_deadline;
           Alcotest.test_case "makespan" `Quick test_sched_makespan;
         ] );
     ]
