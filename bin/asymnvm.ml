@@ -465,7 +465,7 @@ let trace_cmd =
 let profile_cmd =
   let run structure config preload ops =
     let kind =
-      match Runner.ds_of_name structure with
+      match Asym_structs.Catalog.of_name structure with
       | Some k -> k
       | None ->
           Fmt.epr "asymnvm: unknown structure %S (one of: %s)@." structure

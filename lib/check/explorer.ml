@@ -46,7 +46,7 @@ let census (subject : Subject.t) ~seed ~drop opl =
   Crash.set_census ();
   let _bk, fe = fresh_world ~seed ~drop () in
   let inst = subject.Subject.attach fe in
-  List.iter inst.Subject.apply opl;
+  List.iter (Subject.apply inst) opl;
   Client.flush fe;
   let n = Crash.boundaries () and sites = Crash.site_counts () in
   Crash.reset ();
@@ -81,7 +81,7 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
       let inst = subject.Subject.attach fe in
       List.iter
         (fun op ->
-          inst.Subject.apply op;
+          Subject.apply inst op;
           incr completed)
         opl;
       Client.flush fe;
@@ -116,14 +116,14 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
         let ops = Client.recover fe in
         let inst = subject.Subject.attach fe in
         let reg = Asym_structs.Registry.create () in
-        inst.Subject.register reg;
+        inst.Asym_structs.Catalog.register reg;
         Asym_structs.Registry.replay_all reg ops;
         Client.flush fe;
         inst
       with
       | exception e -> fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
       | inst -> (
-          let dump = inst.Subject.dump () in
+          let dump = inst.Asym_structs.Catalog.dump () in
           let k = !completed in
           let matched =
             if dump = Model.dump prefixes.(k) then Some prefixes.(k)
@@ -148,9 +148,9 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
                 | `Seq -> Model.Push (Bytes.of_string "probe-after-recovery")
               in
               match
-                inst.Subject.apply probe;
+                Subject.apply inst probe;
                 Client.flush fe;
-                inst.Subject.dump ()
+                inst.Asym_structs.Catalog.dump ()
               with
               | exception e ->
                   fail (Printf.sprintf "post-recovery probe raised %s" (Printexc.to_string e))

@@ -107,7 +107,7 @@ let recover_client w c =
   let ops = Client.recover fe in
   w.insts.(c) <- w.subject.Subject.attach ~name:(inst_name c) fe;
   let reg = Asym_structs.Registry.create () in
-  w.insts.(c).Subject.register reg;
+  w.insts.(c).Asym_structs.Catalog.register reg;
   Asym_structs.Registry.replay_all reg ops;
   Client.flush fe
 
@@ -115,7 +115,7 @@ let validate w ~step ~event c =
   let fe = w.fes.(c) in
   Client.flush fe;
   Client.invalidate_cache fe;
-  let dump = w.insts.(c).Subject.dump () and want = Model.dump w.models.(c) in
+  let dump = w.insts.(c).Asym_structs.Catalog.dump () and want = Model.dump w.models.(c) in
   if dump <> want then
     fail w ~step ~event
       (Printf.sprintf "client %d: dump has %d entries, model has %d after %d ops" c
@@ -124,7 +124,7 @@ let validate w ~step ~event c =
 let step_op w ~step:_ =
   let c = Asym_util.Rng.int w.rng (Array.length w.fes) in
   let op = Model.random_op w.rng ~kind:w.subject.Subject.kind ~i:w.opnum.(c) in
-  w.insts.(c).Subject.apply op;
+  Subject.apply w.insts.(c) op;
   w.models.(c) <- Model.apply w.models.(c) op;
   w.opnum.(c) <- w.opnum.(c) + 1
 
@@ -145,7 +145,7 @@ let step_cosim_burst w ~step:_ =
       (Array.mapi
          (fun c fe ->
            Sched.client ~clock:(Client.clock fe) ~run:(fun () ->
-               w.insts.(c).Subject.apply ops.(c)))
+               Subject.apply w.insts.(c) ops.(c)))
          w.fes)
   in
   Sched.run burst;

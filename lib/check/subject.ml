@@ -1,183 +1,45 @@
-open Asym_core
 open Asym_structs
 
-type instance = {
-  apply : Model.op -> unit;
-  register : Registry.t -> unit;
-  dump : unit -> (int64 * bytes) list;
-}
+type instance = Catalog.instance
+
+let apply (inst : instance) = function
+  | Model.Put (k, v) -> inst.put k v
+  | Model.Delete k -> ignore (inst.del k)
+  | Model.Push v -> inst.push v
+  | Model.Pop -> ignore (inst.pop ())
+
+module Attach (S : Asym_core.Store.S) = struct
+  module C = Catalog.Make (S)
+
+  let attach ?(name = "chk") kind s =
+    C.attach ~opts:Ds_intf.default_options ~nbuckets:64
+      ~rng:(Asym_util.Rng.create ~seed:77L)
+      kind s ~name
+end
+
+module On_client = Attach (Asym_core.Client)
 
 type t = {
   name : string;
+  structure : Catalog.kind;
   kind : [ `Map | `Seq ];
   model0 : Model.t;
-  multi_writer : bool;
-  attach : ?shared:bool -> ?name:string -> Client.t -> instance;
+  attach : ?name:string -> Asym_core.Client.t -> instance;
 }
 
-module Bst = Pbst.Make (Client)
-module Bpt = Pbptree.Make (Client)
-module Hash = Phash.Make (Client)
-module Skip = Pskiplist.Make (Client)
-module Mv = Pmvbst.Make (Client)
-module Mvb = Pmvbptree.Make (Client)
-module Stack = Pstack.Make (Client)
-module Queue = Pqueue.Make (Client)
-
-let opts ~shared = if shared then Ds_intf.shared_options else Ds_intf.default_options
-
-let by_key l = List.sort (fun (a, _) (b, _) -> Int64.compare a b) l
-let indexed l = List.mapi (fun i v -> (Int64.of_int i, v)) l
-
-let map_apply ~name ~put ~delete = function
-  | Model.Put (k, v) -> put k v
-  | Model.Delete k -> delete k
-  | op -> Fmt.invalid_arg "%s: sequence op %a on a map structure" name Model.pp_op op
-
-let seq_apply ~name ~push ~pop = function
-  | Model.Push v -> push v
-  | Model.Pop -> pop ()
-  | op -> Fmt.invalid_arg "%s: map op %a on a sequence structure" name Model.pp_op op
-
-let map_subject name attach =
-  { name; kind = `Map; model0 = Model.empty_map; multi_writer = true; attach }
-
-let pbst =
-  map_subject "pbst" (fun ?(shared = false) ?(name = "chk") fe ->
-      let t = Bst.attach ~opts:(opts ~shared) fe ~name in
-      {
-        apply =
-          map_apply ~name:"pbst"
-            ~put:(fun key value -> Bst.put t ~key ~value)
-            ~delete:(fun key -> ignore (Bst.delete t ~key));
-        register = (fun reg -> Registry.register reg ~ds:(Bst.handle t).Types.id (Bst.replay t));
-        dump = (fun () -> by_key (Bst.to_list t));
-      })
-
-let pbptree =
-  map_subject "pbptree" (fun ?(shared = false) ?(name = "chk") fe ->
-      let t = Bpt.attach ~opts:(opts ~shared) fe ~name in
-      {
-        apply =
-          map_apply ~name:"pbptree"
-            ~put:(fun key value -> Bpt.put t ~key ~value)
-            ~delete:(fun key -> ignore (Bpt.delete t ~key));
-        register = (fun reg -> Registry.register reg ~ds:(Bpt.handle t).Types.id (Bpt.replay t));
-        dump = (fun () -> by_key (Bpt.to_list t));
-      })
-
-let phash =
-  map_subject "phash" (fun ?(shared = false) ?(name = "chk") fe ->
-      let t = Hash.attach ~opts:(opts ~shared) ~nbuckets:64 fe ~name in
-      {
-        apply =
-          map_apply ~name:"phash"
-            ~put:(fun key value -> Hash.put t ~key ~value)
-            ~delete:(fun key -> ignore (Hash.delete t ~key));
-        register =
-          (fun reg -> Registry.register reg ~ds:(Hash.handle t).Types.id (Hash.replay t));
-        dump =
-          (fun () ->
-            let acc = ref [] in
-            Hash.iter t (fun k v -> acc := (k, v) :: !acc);
-            by_key !acc);
-      })
-
-let pskiplist =
-  map_subject "pskiplist" (fun ?(shared = false) ?(name = "chk") fe ->
-      (* Explicit generator: re-runs of one schedule must draw the same
-         tower heights for the census and every replay to agree. *)
-      let rng = Asym_util.Rng.create ~seed:77L in
-      let t = Skip.attach ~opts:(opts ~shared) ~rng fe ~name in
-      {
-        apply =
-          map_apply ~name:"pskiplist"
-            ~put:(fun key value -> Skip.put t ~key ~value)
-            ~delete:(fun key -> ignore (Skip.delete t ~key));
-        register =
-          (fun reg -> Registry.register reg ~ds:(Skip.handle t).Types.id (Skip.replay t));
-        dump = (fun () -> by_key (Skip.to_list t));
-      })
-
-let pmvbst =
+let of_kind (structure : Catalog.kind) =
   {
-    name = "pmvbst";
-    kind = `Map;
-    model0 = Model.empty_map;
-    multi_writer = false;
-    attach =
-      (fun ?(shared = false) ?(name = "chk") fe ->
-        let t = Mv.attach ~opts:(opts ~shared) fe ~name in
-        {
-          apply =
-            map_apply ~name:"pmvbst"
-              ~put:(fun key value -> Mv.put t ~key ~value)
-              ~delete:(fun key -> ignore (Mv.delete t ~key));
-          register = (fun reg -> Registry.register reg ~ds:(Mv.handle t).Types.id (Mv.replay t));
-          dump = (fun () -> by_key (Mv.to_list t));
-        });
+    name = Catalog.module_name structure;
+    structure;
+    kind = (if Catalog.is_fifo structure then `Seq else `Map);
+    model0 =
+      (match structure with
+      | Queue -> Model.empty_fifo
+      | Stack -> Model.empty_lifo
+      | _ -> Model.empty_map);
+    attach = (fun ?name fe -> On_client.attach ?name structure fe);
   }
 
-let pmvbptree =
-  {
-    name = "pmvbptree";
-    kind = `Map;
-    model0 = Model.empty_map;
-    multi_writer = false;
-    attach =
-      (fun ?(shared = false) ?(name = "chk") fe ->
-        let t = Mvb.attach ~opts:(opts ~shared) fe ~name in
-        {
-          apply =
-            map_apply ~name:"pmvbptree"
-              ~put:(fun key value -> Mvb.put t ~key ~value)
-              ~delete:(fun key -> ignore (Mvb.delete t ~key));
-          register =
-            (fun reg -> Registry.register reg ~ds:(Mvb.handle t).Types.id (Mvb.replay t));
-          dump = (fun () -> by_key (Mvb.to_list t));
-        });
-  }
-
-let pstack =
-  {
-    name = "pstack";
-    kind = `Seq;
-    model0 = Model.empty_lifo;
-    multi_writer = true;
-    attach =
-      (fun ?(shared = false) ?(name = "chk") fe ->
-        let t = Stack.attach ~opts:(opts ~shared) fe ~name in
-        {
-          apply =
-            seq_apply ~name:"pstack"
-              ~push:(fun v -> Stack.push t v)
-              ~pop:(fun () -> ignore (Stack.pop t));
-          register =
-            (fun reg -> Registry.register reg ~ds:(Stack.handle t).Types.id (Stack.replay t));
-          dump = (fun () -> indexed (Stack.to_list t));
-        });
-  }
-
-let pqueue =
-  {
-    name = "pqueue";
-    kind = `Seq;
-    model0 = Model.empty_fifo;
-    multi_writer = true;
-    attach =
-      (fun ?(shared = false) ?(name = "chk") fe ->
-        let t = Queue.attach ~opts:(opts ~shared) fe ~name in
-        {
-          apply =
-            seq_apply ~name:"pqueue"
-              ~push:(fun v -> Queue.enqueue t v)
-              ~pop:(fun () -> ignore (Queue.dequeue t));
-          register =
-            (fun reg -> Registry.register reg ~ds:(Queue.handle t).Types.id (Queue.replay t));
-          dump = (fun () -> indexed (Queue.to_list t));
-        });
-  }
-
-let all = [ pstack; pqueue; phash; pbst; pbptree; pskiplist; pmvbst; pmvbptree ]
+let all = List.map of_kind [ Stack; Queue; Hash_table; Bst; Bpt; Skip_list; Mv_bst; Mv_bpt ]
 let names = List.map (fun s -> s.name) all
-let find name = List.find_opt (fun s -> s.name = name) all
+let find name = Option.map of_kind (Catalog.of_name name)

@@ -206,9 +206,6 @@ let checks cells =
    movements EXPERIMENTS.md explains by hand today. *)
 let default_cells ?(preload = 4000) ?(ops = 4000) () =
   let lat = Latency.default in
-  let fifo_rcb =
-    { (Asym_core.Client.rcb ()) with Asym_core.Client.oplog_signaled = false }
-  in
   (* YCSB-A (50/50, zipf .99) for the key/value structures: the profile a
      structure serves in steady state, and the one EXPERIMENTS.md's drift
      discussion needs — cached reads are where the cache converts round
@@ -228,7 +225,7 @@ let default_cells ?(preload = 4000) ?(ops = 4000) () =
     cell (Client.naive ()) Runner.Hash_table;
     cell (Client.rc ()) Runner.Hash_table;
     cell (Client.naive ()) Runner.Queue;
-    cell fifo_rcb Runner.Queue;
+    cell (Runner.fifo_rcb ()) Runner.Queue;
     cell (Client.naive ()) Runner.Mv_bpt;
     cell (Client.rcb ()) Runner.Mv_bpt;
   ]

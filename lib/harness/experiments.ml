@@ -25,6 +25,7 @@ module Tatp_c = Asym_apps.Tatp.Make (Client)
 module Tatp_l = Asym_apps.Tatp.Make (Asym_baseline.Local_store)
 module Bank_c = Asym_apps.Smallbank.Make (Client)
 module Bank_l = Asym_apps.Smallbank.Make (Asym_baseline.Local_store)
+module Bst_c = Asym_structs.Pbst.Make (Client)
 
 (* ------------------------------------------------------------------ *)
 (* Application runners                                                  *)
@@ -218,9 +219,6 @@ let table3 sc =
   in
   let asym cfg kind = (Runner.run_asym ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
   let sym cfg kind = (Runner.run_sym ~lat ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
-  let fifo_rcb () =
-    { (Client.rcb ()) with Client.oplog_signaled = false }
-  in
   (* SmallBank *)
   Report.add_row t
     [
@@ -254,7 +252,7 @@ let table3 sc =
           cell_kops (asym (Client.naive ()) kind);
           cell_kops (asym (Client.r ()) kind);
           dash;
-          cell_kops (asym (fifo_rcb ()) kind);
+          cell_kops (asym (Runner.fifo_rcb ()) kind);
         ])
     [ Runner.Queue; Runner.Stack ];
   (* HashTable *)
@@ -316,11 +314,10 @@ let table1 sc =
         Printf.sprintf "%.1f" (per_op r.Runner.wire_bytes r);
       ]
   in
-  let fifo_rcb () = { (Client.rcb ()) with Client.oplog_signaled = false } in
   List.iter
     (fun kind ->
       let cfgs =
-        if Runner.is_fifo kind then [ Client.naive (); Client.r (); fifo_rcb () ]
+        if Runner.is_fifo kind then [ Client.naive (); Client.r (); Runner.fifo_rcb () ]
         else if kind = Runner.Hash_table then [ Client.naive (); Client.r (); Client.rc () ]
         else [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ]
       in
@@ -335,8 +332,6 @@ let table1 sc =
 let batch_sizes = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ]
 
 let fig6 sc =
-  let header = "Batch" :: List.map string_of_int batch_sizes in
-  ignore header;
   let t =
     Report.create ~title:"Figure 6: throughput (KOPS) vs batch size"
       ~header:("Benchmark" :: List.map string_of_int batch_sizes)
@@ -384,8 +379,7 @@ let fig6 sc =
         vput pairs
       done;
       let ops = max 1 chunks * b in
-      let el = Clock.now clock - t0 in
-      if el = 0 then 0.0 else float_of_int ops /. Simtime.to_sec el /. 1000.0
+      Runner.kops_of ops (Clock.now clock - t0)
     end
   in
   let tatp b = run_tatp_asym ~cfg:(batched_cfg b) ~sc () in
@@ -531,8 +525,7 @@ let fig13 sc =
             label;
             Report.kops (run kind (Client.naive ()) ratio);
             Report.kops (run kind (Client.r ()) ratio);
-            Report.kops
-              (run kind { (Client.rcb ()) with Client.oplog_signaled = false } ratio);
+            Report.kops (run kind (Runner.fifo_rcb ()) ratio);
           ])
       fifo_mixes
   in
@@ -735,7 +728,7 @@ let ablation sc =
       ~fifo:false ~n:(sc.preload * 4) ~value_size:64;
     let cfg = Runner.with_cache_pct r (Client.rcb ()) 0.03 in
     let c = Runner.fresh_client ~name:"bst" r cfg in
-    let module P = Runner.Bc in
+    let module P = Bst_c in
     let b = P.attach ~cache_all_levels:all c ~name:"bst" in
     let rng = Asym_util.Rng.create ~seed:31L in
     (* Warm, then measure. *)

@@ -17,9 +17,6 @@ let align clocks =
   List.iter (fun c -> Clock.wait_until c t0) clocks;
   t0
 
-let kops_of ops elapsed =
-  if elapsed <= 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
-
 (* ------------------------------------------------------------------ *)
 (* Figure 8 — multiple readers, one writer                              *)
 (* ------------------------------------------------------------------ *)
@@ -80,10 +77,10 @@ let fig8_point ~kind ~readers ~preload ~duration =
       rinsts
   in
   Sched.run (wclient :: rclients_s);
-  let writer_kops = kops_of !wops (Clock.now (Client.clock writer) - t0) in
+  let writer_kops = Runner.kops_of !wops (Clock.now (Client.clock writer) - t0) in
   let reader_rates =
     List.mapi
-      (fun i c -> kops_of (Hashtbl.find rops i) (Clock.now (Client.clock c) - t0))
+      (fun i c -> Runner.kops_of (Hashtbl.find rops i) (Clock.now (Client.clock c) - t0))
       rclients
   in
   let reader_avg_kops =
@@ -160,7 +157,7 @@ let fig9_point ~kind ~n ~preload ~duration =
   in
   Sched.run scheds;
   let total = Array.fold_left ( + ) 0 counts in
-  kops_of total duration
+  Runner.kops_of total duration
 
 let fig9 ~preload ~duration =
   let t =
@@ -211,7 +208,7 @@ let fig10_point ~kind ~backends ~preload ~ops =
     let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
     (route k).Runner.put k (Runner.value_of k)
   done;
-  kops_of ops (Clock.now clock - t0)
+  Runner.kops_of ops (Clock.now clock - t0)
 
 let fig10 ~preload ~ops =
   let t =
@@ -329,13 +326,13 @@ let lock_bench_point ~write_ratio ~readers ~duration =
       rcs
   in
   Sched.run (writer :: rsched);
-  let writer_kops = kops_of !writes (Clock.now (Client.clock wc) - t0) in
+  let writer_kops = Runner.kops_of !writes (Clock.now (Client.clock wc) - t0) in
   let reader_total = Array.fold_left ( + ) 0 reads in
   let fail_total = Array.fold_left ( + ) 0 fails in
   let per_reader =
     Array.to_list reads
     |> List.mapi (fun i n ->
-           kops_of n (Clock.now (Client.clock (fst (List.nth rcs i))) - t0))
+           Runner.kops_of n (Clock.now (Client.clock (fst (List.nth rcs i))) - t0))
   in
   let reader_avg = List.fold_left ( +. ) 0.0 per_reader /. float_of_int readers in
   let fail_ratio =
@@ -413,7 +410,7 @@ let contention_point ~writers ~preload ~duration =
   in
   let waited = List.fold_left (fun a (c, _) -> a + Client.lock_wait_ns c) 0 wcs in
   {
-    total_kops = kops_of total duration;
+    total_kops = Runner.kops_of total duration;
     lock_wait_share =
       (if elapsed <= 0 then 0.0 else float_of_int waited /. float_of_int elapsed);
     avg_lock_wait_ns =

@@ -1,272 +1,52 @@
-(** Shared machinery for the experiment harness: rig construction, a
-    uniform facade over the eight data structures on both architectures,
-    and single-client throughput runs. *)
+(** Shared machinery for the experiment harness: rig construction,
+    catalog attach on both architectures, and single-client throughput
+    runs. *)
 
 open Asym_sim
 open Asym_core
 open Asym_structs
 
-type ds_kind = Queue | Stack | Hash_table | Skip_list | Bst | Bpt | Mv_bst | Mv_bpt
+type ds_kind = Catalog.kind =
+  | Queue
+  | Stack
+  | Hash_table
+  | Skip_list
+  | Bst
+  | Bpt
+  | Mv_bst
+  | Mv_bpt
 
-let ds_name = function
-  | Queue -> "Queue"
-  | Stack -> "Stack"
-  | Hash_table -> "HashTable"
-  | Skip_list -> "SkipList"
-  | Bst -> "BST"
-  | Bpt -> "BPT"
-  | Mv_bst -> "MV-BST"
-  | Mv_bpt -> "MV-BPT"
+let ds_name = Catalog.label
+let all_ds = Catalog.all
+let is_fifo = Catalog.is_fifo
 
-let all_ds = [ Queue; Stack; Hash_table; Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ]
-
-let ds_of_name s =
-  let canon s = String.lowercase_ascii (String.concat "" (String.split_on_char '-' s)) in
-  List.find_opt (fun k -> canon (ds_name k) = canon s) all_ds
-
-let is_fifo = function Queue | Stack -> true | _ -> false
-
-(* A uniform facade over one attached structure instance. *)
-type instance = {
+type instance = Catalog.instance = {
   put : int64 -> bytes -> unit;
   get : int64 -> bytes option;
   del : int64 -> bool;
   push : bytes -> unit;
   pop : unit -> bytes option;
   vput : ((int64 * bytes) list -> unit) option;
-  cleanup : unit -> unit;  (** flush logs, drain deferred GC *)
+  cleanup : unit -> unit;
+  register : Registry.t -> unit;
+  dump : unit -> (int64 * bytes) list;
 }
 
-(* -- functor instantiations ------------------------------------------------ *)
-
-module Qc = Pqueue.Make (Client)
-module Sc = Pstack.Make (Client)
-module Hc = Phash.Make (Client)
-module Kc = Pskiplist.Make (Client)
-module Bc = Pbst.Make (Client)
-module Pc = Pbptree.Make (Client)
-module Mc = Pmvbst.Make (Client)
-module Nc = Pmvbptree.Make (Client)
-module Ql = Pqueue.Make (Asym_baseline.Local_store)
-module Sl = Pstack.Make (Asym_baseline.Local_store)
-module Hl = Phash.Make (Asym_baseline.Local_store)
-module Kl = Pskiplist.Make (Asym_baseline.Local_store)
-module Bl = Pbst.Make (Asym_baseline.Local_store)
-module Pl = Pbptree.Make (Asym_baseline.Local_store)
-module Ml = Pmvbst.Make (Asym_baseline.Local_store)
-module Nl = Pmvbptree.Make (Asym_baseline.Local_store)
-
-let no_fifo () = invalid_arg "Runner: not a queue/stack instance"
-let no_kv _ = invalid_arg "Runner: not a key/value instance"
-
-(* [locked] selects lock-based operation: in the paper's evaluation the
-   ordered index structures (SkipList/BST/BPT and TATP's trees) take the
-   exclusive writer lock per operation; queue/stack/hash run single-writer
-   without it; the MV structures synchronize via the root CAS. *)
+(* In the paper's evaluation the ordered index structures (SkipList, BST,
+   BPT and TATP's trees) take the exclusive writer lock per operation;
+   queue/stack/hash run single-writer without it; the MV structures
+   synchronize via the root CAS. *)
 let ds_opts ~shared kind : Ds_intf.options =
-  match kind with
-  | Skip_list | Bst | Bpt ->
-      if shared then Ds_intf.shared_options else Ds_intf.locked_options
-  | Queue | Stack | Hash_table | Mv_bst | Mv_bpt ->
-      if shared then { Ds_intf.shared = true; use_lock = false } else Ds_intf.default_options
+  { Ds_intf.shared; use_lock = List.mem kind [ Skip_list; Bst; Bpt ] }
 
-let client_instance ?(shared = false) kind (c : Client.t) ~name : instance =
-  let opts = ds_opts ~shared kind in
-  let flush () = Client.flush c in
-  match kind with
-  | Queue ->
-      let q = Qc.attach ~opts c ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Qc.enqueue q;
-        pop = (fun () -> Qc.dequeue q);
-        vput = None;
-        cleanup = flush;
-      }
-  | Stack ->
-      let s = Sc.attach ~opts c ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Sc.push s;
-        pop = (fun () -> Sc.pop s);
-        vput = None;
-        cleanup = flush;
-      }
-  | Hash_table ->
-      let h = Hc.attach ~opts ~nbuckets:16384 c ~name in
-      {
-        put = (fun key value -> Hc.put h ~key ~value);
-        get = (fun key -> Hc.get h ~key);
-        del = (fun key -> Hc.delete h ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Skip_list ->
-      let k = Kc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Kc.put k ~key ~value);
-        get = (fun key -> Kc.find k ~key);
-        del = (fun key -> Kc.delete k ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Bst ->
-      let b = Bc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Bc.put b ~key ~value);
-        get = (fun key -> Bc.find b ~key);
-        del = (fun key -> Bc.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Bc.insert_vector b);
-        cleanup = flush;
-      }
-  | Bpt ->
-      let b = Pc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Pc.put b ~key ~value);
-        get = (fun key -> Pc.find b ~key);
-        del = (fun key -> Pc.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Pc.insert_vector b);
-        cleanup = flush;
-      }
-  | Mv_bst ->
-      let m = Mc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Mc.put m ~key ~value);
-        get = (fun key -> Mc.find m ~key);
-        del = (fun key -> Mc.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            Client.flush c;
-            Mc.gc_drain m);
-      }
-  | Mv_bpt ->
-      let m = Nc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Nc.put m ~key ~value);
-        get = (fun key -> Nc.find m ~key);
-        del = (fun key -> Nc.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            Client.flush c;
-            Nc.gc_drain m);
-      }
+module On_client = Catalog.Make (Client)
+module On_local = Catalog.Make (Asym_baseline.Local_store)
 
-let local_instance kind (s : Asym_baseline.Local_store.t) ~name : instance =
-  let opts = ds_opts ~shared:false kind in
-  let flush () = Asym_baseline.Local_store.flush s in
-  match kind with
-  | Queue ->
-      let q = Ql.attach ~opts s ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Ql.enqueue q;
-        pop = (fun () -> Ql.dequeue q);
-        vput = None;
-        cleanup = flush;
-      }
-  | Stack ->
-      let st = Sl.attach ~opts s ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Sl.push st;
-        pop = (fun () -> Sl.pop st);
-        vput = None;
-        cleanup = flush;
-      }
-  | Hash_table ->
-      let h = Hl.attach ~opts ~nbuckets:16384 s ~name in
-      {
-        put = (fun key value -> Hl.put h ~key ~value);
-        get = (fun key -> Hl.get h ~key);
-        del = (fun key -> Hl.delete h ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Skip_list ->
-      let k = Kl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Kl.put k ~key ~value);
-        get = (fun key -> Kl.find k ~key);
-        del = (fun key -> Kl.delete k ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Bst ->
-      let b = Bl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Bl.put b ~key ~value);
-        get = (fun key -> Bl.find b ~key);
-        del = (fun key -> Bl.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Bl.insert_vector b);
-        cleanup = flush;
-      }
-  | Bpt ->
-      let b = Pl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Pl.put b ~key ~value);
-        get = (fun key -> Pl.find b ~key);
-        del = (fun key -> Pl.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Pl.insert_vector b);
-        cleanup = flush;
-      }
-  | Mv_bst ->
-      let m = Ml.attach ~opts s ~name in
-      {
-        put = (fun key value -> Ml.put m ~key ~value);
-        get = (fun key -> Ml.find m ~key);
-        del = (fun key -> Ml.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            flush ();
-            Ml.gc_drain m);
-      }
-  | Mv_bpt ->
-      let m = Nl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Nl.put m ~key ~value);
-        get = (fun key -> Nl.find m ~key);
-        del = (fun key -> Nl.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            flush ();
-            Nl.gc_drain m);
-      }
+let client_instance ?(shared = false) kind c ~name =
+  On_client.attach ~opts:(ds_opts ~shared kind) ~nbuckets:16384 kind c ~name
+
+let local_instance kind s ~name =
+  On_local.attach ~opts:(ds_opts ~shared:false kind) ~nbuckets:16384 kind s ~name
 
 (* -- rig ---------------------------------------------------------------- *)
 
@@ -294,6 +74,10 @@ let fresh_client ?(name = "fe") rig cfg =
   Clock.wait_until clk (Timeline.free_at (Backend.nic rig.bk));
   Clock.wait_until clk (Timeline.free_at (Backend.cpu rig.bk));
   Client.connect ~name cfg rig.bk ~clock:clk
+
+(* The RCB configuration queue/stack cells use: their operation-log
+   append is unsignaled. *)
+let fifo_rcb () = { (Client.rcb ()) with Client.oplog_signaled = false }
 
 (* The paper sizes the front-end cache as a fraction of the NVM actually
    used by the structure (10% in Table 3). *)
@@ -349,16 +133,46 @@ type result = {
   lat_p99_us : float;
 }
 
+let kops_of ops elapsed =
+  if elapsed <= 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
+
+(* The front-end counters a measured window reports as deltas. *)
+type counters = { n_retries : int; n_hits : int; n_misses : int; n_verbs : int; n_bytes : int }
+
+let counters c =
+  let n_hits, n_misses = Client.cache_stats c in
+  {
+    n_retries = Client.read_retries c;
+    n_hits;
+    n_misses;
+    n_verbs = Client.rdma_ops c;
+    n_bytes = Client.rdma_bytes c;
+  }
+
+let no_counters = { n_retries = 0; n_hits = 0; n_misses = 0; n_verbs = 0; n_bytes = 0 }
+
+let result ~ops ~before ~after (kops, elapsed, lats) =
+  {
+    kops;
+    ops;
+    elapsed;
+    retries = after.n_retries - before.n_retries;
+    cache_hits = after.n_hits - before.n_hits;
+    cache_misses = after.n_misses - before.n_misses;
+    verbs = after.n_verbs - before.n_verbs;
+    wire_bytes = after.n_bytes - before.n_bytes;
+    lat_mean_us = Asym_util.Stats.mean lats;
+    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
+    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
+  }
+
 let measure ~clock ~ops f =
   let t0 = Clock.now clock in
   for i = 0 to ops - 1 do
     f i
   done;
   let elapsed = Clock.now clock - t0 in
-  let kops =
-    if elapsed = 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
-  in
-  (kops, elapsed)
+  (kops_of ops elapsed, elapsed)
 
 (* Like {!measure} but also records each operation's virtual latency. *)
 let measure_latencies ~clock ~ops f =
@@ -370,10 +184,7 @@ let measure_latencies ~clock ~ops f =
     lats.(i) <- Simtime.to_us (Clock.now clock - s)
   done;
   let elapsed = Clock.now clock - t0 in
-  let kops =
-    if elapsed = 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
-  in
-  (kops, elapsed, lats)
+  (kops_of ops elapsed, elapsed, lats)
 
 (* One operation against the facade. For key/value structures [put_ratio]
    selects between insert (PUT) and find (GET); for queue/stack it selects
@@ -421,10 +232,8 @@ let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_rati
     drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops:warmup
       ~seed:(Int64.add seed 1L) inst
   in
-  let retries0 = Client.read_retries c in
-  let hits0, misses0 = Client.cache_stats c in
-  let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
-  let kops, elapsed, lats =
+  let before = counters c in
+  let m =
     (* When observability is on, each measured cell becomes one metrics
        phase: snapshot + reset, so counters are per-cell. *)
     Obs_report.phase
@@ -432,20 +241,7 @@ let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_rati
       (fun () ->
         drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
   in
-  let hits1, misses1 = Client.cache_stats c in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = Client.read_retries c - retries0;
-    cache_hits = hits1 - hits0;
-    cache_misses = misses1 - misses0;
-    verbs = Client.rdma_ops c - verbs0;
-    wire_bytes = Client.rdma_bytes c - bytes0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-  }
+  result ~ops ~before ~after:(counters c) m
 
 (* A Figure-13 style run: the synthetic industry trace (power-law keys,
    64 B - 8 KB values) instead of the fixed-size YCSB generator. *)
@@ -459,7 +255,7 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
   let cfg = with_cache_pct rig cfg cache_pct in
   let c = fresh_client ~name:nm rig cfg in
   let inst = client_instance kind c ~name:nm in
-  let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
+  let before = counters c in
   let rng = Asym_util.Rng.create ~seed in
   let tr =
     Asym_workload.Trace.create
@@ -467,7 +263,7 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
       rng
   in
   let clock = Client.clock c in
-  let kops, elapsed, lats =
+  let m =
     Obs_report.phase
       (nm ^ ".trace." ^ Client.config_name cfg)
       (fun () ->
@@ -478,19 +274,7 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
             | Asym_workload.Trace.Put (k, v) -> inst.put k v
             | Asym_workload.Trace.Get k -> ignore (inst.get k)))
   in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    verbs = Client.rdma_ops c - verbs0;
-    wire_bytes = Client.rdma_bytes c - bytes0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-  }
+  result ~ops ~before ~after:(counters c) m
 
 (* The same cell on the symmetric baseline. *)
 let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform)
@@ -501,20 +285,8 @@ let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Un
   let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
   let inst = local_instance kind s ~name:nm in
   preload_instance inst ~fifo ~n:preload ~value_size;
-  let kops, elapsed, lats =
+  let m =
     Obs_report.phase (nm ^ ".sym") (fun () ->
         drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
   in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    verbs = 0;
-    wire_bytes = 0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-  }
+  result ~ops ~before:no_counters ~after:no_counters m

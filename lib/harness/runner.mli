@@ -1,40 +1,39 @@
 (** Shared machinery for the experiment harness.
 
-    Builds rigs (a back-end plus optional mirrors), presents the eight
-    data structures behind one facade on both architectures, and runs the
-    standard preload → warm-up → measure cycle that every table/figure
-    cell uses. Throughput is virtual-time throughput: operations divided
+    Builds rigs (a back-end plus optional mirrors), attaches the eight
+    data structures through {!Asym_structs.Catalog} on both
+    architectures, and runs the standard preload → warm-up → measure
+    cycle that every table/figure cell uses. Throughput is virtual-time throughput: operations divided
     by the simulated nanoseconds they spanned. *)
 
-type ds_kind = Queue | Stack | Hash_table | Skip_list | Bst | Bpt | Mv_bst | Mv_bpt
+type ds_kind = Asym_structs.Catalog.kind =
+  | Queue
+  | Stack
+  | Hash_table
+  | Skip_list
+  | Bst
+  | Bpt
+  | Mv_bst
+  | Mv_bpt
 
 val ds_name : ds_kind -> string
-val all_ds : ds_kind list
+(** The report label, {!Asym_structs.Catalog.label}. *)
 
-val ds_of_name : string -> ds_kind option
-(** Case-insensitive, dash-insensitive inverse of {!ds_name}
-    (["mv-bpt"], ["MVBPT"] and ["MV-BPT"] all resolve). *)
+val all_ds : ds_kind list
 
 val is_fifo : ds_kind -> bool
 
-(** Uniform facade over one attached structure instance. Key/value
-    structures implement [put]/[get]/[del]; queue/stack implement
-    [push]/[pop]; the wrong family raises [Invalid_argument]. *)
-type instance = {
+type instance = Asym_structs.Catalog.instance = {
   put : int64 -> bytes -> unit;
   get : int64 -> bytes option;
   del : int64 -> bool;
   push : bytes -> unit;
   pop : unit -> bytes option;
-  vput : ((int64 * bytes) list -> unit) option;  (** Algorithm 3, trees only *)
-  cleanup : unit -> unit;  (** flush logs, drain deferred GC *)
+  vput : ((int64 * bytes) list -> unit) option;
+  cleanup : unit -> unit;
+  register : Asym_structs.Registry.t -> unit;
+  dump : unit -> (int64 * bytes) list;
 }
-
-(** The functor instantiations, exposed for experiments needing the full
-    structure API rather than the facade. *)
-
-module Pc : module type of Asym_structs.Pbptree.Make (Asym_core.Client)
-module Bc : module type of Asym_structs.Pbst.Make (Asym_core.Client)
 
 val ds_opts : shared:bool -> ds_kind -> Asym_structs.Ds_intf.options
 (** The evaluation's locking discipline: ordered index structures take
@@ -43,8 +42,11 @@ val ds_opts : shared:bool -> ds_kind -> Asym_structs.Ds_intf.options
 
 val client_instance :
   ?shared:bool -> ds_kind -> Asym_core.Client.t -> name:string -> instance
+(** Attach through {!Asym_structs.Catalog.Make} over the front-end, with
+    {!ds_opts} and a 16384-bucket hash table. *)
 
 val local_instance : ds_kind -> Asym_baseline.Local_store.t -> name:string -> instance
+(** The same on the symmetric baseline. *)
 
 (** {2 Rigs} *)
 
@@ -57,6 +59,10 @@ val make_rig :
 val fresh_client : ?name:string -> rig -> Asym_core.Client.config -> Asym_core.Client.t
 (** A client whose clock starts at the back-end's current horizon so it
     does not queue behind setup traffic. *)
+
+val fifo_rcb : unit -> Asym_core.Client.config
+(** RCB with an unsignaled operation-log append: the configuration the
+    queue/stack cells use. *)
 
 val used_bytes : rig -> int
 val with_cache_pct : rig -> Asym_core.Client.config -> float -> Asym_core.Client.config
@@ -85,6 +91,10 @@ type result = {
   lat_p50_us : float;
   lat_p99_us : float;
 }
+
+val kops_of : int -> Asym_sim.Simtime.t -> float
+(** Operations over elapsed virtual time, in thousands per second (0 for
+    an empty window). *)
 
 val measure : clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) -> float * Asym_sim.Simtime.t
 

@@ -47,30 +47,61 @@ let test_model_generate_deterministic () =
   let c = Model.generate ~kind:`Map ~ops:40 ~seed:8L in
   check Alcotest.bool "different seed, different schedule" false (a = c)
 
-(* Satellite 1: every registered structure, driven crash-free through a
-   fixed-seed schedule, must agree with its reference model. *)
-let test_subject_matches_model (s : Subject.t) () =
-  let opl = Model.generate ~kind:s.Subject.kind ~ops:60 ~seed:42L in
-  let bk =
-    Backend.create ~name:"bk" ~max_sessions:4 ~memlog_cap:(512 * 1024) ~oplog_cap:(256 * 1024)
-      ~slab_size:4096
-      ~capacity:(16 * 1024 * 1024)
-      Asym_sim.Latency.default
-  in
-  let fe =
-    Client.connect ~name:"fe"
-      (Client.rcb ~batch_size:8 ())
-      bk
-      ~clock:(Asym_sim.Clock.create ~name:"fe" ())
-  in
-  let inst = s.Subject.attach fe in
-  let model = List.fold_left Model.apply s.Subject.model0 opl in
-  List.iter inst.Subject.apply opl;
-  Client.flush fe;
-  check Alcotest.bool
-    (s.Subject.name ^ " dump = model after 60 ops")
-    true
-    (inst.Subject.dump () = Model.dump model)
+(* Every structure, driven crash-free through two fixed-seed schedules,
+   must agree with its reference model — on the AsymNVM front-end under
+   each configuration and on the symmetric baseline, through the same
+   catalog attach. *)
+type store = Asym of Client.config | Sym of Asym_baseline.Local_store.config
+
+module On_local = Subject.Attach (Asym_baseline.Local_store)
+
+let attach_on store kind =
+  let lat = Asym_sim.Latency.default in
+  let clock = Asym_sim.Clock.create ~name:"fe" () in
+  match store with
+  | Asym cfg ->
+      let bk =
+        Backend.create ~name:"bk" ~max_sessions:4 ~memlog_cap:(512 * 1024)
+          ~oplog_cap:(256 * 1024) ~slab_size:4096
+          ~capacity:(16 * 1024 * 1024)
+          lat
+      in
+      let fe = Client.connect ~name:"fe" cfg bk ~clock in
+      ((Subject.of_kind kind).Subject.attach fe, fun () -> Client.flush fe)
+  | Sym cfg ->
+      let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
+      (On_local.attach kind s, fun () -> Asym_baseline.Local_store.flush s)
+
+let test_subject_matches_model store (s : Subject.t) () =
+  List.iter
+    (fun seed ->
+      let opl = Model.generate ~kind:s.Subject.kind ~ops:60 ~seed in
+      let inst, flush = attach_on store s.Subject.structure in
+      let model = List.fold_left Model.apply s.Subject.model0 opl in
+      List.iter (Subject.apply inst) opl;
+      flush ();
+      check Alcotest.bool
+        (Fmt.str "%s dump = model after 60 ops (seed %Ld)" s.Subject.name seed)
+        true
+        (inst.Asym_structs.Catalog.dump () = Model.dump model))
+    [ 42L; 43L ]
+
+let test_catalog_names () =
+  let module Catalog = Asym_structs.Catalog in
+  List.iter
+    (fun k ->
+      check Alcotest.bool (Catalog.label k ^ " round-trips") true
+        (Catalog.of_name (Catalog.label k) = Some k);
+      check Alcotest.bool (Catalog.module_name k ^ " round-trips") true
+        (Catalog.of_name (Catalog.module_name k) = Some k))
+    Catalog.all;
+  List.iter
+    (fun n -> check Alcotest.bool (n ^ " is MV-BPT") true (Catalog.of_name n = Some Catalog.Mv_bpt))
+    [ "mv-bpt"; "MVBPT" ];
+  check Alcotest.bool "unknown name" true (Catalog.of_name "btree" = None);
+  check Alcotest.(list string) "subjects cover the catalog"
+    (List.sort compare (List.map Catalog.module_name Catalog.all))
+    (List.sort compare Subject.names)
 
 (* ---------------- crash-point census ---------------- *)
 
@@ -182,7 +213,19 @@ let () =
           Alcotest.test_case "sequence semantics" `Quick test_model_seq_semantics;
           Alcotest.test_case "deterministic schedules" `Quick test_model_generate_deterministic;
         ] );
-      ("subject vs model", per_subject (fun s -> test_subject_matches_model s));
+      ( "catalog",
+        [ Alcotest.test_case "names round-trip" `Quick test_catalog_names ] );
+      ("subject vs model", per_subject (test_subject_matches_model (Asym (Client.rcb ~batch_size:8 ()))));
+      (* Suite labels stay within 20 characters: a wider label narrows
+         Alcotest's column for the case names of every suite. *)
+      ("subject naive", per_subject (test_subject_matches_model (Asym (Client.naive ()))));
+      ("subject R", per_subject (test_subject_matches_model (Asym (Client.r ()))));
+      ("subject RC", per_subject (test_subject_matches_model (Asym (Client.rc ()))));
+      ( "subject sym",
+        per_subject (test_subject_matches_model (Sym Asym_baseline.Local_store.symmetric)) );
+      ( "subject symB",
+        per_subject
+          (test_subject_matches_model (Sym (Asym_baseline.Local_store.symmetric_b ()))) );
       ( "census",
         [
           Alcotest.test_case "deterministic" `Quick test_census_deterministic;

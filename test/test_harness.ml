@@ -55,7 +55,10 @@ let test_trace_runner () =
     Runner.run_asym_trace ~rig:(Runner.make_rig lat) ~cfg:(Asym_core.Client.rc ())
       ~kind:Runner.Hash_table ~preload:200 ~ops:200 ~put_ratio:0.5 ()
   in
-  check Alcotest.bool "positive" true (r.Runner.kops > 0.0)
+  check Alcotest.bool "positive" true (r.Runner.kops > 0.0);
+  (* The RC client serves reads through its cache: the window's traffic
+     must show up in the result. *)
+  check Alcotest.bool "cache traffic reported" true (r.Runner.cache_hits + r.Runner.cache_misses > 0)
 
 let test_fig8_point () =
   let p = Multiclient.fig8_point ~kind:Runner.Bst ~readers:2 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
