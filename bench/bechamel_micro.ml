@@ -18,7 +18,7 @@ let setup () =
   (bk, c)
 
 let tests () =
-  let _bk, c = setup () in
+  let bk, c = setup () in
   let h = Client.register_ds c "micro" in
   let addr = Client.malloc c 64 in
   ignore (Client.op_begin c ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
@@ -41,7 +41,25 @@ let tests () =
     }
   in
   let tx_bytes = Log.Tx.encode tx in
-  let i = ref 0 in
+  (* A second front-end whose overlay holds a batch of 64 pending 512-byte
+     node writes (an open operation, so nothing flushes), plus one cached
+     node that is not pending: the RCB write path's reads. *)
+  let node = 512 in
+  let w =
+    Client.connect ~name:"fe-batch" (Client.rcb ~batch_size:1024 ()) bk
+      ~clock:(Asym_sim.Clock.create ~name:"fe-batch" ())
+  in
+  let hw = Client.register_ds w "micro.batch" in
+  let cached = Client.malloc w node in
+  ignore (Client.op_begin w ~ds:hw.Types.id ~optype:1 ~params:Bytes.empty);
+  Client.write w ~ds:hw.Types.id ~addr:cached (Bytes.make node 'c');
+  Client.op_end w ~ds:hw.Types.id;
+  Client.flush w;
+  ignore (Client.read w ~addr:cached ~len:node);
+  let pending = Array.init 64 (fun _ -> Client.malloc w node) in
+  ignore (Client.op_begin w ~ds:hw.Types.id ~optype:1 ~params:Bytes.empty);
+  Array.iter (fun addr -> Client.write w ~ds:hw.Types.id ~addr (Bytes.make node 'n')) pending;
+  let i = ref 0 and j = ref 0 in
   [
     (* Table 2: the allocator fast path. *)
     Test.make ~name:"table2/two-tier-alloc-free"
@@ -57,6 +75,14 @@ let tests () =
            incr i;
            Client.write c ~ds:h.Types.id ~addr (Bytes.make 64 (Char.chr (!i land 0xff)));
            if !i land 63 = 0 then Client.flush c));
+    (* Figure 6, RCB: a 512-byte node read while the overlay holds a
+       batch — served from the overlay, or from the cache beside it. *)
+    Test.make ~name:"fig6/node-read-pending"
+      (Staged.stage (fun () ->
+           incr j;
+           ignore (Client.read w ~addr:pending.(!j land 63) ~len:node)));
+    Test.make ~name:"fig6/node-read-cached"
+      (Staged.stage (fun () -> ignore (Client.read w ~addr:cached ~len:node)));
     (* Figure 7: B+Tree lookup through the cache. *)
     Test.make ~name:"fig7/bptree-find"
       (Staged.stage (fun () ->

@@ -354,8 +354,8 @@ let read_via_cache t c ~addr ~len =
           let cap = Asym_nvm.Device.capacity (Backend.device t.bk) in
           let plen = min page (cap - page_base) in
           let b = with_retry t (fun () -> Verbs.read t.conn ~addr:page_base ~len:plen) in
-          (* The overlay also patches the inserted page so the cache never
-             goes backwards w.r.t. our own pending writes. *)
+          (* The overlay patches the page before insertion so the cache
+             never goes backwards w.r.t. our own pending writes. *)
           Overlay.patch t.overlay ~addr:page_base b;
           Cache.insert c id b;
           b
@@ -379,14 +379,16 @@ let read ?(hint = `Hot) t ~addr ~len =
   | Some b ->
       Clock.advance t.clk t.lat.Latency.dram_ns;
       b
-  | None ->
-      let b =
-        match t.cache with
-        | Some c when hint = `Hot -> read_via_cache t c ~addr ~len
-        | _ -> with_retry t (fun () -> Verbs.read t.conn ~addr ~len)
-      in
-      Overlay.patch t.overlay ~addr b;
-      b
+  | None -> (
+      (* Pending bytes are patched in once, where a verb fetched them:
+         cached pages already hold them ([write]/[cas_u64] patch the cache
+         and a missed page is patched before insertion). *)
+      match t.cache with
+      | Some c when hint = `Hot -> read_via_cache t c ~addr ~len
+      | _ ->
+          let b = with_retry t (fun () -> Verbs.read t.conn ~addr ~len) in
+          Overlay.patch t.overlay ~addr b;
+          b)
 
 let read_u64 t ?hint addr =
   let b = read ?hint t ~addr ~len:8 in
@@ -561,17 +563,10 @@ let flush t =
             (fun (ds, entries) -> { Log.Tx.ds; op_hi; entries = List.rev entries })
             runs
     in
-    let encoded = List.map Log.Tx.encode txs in
-    let total = List.fold_left (fun acc b -> acc + Bytes.length b) 0 encoded in
+    let total = List.fold_left (fun acc tx -> acc + Log.Tx.size tx) 0 txs in
     let wire = List.fold_left (fun acc tx -> acc + Log.Tx.wire_size tx) 0 txs in
     let payload = Bytes.create total in
-    let _ =
-      List.fold_left
-        (fun off b ->
-          Bytes.blit b 0 payload off (Bytes.length b);
-          off + Bytes.length b)
-        0 encoded
-    in
+    ignore (List.fold_left (fun off tx -> off + Log.Tx.encode_into tx payload ~pos:off) 0 txs);
     let ring_base, cap = Backend.memlog_ring t.bk ~session:t.sid in
     if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
     if t.memlog_head + total + 1 > cap then begin

@@ -23,8 +23,17 @@ end
 module Tx = struct
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
 
-  let encode t =
-    let e = Codec.Enc.create ~capacity:256 () in
+  (* Stored size. Header (1+4+8+4) + per entry (1+8+4 + payload, plus 8
+     for the op number of a pointer entry) + commit (1) + crc (4). *)
+  let size t =
+    let entry_size { Mem_entry.value; from_op; _ } =
+      13 + Bytes.length value + if from_op = None then 0 else 8
+    in
+    17 + List.fold_left (fun acc en -> acc + entry_size en) 0 t.entries + 5
+
+  (* Encoded in place: the body, then its CRC, with no intermediate copy. *)
+  let encode_into t buf ~pos =
+    let e = Codec.Enc.into buf ~pos in
     Codec.Enc.u8 e tag_tx;
     Codec.Enc.u32i e t.ds;
     Codec.Enc.u64 e t.op_hi;
@@ -43,17 +52,18 @@ module Tx = struct
         Codec.Enc.bytes e value)
       t.entries;
     Codec.Enc.u8 e tag_commit;
-    let body = Codec.Enc.to_bytes e in
-    let crc = Crc32.digest_bytes body in
-    let e2 = Codec.Enc.create ~capacity:(Bytes.length body + 4) () in
-    Codec.Enc.bytes e2 body;
-    Codec.Enc.u32 e2 crc;
-    let raw = Codec.Enc.to_bytes e2 in
+    Codec.Enc.u32 e (Crc32.digest buf ~pos ~len:(Codec.Enc.length e - pos));
+    let n = Codec.Enc.length e - pos in
     if Asym_obs.enabled () then begin
       Asym_obs.Registry.inc "log.tx_encoded";
-      Asym_obs.Registry.add "log.tx_encoded_bytes" (Bytes.length raw)
+      Asym_obs.Registry.add "log.tx_encoded_bytes" n
     end;
-    raw
+    n
+
+  let encode t =
+    let b = Bytes.create (size t) in
+    ignore (encode_into t b ~pos:0);
+    b
 
   (* Wire cost, not stored size. Header (1+4+8+4) + per entry (1+8+4 +
      payload) + commit (1) + crc (4). An entry whose value is already
@@ -115,20 +125,18 @@ end
 module Op_entry = struct
   type t = { ds : Types.ds_id; opnum : int64; optype : int; params : bytes }
 
+  (* Encoded in place: tag (1) + ds (4) + opnum (8) + type (1) + length
+     (4) + params, then the crc (4) of all of it. *)
   let encode t =
-    let e = Codec.Enc.create ~capacity:64 () in
+    let raw = Bytes.create (22 + Bytes.length t.params) in
+    let e = Codec.Enc.into raw ~pos:0 in
     Codec.Enc.u8 e tag_op;
     Codec.Enc.u32i e t.ds;
     Codec.Enc.u64 e t.opnum;
     Codec.Enc.u8 e t.optype;
     Codec.Enc.u32i e (Bytes.length t.params);
     Codec.Enc.bytes e t.params;
-    let body = Codec.Enc.to_bytes e in
-    let crc = Crc32.digest_bytes body in
-    let e2 = Codec.Enc.create ~capacity:(Bytes.length body + 4) () in
-    Codec.Enc.bytes e2 body;
-    Codec.Enc.u32 e2 crc;
-    let raw = Codec.Enc.to_bytes e2 in
+    Codec.Enc.u32 e (Crc32.digest raw ~pos:0 ~len:(Codec.Enc.length e));
     if Asym_obs.enabled () then begin
       Asym_obs.Registry.inc "log.op_encoded";
       Asym_obs.Registry.add "log.op_encoded_bytes" (Bytes.length raw)

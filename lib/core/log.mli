@@ -42,6 +42,13 @@ end
 module Tx : sig
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
 
+  val size : t -> int
+  (** Bytes of the stored frame, as {!encode} produces it. *)
+
+  val encode_into : t -> bytes -> pos:int -> int
+  (** Encode the frame in place at [pos], which must have {!size} bytes
+      free, and return its length. *)
+
   val encode : t -> bytes
   val wire_size : t -> int
   (** Bytes the NIC actually moves, with the op-log pointer optimization. *)

@@ -21,8 +21,4 @@ val patch : t -> addr:Types.addr -> bytes -> unit
 val try_read : t -> addr:Types.addr -> len:int -> bytes option
 (** [Some bytes] iff the whole range is covered by pending writes. *)
 
-val covers_u64 : t -> Types.addr -> bool
-
 val clear : t -> unit
-val is_empty : t -> bool
-val pending_bytes : t -> int

@@ -1,12 +1,16 @@
 module Enc = struct
-  type t = { mutable buf : bytes; mutable len : int }
+  type t = { mutable buf : bytes; mutable len : int; growable : bool }
 
-  let create ?(capacity = 64) () = { buf = Bytes.create (max 8 capacity); len = 0 }
+  let create ?(capacity = 64) () =
+    { buf = Bytes.create (max 8 capacity); len = 0; growable = true }
+
+  let into buf ~pos = { buf; len = pos; growable = false }
   let length t = t.len
 
   let ensure t n =
     let need = t.len + n in
     if need > Bytes.length t.buf then begin
+      if not t.growable then invalid_arg "Codec.Enc: write past the end of a fixed buffer";
       let cap = ref (Bytes.length t.buf * 2) in
       while !cap < need do
         cap := !cap * 2

@@ -12,6 +12,12 @@ module Enc : sig
   type t
 
   val create : ?capacity:int -> unit -> t
+
+  val into : bytes -> pos:int -> t
+  (** An encoder that writes into the given buffer from [pos] on, in
+      place; writing past its end raises [Invalid_argument]. [length] and
+      [to_bytes] then count from the buffer's start. *)
+
   val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit

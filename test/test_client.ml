@@ -350,6 +350,67 @@ let prop_overlay_matches_byte_model =
         writes;
       !patch_ok && !try_ok)
 
+(* A reference for the overlay: a plain map from address to pending byte.
+   Random add/try_read/patch/clear sequences over a few blocks exercise
+   unaligned, block-straddling, partly covered and overlapping ranges. *)
+type overlay_op =
+  | Add of int * string
+  | Try_read of int * int
+  | Patch of int * int
+  | Clear
+
+let gen_overlay_op =
+  QCheck.Gen.(
+    let addr = int_bound 320 and len = 1 -- 140 in
+    frequency
+      [
+        (5, map2 (fun a s -> Add (a, s)) addr (string_size ~gen:printable len));
+        (3, map2 (fun a n -> Try_read (a, n)) addr len);
+        (3, map2 (fun a n -> Patch (a, n)) addr len);
+        (1, return Clear);
+      ])
+
+let print_overlay_op = function
+  | Add (a, s) -> Printf.sprintf "add %d %S" a s
+  | Try_read (a, n) -> Printf.sprintf "try_read %d %d" a n
+  | Patch (a, n) -> Printf.sprintf "patch %d %d" a n
+  | Clear -> "clear"
+
+let prop_overlay_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"overlay add/try_read/patch/clear vs byte-map reference"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_overlay_op)
+       QCheck.Gen.(list_size (1 -- 40) gen_overlay_op))
+    (fun ops ->
+      let o = Overlay.create () in
+      let model : (int, char) Hashtbl.t = Hashtbl.create 64 in
+      List.for_all
+        (function
+          | Add (addr, s) ->
+              Overlay.add o ~addr (Bytes.of_string s);
+              String.iteri (fun i c -> Hashtbl.replace model (addr + i) c) s;
+              true
+          | Try_read (addr, len) ->
+              let expect =
+                if List.for_all (fun i -> Hashtbl.mem model (addr + i)) (List.init len Fun.id)
+                then Some (Bytes.init len (fun i -> Hashtbl.find model (addr + i)))
+                else None
+              in
+              Overlay.try_read o ~addr ~len = expect
+          | Patch (addr, len) ->
+              let buf = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+              Overlay.patch o ~addr buf;
+              Bytes.equal buf
+                (Bytes.init len (fun i ->
+                     match Hashtbl.find_opt model (addr + i) with
+                     | Some c -> c
+                     | None -> Char.chr (i land 0xff)))
+          | Clear ->
+              Overlay.clear o;
+              Hashtbl.reset model;
+              true)
+        ops)
+
 let prop_cache_readback =
   QCheck.Test.make ~count:100 ~name:"cache returns the last inserted/patched bytes"
     QCheck.(small_list (pair (int_bound 7) (string_of_size Gen.(return 64))))
@@ -419,5 +480,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest prop_cache_readback;
           QCheck_alcotest.to_alcotest prop_overlay_matches_byte_model;
+          QCheck_alcotest.to_alcotest prop_overlay_matches_reference;
         ] );
     ]

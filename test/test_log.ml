@@ -204,6 +204,28 @@ let prop_tx_bitflip_never_parses_wrong =
       | Log.Tx.Record _ -> false (* CRC32 catches all single-bit flips *)
       | Log.Tx.Torn | Log.Tx.Empty | Log.Tx.Wrap -> true)
 
+(* The on-media frames, pinned to bytes: any codec or checksum change that
+   moves the stored format fails here, not after a crash. *)
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_tx_golden_bytes () =
+  let t = tx [ entry 0x1040 "inline!"; entry ~from_op:7L 0x2000 "pointer-entry-value" ] in
+  check Alcotest.string "tx frame"
+    ("b5030000000900000000000000020000000140100000000000000700000069"
+   ^ "6e6c696e6521020700000000000000002000000000000013000000706f696e74"
+   ^ "65722d656e7472792d76616c7565c37edb49a2")
+    (hex (Log.Tx.encode t))
+
+let test_op_golden_bytes () =
+  let op =
+    { Log.Op_entry.ds = 5; opnum = 42L; optype = 1; params = Bytes.of_string "key=17,val=99" }
+  in
+  check Alcotest.string "op frame"
+    "a7050000002a00000000000000010d0000006b65793d31372c76616c3d393936baa62d"
+    (hex (Log.Op_entry.encode op))
+
 let () =
   Alcotest.run "log"
     [
@@ -222,6 +244,7 @@ let () =
           Alcotest.test_case "scan at offset" `Quick test_tx_scan_at_offset;
           Alcotest.test_case "wire size without pointers" `Quick
             test_wire_size_matches_encoded_without_pointers;
+          Alcotest.test_case "golden bytes" `Quick test_tx_golden_bytes;
           QCheck_alcotest.to_alcotest prop_tx_roundtrip;
           QCheck_alcotest.to_alcotest prop_tx_bitflip_never_parses_wrong;
         ] );
@@ -231,5 +254,6 @@ let () =
           Alcotest.test_case "torn" `Quick test_op_torn;
           Alcotest.test_case "1-byte payload torn" `Quick test_op_one_byte_payload_torn;
           Alcotest.test_case "empty/wrap" `Quick test_op_empty_and_wrap;
+          Alcotest.test_case "golden bytes" `Quick test_op_golden_bytes;
         ] );
     ]

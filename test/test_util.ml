@@ -138,6 +138,58 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   check Alcotest.int32 "slice" 0xCBF43926l (Crc32.digest b ~pos:2 ~len:9)
 
+(* The textbook bytewise CRC-32: one table lookup per byte. The library
+   digest must agree with it bit for bit, since every stored log frame
+   carries this checksum. *)
+let reference_crc32 ?(init = 0l) b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.logxor init 0xFFFFFFFFl) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Bytes.get_uint8 b i))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let random_bytes r n = Bytes.init n (fun _ -> Char.chr (Rng.int r 256))
+
+let test_crc32_matches_reference_small () =
+  let b = random_bytes (Rng.create ~seed:11L) 80 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      check Alcotest.int32
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (reference_crc32 b ~pos ~len) (Crc32.digest b ~pos ~len)
+    done
+  done
+
+let test_crc32_matches_reference_4k () =
+  let r = Rng.create ~seed:12L in
+  for i = 1 to 16 do
+    let b = random_bytes r 4096 in
+    check Alcotest.int32 (Printf.sprintf "buffer %d" i) (reference_crc32 b ~pos:0 ~len:4096)
+      (Crc32.digest_bytes b)
+  done
+
+let prop_crc32_chains =
+  QCheck.Test.make ~count:300 ~name:"digest (a ^ b) = digest b ~init:(digest a)"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      let ab = Bytes.of_string (a ^ b) and b = Bytes.of_string b in
+      Crc32.digest_bytes ab
+      = Crc32.digest ~init:(Crc32.digest_string a) b ~pos:0 ~len:(Bytes.length b)
+      && Crc32.digest_bytes ab = reference_crc32 ab ~pos:0 ~len:(Bytes.length ab))
+
 (* -- Codec ------------------------------------------------------------ *)
 
 let test_codec_roundtrip_fixed () =
@@ -272,6 +324,11 @@ let () =
           Alcotest.test_case "empty" `Quick test_crc32_empty;
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip;
           Alcotest.test_case "slice" `Quick test_crc32_slice;
+          Alcotest.test_case "bytewise reference, lengths 0-64 at offsets 0-7" `Quick
+            test_crc32_matches_reference_small;
+          Alcotest.test_case "bytewise reference, 4 KiB buffers" `Quick
+            test_crc32_matches_reference_4k;
+          QCheck_alcotest.to_alcotest prop_crc32_chains;
         ] );
       ( "codec",
         [
