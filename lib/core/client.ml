@@ -6,15 +6,11 @@ type config = {
   use_cache : bool;
   cache_bytes : int;
   cache_policy : Cache.policy;
-  choose_set : int;
   page_size : int;
   batch_size : int;
   oplog_signaled : bool;
   flush_on_unlock : bool;
   pointer_wire_opt : bool;
-  retry_max : int;
-  retry_base_ns : int;
-  retry_cap_ns : int;
 }
 
 (* Managing an exact-LRU recency structure costs real instructions on
@@ -27,19 +23,11 @@ let base_config =
     use_cache = false;
     cache_bytes = 0;
     cache_policy = Cache.Hybrid;
-    choose_set = 32;
     page_size = 256;
     batch_size = 1;
     oplog_signaled = true;
     flush_on_unlock = false;
     pointer_wire_opt = true;
-    (* Retry policy for verbs lost to transient faults: up to [retry_max]
-       re-posts with capped exponential backoff starting at one round
-       trip, then the connection is treated as degraded and
-       re-established. *)
-    retry_max = 8;
-    retry_base_ns = 2_000;
-    retry_cap_ns = 200_000;
   }
 
 let naive () = { base_config with mode = `Direct }
@@ -73,7 +61,6 @@ type t = {
   cache : Cache.t option;
   overlay : Overlay.t;
   mutable pending : (Types.ds_id * Log.Mem_entry.t) list;  (* newest first *)
-  mutable pending_entries : int;
   mutable pending_bytes : int;
   mutable pending_op_list : (Types.ds_id * (int64 * int * bytes)) list;  (* newest first *)
   pending_cas : (Types.addr, int64 * int64) Hashtbl.t;  (* addr -> (expected, desired) *)
@@ -133,8 +120,15 @@ let check_live t = if t.crashed then failwith (t.cname ^ ": client is crashed")
    and let the caller's failure handling take over. *)
 let max_reconnects_per_verb = 64
 
+(* Retry policy for verbs lost to transient faults: up to [retry_max]
+   re-posts with capped exponential backoff starting at one round trip,
+   then the connection is treated as degraded and re-established. *)
+let retry_max = 8
+let retry_base_ns = 2_000
+let retry_cap_ns = 200_000
+
 let backoff_ns t n =
-  let capped = min t.cfg.retry_cap_ns (t.cfg.retry_base_ns lsl min n 16) in
+  let capped = min retry_cap_ns (retry_base_ns lsl min n 16) in
   capped + Asym_util.Rng.int t.retry_rng (max 1 (capped / 4))
 
 (* Run [f], absorbing verbs lost to transient faults: re-post with capped
@@ -150,7 +144,7 @@ let with_retry t f =
   let rec go ~attempt ~reconnects =
     try f ()
     with Verbs.Verb_timeout _ as e ->
-      if attempt < t.cfg.retry_max then begin
+      if attempt < retry_max then begin
         t.n_fault_retries <- t.n_fault_retries + 1;
         if Asym_obs.enabled () then Asym_obs.Registry.inc "client.fault_retries";
         Clock.advance ~cause:Asym_obs.Attr.Fault_retry t.clk (backoff_ns t attempt);
@@ -248,8 +242,8 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
   let cache =
     if cfg.use_cache then
       Some
-        (Cache.create ~choose_set:cfg.choose_set ~policy:cfg.cache_policy
-           ~page_size:cfg.page_size ~capacity_bytes:cfg.cache_bytes rng)
+        (Cache.create ~policy:cfg.cache_policy ~page_size:cfg.page_size
+           ~capacity_bytes:cfg.cache_bytes rng)
     else None
   in
   let t =
@@ -264,7 +258,6 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       cache;
       overlay = Overlay.create ();
       pending = [];
-      pending_entries = 0;
       pending_bytes = 0;
       pending_op_list = [];
       pending_cas = Hashtbl.create 4;
@@ -465,7 +458,6 @@ let write t ~ds ~addr value =
         | _ -> None
       in
       t.pending <- (ds, Log.Mem_entry.make ?from_op ~addr value) :: t.pending;
-      t.pending_entries <- t.pending_entries + 1;
       t.pending_bytes <- t.pending_bytes + Bytes.length value + 13;
       Overlay.add t.overlay ~addr value;
       (match t.cache with Some c -> Cache.patch c ~addr value | None -> ());
@@ -586,7 +578,6 @@ let flush t =
     (* Slab reclamation triggered by the now-covered operations is safe. *)
     send_deferred_frees t;
     t.pending <- [];
-    t.pending_entries <- 0;
     t.pending_bytes <- 0;
     t.pending_op_list <- [];
     t.n_flushes <- t.n_flushes + 1;
@@ -789,7 +780,6 @@ let drop_volatile t =
   (match t.cache with Some c -> Cache.clear c | None -> ());
   Overlay.clear t.overlay;
   t.pending <- [];
-  t.pending_entries <- 0;
   t.pending_bytes <- 0;
   t.pending_op_list <- [];
   Hashtbl.reset t.pending_cas;

@@ -17,7 +17,6 @@ type config = {
   use_cache : bool;
   cache_bytes : int;
   cache_policy : Cache.policy;
-  choose_set : int;
   page_size : int;
   batch_size : int;
       (** operations per [rnvm_tx_write]; > 1 enables the operation log *)
@@ -30,11 +29,6 @@ type config = {
   pointer_wire_opt : bool;
       (** §4.3: replace a memory-log value already durable in the op log
           with a 12-byte pointer on the wire (ablation toggle) *)
-  retry_max : int;
-      (** re-posts of a verb lost to a transient fault before the
-          connection is treated as degraded and re-established *)
-  retry_base_ns : int;  (** first backoff step (doubles per attempt) *)
-  retry_cap_ns : int;  (** backoff ceiling *)
 }
 
 val naive : unit -> config

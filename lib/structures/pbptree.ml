@@ -19,48 +19,24 @@ let op_vinsert = 3
 let fanout = 32
 let max_keys = fanout - 1
 
-module Make (S : Store.S) = struct
-  module B = Blob.Make (S)
-
-  type node = {
+(* Store-independent: the node record and its 512-byte codec, search,
+   insert and split, shared with the multi-version tree. Arrays carry one
+   spare slot: a node transiently holds max_keys + 1 keys between an
+   insert and the split that follows; the overflowed shape is never
+   encoded to NVM. *)
+module Node = struct
+  type t = {
     leaf : bool;
     mutable nkeys : int;
-    keys : int64 array;  (* max_keys *)
-    children : int array;  (* fanout, internal only *)
+    keys : int64 array;  (* max_keys (+ 1 spare) *)
+    children : int array;  (* fanout (+ 1 spare), internal only *)
     mutable next : int;  (* leaf only *)
-    vals : int array;  (* max_keys, leaf only *)
-  }
-
-  type t = {
-    s : S.t;
-    h : Types.handle;
-    lc : Level_cache.t;
-    opts : Ds_intf.options;
+    vals : int array;  (* max_keys (+ 1 spare), leaf only *)
   }
 
   let node_bytes = 512
 
-  let attach ?(opts = Ds_intf.locked_options) ?(cache_all_levels = false) s ~name =
-    let h = S.register_ds s name in
-    let lc =
-      if cache_all_levels then Level_cache.create ~initial:12 ~period:max_int ~max_depth:12 ()
-      else Level_cache.create ~initial:2 ~max_depth:12 ()
-    in
-    { s; h; lc; opts }
-
-  let handle t = t.h
-
-  let locked t f =
-    if t.opts.Ds_intf.use_lock then begin
-      S.writer_lock t.s t.h;
-      Fun.protect ~finally:(fun () -> S.writer_unlock t.s t.h) f
-    end
-    else f ()
-
-  (* Arrays carry one spare slot: an internal node transiently holds
-     max_keys + 1 keys between [internal_insert_at] and [split_internal];
-     the overflowed shape is never encoded to NVM. *)
-  let empty_node leaf =
+  let empty leaf =
     {
       leaf;
       nkeys = 0;
@@ -71,6 +47,7 @@ module Make (S : Store.S) = struct
     }
 
   let encode n =
+    assert (n.nkeys <= max_keys);
     let b = Bytes.make node_bytes '\000' in
     Bytes.set_uint8 b 0 (if n.leaf then 1 else 2);
     Bytes.set_uint8 b 1 n.nkeys;
@@ -82,17 +59,15 @@ module Make (S : Store.S) = struct
       done
     end
     else
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i));
-        if i = max_keys - 1 then
-          Bytes.set_int64_le b (256 + (8 * max_keys)) (Int64.of_int n.children.(max_keys))
+      for i = 0 to fanout - 1 do
+        if i < max_keys then Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
+        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i))
       done;
     b
 
   let decode b =
     let leaf = Bytes.get_uint8 b 0 = 1 in
-    let n = empty_node leaf in
+    let n = empty leaf in
     n.nkeys <- Bytes.get_uint8 b 1;
     if leaf then begin
       n.next <- Int64.to_int (Bytes.get_int64_le b 8);
@@ -107,16 +82,6 @@ module Make (S : Store.S) = struct
         n.children.(i) <- Int64.to_int (Bytes.get_int64_le b (256 + (8 * i)))
       done;
     n
-
-  let load t ~depth addr =
-    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
-
-  let store t ~ds addr n = S.write t.s ~ds ~addr (encode n)
-
-  let alloc_node t ~ds n =
-    let addr = S.malloc t.s node_bytes in
-    store t ~ds addr n;
-    addr
 
   (* Index of the child to descend into: number of separator keys <= key. *)
   let child_index n key =
@@ -137,6 +102,13 @@ module Make (S : Store.S) = struct
     n.vals.(pos) <- valptr;
     n.nkeys <- n.nkeys + 1
 
+  let leaf_remove_at n pos =
+    for i = pos to n.nkeys - 2 do
+      n.keys.(i) <- n.keys.(i + 1);
+      n.vals.(i) <- n.vals.(i + 1)
+    done;
+    n.nkeys <- n.nkeys - 1
+
   let internal_insert_at n pos key child =
     for i = n.nkeys downto pos + 1 do
       n.keys.(i) <- n.keys.(i - 1)
@@ -148,42 +120,71 @@ module Make (S : Store.S) = struct
     n.children.(pos + 1) <- child;
     n.nkeys <- n.nkeys + 1
 
-  (* Split a full leaf in two; returns the separator and the new right
-     sibling (still unallocated). *)
-  let split_leaf n =
-    let right = empty_node true in
-    let half = n.nkeys / 2 in
-    let moved = n.nkeys - half in
-    for i = 0 to moved - 1 do
-      right.keys.(i) <- n.keys.(half + i);
-      right.vals.(i) <- n.vals.(half + i);
-      n.keys.(half + i) <- 0L;
-      n.vals.(half + i) <- 0
-    done;
-    right.nkeys <- moved;
-    n.nkeys <- half;
-    right.next <- n.next;
-    (right.keys.(0), right)
+  (* Split [n] in two, zeroing the slots it vacates; returns the separator
+     and the new right sibling (still unallocated). A leaf keeps its lower
+     half and hands its chain link to the sibling; an internal node pushes
+     its middle key up. *)
+  let split n =
+    let right = empty n.leaf in
+    if n.leaf then begin
+      let half = n.nkeys / 2 in
+      let moved = n.nkeys - half in
+      for i = 0 to moved - 1 do
+        right.keys.(i) <- n.keys.(half + i);
+        right.vals.(i) <- n.vals.(half + i);
+        n.keys.(half + i) <- 0L;
+        n.vals.(half + i) <- 0
+      done;
+      right.nkeys <- moved;
+      n.nkeys <- half;
+      right.next <- n.next;
+      (right.keys.(0), right)
+    end
+    else begin
+      let mid = n.nkeys / 2 in
+      let sep = n.keys.(mid) in
+      let moved = n.nkeys - mid - 1 in
+      for i = 0 to moved - 1 do
+        right.keys.(i) <- n.keys.(mid + 1 + i);
+        n.keys.(mid + 1 + i) <- 0L
+      done;
+      for i = 0 to moved do
+        right.children.(i) <- n.children.(mid + 1 + i);
+        n.children.(mid + 1 + i) <- 0
+      done;
+      right.nkeys <- moved;
+      n.keys.(mid) <- 0L;
+      n.nkeys <- mid;
+      (sep, right)
+    end
+end
 
-  let split_internal n =
-    let right = empty_node false in
-    let mid = n.nkeys / 2 in
-    let sep = n.keys.(mid) in
-    let moved = n.nkeys - mid - 1 in
-    for i = 0 to moved - 1 do
-      right.keys.(i) <- n.keys.(mid + 1 + i);
-      n.keys.(mid + 1 + i) <- 0L
-    done;
-    for i = 0 to moved do
-      right.children.(i) <- n.children.(mid + 1 + i);
-      n.children.(mid + 1 + i) <- 0
-    done;
-    right.nkeys <- moved;
-    n.keys.(mid) <- 0L;
-    n.nkeys <- mid;
-    (sep, right)
+module Make (S : Store.S) = struct
+  module B = Blob.Make (S)
+  module F = Ds_intf.Frame (S)
+  open Node
 
-  (* Returns [Some (sep, right_addr)] if [addr] split. *)
+  type t = { s : S.t; h : Types.handle; lc : Level_cache.t; fr : F.t }
+
+  let attach ?(opts = Ds_intf.locked_options) s ~name =
+    let fr = F.attach ~opts s ~name in
+    { s; h = fr.F.h; lc = Level_cache.create ~initial:2 ~max_depth:12 (); fr }
+
+  let handle t = t.h
+
+  let load t ~depth addr =
+    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
+
+  let store t ~ds addr n = S.write t.s ~ds ~addr (encode n)
+
+  let alloc_node t ~ds n =
+    let addr = S.malloc t.s node_bytes in
+    store t ~ds addr n;
+    addr
+
+  (* Returns [Some (sep, right_addr)] if [addr] split. A full leaf splits
+     before the insert; an internal node overflows by one in DRAM and
+     splits before it is stored. *)
   let rec insert_rec t ~ds addr depth key valptr =
     let n = load t ~depth addr in
     if n.leaf then begin
@@ -201,7 +202,7 @@ module Make (S : Store.S) = struct
         None
       end
       else begin
-        let sep, right = split_leaf n in
+        let sep, right = split n in
         (if key >= sep then leaf_insert_at right (leaf_pos right key) key valptr
          else leaf_insert_at n (leaf_pos n key) key valptr);
         let right_addr = alloc_node t ~ds right in
@@ -215,28 +216,24 @@ module Make (S : Store.S) = struct
       match insert_rec t ~ds n.children.(idx) (depth + 1) key valptr with
       | None -> None
       | Some (sep, right_addr) ->
-          if n.nkeys < max_keys then begin
-            internal_insert_at n idx sep right_addr;
+          internal_insert_at n idx sep right_addr;
+          if n.nkeys <= max_keys then begin
             store t ~ds addr n;
             None
           end
           else begin
-            internal_insert_at n idx sep right_addr;
-            (* Overflowed by one: split. nkeys is transiently max_keys+1 in
-               DRAM only; both halves are rewritten below. *)
-            let osep, right = split_internal n in
+            let osep, right = split n in
             let raddr = alloc_node t ~ds right in
             store t ~ds addr n;
             Some (osep, raddr)
           end
     end
 
-  let put_nolog t key value =
-    let ds = t.h.Types.id in
+  let put_nolog t ~ds key value =
     let valptr = B.alloc t.s ~ds value in
     let root = Int64.to_int (S.read_u64 ~hint:`Hot t.s t.h.Types.root) in
     (if root = 0 then begin
-       let leaf = empty_node true in
+       let leaf = empty true in
        leaf_insert_at leaf 0 key valptr;
        let addr = alloc_node t ~ds leaf in
        S.write_u64 t.s ~ds t.h.Types.root (Int64.of_int addr)
@@ -245,7 +242,7 @@ module Make (S : Store.S) = struct
        match insert_rec t ~ds root 0 key valptr with
        | None -> ()
        | Some (sep, right_addr) ->
-           let nroot = empty_node false in
+           let nroot = empty false in
            nroot.nkeys <- 1;
            nroot.keys.(0) <- sep;
            nroot.children.(0) <- root;
@@ -255,32 +252,25 @@ module Make (S : Store.S) = struct
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
 
   let put t ~key ~value =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
-        put_nolog t key value;
-        S.op_end t.s ~ds)
-
-  (* Internal-overflow guard: keys array has max_keys slots, so the
-     transient max_keys+1 state above must never be encoded. It is not:
-     split_internal runs before [store]. *)
+    F.mutate t.fr ~optype:op_put ~params:(Params.of_kv key value) (fun ds ->
+        put_nolog t ~ds key value)
 
   let rec find_leaf t ~depth addr key =
     let n = load t ~depth addr in
     if n.leaf then n else find_leaf t ~depth:(depth + 1) n.children.(child_index n key) key
 
   let find t ~key =
-    let read () =
-      let root = Int64.to_int (S.read_u64 ~hint:`Hot t.s t.h.Types.root) in
-      if root = 0 then None
-      else begin
-        let leaf = find_leaf t ~depth:0 root key in
-        let pos = leaf_pos leaf key in
-        if pos < leaf.nkeys && leaf.keys.(pos) = key then Some (B.read t.s leaf.vals.(pos))
-        else None
-      end
+    let v =
+      F.read t.fr (fun () ->
+          let root = Int64.to_int (S.read_u64 ~hint:`Hot t.s t.h.Types.root) in
+          if root = 0 then None
+          else begin
+            let leaf = find_leaf t ~depth:0 root key in
+            let pos = leaf_pos leaf key in
+            if pos < leaf.nkeys && leaf.keys.(pos) = key then Some (B.read t.s leaf.vals.(pos))
+            else None
+          end)
     in
-    let v = if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read () in
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     v
 
@@ -292,11 +282,7 @@ module Make (S : Store.S) = struct
       let pos = leaf_pos n key in
       if pos < n.nkeys && n.keys.(pos) = key then begin
         let blob = n.vals.(pos) in
-        for i = pos to n.nkeys - 2 do
-          n.keys.(i) <- n.keys.(i + 1);
-          n.vals.(i) <- n.vals.(i + 1)
-        done;
-        n.nkeys <- n.nkeys - 1;
+        leaf_remove_at n pos;
         store t ~ds addr n;
         B.free t.s blob;
         true
@@ -306,22 +292,16 @@ module Make (S : Store.S) = struct
     else delete_rec t ~ds n.children.(child_index n key) (depth + 1) key
 
   let delete t ~key =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
+    F.mutate t.fr ~optype:op_delete ~params:(Params.of_key key) (fun ds ->
         let root = Int64.to_int (S.read_u64 ~hint:`Hot t.s t.h.Types.root) in
         let r = if root = 0 then false else delete_rec t ~ds root 0 key in
-        S.op_end t.s ~ds;
         Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
         r)
 
   let insert_vector t pairs =
     let pairs = List.sort (fun (a, _) (b, _) -> Int64.compare a b) pairs in
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_vinsert ~params:(Params.of_kvs pairs));
-        List.iter (fun (key, value) -> put_nolog t key value) pairs;
-        S.op_end t.s ~ds)
+    F.mutate t.fr ~optype:op_vinsert ~params:(Params.of_kvs pairs) (fun ds ->
+        List.iter (fun (key, value) -> put_nolog t ~ds key value) pairs)
 
   (* In-order range scan over the leaf chain. *)
   let range t ~lo ~hi =

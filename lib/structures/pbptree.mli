@@ -13,10 +13,56 @@ val op_vinsert : int
 val fanout : int
 val max_keys : int
 
+(** The 512-byte node, independent of any store. The multi-version tree
+    ({!Pmvbptree}) uses the same node; only its update discipline
+    differs. *)
+module Node : sig
+  type t = {
+    leaf : bool;
+    mutable nkeys : int;
+    keys : int64 array;  (** [max_keys] slots plus one spare *)
+    children : int array;  (** [fanout] slots plus one spare; internal only *)
+    mutable next : int;  (** right sibling in the leaf chain; leaf only *)
+    vals : int array;  (** blob addresses, [max_keys] slots plus one spare; leaf only *)
+  }
+  (** The spare slot holds the one key (and child) an insert may add
+      before the split that follows it; the overflowed shape is never
+      encoded. *)
+
+  val node_bytes : int
+  val empty : bool -> t
+  (** [empty leaf]: no keys, every slot zero. *)
+
+  val encode : t -> bytes
+  (** The on-media image: internal [[tag 2][nkeys][pad6][keys: 31 x u64]
+      [children: 32 x u64]], leaf [[tag 1][nkeys][pad6][next: u64]
+      [keys: 31 x u64][valptrs: 31 x u64]]. Asserts [nkeys <= max_keys]. *)
+
+  val decode : bytes -> t
+
+  val child_index : t -> int64 -> int
+  (** Child to descend into: the number of separator keys [<= key]. *)
+
+  val leaf_pos : t -> int64 -> int
+  (** Position of the key in a leaf, or its insertion point. *)
+
+  val leaf_insert_at : t -> int -> int64 -> int -> unit
+  val leaf_remove_at : t -> int -> unit
+  val internal_insert_at : t -> int -> int64 -> int -> unit
+  (** [internal_insert_at n pos sep child] puts [sep] at [pos] and [child]
+      right of it. *)
+
+  val split : t -> int64 * t
+  (** Move the upper half into a new right sibling, zeroing the vacated
+      slots, and return the separator with it. A leaf keeps [nkeys / 2]
+      keys, the separator is the sibling's first key and the sibling takes
+      over [next]; an internal node pushes its middle key up. *)
+end
+
 module Make (S : Asym_core.Store.S) : sig
   type t
 
-  val attach : ?opts:Ds_intf.options -> ?cache_all_levels:bool -> S.t -> name:string -> t
+  val attach : ?opts:Ds_intf.options -> S.t -> name:string -> t
   val handle : t -> Asym_core.Types.handle
   val put : t -> key:int64 -> value:bytes -> unit
   val find : t -> key:int64 -> bytes option

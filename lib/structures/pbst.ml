@@ -12,40 +12,32 @@ let op_put = 1
 let op_delete = 2
 let op_vinsert = 3
 
-module Make (S : Store.S) = struct
-  module B = Blob.Make (S)
-
-  type t = {
-    s : S.t;
-    h : Types.handle;
-    lc : Level_cache.t;
-    opts : Ds_intf.options;
-  }
-
+module Layout = struct
   let node_size = 32
   let off_left = 0
   let off_right = 8
   let off_key = 16
   let off_valptr = 24
+end
+
+module Make (S : Store.S) = struct
+  module B = Blob.Make (S)
+  module F = Ds_intf.Frame (S)
+  open Layout
+
+  type t = { s : S.t; h : Types.handle; lc : Level_cache.t; fr : F.t }
 
   let attach ?(opts = Ds_intf.locked_options) ?(cache_all_levels = false) s ~name =
-    let h = S.register_ds s name in
+    let fr = F.attach ~opts s ~name in
     let lc =
       (* [cache_all_levels] reproduces the "native LRU" baseline of §8.3:
          every node goes through the cache, no level threshold. *)
       if cache_all_levels then Level_cache.create ~initial:48 ~period:max_int ~max_depth:48 ()
       else Level_cache.create ~max_depth:48 ()
     in
-    { s; h; lc; opts }
+    { s; h = fr.F.h; lc; fr }
 
   let handle t = t.h
-
-  let locked t f =
-    if t.opts.Ds_intf.use_lock then begin
-      S.writer_lock t.s t.h;
-      Fun.protect ~finally:(fun () -> S.writer_unlock t.s t.h) f
-    end
-    else f ()
 
   let read_node t ~depth addr = S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_size
 
@@ -76,8 +68,7 @@ module Make (S : Store.S) = struct
     in
     go t.h.Types.root 0
 
-  let put_nolog t key value =
-    let ds = t.h.Types.id in
+  let put_nolog t ~ds key value =
     (match locate t key with
     | `Missing (link, _) ->
         let valptr = B.alloc t.s ~ds value in
@@ -92,22 +83,19 @@ module Make (S : Store.S) = struct
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
 
   let put t ~key ~value =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
-        put_nolog t key value;
-        S.op_end t.s ~ds)
+    F.mutate t.fr ~optype:op_put ~params:(Params.of_kv key value) (fun ds ->
+        put_nolog t ~ds key value)
 
   let find t ~key =
-    let read () =
-      match locate t key with
-      | `Missing _ -> None
-      | `Found (_, node, depth) ->
-          let b = read_node t ~depth node in
-          let blob = Int64.to_int (Bytes.get_int64_le b off_valptr) in
-          Some (B.read t.s blob)
+    let v =
+      F.read t.fr (fun () ->
+          match locate t key with
+          | `Missing _ -> None
+          | `Found (_, node, depth) ->
+              let b = read_node t ~depth node in
+              let blob = Int64.to_int (Bytes.get_int64_le b off_valptr) in
+              Some (B.read t.s blob))
     in
-    let v = if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read () in
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     v
 
@@ -120,9 +108,7 @@ module Make (S : Store.S) = struct
     if left = 0L then (link, node) else min_link t (node + off_left) (depth + 1)
 
   let delete t ~key =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
+    F.mutate t.fr ~optype:op_delete ~params:(Params.of_key key) (fun ds ->
         let result =
           match locate t key with
           | `Missing _ -> false
@@ -151,7 +137,6 @@ module Make (S : Store.S) = struct
               B.free t.s blob;
               true
         in
-        S.op_end t.s ~ds;
         Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
         result)
 
@@ -160,11 +145,8 @@ module Make (S : Store.S) = struct
      tree nodes hit the cache across consecutive keys. *)
   let insert_vector t pairs =
     let pairs = List.sort (fun (a, _) (b, _) -> Int64.compare a b) pairs in
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_vinsert ~params:(Params.of_kvs pairs));
-        List.iter (fun (key, value) -> put_nolog t key value) pairs;
-        S.op_end t.s ~ds)
+    F.mutate t.fr ~optype:op_vinsert ~params:(Params.of_kvs pairs) (fun ds ->
+        List.iter (fun (key, value) -> put_nolog t ~ds key value) pairs)
 
   let fold t f init =
     let rec go acc ptr =

@@ -11,6 +11,16 @@ val op_put : int
 val op_delete : int
 val op_vinsert : int
 
+(** The 32-byte node, [[left][right][key][valptr]], shared with
+    {!Pmvbst}: byte offsets of each 8-byte field. *)
+module Layout : sig
+  val node_size : int
+  val off_left : int
+  val off_right : int
+  val off_key : int
+  val off_valptr : int
+end
+
 module Make (S : Asym_core.Store.S) : sig
   type t
 

@@ -13,13 +13,15 @@ let op_put = 1
 let op_delete = 2
 
 module Make (S : Store.S) = struct
+  module F = Ds_intf.Frame (S)
+
   type t = {
     s : S.t;
     h : Types.handle;
     header : Types.addr;
     nbuckets : int;
     buckets : Types.addr;
-    opts : Ds_intf.options;
+    fr : F.t;
   }
 
   let node_meta = 24
@@ -35,7 +37,8 @@ module Make (S : Store.S) = struct
     Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int nbuckets))
 
   let attach ?(opts = Ds_intf.default_options) ?(nbuckets = 4096) s ~name =
-    let h = S.register_ds s name in
+    let fr = F.attach ~opts s ~name in
+    let h = fr.F.h in
     let header = S.read_u64 ~hint:`Hot s h.Types.root in
     if header = 0L then begin
       let header = S.malloc s 24 in
@@ -48,25 +51,18 @@ module Make (S : Store.S) = struct
       S.write s ~ds:h.Types.id ~addr:header b;
       S.write_u64 s ~ds:h.Types.id h.Types.root (Int64.of_int header);
       S.flush s;
-      { s; h; header; nbuckets; buckets; opts }
+      { s; h; header; nbuckets; buckets; fr }
     end
     else begin
       let header = Int64.to_int header in
       let b = S.read ~hint:`Hot s ~addr:header ~len:24 in
       let nbuckets = Int64.to_int (Bytes.get_int64_le b 0) in
       let buckets = Int64.to_int (Bytes.get_int64_le b 16) in
-      { s; h; header; nbuckets; buckets; opts }
+      { s; h; header; nbuckets; buckets; fr }
     end
 
   let handle t = t.h
   let bucket_addr t key = t.buckets + (8 * hash key t.nbuckets)
-
-  let locked t f =
-    if t.opts.Ds_intf.use_lock then begin
-      S.writer_lock t.s t.h;
-      Fun.protect ~finally:(fun () -> S.writer_unlock t.s t.h) f
-    end
-    else f ()
 
   (* Walk the chain of [key]'s bucket. Returns the address of the pointer
      word referencing the matching node (the bucket word or a node's next
@@ -91,9 +87,7 @@ module Make (S : Store.S) = struct
     S.write_u64 t.s ~ds (t.header + 8) (Int64.add c (Int64.of_int delta))
 
   let put t ~key ~value =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
+    F.mutate t.fr ~optype:op_put ~params:(Params.of_kv key value) (fun ds ->
         let len = Bytes.length value in
         let make_node next =
           let node = S.malloc t.s (node_meta + len) in
@@ -112,41 +106,32 @@ module Make (S : Store.S) = struct
             let old_len = node_len t old_node in
             let node = make_node next in
             S.write_u64 t.s ~ds link_addr (Int64.of_int node);
-            S.op_end t.s ~ds;
-            S.free t.s old_node ~len:(node_meta + old_len)
+            F.free_after_op t.fr old_node ~len:(node_meta + old_len)
         | None ->
             let bucket = bucket_addr t key in
             let head = S.read_u64 ~hint:`Hot t.s bucket in
             let node = make_node head in
             S.write_u64 t.s ~ds bucket (Int64.of_int node);
-            adjust_count t ~ds 1;
-            S.op_end t.s ~ds))
+            adjust_count t ~ds 1))
 
   let get t ~key =
-    let read () =
-      match find_slot t key with
-      | None -> None
-      | Some (_, node) ->
-          let len = node_len t node in
-          Some (S.read ~hint:`Hot t.s ~addr:(node + node_meta) ~len)
-    in
-    if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read ()
+    F.read t.fr (fun () ->
+        match find_slot t key with
+        | None -> None
+        | Some (_, node) ->
+            let len = node_len t node in
+            Some (S.read ~hint:`Hot t.s ~addr:(node + node_meta) ~len))
 
   let delete t ~key =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
+    F.mutate t.fr ~optype:op_delete ~params:(Params.of_key key) (fun ds ->
         match find_slot t key with
-        | None ->
-            S.op_end t.s ~ds;
-            false
+        | None -> false
         | Some (link_addr, node) ->
             let next = S.read_u64 ~hint:`Hot t.s (node + off_next) in
             let len = node_len t node in
             S.write_u64 t.s ~ds link_addr next;
             adjust_count t ~ds (-1);
-            S.op_end t.s ~ds;
-            S.free t.s node ~len:(node_meta + len);
+            F.free_after_op t.fr node ~len:(node_meta + len);
             true)
 
   let mem t ~key = match get t ~key with Some _ -> true | None -> false

@@ -1,115 +1,30 @@
 (** Multi-version (copy-on-write) B+Tree — the append-only B-Tree of §6.2.
 
-    Same 512-byte node geometry as {!Pbptree}, but nodes are immutable:
-    an insert path-copies from leaf to root and installs the new version
-    with a root CAS. Leaf chaining is dropped (a chained leaf would need
+    The nodes are {!Pbptree.Node}s, but immutable: an insert path-copies
+    from leaf to root and installs the new version with a root CAS. Leaf
+    chaining is dropped (a chained leaf would need
     in-place updates); in-order traversal goes through the tree. *)
 
 open Asym_core
 
 let op_put = 1
 let op_delete = 2
-let fanout = Pbptree.fanout
-let max_keys = Pbptree.max_keys
 
 module Make (S : Store.S) = struct
   module B = Blob.Make (S)
-  module Gc = Lazy_gc.Make (S)
+  module F = Ds_intf.Frame (S)
+  open Pbptree.Node
 
-  type node = {
-    leaf : bool;
-    mutable nkeys : int;
-    keys : int64 array;
-    children : int array;
-    vals : int array;
-  }
-
-  type t = {
-    s : S.t;
-    h : Types.handle;
-    gc : Gc.t;
-    lc : Level_cache.t;
-    opts : Ds_intf.options;
-    mutable last_root : int64;  (* version epoch observed by this reader *)
-  }
-
-  let node_bytes = 512
+  type t = { s : S.t; h : Types.handle; gc : F.Gc.t; lc : Level_cache.t; fr : F.t }
 
   let attach ?(opts = Ds_intf.default_options) s ~name =
-    let h = S.register_ds s name in
-    {
-      s;
-      h;
-      gc = Gc.create s;
-      lc = Level_cache.create ~initial:2 ~max_depth:12 ();
-      opts;
-      last_root = 0L;
-    }
-
-  (* See Pmvbst.current_root: a root switch starts a new version epoch and
-     drops the previous epoch's cached pages. *)
-  let current_root t =
-    let root = S.read_u64 ~hint:`Cold t.s t.h.Types.root in
-    if t.opts.Ds_intf.shared && root <> t.last_root then begin
-      S.invalidate_cache t.s;
-      t.last_root <- root
-    end;
-    root
+    let fr = F.attach ~opts s ~name in
+    let lc = Level_cache.create ~initial:2 ~max_depth:12 () in
+    { s; h = fr.F.h; gc = F.Gc.create s; lc; fr }
 
   let handle t = t.h
-  let gc_pending t = Gc.pending t.gc
-  let gc_drain t = Gc.drain t.gc
-
-  let empty_node leaf =
-    {
-      leaf;
-      nkeys = 0;
-      keys = Array.make (max_keys + 1) 0L;
-      children = Array.make (fanout + 1) 0;
-      vals = Array.make (max_keys + 1) 0;
-    }
-
-  let copy_node n =
-    {
-      leaf = n.leaf;
-      nkeys = n.nkeys;
-      keys = Array.copy n.keys;
-      children = Array.copy n.children;
-      vals = Array.copy n.vals;
-    }
-
-  let encode n =
-    assert (n.nkeys <= max_keys);
-    let b = Bytes.make node_bytes '\000' in
-    Bytes.set_uint8 b 0 (if n.leaf then 1 else 2);
-    Bytes.set_uint8 b 1 n.nkeys;
-    if n.leaf then
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (16 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (264 + (8 * i)) (Int64.of_int n.vals.(i))
-      done
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i))
-      done;
-    b
-
-  let decode b =
-    let leaf = Bytes.get_uint8 b 0 = 1 in
-    let n = empty_node leaf in
-    n.nkeys <- Bytes.get_uint8 b 1;
-    if leaf then
-      for i = 0 to max_keys - 1 do
-        n.keys.(i) <- Bytes.get_int64_le b (16 + (8 * i));
-        n.vals.(i) <- Int64.to_int (Bytes.get_int64_le b (264 + (8 * i)))
-      done
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then n.keys.(i) <- Bytes.get_int64_le b (8 + (8 * i));
-        n.children.(i) <- Int64.to_int (Bytes.get_int64_le b (256 + (8 * i)))
-      done;
-    n
+  let gc_pending t = F.Gc.pending t.gc
+  let gc_drain t = F.Gc.drain t.gc
 
   let load t ~depth addr =
     decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
@@ -120,170 +35,82 @@ module Make (S : Store.S) = struct
     created := (addr, node_bytes) :: !created;
     addr
 
-  let child_index n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) <= key then go (i + 1) else i in
-    go 0
-
-  let leaf_pos n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) < key then go (i + 1) else i in
-    go 0
-
-  let leaf_insert_at n pos key valptr =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1);
-      n.vals.(i) <- n.vals.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.vals.(pos) <- valptr;
-    n.nkeys <- n.nkeys + 1
-
-  let internal_insert_at n pos key child =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1)
-    done;
-    for i = n.nkeys + 1 downto pos + 2 do
-      n.children.(i) <- n.children.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.children.(pos + 1) <- child;
-    n.nkeys <- n.nkeys + 1
-
-  let split n =
-    let right = empty_node n.leaf in
-    if n.leaf then begin
-      let half = n.nkeys / 2 in
-      let moved = n.nkeys - half in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(half + i);
-        right.vals.(i) <- n.vals.(half + i)
-      done;
-      right.nkeys <- moved;
-      n.nkeys <- half;
-      (right.keys.(0), right)
-    end
+  (* Store a path-copied node that may have overflowed by one key: an
+     overflow splits (after the insert, unlike the in-place tree) into two
+     fresh nodes and a separator to propagate. *)
+  let alloc_split t ~ds ~created n =
+    if n.nkeys <= Pbptree.max_keys then (alloc_node t ~ds ~created n, None)
     else begin
-      let mid = n.nkeys / 2 in
-      let sep = n.keys.(mid) in
-      let moved = n.nkeys - mid - 1 in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(mid + 1 + i)
-      done;
-      for i = 0 to moved do
-        right.children.(i) <- n.children.(mid + 1 + i)
-      done;
-      right.nkeys <- moved;
-      n.nkeys <- mid;
-      (sep, right)
+      let sep, right = split n in
+      let laddr = alloc_node t ~ds ~created n in
+      let raddr = alloc_node t ~ds ~created right in
+      (laddr, Some (sep, raddr))
     end
-
-  let rec with_root_swap t ~build ~attempt =
-    if attempt > 16 then failwith "Pmvbptree: root CAS kept failing (more than one writer?)";
-    let ds = t.h.Types.id in
-    let old_root = S.read_u64 ~hint:`Cold t.s t.h.Types.root in
-    let created = ref [] in
-    let obsolete = ref [] in
-    match build ~created ~obsolete (Int64.to_int old_root) with
-    | None ->
-        List.iter (fun (addr, len) -> S.free t.s addr ~len) !created;
-        false
-    | Some new_root ->
-        if
-          S.cas_u64 t.s ~ds t.h.Types.root ~expected:old_root
-            ~desired:(Int64.of_int new_root)
-          = old_root
-        then begin
-          List.iter (fun (addr, len) -> Gc.defer t.gc addr ~len) !obsolete;
-          true
-        end
-        else begin
-          List.iter (fun (addr, len) -> S.free t.s addr ~len) !created;
-          with_root_swap t ~build ~attempt:(attempt + 1)
-        end
 
   let put t ~key ~value =
-    let ds = t.h.Types.id in
-    ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
     ignore
-      (with_root_swap t ~attempt:0 ~build:(fun ~created ~obsolete root ->
+      (F.mutate_version t.fr t.gc ~optype:op_put ~params:(Params.of_kv key value)
+         (fun ~ds ~created ~obsolete root ->
            let valptr = B.alloc t.s ~ds value in
            created := (valptr, B.size t.s valptr) :: !created;
            (* Copy-on-write insert: returns the copied child's address and
               an optional split to propagate. *)
            let rec ins addr depth =
              if addr = 0 then begin
-               let leaf = empty_node true in
+               let leaf = empty true in
                leaf_insert_at leaf 0 key valptr;
-               (alloc_node t ~ds ~created leaf, None)
+               alloc_split t ~ds ~created leaf
              end
              else begin
-               let n = copy_node (load t ~depth addr) in
+               let n = load t ~depth addr in
                obsolete := (addr, node_bytes) :: !obsolete;
                if n.leaf then begin
                  let pos = leaf_pos n key in
                  if pos < n.nkeys && n.keys.(pos) = key then begin
                    obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
-                   n.vals.(pos) <- valptr;
-                   (alloc_node t ~ds ~created n, None)
+                   n.vals.(pos) <- valptr
                  end
-                 else begin
-                   leaf_insert_at n pos key valptr;
-                   if n.nkeys <= max_keys then (alloc_node t ~ds ~created n, None)
-                   else begin
-                     let sep, right = split n in
-                     let laddr = alloc_node t ~ds ~created n in
-                     let raddr = alloc_node t ~ds ~created right in
-                     (laddr, Some (sep, raddr))
-                   end
-                 end
+                 else leaf_insert_at n pos key valptr
                end
                else begin
                  let idx = child_index n key in
                  let child', spl = ins n.children.(idx) (depth + 1) in
                  n.children.(idx) <- child';
-                 (match spl with
+                 match spl with
                  | None -> ()
-                 | Some (sep, raddr) -> internal_insert_at n idx sep raddr);
-                 if n.nkeys <= max_keys then (alloc_node t ~ds ~created n, None)
-                 else begin
-                   let sep, right = split n in
-                   let laddr = alloc_node t ~ds ~created n in
-                   let raddr = alloc_node t ~ds ~created right in
-                   (laddr, Some (sep, raddr))
-                 end
-               end
+                 | Some (sep, raddr) -> internal_insert_at n idx sep raddr
+               end;
+               alloc_split t ~ds ~created n
              end
            in
            let new_child, spl = ins root 0 in
            match spl with
            | None -> Some new_child
            | Some (sep, raddr) ->
-               let nroot = empty_node false in
+               let nroot = empty false in
                nroot.nkeys <- 1;
                nroot.keys.(0) <- sep;
                nroot.children.(0) <- new_child;
                nroot.children.(1) <- raddr;
                Some (alloc_node t ~ds ~created nroot)));
-    S.op_end t.s ~ds;
-    Gc.pump t.gc;
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
 
   let find t ~key =
-    let read () =
-      let rec go addr depth =
-        if addr = 0 then None
-        else begin
-          let n = load t ~depth addr in
-          if n.leaf then begin
-            let pos = leaf_pos n key in
-            if pos < n.nkeys && n.keys.(pos) = key then Some (B.read t.s n.vals.(pos)) else None
-          end
-          else go n.children.(child_index n key) (depth + 1)
-        end
-      in
-      go (Int64.to_int (current_root t)) 0
-    in
     let v =
-      if t.opts.Ds_intf.shared then S.read_section ~retry_on:`Torn t.s t.h read else read ()
+      F.read ~retry_on:`Torn t.fr (fun () ->
+          let rec go addr depth =
+            if addr = 0 then None
+            else begin
+              let n = load t ~depth addr in
+              if n.leaf then begin
+                let pos = leaf_pos n key in
+                if pos < n.nkeys && n.keys.(pos) = key then Some (B.read t.s n.vals.(pos))
+                else None
+              end
+              else go n.children.(child_index n key) (depth + 1)
+            end
+          in
+          go (Int64.to_int (F.current_root t.fr)) 0)
     in
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     v
@@ -291,25 +118,20 @@ module Make (S : Store.S) = struct
   let mem t ~key = match find t ~key with Some _ -> true | None -> false
 
   let delete t ~key =
-    let ds = t.h.Types.id in
-    ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
     let changed =
-      with_root_swap t ~attempt:0 ~build:(fun ~created ~obsolete root ->
+      F.mutate_version t.fr t.gc ~optype:op_delete ~params:(Params.of_key key)
+        (fun ~ds ~created ~obsolete root ->
           (* Leaf-local deletion with path copying (no rebalancing). *)
           let rec del addr depth =
             if addr = 0 then None
             else begin
-              let n = copy_node (load t ~depth addr) in
+              let n = load t ~depth addr in
               if n.leaf then begin
                 let pos = leaf_pos n key in
                 if pos < n.nkeys && n.keys.(pos) = key then begin
                   obsolete := (addr, node_bytes) :: !obsolete;
                   obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
-                  for i = pos to n.nkeys - 2 do
-                    n.keys.(i) <- n.keys.(i + 1);
-                    n.vals.(i) <- n.vals.(i + 1)
-                  done;
-                  n.nkeys <- n.nkeys - 1;
+                  leaf_remove_at n pos;
                   Some (alloc_node t ~ds ~created n)
                 end
                 else None
@@ -327,8 +149,6 @@ module Make (S : Store.S) = struct
           in
           del root 0)
     in
-    S.op_end t.s ~ds;
-    Gc.pump t.gc;
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     changed
 

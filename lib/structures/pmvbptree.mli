@@ -1,14 +1,14 @@
 (** Multi-version (copy-on-write) B+Tree — the append-only B-Tree of §6.2.
 
-    Same geometry as {!Pbptree} but immutable nodes: inserts path-copy
-    leaf-to-root (including splits) and install the version with a root
-    CAS. Leaf chaining is dropped (a chained leaf would need in-place
-    updates); in-order traversal goes through the tree. *)
+    Uses the B+Tree's 512-byte node, {!Pbptree.Node}, but never updates
+    a live node: an insert path-copies from leaf to root (splitting a
+    copied node after it overflows) and installs the version with a root
+    CAS through {!Ds_intf.Frame}. Leaf chaining is dropped (a chained
+    leaf would need in-place updates); in-order traversal goes through
+    the tree. *)
 
 val op_put : int
 val op_delete : int
-val fanout : int
-val max_keys : int
 
 module Make (S : Asym_core.Store.S) : sig
   type t

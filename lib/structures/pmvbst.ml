@@ -14,42 +14,18 @@ let op_delete = 2
 
 module Make (S : Store.S) = struct
   module B = Blob.Make (S)
-  module Gc = Lazy_gc.Make (S)
+  module F = Ds_intf.Frame (S)
+  open Pbst.Layout
 
-  type t = {
-    s : S.t;
-    h : Types.handle;
-    gc : Gc.t;
-    lc : Level_cache.t;
-    opts : Ds_intf.options;
-    mutable last_root : int64;  (* version epoch observed by this reader *)
-  }
-
-  let node_size = 32
-  let off_left = 0
-  let off_right = 8
-  let off_key = 16
-  let off_valptr = 24
+  type t = { s : S.t; h : Types.handle; gc : F.Gc.t; lc : Level_cache.t; fr : F.t }
 
   let attach ?(opts = Ds_intf.default_options) s ~name =
-    let h = S.register_ds s name in
-    { s; h; gc = Gc.create s; lc = Level_cache.create ~max_depth:48 (); opts; last_root = 0L }
-
-  (* Reading the root defines the version epoch; on a switch the cached
-     pages of the previous epoch are dropped (blocks reclaimed from older
-     epochs are still inside the GC grace period, so within one epoch the
-     cache can never serve reused bytes). *)
-  let current_root t =
-    let root = S.read_u64 ~hint:`Cold t.s t.h.Types.root in
-    if t.opts.Ds_intf.shared && root <> t.last_root then begin
-      S.invalidate_cache t.s;
-      t.last_root <- root
-    end;
-    root
+    let fr = F.attach ~opts s ~name in
+    { s; h = fr.F.h; gc = F.Gc.create s; lc = Level_cache.create ~max_depth:48 (); fr }
 
   let handle t = t.h
-  let gc_pending t = Gc.pending t.gc
-  let gc_drain t = Gc.drain t.gc
+  let gc_pending t = F.Gc.pending t.gc
+  let gc_drain t = F.Gc.drain t.gc
 
   type node = { left : int; right : int; key : int64; valptr : int }
 
@@ -73,83 +49,45 @@ module Make (S : Store.S) = struct
     created := (addr, node_size) :: !created;
     addr
 
-  (* One multi-version mutation attempt: read the root, build the new
-     version, CAS the root. SWMR means the CAS only fails if another
-     front-end raced us; then we roll the fresh allocations back and retry
-     against the new version. *)
-  let rec with_root_swap t ~build ~attempt =
-    if attempt > 16 then failwith "Pmvbst: root CAS kept failing (more than one writer?)";
-    let ds = t.h.Types.id in
-    let old_root = S.read_u64 ~hint:`Cold t.s t.h.Types.root in
-    let created = ref [] in
-    let obsolete = ref [] in
-    match build ~created ~obsolete (Int64.to_int old_root) with
-    | None ->
-        (* Nothing to change (e.g. deleting an absent key): roll back any
-           speculative allocations. *)
-        List.iter (fun (addr, len) -> S.free t.s addr ~len) !created;
-        false
-    | Some new_root ->
-        let won =
-          S.cas_u64 t.s ~ds t.h.Types.root ~expected:old_root
-            ~desired:(Int64.of_int new_root)
-          = old_root
-        in
-        if won then begin
-          List.iter (fun (addr, len) -> Gc.defer t.gc addr ~len) !obsolete;
-          true
-        end
-        else begin
-          List.iter (fun (addr, len) -> S.free t.s addr ~len) !created;
-          with_root_swap t ~build ~attempt:(attempt + 1)
-        end
-
   let put t ~key ~value =
-    let ds = t.h.Types.id in
-    ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
-    let changed =
-      with_root_swap t ~attempt:0 ~build:(fun ~created ~obsolete root ->
-          let valptr = B.alloc t.s ~ds value in
-          created := (valptr, B.size t.s valptr) :: !created;
-          let rec ins addr depth =
-            if addr = 0 then alloc_node t ~ds ~created { left = 0; right = 0; key; valptr }
-            else begin
-              let n = load t ~depth addr in
-              obsolete := (addr, node_size) :: !obsolete;
-              if key = n.key then begin
-                obsolete := (n.valptr, B.size t.s n.valptr) :: !obsolete;
-                alloc_node t ~ds ~created { n with valptr }
-              end
-              else if key < n.key then
-                alloc_node t ~ds ~created { n with left = ins n.left (depth + 1) }
-              else alloc_node t ~ds ~created { n with right = ins n.right (depth + 1) }
-            end
-          in
-          Some (ins root 0))
-    in
-    ignore changed;
-    S.op_end t.s ~ds;
-    Gc.pump t.gc;
+    ignore
+      (F.mutate_version t.fr t.gc ~optype:op_put ~params:(Params.of_kv key value)
+         (fun ~ds ~created ~obsolete root ->
+           let valptr = B.alloc t.s ~ds value in
+           created := (valptr, B.size t.s valptr) :: !created;
+           let rec ins addr depth =
+             if addr = 0 then alloc_node t ~ds ~created { left = 0; right = 0; key; valptr }
+             else begin
+               let n = load t ~depth addr in
+               obsolete := (addr, node_size) :: !obsolete;
+               if key = n.key then begin
+                 obsolete := (n.valptr, B.size t.s n.valptr) :: !obsolete;
+                 alloc_node t ~ds ~created { n with valptr }
+               end
+               else if key < n.key then
+                 alloc_node t ~ds ~created { n with left = ins n.left (depth + 1) }
+               else alloc_node t ~ds ~created { n with right = ins n.right (depth + 1) }
+             end
+           in
+           Some (ins root 0)));
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
 
+  (* Readers never lock and never need conflict retries (any completed
+     version is consistent); the section only guards against traversing
+     pages of reclaimed nodes. *)
   let find t ~key =
-    let read () =
-      let rec go addr depth =
-        if addr = 0 then None
-        else begin
-          let n = load t ~depth addr in
-          if key = n.key then Some (B.read t.s n.valptr)
-          else if key < n.key then go n.left (depth + 1)
-          else go n.right (depth + 1)
-        end
-      in
-      go (Int64.to_int (current_root t)) 0
-    in
-    (* Readers never lock and never need conflict retries (any completed
-       version is consistent); the section only guards against traversing
-       pages of reclaimed nodes. *)
     let v =
-      if t.opts.Ds_intf.shared then S.read_section ~retry_on:`Torn t.s t.h read else read ()
+      F.read ~retry_on:`Torn t.fr (fun () ->
+          let rec go addr depth =
+            if addr = 0 then None
+            else begin
+              let n = load t ~depth addr in
+              if key = n.key then Some (B.read t.s n.valptr)
+              else if key < n.key then go n.left (depth + 1)
+              else go n.right (depth + 1)
+            end
+          in
+          go (Int64.to_int (F.current_root t.fr)) 0)
     in
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     v
@@ -157,10 +95,9 @@ module Make (S : Store.S) = struct
   let mem t ~key = match find t ~key with Some _ -> true | None -> false
 
   let delete t ~key =
-    let ds = t.h.Types.id in
-    ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
     let changed =
-      with_root_swap t ~attempt:0 ~build:(fun ~created ~obsolete root ->
+      F.mutate_version t.fr t.gc ~optype:op_delete ~params:(Params.of_key key)
+        (fun ~ds ~created ~obsolete root ->
           (* Remove the minimum of the subtree, returning it and the new
              subtree (path-copied). *)
           let rec take_min addr depth =
@@ -206,8 +143,6 @@ module Make (S : Store.S) = struct
           in
           del root 0)
     in
-    S.op_end t.s ~ds;
-    Gc.pump t.gc;
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s);
     changed
 

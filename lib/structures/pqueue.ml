@@ -11,7 +11,9 @@ let op_enqueue = 1
 let op_dequeue = 2
 
 module Make (S : Store.S) = struct
-  type t = { s : S.t; h : Types.handle; header : Types.addr; opts : Ds_intf.options }
+  module F = Ds_intf.Frame (S)
+
+  type t = { s : S.t; h : Types.handle; header : Types.addr; fr : F.t }
 
   let node_meta = 16
   let off_head = 0
@@ -19,30 +21,22 @@ module Make (S : Store.S) = struct
   let off_count = 16
 
   let attach ?(opts = Ds_intf.default_options) s ~name =
-    let h = S.register_ds s name in
+    let fr = F.attach ~opts s ~name in
+    let h = fr.F.h in
     let header = S.read_u64 ~hint:`Hot s h.Types.root in
     if header = 0L then begin
       let header = S.malloc s 24 in
       S.write s ~ds:h.Types.id ~addr:header (Bytes.make 24 '\000');
       S.write_u64 s ~ds:h.Types.id h.Types.root (Int64.of_int header);
       S.flush s;
-      { s; h; header; opts }
+      { s; h; header; fr }
     end
-    else { s; h; header = Int64.to_int header; opts }
+    else { s; h; header = Int64.to_int header; fr }
 
   let handle t = t.h
 
-  let locked t f =
-    if t.opts.Ds_intf.use_lock then begin
-      S.writer_lock t.s t.h;
-      Fun.protect ~finally:(fun () -> S.writer_unlock t.s t.h) f
-    end
-    else f ()
-
   let enqueue t value =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_enqueue ~params:value);
+    F.mutate t.fr ~optype:op_enqueue ~params:value (fun ds ->
         let len = Bytes.length value in
         let node = S.malloc t.s (node_meta + len) in
         let b = Bytes.create (node_meta + len) in
@@ -62,18 +56,12 @@ module Make (S : Store.S) = struct
           S.write_u64 t.s ~ds (t.header + off_tail) (Int64.of_int node)
         end;
         let count = S.read_u64 ~hint:`Hot t.s (t.header + off_count) in
-        S.write_u64 t.s ~ds (t.header + off_count) (Int64.add count 1L);
-        S.op_end t.s ~ds)
+        S.write_u64 t.s ~ds (t.header + off_count) (Int64.add count 1L))
 
   let dequeue t =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_dequeue ~params:Bytes.empty);
+    F.mutate t.fr ~optype:op_dequeue ~params:Bytes.empty (fun ds ->
         let head = S.read_u64 ~hint:`Hot t.s (t.header + off_head) in
-        if head = 0L then begin
-          S.op_end t.s ~ds;
-          None
-        end
+        if head = 0L then None
         else begin
           let node = Int64.to_int head in
           let meta = S.read ~hint:`Hot t.s ~addr:node ~len:node_meta in
@@ -84,23 +72,20 @@ module Make (S : Store.S) = struct
           if next = 0L then S.write_u64 t.s ~ds (t.header + off_tail) 0L;
           let count = S.read_u64 ~hint:`Hot t.s (t.header + off_count) in
           S.write_u64 t.s ~ds (t.header + off_count) (Int64.sub count 1L);
-          S.op_end t.s ~ds;
-          S.free t.s node ~len:(node_meta + len);
+          F.free_after_op t.fr node ~len:(node_meta + len);
           Some value
         end)
 
   let peek t =
-    let read () =
-      let head = S.read_u64 ~hint:`Hot t.s (t.header + off_head) in
-      if head = 0L then None
-      else begin
-        let node = Int64.to_int head in
-        let meta = S.read ~hint:`Hot t.s ~addr:node ~len:node_meta in
-        let len = Int32.to_int (Bytes.get_int32_le meta 8) in
-        Some (S.read ~hint:`Hot t.s ~addr:(node + node_meta) ~len)
-      end
-    in
-    if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read ()
+    F.read t.fr (fun () ->
+        let head = S.read_u64 ~hint:`Hot t.s (t.header + off_head) in
+        if head = 0L then None
+        else begin
+          let node = Int64.to_int head in
+          let meta = S.read ~hint:`Hot t.s ~addr:node ~len:node_meta in
+          let len = Int32.to_int (Bytes.get_int32_le meta 8) in
+          Some (S.read ~hint:`Hot t.s ~addr:(node + node_meta) ~len)
+        end)
 
   let size t = Int64.to_int (S.read_u64 ~hint:`Hot t.s (t.header + off_count))
 

@@ -14,17 +14,14 @@ let op_put = 1
 let op_delete = 2
 let max_level = 16
 
+(* Reads at this level and above go through the cache. *)
+let hot_level = 1
+
 module Make (S : Store.S) = struct
   module B = Blob.Make (S)
+  module F = Ds_intf.Frame (S)
 
-  type t = {
-    s : S.t;
-    h : Types.handle;
-    head : Types.addr;
-    rng : Asym_util.Rng.t;
-    hot_level : int;
-    opts : Ds_intf.options;
-  }
+  type t = { s : S.t; h : Types.handle; head : Types.addr; rng : Asym_util.Rng.t; fr : F.t }
 
   let off_key = 0
   let off_level = 8
@@ -43,12 +40,13 @@ module Make (S : Store.S) = struct
     S.write t.s ~ds ~addr b;
     addr
 
-  let attach ?(opts = Ds_intf.locked_options) ?(rng = Asym_util.Rng.create ~seed:4242L)
-      ?(hot_level = 1) s ~name =
-    let h = S.register_ds s name in
+  let attach ?(opts = Ds_intf.locked_options) ?(rng = Asym_util.Rng.create ~seed:4242L) s
+      ~name =
+    let fr = F.attach ~opts s ~name in
+    let h = fr.F.h in
     let head = S.read_u64 ~hint:`Hot s h.Types.root in
     if head = 0L then begin
-      let t = { s; h; head = 0; rng; hot_level; opts } in
+      let t = { s; h; head = 0; rng; fr } in
       let head =
         write_new_node t ~ds:h.Types.id ~key:Int64.min_int ~valptr:0 ~level:max_level
           ~nexts:(Array.make max_level 0L)
@@ -57,25 +55,18 @@ module Make (S : Store.S) = struct
       S.flush s;
       { t with head }
     end
-    else { s; h; head = Int64.to_int head; rng; hot_level; opts }
+    else { s; h; head = Int64.to_int head; rng; fr }
 
   let handle t = t.h
-
-  let locked t f =
-    if t.opts.Ds_intf.use_lock then begin
-      S.writer_lock t.s t.h;
-      Fun.protect ~finally:(fun () -> S.writer_unlock t.s t.h) f
-    end
-    else f ()
 
   let random_level t =
     let rec go l = if l < max_level && Asym_util.Rng.bool t.rng then go (l + 1) else l in
     go 1
 
-  let hint t lvl : [ `Hot | `Cold ] = if lvl >= t.hot_level then `Hot else `Cold
+  let hint lvl : [ `Hot | `Cold ] = if lvl >= hot_level then `Hot else `Cold
 
-  let node_key t ~lvl addr = S.read_u64 ~hint:(hint t lvl) t.s (addr + off_key)
-  let node_next t ~lvl addr = S.read_u64 ~hint:(hint t lvl) t.s (addr + next_off lvl)
+  let node_key t ~lvl addr = S.read_u64 ~hint:(hint lvl) t.s (addr + off_key)
+  let node_next t ~lvl addr = S.read_u64 ~hint:(hint lvl) t.s (addr + next_off lvl)
 
   (* Find predecessors at every level; preds.(l) is the last node with
      key < [key] at level l (Figure 2's traversal). *)
@@ -105,10 +96,8 @@ module Make (S : Store.S) = struct
       if node_key t ~lvl:0 cand = key then (preds, Some cand) else (preds, None)
 
   let put t ~key ~value =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_put ~params:(Params.of_kv key value));
-        (match lookup_node t key with
+    F.mutate t.fr ~optype:op_put ~params:(Params.of_kv key value) (fun ds ->
+        match lookup_node t key with
         | _, Some node ->
             let old_blob = Int64.to_int (S.read_u64 ~hint:`Hot t.s (node + off_valptr)) in
             let valptr = B.alloc t.s ~ds value in
@@ -124,42 +113,36 @@ module Make (S : Store.S) = struct
             let node = write_new_node t ~ds ~key ~valptr ~level ~nexts in
             for lvl = 0 to level - 1 do
               S.write_u64 t.s ~ds (preds.(lvl) + next_off lvl) (Int64.of_int node)
-            done);
-        S.op_end t.s ~ds)
+            done)
 
   let find t ~key =
-    let read () =
-      match lookup_node t key with
-      | _, None -> None
-      | _, Some node ->
-          let blob = Int64.to_int (S.read_u64 ~hint:`Hot t.s (node + off_valptr)) in
-          Some (B.read t.s blob)
-    in
-    if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read ()
+    F.read t.fr (fun () ->
+        match lookup_node t key with
+        | _, None -> None
+        | _, Some node ->
+            let blob = Int64.to_int (S.read_u64 ~hint:`Hot t.s (node + off_valptr)) in
+            Some (B.read t.s blob))
 
   let mem t ~key = match find t ~key with Some _ -> true | None -> false
 
   let delete t ~key =
-    locked t (fun () ->
-        let ds = t.h.Types.id in
-        ignore (S.op_begin t.s ~ds ~optype:op_delete ~params:(Params.of_key key));
-        let result =
-          match lookup_node t key with
-          | _, None -> false
-          | preds, Some node ->
-              let level = Int32.to_int (Bytes.get_int32_le (S.read ~hint:`Hot t.s ~addr:(node + off_level) ~len:4) 0) in
-              (* Unlink top-down so partially deleted nodes stay reachable
-                 at lower levels for concurrent readers. *)
-              for lvl = level - 1 downto 0 do
-                S.write_u64 t.s ~ds (preds.(lvl) + next_off lvl) (node_next t ~lvl node)
-              done;
-              let blob = Int64.to_int (S.read_u64 ~hint:`Hot t.s (node + off_valptr)) in
-              S.free t.s node ~len:(node_size level);
-              B.free t.s blob;
-              true
-        in
-        S.op_end t.s ~ds;
-        result)
+    F.mutate t.fr ~optype:op_delete ~params:(Params.of_key key) (fun ds ->
+        match lookup_node t key with
+        | _, None -> false
+        | preds, Some node ->
+            let level =
+              Int32.to_int
+                (Bytes.get_int32_le (S.read ~hint:`Hot t.s ~addr:(node + off_level) ~len:4) 0)
+            in
+            (* Unlink top-down so partially deleted nodes stay reachable at
+               lower levels for concurrent readers. *)
+            for lvl = level - 1 downto 0 do
+              S.write_u64 t.s ~ds (preds.(lvl) + next_off lvl) (node_next t ~lvl node)
+            done;
+            let blob = Int64.to_int (S.read_u64 ~hint:`Hot t.s (node + off_valptr)) in
+            S.free t.s node ~len:(node_size level);
+            B.free t.s blob;
+            true)
 
   (* Inclusive range scan: descend to the last node with key < lo, then
      walk level 0 — the skiplist equivalent of the B+Tree leaf scan. *)

@@ -4,7 +4,7 @@
     values live in out-of-line blobs so updates never change node
     geometry. Writers populate a new node's successors before swinging the
     predecessors bottom-up and unlink top-down, so a reader walking the
-    list always observes a consistent view. Reads above [hot_level] go
+    list always observes a consistent view. Reads at level 1 and above go
     through the front-end cache (taller nodes are visited exponentially
     more often); level-0 reads bypass it. *)
 
@@ -17,13 +17,7 @@ val max_level : int
 module Make (S : Asym_core.Store.S) : sig
   type t
 
-  val attach :
-    ?opts:Ds_intf.options ->
-    ?rng:Asym_util.Rng.t ->
-    ?hot_level:int ->
-    S.t ->
-    name:string ->
-    t
+  val attach : ?opts:Ds_intf.options -> ?rng:Asym_util.Rng.t -> S.t -> name:string -> t
 
   val handle : t -> Asym_core.Types.handle
   val put : t -> key:int64 -> value:bytes -> unit

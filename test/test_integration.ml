@@ -263,6 +263,32 @@ let test_out_of_nvm () =
     check Alcotest.bool "exhaustion persisted" true (Backend.used_slabs bk > 0)
   end
 
+(* The writer lock is released when a mutation raises: the operation
+   frame unlocks through [Fun.protect]. Outside the co-simulation a
+   leaked lock would make the second client's [writer_lock] fail loudly
+   once its CAS probe budget runs out. *)
+let test_lock_released_on_exception () =
+  let bk =
+    Backend.create ~name:"tiny" ~max_sessions:2 ~memlog_cap:(256 * 1024) ~oplog_cap:(128 * 1024)
+      ~slab_size:4096 ~capacity:(6 * 1024 * 1024) lat
+  in
+  let fe = mk_client ~cfg:(Client.r ()) bk in
+  let t = Bpt.attach ~opts:Ds_intf.locked_options fe ~name:"bpt" in
+  let h = Bpt.handle t in
+  let value = Bytes.make 2000 'v' in
+  let raised = ref false in
+  (try
+     for i = 0 to 100_000 do
+       Bpt.put t ~key:(Int64.of_int i) ~value
+     done
+   with Front_alloc.Out_of_nvm -> raised := true);
+  check Alcotest.bool "put ran out of NVM" true !raised;
+  check Alcotest.int64 "lock word reads 0" 0L
+    (Asym_nvm.Device.read_u64 (Backend.device bk) ~addr:h.Types.lock);
+  let fe2 = mk_client ~cfg:(Client.r ()) ~name:"fe2" bk in
+  Client.writer_lock fe2 h;
+  Client.writer_unlock fe2 h
+
 (* -- backend restart preserves naming and allocation --------------------------- *)
 
 let test_restart_preserves_naming_and_bitmap () =
@@ -444,6 +470,8 @@ let () =
         [
           Alcotest.test_case "log ring wrap stress" `Quick test_log_ring_wrap_stress;
           Alcotest.test_case "out of nvm" `Quick test_out_of_nvm;
+          Alcotest.test_case "lock released on exception" `Quick
+            test_lock_released_on_exception;
           Alcotest.test_case "restart preserves metadata" `Quick
             test_restart_preserves_naming_and_bitmap;
         ] );

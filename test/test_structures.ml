@@ -337,6 +337,100 @@ let test_bptree_splits () =
       (Bpt_c.find t ~key:(Int64.of_int i))
   done
 
+(* -- B+Tree node (store-independent) ---------------------------------------- *)
+
+module Node = Pbptree.Node
+
+let int_array = Alcotest.(array int)
+let int64_array = Alcotest.(array int64)
+
+(* Keys 10, 20, ...; leaf values 1000 + i, internal children 100 + i. *)
+let mk_leaf nkeys =
+  let n = Node.empty true in
+  for i = 0 to nkeys - 1 do
+    Node.leaf_insert_at n i (Int64.of_int (10 * (i + 1))) (1000 + i)
+  done;
+  n.Node.next <- 4242;
+  n
+
+let mk_internal nkeys =
+  let n = Node.empty false in
+  n.Node.children.(0) <- 100;
+  for i = 0 to nkeys - 1 do
+    Node.internal_insert_at n i (Int64.of_int (10 * (i + 1))) (101 + i)
+  done;
+  n
+
+let check_node msg (a : Node.t) (b : Node.t) =
+  check Alcotest.bool (msg ^ " leaf") a.leaf b.leaf;
+  check Alcotest.int (msg ^ " nkeys") a.nkeys b.nkeys;
+  check int64_array (msg ^ " keys") a.keys b.keys;
+  check int_array (msg ^ " children") a.children b.children;
+  check Alcotest.int (msg ^ " next") a.next b.next;
+  check int_array (msg ^ " vals") a.vals b.vals
+
+let test_node_roundtrip () =
+  let leaf = mk_leaf 7 in
+  check Alcotest.int "512-byte image" Node.node_bytes (Bytes.length (Node.encode leaf));
+  check_node "leaf" leaf (Node.decode (Node.encode leaf));
+  let full = mk_leaf Pbptree.max_keys in
+  check_node "full leaf" full (Node.decode (Node.encode full));
+  let internal = mk_internal Pbptree.max_keys in
+  check_node "internal" internal (Node.decode (Node.encode internal));
+  check Alcotest.int "descend right of an equal separator" 2 (Node.child_index internal 20L);
+  check Alcotest.int "leaf insertion point" 3 (Node.leaf_pos leaf 35L)
+
+let zero_from a i = Array.for_all (fun x -> x = 0) (Array.sub a i (Array.length a - i))
+let zero64_from a i = Array.for_all (fun x -> x = 0L) (Array.sub a i (Array.length a - i))
+
+let test_node_split_leaf () =
+  let n = mk_leaf Pbptree.max_keys in
+  let sep, right = Node.split n in
+  let half = Pbptree.max_keys / 2 in
+  let moved = Pbptree.max_keys - half in
+  check Alcotest.int "left keeps the lower half" half n.nkeys;
+  check Alcotest.int "right takes the rest" moved right.nkeys;
+  check Alcotest.int64 "separator is the right's first key" right.keys.(0) sep;
+  check Alcotest.int64 "separator" (Int64.of_int (10 * (half + 1))) sep;
+  check int64_array "right keys"
+    (Array.init moved (fun i -> Int64.of_int (10 * (half + i + 1))))
+    (Array.sub right.keys 0 moved);
+  check int_array "right vals"
+    (Array.init moved (fun i -> 1000 + half + i))
+    (Array.sub right.vals 0 moved);
+  check Alcotest.bool "vacated keys zeroed" true (zero64_from n.keys half);
+  check Alcotest.bool "vacated vals zeroed" true (zero_from n.vals half);
+  check Alcotest.int "right inherits the chain link" 4242 right.next;
+  check Alcotest.bool "right is a leaf" true right.leaf
+
+let test_node_split_internal () =
+  (* Overflowed by one: max_keys + 1 keys, the shape only DRAM ever holds. *)
+  let n = mk_internal (Pbptree.max_keys + 1) in
+  let total = Pbptree.max_keys + 1 in
+  let mid = total / 2 in
+  let sep, right = Node.split n in
+  check Alcotest.int64 "middle key moves up" (Int64.of_int (10 * (mid + 1))) sep;
+  check Alcotest.int "left keys" mid n.nkeys;
+  check Alcotest.int "right keys" (total - mid - 1) right.nkeys;
+  check int64_array "right keys"
+    (Array.init right.nkeys (fun i -> Int64.of_int (10 * (mid + i + 2))))
+    (Array.sub right.keys 0 right.nkeys);
+  check int_array "right children"
+    (Array.init (right.nkeys + 1) (fun i -> 101 + mid + i))
+    (Array.sub right.children 0 (right.nkeys + 1));
+  check int_array "left children"
+    (Array.init (mid + 1) (fun i -> 100 + i))
+    (Array.sub n.children 0 (mid + 1));
+  check Alcotest.bool "vacated keys (separator included) zeroed" true (zero64_from n.keys mid);
+  check Alcotest.bool "vacated children zeroed" true (zero_from n.children (mid + 1));
+  check Alcotest.bool "right is internal" false right.leaf;
+  check_node "left survives encoding" n (Node.decode (Node.encode n))
+
+let test_node_encode_rejects_overflow () =
+  let n = mk_internal (Pbptree.max_keys + 1) in
+  let raised = match Node.encode n with _ -> false | exception Assert_failure _ -> true in
+  check Alcotest.bool "overflowed node is never encoded" true raised
+
 let test_bptree_range () =
   let fe = mk_client (mk_backend ()) in
   let t = Bpt_c.attach fe ~name:"bpt" in
@@ -594,6 +688,11 @@ let () =
           Alcotest.test_case "semantics" `Quick test_bptree_semantics;
           Alcotest.test_case "splits (2000 keys)" `Quick test_bptree_splits;
           Alcotest.test_case "range scan" `Quick test_bptree_range;
+          Alcotest.test_case "node round-trip" `Quick test_node_roundtrip;
+          Alcotest.test_case "node split leaf" `Quick test_node_split_leaf;
+          Alcotest.test_case "node split internal" `Quick test_node_split_internal;
+          Alcotest.test_case "node encode rejects overflow" `Quick
+            test_node_encode_rejects_overflow;
           qt prop_bptree;
           qt prop_bpt_range;
         ] );
