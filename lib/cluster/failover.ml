@@ -16,7 +16,7 @@ let promote ?(name = "promoted-backend") m lat =
         Asym_nvm.Device.create ~name:(name ^ ".nvm")
           ~capacity:(Asym_nvm.Device.capacity src) lat
       in
-      Asym_nvm.Device.load dev (Asym_nvm.Device.snapshot src);
+      Asym_nvm.Device.copy_from dev ~src;
       Backend.of_device ~name dev lat
 
 let failover ?name ~dead lat =

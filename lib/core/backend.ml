@@ -50,6 +50,7 @@ type t = {
   mutable n_replayed_txs : int;
   mutable n_replayed_entries : int;
   mutable n_dup_replays : int;
+  mutable scan_buf : bytes;  (* replay's window onto a memory-log ring, reused *)
 }
 
 let rpc_base_ns = 400
@@ -73,8 +74,8 @@ let check_alive t = if t.crashed then raise (Verbs.Failure_detected t.bname)
 (* -- persistence helpers ---------------------------------------------- *)
 
 (* Replicate a write to all mirrors, charging the back-end NIC. *)
-let repl t ~at ~addr b =
-  List.iter (fun m -> Mirror.replicate m ~from_nic:t.nic_tl ~at ~addr b) t.mirror_list
+let repl t ~at ~addr ?len b =
+  List.iter (fun m -> Mirror.replicate m ~from_nic:t.nic_tl ~at ~addr ?len b) t.mirror_list
 
 (* Functional-only mirror update for bytes that travel piggybacked inside
    an already-charged replica message (e.g. data-area entries contained in
@@ -83,11 +84,12 @@ let repl_uncharged t ~addr b =
   List.iter (fun m -> Device.write (Mirror.device m) ~addr b) t.mirror_list
 
 let write_word t ~at addr v =
-  Device.write_u64 t.dev ~addr v;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
   ignore at;
-  repl_uncharged t ~addr b
+  Device.write_u64 t.dev ~addr v;
+  List.iter (fun m -> Device.write_u64 (Mirror.device m) ~addr v) t.mirror_list
+
+let zero_uncharged t ~addr ~len =
+  List.iter (fun m -> Device.zero (Mirror.device m) ~addr ~len) t.mirror_list
 
 (* -- session slots ------------------------------------------------------ *)
 
@@ -136,9 +138,7 @@ let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 102
   Device.write_u64 dev ~addr:layout.Layout.meta_base 0L;
   (* Mark all session slots unused. *)
   for i = 0 to max_sessions - 1 do
-    Device.write dev
-      ~addr:(Layout.session_slot layout ~session:i)
-      (Bytes.make Layout.session_slot_len '\000')
+    Device.zero dev ~addr:(Layout.session_slot layout ~session:i) ~len:Layout.session_slot_len
   done;
   {
     bname = name;
@@ -161,13 +161,15 @@ let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 102
     n_replayed_txs = 0;
     n_replayed_entries = 0;
     n_dup_replays = 0;
+    scan_buf = Bytes.create 16_384;
   }
 
 let attach_mirror t m =
   if Device.capacity (Mirror.device m) <> Device.capacity t.dev then
     invalid_arg "Backend.attach_mirror: capacity mismatch";
-  (* Bring the mirror's image up to date with a full synchronization. *)
-  Device.load (Mirror.device m) (Device.snapshot t.dev);
+  (* Bring the mirror's image up to date with a full synchronization:
+     both devices share every page until one of them writes it. *)
+  Device.copy_from (Mirror.device m) ~src:t.dev;
   t.mirror_list <- m :: t.mirror_list
 
 (* -- ds registry -------------------------------------------------------- *)
@@ -200,7 +202,8 @@ let rebuild_ds_registry t =
 
 (* -- memory-log replay -------------------------------------------------- *)
 
-let apply_tx t ~at ~ring_base ~ring_off (tx : Log.Tx.t) raw =
+(* The frame's [len] bytes are the start of [scan_buf]. *)
+let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.t) =
   (* Cost: per-entry CPU + NVM media, plus the two sequence-number bumps. *)
   let entries = tx.Log.Tx.entries in
   let media =
@@ -219,7 +222,7 @@ let apply_tx t ~at ~ring_base ~ring_off (tx : Log.Tx.t) raw =
   if Asym_obs.enabled () then begin
     Asym_obs.Registry.inc "log.replayed_txs";
     Asym_obs.Registry.add "log.replayed_entries" (List.length entries);
-    Asym_obs.Registry.add "log.replayed_bytes" (Bytes.length raw);
+    Asym_obs.Registry.add "log.replayed_bytes" len;
     Asym_obs.Span.complete ~cat:"log" ~track:(Timeline.name t.cpu_tl) ~ts:start ~dur
       "log.replay_tx"
   end;
@@ -240,7 +243,7 @@ let apply_tx t ~at ~ring_base ~ring_off (tx : Log.Tx.t) raw =
         entries);
   (* Forward the log record itself to the mirrors (one charged message);
      the data-area entry writes above piggyback inside it. *)
-  repl t ~at:stop ~addr:(ring_base + ring_off) raw;
+  repl t ~at:stop ~addr:(ring_base + ring_off) ~len t.scan_buf;
   t.n_replayed_txs <- t.n_replayed_txs + 1;
   t.n_replayed_entries <- t.n_replayed_entries + List.length entries;
   stop
@@ -268,19 +271,20 @@ let gc_oplog t ~at s =
    the first Empty byte instead of tripping over stale records from a
    previous ring lap. *)
 let truncate_ring t ~ring_base ~off ~len =
-  let z = Bytes.make len '\000' in
-  Device.write t.dev ~addr:(ring_base + off) z;
-  repl_uncharged t ~addr:(ring_base + off) z
+  Device.zero t.dev ~addr:(ring_base + off) ~len;
+  zero_uncharged t ~addr:(ring_base + off) ~len
 
-(* Read a record-sized window at a ring position, growing it if a record
-   happens to be larger than the initial guess. Returns the scan result. *)
-let scan_at t ~ring_base ~cap ~pos scanner =
+(* Read a record-sized window at a ring position into [scan_buf], growing
+   it if a record happens to be larger than the initial guess. Bytes past
+   the window are stale and never decoded. *)
+let scan_at t ~ring_base ~cap ~pos =
   let rec go len =
     let len = min len (cap - pos) in
-    let chunk = Device.read t.dev ~addr:(ring_base + pos) ~len in
-    match scanner chunk with
-    | `Torn when len < cap - pos -> go (len * 4)
-    | r -> (r, chunk)
+    if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
+    Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
+    match Log.Tx.scan t.scan_buf ~pos:0 ~lim:len with
+    | Log.Tx.Torn when len < cap - pos -> go (len * 4)
+    | r -> r
   in
   go 16_384
 
@@ -294,17 +298,8 @@ let replay_pending t ~at s =
   let continue_ = ref true in
   while !continue_ do
     let pos = s.lpn in
-    let result, chunk =
-      scan_at t ~ring_base ~cap ~pos (fun chunk ->
-          match Log.Tx.scan chunk ~pos:0 with
-          | Log.Tx.Record (tx, consumed) -> `Record (tx, consumed)
-          | Log.Tx.Wrap -> `Wrap
-          | Log.Tx.Empty -> `Empty
-          | Log.Tx.Torn -> `Torn)
-    in
-    match result with
-    | `Record (tx, consumed) ->
-        let raw = Bytes.sub chunk 0 consumed in
+    match scan_at t ~ring_base ~cap ~pos with
+    | Log.Tx.Record (tx, consumed) ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
            retry after a lost ack, or a re-drain racing a reconnect).
@@ -316,17 +311,17 @@ let replay_pending t ~at s =
           t.n_dup_replays <- t.n_dup_replays + 1;
           if Asym_obs.enabled () then Asym_obs.Registry.inc "log.dup_replays"
         end;
-        time := apply_tx t ~at:!time ~ring_base ~ring_off:pos tx raw;
+        time := apply_tx t ~at:!time ~ring_base ~ring_off:pos ~len:consumed tx;
         if Int64.compare tx.Log.Tx.op_hi s.opn_covered > 0 then
           s.opn_covered <- tx.Log.Tx.op_hi;
         assert (Int64.compare s.opn_covered covered_before >= 0);
         truncate_ring t ~ring_base ~off:pos ~len:consumed;
         s.lpn <- (pos + consumed) mod cap
-    | `Wrap ->
+    | Log.Tx.Wrap ->
         truncate_ring t ~ring_base ~off:pos ~len:1;
         s.lpn <- 0
-    | `Empty -> continue_ := false
-    | `Torn ->
+    | Log.Tx.Empty -> continue_ := false
+    | Log.Tx.Torn ->
         torn := true;
         Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
         continue_ := false
@@ -522,6 +517,7 @@ let of_device ?(name = "backend") dev lat =
       n_replayed_txs = 0;
       n_replayed_entries = 0;
       n_dup_replays = 0;
+      scan_buf = Bytes.create 16_384;
     }
   in
   ignore (restart t);
@@ -536,7 +532,7 @@ let alloc_meta t ~at len =
   else begin
     let addr = base + t.meta_cursor in
     t.meta_cursor <- t.meta_cursor + len;
-    Device.write t.dev ~addr (Bytes.make len '\000');
+    Device.zero t.dev ~addr ~len;
     write_word t ~at t.layout.Layout.meta_base (Int64.of_int t.meta_cursor);
     Some addr
   end
@@ -568,11 +564,11 @@ let fresh_session t ~at =
       persist_session t ~at s;
       (* Zero the session's rings so scans terminate at Empty. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
-      Device.write t.dev ~addr:mbase (Bytes.make mcap '\000');
+      Device.zero t.dev ~addr:mbase ~len:mcap;
       let obase, ocap = Layout.oplog_region t.layout ~session:sid in
-      Device.write t.dev ~addr:obase (Bytes.make ocap '\000');
-      repl_uncharged t ~addr:mbase (Bytes.make mcap '\000');
-      repl_uncharged t ~addr:obase (Bytes.make ocap '\000');
+      Device.zero t.dev ~addr:obase ~len:ocap;
+      zero_uncharged t ~addr:mbase ~len:mcap;
+      zero_uncharged t ~addr:obase ~len:ocap;
       Some sid
 
 let handle_register_ds t ~at ds_name =

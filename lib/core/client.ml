@@ -62,6 +62,7 @@ type t = {
   overlay : Overlay.t;
   mutable pending : (Types.ds_id * Log.Mem_entry.t) list;  (* newest first *)
   mutable pending_bytes : int;
+  mutable tx_buf : bytes;  (* a flush's encoded transactions, reused *)
   mutable pending_op_list : (Types.ds_id * (int64 * int * bytes)) list;  (* newest first *)
   pending_cas : (Types.addr, int64 * int64) Hashtbl.t;  (* addr -> (expected, desired) *)
   mutable pending_slab_frees : (Types.addr * int) list;  (* deferred reclamation *)
@@ -259,6 +260,7 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       overlay = Overlay.create ();
       pending = [];
       pending_bytes = 0;
+      tx_buf = Bytes.empty;
       pending_op_list = [];
       pending_cas = Hashtbl.create 4;
       pending_slab_frees = [];
@@ -557,8 +559,9 @@ let flush t =
     in
     let total = List.fold_left (fun acc tx -> acc + Log.Tx.size tx) 0 txs in
     let wire = List.fold_left (fun acc tx -> acc + Log.Tx.wire_size tx) 0 txs in
-    let payload = Bytes.create total in
-    ignore (List.fold_left (fun off tx -> off + Log.Tx.encode_into tx payload ~pos:off) 0 txs);
+    if Bytes.length t.tx_buf < total then
+      t.tx_buf <- Bytes.create (max total (2 * Bytes.length t.tx_buf));
+    ignore (List.fold_left (fun off tx -> off + Log.Tx.encode_into tx t.tx_buf ~pos:off) 0 txs);
     let ring_base, cap = Backend.memlog_ring t.bk ~session:t.sid in
     if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
     if t.memlog_head + total + 1 > cap then begin
@@ -567,7 +570,7 @@ let flush t =
       t.memlog_head <- 0
     end;
     with_retry t (fun () ->
-        Verbs.write ~wire_len:wire t.conn ~addr:(ring_base + t.memlog_head) payload);
+        Verbs.write ~wire_len:wire ~len:total t.conn ~addr:(ring_base + t.memlog_head) t.tx_buf);
     t.memlog_head <- t.memlog_head + total;
     Backend.note_heads t.bk ~session:t.sid ~memlog_head:t.memlog_head
       ~next_opnum:t.next_opnum ();

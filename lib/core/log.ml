@@ -82,8 +82,9 @@ module Tx = struct
 
   type scan_result = Record of t * int | Torn | Wrap | Empty
 
-  let scan buf ~pos =
-    if pos >= Bytes.length buf then Empty
+  let scan ?lim buf ~pos =
+    let lim = match lim with Some l -> min l (Bytes.length buf) | None -> Bytes.length buf in
+    if pos >= lim then Empty
     else
       match Bytes.get_uint8 buf pos with
       | 0x00 -> Empty
@@ -91,7 +92,7 @@ module Tx = struct
       | b when b <> tag_tx -> Torn
       | _ -> (
           try
-            let d = Codec.Dec.of_bytes ~pos buf in
+            let d = Codec.Dec.of_bytes ~pos ~lim buf in
             let _tag = Codec.Dec.u8 d in
             let ds = Codec.Dec.u32i d in
             let op_hi = Codec.Dec.u64 d in
@@ -104,7 +105,7 @@ module Tx = struct
               let from_op = if flag = flag_op_pointer then Some (Codec.Dec.u64 d) else None in
               let addr = Codec.Dec.u64i d in
               let len = Codec.Dec.u32i d in
-              if len > Bytes.length buf then raise Exit;
+              if len > lim then raise Exit;
               let value = Codec.Dec.bytes d len in
               entries := { Mem_entry.addr; value; from_op } :: !entries
             done;

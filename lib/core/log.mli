@@ -59,8 +59,10 @@ module Tx : sig
     | Wrap  (** wrap marker: continue scanning at the ring base *)
     | Empty  (** zero byte: end of written log *)
 
-  val scan : bytes -> pos:int -> scan_result
-  (** Examine the log ring contents at [pos]. *)
+  val scan : ?lim:int -> bytes -> pos:int -> scan_result
+  (** Examine the log ring contents at [pos]. Bytes from [lim] (default
+      the buffer's length) on are not looked at: a frame that runs past
+      it is [Torn]. *)
 
   val wrap_marker : bytes
 end

@@ -35,10 +35,10 @@ let media_cost t len =
   | Nvm_backed -> Latency.nvm_write_cost t.lat len
   | Ssd_backed -> t.lat.Latency.ssd_write_ns
 
-let replicate t ~from_nic ~at ~addr b =
+let replicate t ~from_nic ~at ~addr ?len b =
   if t.crashed then ()
   else begin
-    let len = Bytes.length b in
+    let len = match len with Some n -> n | None -> Bytes.length b in
     let payload = Latency.rdma_payload_ns t.lat len in
     (* The back-end NIC sends, the mirror NIC receives and its media absorbs. *)
     let sent = Timeline.acquire from_nic ~at ~dur:(t.lat.Latency.rdma_post_ns + payload) in
@@ -46,7 +46,7 @@ let replicate t ~from_nic ~at ~addr b =
       Timeline.acquire t.nic ~at:(sent + (t.lat.Latency.rdma_rtt_ns / 2))
         ~dur:(t.lat.Latency.rdma_post_ns + payload + media_cost t len)
     in
-    Asym_nvm.Device.write t.dev ~addr b;
+    Asym_nvm.Device.write t.dev ~addr ~len b;
     t.bytes <- t.bytes + len;
     t.writes <- t.writes + 1
   end

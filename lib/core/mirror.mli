@@ -17,9 +17,11 @@ val name : t -> string
 val device : t -> Asym_nvm.Device.t
 val nic : t -> Asym_sim.Timeline.t
 
-val replicate : t -> from_nic:Asym_sim.Timeline.t -> at:Asym_sim.Simtime.t -> addr:int -> bytes -> unit
-(** Apply one forwarded write. Charges the sending NIC, this mirror's NIC
-    and its media; never blocks the caller's clock. *)
+val replicate :
+  t -> from_nic:Asym_sim.Timeline.t -> at:Asym_sim.Simtime.t -> addr:int -> ?len:int -> bytes -> unit
+(** Apply one forwarded write of the first [len] bytes of the buffer
+    (default: all of it). Charges the sending NIC, this mirror's NIC and
+    its media; never blocks the caller's clock. *)
 
 val bytes_replicated : t -> int
 val writes_replicated : t -> int

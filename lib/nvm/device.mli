@@ -11,7 +11,13 @@
     The device never loses completed writes across {!crash_restart}; only
     the torn suffix (if injected) differs. Media latencies are exposed as
     cost functions; charging them to the right clock is the caller's
-    (NIC's / backend CPU's) job. *)
+    (NIC's / backend CPU's) job.
+
+    The media is sparse: {!page_size}-byte pages that all start as one
+    shared, never-written zero page. A page is allocated on its first
+    non-zero byte, and {!copy_from} shares pages between two devices until
+    one of them writes (copy-on-write). None of this shows in the
+    counters, the crash sites or the bytes read back. *)
 
 type t
 
@@ -24,10 +30,23 @@ val name : t -> string
 val capacity : t -> int
 val latency : t -> Asym_sim.Latency.t
 
+val page_size : int
+
 val read : t -> addr:addr -> len:int -> bytes
+
+val read_into : t -> addr:addr -> bytes -> pos:int -> len:int -> unit
+(** Like {!read}, into the buffer from [pos] on; counts as one read of [len] bytes. *)
+
 val read_u64 : t -> addr:addr -> int64
-val write : t -> addr:addr -> bytes -> unit
+val write : t -> addr:addr -> ?len:int -> bytes -> unit
+(** Write the first [len] bytes of the buffer (default: all of it). *)
+
 val write_u64 : t -> addr:addr -> int64 -> unit
+
+val zero : t -> addr:addr -> len:int -> unit
+(** Exactly a {!write} of [len] zero bytes — counters, crash site and the
+    pre-image {!tear_last_write} restores — without building them. Whole
+    pages shared with another device are dropped back to the zero page. *)
 
 val compare_and_swap : t -> addr:addr -> expected:int64 -> desired:int64 -> int64
 (** Atomic 8-byte CAS; returns the previous value. *)
@@ -56,8 +75,17 @@ val reads_performed : t -> int
 val writes_performed : t -> int
 val bytes_written : t -> int
 
+val resident_pages : t -> int
+(** Pages that hold memory of their own or shared with a {!copy_from}
+    peer, i.e. not the zero page. *)
+
+val copy_from : t -> src:t -> unit
+(** Make [t]'s contents equal to [src]'s (same capacity) by sharing its
+    pages; either side copies a page the first time it writes it. Touches
+    no counter and no tear bookkeeping, like {!load}. *)
+
 val snapshot : t -> bytes
-(** Copy of the full media contents (for mirror promotion and tests). *)
+(** Copy of the full media contents (a capacity-sized buffer, for tests). *)
 
 val load : t -> bytes -> unit
 (** Overwrite media contents from a snapshot of the same capacity. *)

@@ -188,13 +188,14 @@ let read t ~addr ~len =
   t.wire_bytes <- t.wire_bytes + len;
   Asym_nvm.Device.read t.remote_mem ~addr ~len
 
-let write ?wire_len t ~addr b =
+let write ?wire_len ?len:data_len t ~addr b =
   check_alive t;
-  check_bounds t ~addr ~len:(Bytes.length b);
+  let data_len = match data_len with Some n -> n | None -> Bytes.length b in
+  check_bounds t ~addr ~len:data_len;
   let verdict = fate t ~atomic:false in
   (match verdict with Lost `Request -> lose t ~op:"write" | _ -> ());
   Asym_nvm.Crashpoint.in_verb "rdma.write" @@ fun () ->
-  let len = match wire_len with Some w -> w | None -> Bytes.length b in
+  let len = match wire_len with Some w -> w | None -> data_len in
   let service = Latency.rdma_payload_ns t.lat len in
   let media = Asym_nvm.Device.write_cost t.remote_mem ~len in
   match verdict with
@@ -205,13 +206,13 @@ let write ?wire_len t ~addr b =
          address (log appends are positional, replay is idempotent). *)
       let at = Clock.now t.client in
       ignore (Timeline.acquire t.remote_nic ~at ~dur:(t.lat.Latency.rdma_post_ns + service));
-      Asym_nvm.Device.write t.remote_mem ~addr b;
+      Asym_nvm.Device.write t.remote_mem ~addr ~len:data_len b;
       lose t ~op:"write"
   | _ ->
       inject_delay t (match verdict with Deliver d -> d | Lost _ -> 0);
       let _done_at = round_trip t ~op:"write" ~wire:len ~service ~media in
       t.wire_bytes <- t.wire_bytes + len;
-      Asym_nvm.Device.write t.remote_mem ~addr b
+      Asym_nvm.Device.write t.remote_mem ~addr ~len:data_len b
 
 (* Unsignaled posts are exempt from loss injection: with no completion to
    wait for there is nothing to time out on. Their durability is only

@@ -87,12 +87,13 @@ val injected_delays : conn -> int
 val read : conn -> addr:int -> len:int -> bytes
 (** RDMA_Read: one round trip, blocks the client. *)
 
-val write : ?wire_len:int -> conn -> addr:int -> bytes -> unit
-(** RDMA_Write with remote durability ack: one round trip. [wire_len]
-    overrides the payload size used for cost accounting — the front-end
-    library uses it for the §4.3 optimization that ships an operation-log
-    pointer in place of a value already durable in the op log (the media
-    still receives the full record so checksums stay honest). *)
+val write : ?wire_len:int -> ?len:int -> conn -> addr:int -> bytes -> unit
+(** RDMA_Write of the first [len] bytes of the buffer (default: all of
+    it) with remote durability ack: one round trip. [wire_len] overrides
+    the payload size used for cost accounting — the front-end library uses
+    it for the §4.3 optimization that ships an operation-log pointer in
+    place of a value already durable in the op log (the media still
+    receives the full record so checksums stay honest). *)
 
 val write_unsignaled : conn -> addr:int -> bytes -> unit
 (** Posted write without waiting for completion: client pays only the

@@ -64,17 +64,19 @@ module Enc = struct
 end
 
 module Dec = struct
-  type t = { buf : bytes; mutable pos : int }
+  type t = { buf : bytes; mutable pos : int; lim : int }
 
-  let of_bytes ?(pos = 0) buf = { buf; pos }
+  let of_bytes ?(pos = 0) ?lim buf =
+    let lim = match lim with Some l -> min l (Bytes.length buf) | None -> Bytes.length buf in
+    { buf; pos; lim }
+
   let pos t = t.pos
-  let remaining t = Bytes.length t.buf - t.pos
+  let remaining t = t.lim - t.pos
 
   let check t n =
-    if t.pos + n > Bytes.length t.buf then
+    if t.pos + n > t.lim then
       invalid_arg
-        (Printf.sprintf "Codec.Dec: out of bounds (pos=%d need=%d len=%d)" t.pos n
-           (Bytes.length t.buf))
+        (Printf.sprintf "Codec.Dec: out of bounds (pos=%d need=%d len=%d)" t.pos n t.lim)
 
   let u8 t =
     check t 1;

@@ -38,7 +38,10 @@ end
 module Dec : sig
   type t
 
-  val of_bytes : ?pos:int -> bytes -> t
+  val of_bytes : ?pos:int -> ?lim:int -> bytes -> t
+  (** A cursor from [pos] that treats [lim] (default and at most the
+      buffer's length) as the end of the bytes. *)
+
   val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int

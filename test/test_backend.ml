@@ -217,6 +217,50 @@ let test_memlog_ring_wraps () =
     (String.make 100 (Char.chr 200))
     (Bytes.to_string (Asym_nvm.Device.read (Backend.device bk) ~addr ~len:100))
 
+(* Replay reads each frame through one reused window that starts at 16 KiB
+   and grows; later, smaller frames are read into the grown buffer with
+   stale bytes behind them. Every frame must still land, on the back-end
+   and on its mirror. *)
+let test_large_tx_replays_through_growth () =
+  let bk = mk_backend () in
+  let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
+  Backend.attach_mirror bk m;
+  let fe, _ = mk_client bk in
+  let h = Client.register_ds fe "kv" in
+  let commit addr b =
+    ignore (Client.op_begin fe ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
+    Client.write fe ~ds:h.Types.id ~addr b;
+    Client.op_end fe ~ds:h.Types.id
+  in
+  let small = Client.malloc fe 64 and big = Client.malloc fe 48_000 in
+  let writes =
+    [
+      (small, Bytes.make 64 's');
+      (big, Bytes.make 40_000 'b');
+      (small, Bytes.make 64 't');
+      (big + 1000, Bytes.make 20_000 'c');
+      (small, Bytes.make 64 'u');
+    ]
+  in
+  List.iter (fun (addr, b) -> commit addr b) writes;
+  check Alcotest.int "every tx replayed" (List.length writes) (Backend.replayed_txs bk);
+  let dev = Backend.device bk in
+  check Alcotest.string "small landed" (String.make 64 'u')
+    (Bytes.to_string (Asym_nvm.Device.read dev ~addr:small ~len:64));
+  check Alcotest.string "large landed"
+    (String.make 1000 'b' ^ String.make 20_000 'c' ^ String.make 19_000 'b')
+    (Bytes.to_string (Asym_nvm.Device.read dev ~addr:big ~len:40_000));
+  (* The meta heap holds the sequence numbers, which only the back-end
+     bumps; everything else is replicated. *)
+  let l = Backend.layout bk in
+  let image d =
+    let b = Asym_nvm.Device.snapshot d in
+    Bytes.fill b l.Layout.meta_base l.Layout.meta_len '\000';
+    b
+  in
+  check Alcotest.bool "mirror image equals the back-end's" true
+    (Bytes.equal (image dev) (image (Mirror.device m)))
+
 let test_drain_busies_backend_cpu () =
   let bk = mk_backend () in
   let fe, _ = mk_client bk in
@@ -319,6 +363,8 @@ let () =
           Alcotest.test_case "seqno bumped" `Quick test_seqno_bumped_twice_per_tx;
           Alcotest.test_case "memlog ring wraps" `Quick test_memlog_ring_wraps;
           Alcotest.test_case "drain busies cpu" `Quick test_drain_busies_backend_cpu;
+          Alcotest.test_case "large tx replays through window growth" `Quick
+            test_large_tx_replays_through_growth;
         ] );
       ( "locks",
         [

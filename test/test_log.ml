@@ -46,6 +46,24 @@ let test_tx_truncated_is_torn () =
   let cut = Bytes.sub b 0 (Bytes.length b - 5) in
   check Alcotest.bool "truncated torn" true (Log.Tx.scan cut ~pos:0 = Log.Tx.Torn)
 
+(* Replay reuses one buffer, so bytes past the window it just read are
+   left over from earlier reads. A frame that runs past [lim] must be torn
+   even when those stale bytes happen to complete it. *)
+let test_tx_scan_stops_at_lim () =
+  let b = Log.Tx.encode (tx [ entry 100 "a value that runs past the window" ]) in
+  let n = Bytes.length b in
+  (match Log.Tx.scan b ~pos:0 ~lim:n with
+  | Log.Tx.Record (_, consumed) -> check Alcotest.int "whole frame inside lim" n consumed
+  | _ -> Alcotest.fail "expected record");
+  List.iter
+    (fun lim ->
+      check Alcotest.bool
+        (Printf.sprintf "cut at %d of %d is torn" lim n)
+        true
+        (Log.Tx.scan b ~pos:0 ~lim = Log.Tx.Torn))
+    [ n - 1; n - 4; n - 5; 20; 1 ];
+  check Alcotest.bool "nothing before lim is empty" true (Log.Tx.scan b ~pos:0 ~lim:0 = Log.Tx.Empty)
+
 let test_tx_sequence_scan () =
   let t1 = tx ~op_hi:1L [ entry 0 "one" ] in
   let t2 = tx ~op_hi:2L [ entry 8 "two" ] in
@@ -238,6 +256,7 @@ let () =
           Alcotest.test_case "truncated torn" `Quick test_tx_truncated_is_torn;
           Alcotest.test_case "1-byte payload torn" `Quick test_tx_one_byte_payload_torn;
           Alcotest.test_case "sequence scan" `Quick test_tx_sequence_scan;
+          Alcotest.test_case "scan stops at lim" `Quick test_tx_scan_stops_at_lim;
           Alcotest.test_case "pointer wire optimization" `Quick
             test_tx_wire_size_pointer_optimization;
           Alcotest.test_case "empty (annulled) tx" `Quick test_tx_empty_entries;
