@@ -251,6 +251,21 @@ let check_json_arg =
           "Write the sweep and fuzz outcomes (census histograms, failures with one-line \
            reproducers) to $(docv) as an asymnvm-check/1 JSON document.")
 
+(* [base] narrowed to the values [ok] accepts, so an out-of-range flag is
+   a usage error before any work starts. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let count = checked Arg.int ~what:"must be >= 0" (fun n -> n >= 0)
+let positive_int = checked Arg.int ~what:"must be >= 1" (fun n -> n >= 1)
+let probability = checked Arg.float ~what:"must be in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+
 let check_cmd =
   let run structure ops seed stride no_tear point tear_point fuzz fuzz_clients fault_drop json =
     let subjects =
@@ -356,14 +371,14 @@ let check_cmd =
           ~doc:"Structure to sweep ($(b,all) or one of the registered names).")
   in
   let ops =
-    Arg.(value & opt int 50 & info [ "ops" ] ~docv:"N" ~doc:"Operations in the schedule.")
+    Arg.(value & opt count 50 & info [ "ops" ] ~docv:"N" ~doc:"Operations in the schedule.")
   in
   let seed =
     Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Schedule generator seed.")
   in
   let stride =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "stride" ] ~docv:"K" ~doc:"Sample every $(docv)-th crash point (1 = exhaustive).")
   in
   let no_tear =
@@ -371,7 +386,7 @@ let check_cmd =
   in
   let point =
     Arg.(
-      value & opt (some int) None
+      value & opt (some count) None
       & info [ "point" ] ~docv:"N"
           ~doc:"Re-run a single crash point (reproducer mode; skips the sweep).")
   in
@@ -382,18 +397,20 @@ let check_cmd =
   in
   let fuzz =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "fuzz" ] ~docv:"STEPS"
           ~doc:
             "After the sweep, run the multi-client fault fuzzer for $(docv) random steps \
              (0 = off).")
   in
   let fuzz_clients =
-    Arg.(value & opt int 2 & info [ "fuzz-clients" ] ~docv:"N" ~doc:"Fuzzer front-end count.")
+    Arg.(
+      value & opt positive_int 2
+      & info [ "fuzz-clients" ] ~docv:"N" ~doc:"Fuzzer front-end count.")
   in
   let fault_drop =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "fault-drop" ] ~docv:"RATE"
           ~doc:
             "Run the sweep and fuzzer under the transient-fault model: each verb is lost with \

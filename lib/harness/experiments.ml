@@ -21,6 +21,14 @@ let lat = Latency.default
 (* One fresh rig per cell keeps experiments independent. *)
 let rig () = Runner.make_rig lat
 
+(* One Table-3-style cell at scale [sc] on a fresh rig. *)
+let asym_cell ?cache_pct ?put_ratio ?dist sc cfg kind =
+  Runner.run_asym ?cache_pct ?put_ratio ?dist ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload
+    ~ops:sc.ops ()
+
+let asym_kops ?cache_pct ?put_ratio ?dist sc cfg kind =
+  (asym_cell ?cache_pct ?put_ratio ?dist sc cfg kind).Runner.kops
+
 module Tatp_c = Asym_apps.Tatp.Make (Client)
 module Tatp_l = Asym_apps.Tatp.Make (Asym_baseline.Local_store)
 module Bank_c = Asym_apps.Smallbank.Make (Client)
@@ -33,60 +41,46 @@ module Bst_c = Asym_structs.Pbst.Make (Client)
 
 let tatp_opts = Asym_structs.Ds_intf.locked_options
 
-let run_tatp_asym ?(cache_pct = 0.10) ~cfg ~sc () =
-  let r = rig () in
-  let pre = Runner.fresh_client ~name:"tatp.preload" r (Client.rcb ~batch_size:256 ()) in
-  let app = Tatp_c.attach ~opts:tatp_opts pre ~name:"tatp" in
-  Tatp_c.populate app (Asym_util.Rng.create ~seed:3L) ~subscribers:sc.subscribers;
-  Client.flush pre;
-  let cfg = Runner.with_cache_pct r cfg cache_pct in
-  let c = Runner.fresh_client ~name:"tatp" r cfg in
-  let app = Tatp_c.attach ~opts:tatp_opts c ~name:"tatp" in
-  let rng = Asym_util.Rng.create ~seed:4L in
-  let kops, _ =
-    Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
-        Tatp_c.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
-  in
+(* KOPS of [sc.ops] application transactions on [clock]. *)
+let txn_kops ~clock ~sc txn =
+  let kops, _, _ = Runner.measure ~clock ~ops:sc.ops (fun _ -> txn ()) in
   kops
 
+let run_tatp_asym ?(cache_pct = 0.10) ~cfg ~sc () =
+  let attach c = Tatp_c.attach ~opts:tatp_opts c ~name:"tatp" in
+  let c =
+    Runner.loaded_client (rig ()) ~name:"tatp" ~cache_pct cfg ~load:(fun pre ->
+        Tatp_c.populate (attach pre) (Asym_util.Rng.create ~seed:3L)
+          ~subscribers:sc.subscribers)
+  in
+  let app = attach c and rng = Asym_util.Rng.create ~seed:4L in
+  txn_kops ~clock:(Client.clock c) ~sc (fun () ->
+      Tatp_c.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
+
 let run_tatp_sym ~cfg ~sc () =
-  let clock = Clock.create ~name:"sym.tatp" () in
-  let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
+  let s = Runner.local_store ~name:"tatp" ~cfg lat in
   let app = Tatp_l.attach ~opts:tatp_opts s ~name:"tatp" in
   Tatp_l.populate app (Asym_util.Rng.create ~seed:3L) ~subscribers:sc.subscribers;
   let rng = Asym_util.Rng.create ~seed:4L in
-  let kops, _ =
-    Runner.measure ~clock ~ops:sc.ops (fun _ ->
-        Tatp_l.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
-  in
-  kops
+  txn_kops ~clock:(Asym_baseline.Local_store.clock s) ~sc (fun () ->
+      Tatp_l.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
 
 let run_bank_asym ?(cache_pct = 0.10) ?cust_gen ~cfg ~sc () =
-  let r = rig () in
-  let pre = Runner.fresh_client ~name:"bank.preload" r (Client.rcb ~batch_size:256 ()) in
-  let _ = Bank_c.create pre ~name:"bank" ~accounts:sc.accounts ~initial_balance:1000L in
-  Client.flush pre;
-  let cfg = Runner.with_cache_pct r cfg cache_pct in
-  let c = Runner.fresh_client ~name:"bank" r cfg in
-  let app = Bank_c.attach c ~name:"bank" in
-  let rng = Asym_util.Rng.create ~seed:5L in
-  let kops, _ =
-    Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
-        Bank_c.run_random ?cust_gen app rng ~accounts:sc.accounts
-          ~mix:Asym_apps.Smallbank.default_mix)
+  let c =
+    Runner.loaded_client (rig ()) ~name:"bank" ~cache_pct cfg ~load:(fun pre ->
+        ignore (Bank_c.create pre ~name:"bank" ~accounts:sc.accounts ~initial_balance:1000L))
   in
-  kops
+  let app = Bank_c.attach c ~name:"bank" and rng = Asym_util.Rng.create ~seed:5L in
+  txn_kops ~clock:(Client.clock c) ~sc (fun () ->
+      Bank_c.run_random ?cust_gen app rng ~accounts:sc.accounts
+        ~mix:Asym_apps.Smallbank.default_mix)
 
 let run_bank_sym ~cfg ~sc () =
-  let clock = Clock.create ~name:"sym.bank" () in
-  let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
+  let s = Runner.local_store ~name:"bank" ~cfg lat in
   let app = Bank_l.create s ~name:"bank" ~accounts:sc.accounts ~initial_balance:1000L in
   let rng = Asym_util.Rng.create ~seed:5L in
-  let kops, _ =
-    Runner.measure ~clock ~ops:sc.ops (fun _ ->
-        Bank_l.run_random app rng ~accounts:sc.accounts ~mix:Asym_apps.Smallbank.default_mix)
-  in
-  kops
+  txn_kops ~clock:(Asym_baseline.Local_store.clock s) ~sc (fun () ->
+      Bank_l.run_random app rng ~accounts:sc.accounts ~mix:Asym_apps.Smallbank.default_mix)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 — allocator comparison                                       *)
@@ -97,35 +91,27 @@ let alloc_sizes = [| 32; 48; 64; 96; 128 |]
 
 let mops n elapsed = if elapsed = 0 then 0.0 else float_of_int n /. Simtime.to_sec elapsed /. 1e6
 
+(* Time [n] allocations, then [n] frees, on [clock]: (alloc, free) MOPS. *)
+let alloc_free ~clock n ~alloc ~free =
+  let _, ta, _ = Runner.measure ~clock ~ops:n alloc in
+  let _, tf, _ = Runner.measure ~clock ~ops:n free in
+  (mops n ta, mops n tf)
+
 (* Volatile DRAM allocator (the Glibc row): pure local latency. *)
 let table2_glibc n =
-  let clk = Clock.create () in
-  let t0 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk lat.Latency.dram_ns
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk (lat.Latency.dram_ns / 3)
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  let clock = Clock.create () in
+  alloc_free ~clock n
+    ~alloc:(fun _ -> Clock.advance clock lat.Latency.dram_ns)
+    ~free:(fun _ -> Clock.advance clock (lat.Latency.dram_ns / 3))
 
 (* Single-node persistent allocator (the Pmem/NVML row): every alloc and
    free persists a bitmap line and fences. *)
 let table2_pmem n =
-  let clk = Clock.create () in
-  let cost = Latency.nvm_write_cost lat 8 + lat.Latency.persist_fence_ns in
-  let t0 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk cost
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk cost
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  let clock = Clock.create () in
+  let persist _ =
+    Clock.advance clock (Latency.nvm_write_cost lat 8 + lat.Latency.persist_fence_ns)
+  in
+  alloc_free ~clock n ~alloc:persist ~free:persist
 
 (* Remote allocation through the management RPC only: every alloc/free is
    one RFP round on a raw connection. *)
@@ -140,18 +126,14 @@ let table2_rpc n =
       ~remote_mem:(Backend.device bk) lat
   in
   let addrs = Array.make n 0 in
-  let t0 = Clock.now clk in
-  for i = 0 to n - 1 do
-    match Backend.rpc bk ~conn ~session:None (Rpc_msg.Malloc { slabs = 1 }) with
-    | Rpc_msg.R_addr a -> addrs.(i) <- a
-    | _ -> failwith "table2: rpc alloc failed"
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for i = 0 to n - 1 do
-    ignore (Backend.rpc bk ~conn ~session:None (Rpc_msg.Free { addr = addrs.(i); slabs = 1 }))
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  alloc_free ~clock:clk n
+    ~alloc:(fun i ->
+      match Backend.rpc bk ~conn ~session:None (Rpc_msg.Malloc { slabs = 1 }) with
+      | Rpc_msg.R_addr a -> addrs.(i) <- a
+      | _ -> failwith "table2: rpc alloc failed")
+    ~free:(fun i ->
+      let free = Rpc_msg.Free { addr = addrs.(i); slabs = 1 } in
+      ignore (Backend.rpc bk ~conn ~session:None free))
 
 let table2 sc =
   let n = max 2000 (sc.ops / 2) in
@@ -181,16 +163,9 @@ let table2 sc =
     let rng = Asym_util.Rng.create ~seed:2L in
     let sizes = Array.init n (fun _ -> Asym_util.Rng.choose rng alloc_sizes) in
     let addrs = Array.make n 0 in
-    let t0 = Clock.now clk in
-    for i = 0 to n - 1 do
-      addrs.(i) <- Client.malloc c sizes.(i)
-    done;
-    let alloc = mops n (Clock.now clk - t0) in
-    let t1 = Clock.now clk in
-    for i = 0 to n - 1 do
-      Client.free c addrs.(i) ~len:sizes.(i)
-    done;
-    (alloc, mops n (Clock.now clk - t1))
+    alloc_free ~clock:clk n
+      ~alloc:(fun i -> addrs.(i) <- Client.malloc c sizes.(i))
+      ~free:(fun i -> Client.free c addrs.(i) ~len:sizes.(i))
   in
   let a128, f128 = two_tier 128 in
   Report.add_row t [ "Two-tier (slab 128B)"; Report.mops a128; Report.mops f128 ];
@@ -217,7 +192,7 @@ let table3 sc =
         ]
       ()
   in
-  let asym cfg kind = (Runner.run_asym ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
+  let asym = asym_kops sc in
   let sym cfg kind = (Runner.run_sym ~lat ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
   (* SmallBank *)
   Report.add_row t
@@ -304,7 +279,7 @@ let table1 sc =
   in
   let per_op n r = float_of_int n /. float_of_int r.Runner.ops in
   let cell kind cfg =
-    let r = Runner.run_asym ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload ~ops:sc.ops () in
+    let r = asym_cell sc cfg kind in
     Report.add_row t
       [
         Runner.ds_name kind;
@@ -343,43 +318,38 @@ let fig6 sc =
       ()
   in
   let batched_cfg b = if b <= 1 then Client.rc () else Client.rcb ~batch_size:b () in
-  let plain kind b =
-    (Runner.run_asym ~rig:(rig ()) ~cfg:(batched_cfg b) ~kind ~preload:sc.preload ~ops:sc.ops ())
-      .Runner.kops
-  in
+  let plain kind b = asym_kops sc (batched_cfg b) kind in
   let vector kind b =
     if b = 1 then plain kind 1
     else begin
-      let r = rig () in
       let nm = Runner.ds_name kind in
-      let pre = Runner.fresh_client ~name:"pre" r (Client.rcb ~batch_size:256 ()) in
-      Runner.preload_instance
-        (Runner.client_instance kind pre ~name:nm)
-        ~fifo:false ~n:sc.preload ~value_size:64;
-      let cfg = Runner.with_cache_pct r (Client.rcb ~batch_size:2 ()) 0.10 in
-      let c = Runner.fresh_client ~name:nm r cfg in
+      let c =
+        Runner.loaded_client (rig ()) ~name:nm ~cache_pct:0.10 (Client.rcb ~batch_size:2 ())
+          ~load:(fun pre ->
+            Runner.preload_instance
+              (Runner.client_instance kind pre ~name:nm)
+              ~fifo:false ~n:sc.preload ~value_size:64)
+      in
       let inst = Runner.client_instance kind c ~name:nm in
       let vput = match inst.Runner.vput with Some f -> f | None -> assert false in
       let rng = Asym_util.Rng.create ~seed:11L in
-      let chunks = sc.ops / b in
+      let key () = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 4)) in
       let clock = Client.clock c in
       (* Warm the cache and the adaptive level threshold. *)
       for _ = 1 to sc.ops / 2 do
-        let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 4)) in
+        let k = key () in
         inst.Runner.put k (Runner.value_of k)
       done;
       Client.flush c;
-      let t0 = Clock.now clock in
-      for _ = 1 to max 1 chunks do
-        let pairs =
-          List.init b (fun _ ->
-              let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 4)) in
-              (k, Runner.value_of k))
-        in
-        vput pairs
-      done;
-      let ops = max 1 chunks * b in
-      Runner.kops_of ops (Clock.now clock - t0)
+      let chunks = max 1 (sc.ops / b) in
+      let _, elapsed, _ =
+        Runner.measure ~clock ~ops:chunks (fun _ ->
+            vput
+              (List.init b (fun _ ->
+                   let k = key () in
+                   (k, Runner.value_of k))))
+      in
+      Runner.kops_of (chunks * b) elapsed
     end
   in
   let tatp b = run_tatp_asym ~cfg:(batched_cfg b) ~sc () in
@@ -408,11 +378,7 @@ let fig7 sc =
     Report.add_row t
       (Runner.ds_name kind
       :: List.map
-           (fun pct ->
-             Report.kops
-               (Runner.run_asym ~cache_pct:pct ~rig:(rig ()) ~cfg:(Client.rcb ())
-                  ~kind ~preload:sc.preload ~ops:sc.ops ())
-                 .Runner.kops)
+           (fun pct -> Report.kops (asym_kops ~cache_pct:pct sc (Client.rcb ()) kind))
            cache_pcts)
   in
   List.iter ds [ Runner.Bpt; Runner.Bst; Runner.Skip_list; Runner.Mv_bpt; Runner.Mv_bst ];
@@ -425,10 +391,7 @@ let fig7 sc =
     ("HashTable"
     :: List.map
          (fun pct ->
-           Report.kops
-             (Runner.run_asym ~cache_pct:pct ~rig:(rig ()) ~cfg:(Client.rc ())
-                ~kind:Runner.Hash_table ~preload:sc.preload ~ops:sc.ops ())
-               .Runner.kops)
+           Report.kops (asym_kops ~cache_pct:pct sc (Client.rc ()) Runner.Hash_table))
          cache_pcts);
   Report.add_row t
     ("SmallBank"
@@ -460,10 +423,7 @@ let fig12 sc =
       (Runner.ds_name kind
       :: List.map
            (fun (_, dist) ->
-             Report.kops
-               (Runner.run_asym ~dist ~put_ratio:0.5 ~rig:(rig ()) ~cfg:(Client.rcb ())
-                  ~kind ~preload:sc.preload ~ops:sc.ops ())
-                 .Runner.kops)
+             Report.kops (asym_kops ~dist ~put_ratio:0.5 sc (Client.rcb ()) kind))
            dists)
   in
   List.iter ds [ Runner.Bpt; Runner.Bst; Runner.Skip_list; Runner.Mv_bpt; Runner.Mv_bst; Runner.Hash_table ];
@@ -551,9 +511,7 @@ let latency sc =
     (fun kind ->
       List.iter
         (fun cfg ->
-          let r =
-            Runner.run_asym ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()
-          in
+          let r = asym_cell sc cfg kind in
           Report.add_row t
             [
               Runner.ds_name kind;
@@ -584,9 +542,7 @@ let ycsb sc =
       | Asym_workload.Ycsb.C -> (Asym_workload.Ycsb.Zipfian 0.99, 0.0)
       | Asym_workload.Ycsb.D -> (Asym_workload.Ycsb.Uniform, 0.05)
     in
-    (Runner.run_asym ~dist ~put_ratio ~rig:(rig ()) ~cfg:(Client.rc ()) ~kind
-       ~preload:sc.preload ~ops:sc.ops ())
-      .Runner.kops
+    asym_kops ~dist ~put_ratio sc (Client.rc ()) kind
   in
   List.iter
     (fun kind ->
@@ -660,9 +616,8 @@ let cache_policy sc =
          the hash table (§8.2). *)
       let cfg = { (Client.rc ()) with Client.cache_policy = policy; Client.page_size = 64 } in
       let res =
-        Runner.run_asym ~dist:(Asym_workload.Ycsb.Zipfian 0.99) ~put_ratio:0.0
-          ~cache_pct:0.02 ~rig:(rig ()) ~cfg ~kind:Runner.Hash_table ~preload:sc.preload
-          ~ops:(2 * sc.ops) ()
+        asym_cell ~dist:(Asym_workload.Ycsb.Zipfian 0.99) ~put_ratio:0.0 ~cache_pct:0.02
+          { sc with ops = 2 * sc.ops } cfg Runner.Hash_table
       in
       let total = res.Runner.cache_hits + res.Runner.cache_misses in
       let miss = if total = 0 then 0.0 else float_of_int res.Runner.cache_misses /. float_of_int total in
@@ -695,7 +650,7 @@ let ablation sc =
     let c = Runner.fresh_client ~name:"st" r cfg in
     let inst = Runner.client_instance Runner.Stack c ~name:"st" in
     let clock = Client.clock c in
-    let kops, _ =
+    let kops, _, _ =
       Runner.measure ~clock ~ops:sc.ops (fun i ->
           if i land 1 = 0 then inst.Runner.push (Runner.value_of (Int64.of_int i))
           else ignore (inst.Runner.pop ()))
@@ -707,9 +662,7 @@ let ablation sc =
     [ "stack push/pop annulment (batching)"; Report.kops off; Report.kops on_; Report.ratio (on_ /. off) ];
   (* 2. §4.3 op-log pointer on the wire. *)
   let wire opt =
-    let cfg = { (Client.rcb ()) with Client.pointer_wire_opt = opt } in
-    (Runner.run_asym ~rig:(rig ()) ~cfg ~kind:Runner.Bpt ~preload:sc.preload ~ops:sc.ops ())
-      .Runner.kops
+    asym_kops sc { (Client.rcb ()) with Client.pointer_wire_opt = opt } Runner.Bpt
   in
   let woff = wire false and won = wire true in
   Report.add_row t
@@ -719,27 +672,26 @@ let ablation sc =
      lower levels, so pulling every node through it evicts the hot upper
      levels. *)
   let levels all =
-    let r = rig () in
-    let pre = Runner.fresh_client ~name:"pre" r (Client.rcb ~batch_size:256 ()) in
     (* A deep tree and a cache that holds the upper levels but not the
        leaves: that is where the level hint pays. *)
-    Runner.preload_instance
-      (Runner.client_instance Runner.Bst pre ~name:"bst")
-      ~fifo:false ~n:(sc.preload * 4) ~value_size:64;
-    let cfg = Runner.with_cache_pct r (Client.rcb ()) 0.03 in
-    let c = Runner.fresh_client ~name:"bst" r cfg in
-    let module P = Bst_c in
-    let b = P.attach ~cache_all_levels:all c ~name:"bst" in
+    let c =
+      Runner.loaded_client (rig ()) ~name:"bst" ~cache_pct:0.03 (Client.rcb ())
+        ~load:(fun pre ->
+          Runner.preload_instance
+            (Runner.client_instance Runner.Bst pre ~name:"bst")
+            ~fifo:false ~n:(sc.preload * 4) ~value_size:64)
+    in
+    let b = Bst_c.attach ~cache_all_levels:all c ~name:"bst" in
     let rng = Asym_util.Rng.create ~seed:31L in
+    let key () = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
     (* Warm, then measure. *)
     for _ = 1 to sc.ops / 2 do
-      let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
-      ignore (P.find b ~key:k)
+      ignore (Bst_c.find b ~key:(key ()))
     done;
-    let kops, _ =
+    let kops, _, _ =
       Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
-          let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
-          P.put b ~key:k ~value:(Runner.value_of k))
+          let k = key () in
+          Bst_c.put b ~key:k ~value:(Runner.value_of k))
     in
     kops
   in
@@ -748,8 +700,8 @@ let ablation sc =
     [ "adaptive level caching (vs cache-all)"; Report.kops loff; Report.kops lon; Report.ratio (lon /. loff) ];
   (* 4. §4.2 transaction coalescing: R vs naive per-store writes, on the
      write-dominated queue where the effect is purest. *)
-  let n = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.naive ()) ~kind:Runner.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
-  let rr = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.r ()) ~kind:Runner.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
+  let n = asym_kops sc (Client.naive ()) Runner.Queue in
+  let rr = asym_kops sc (Client.r ()) Runner.Queue in
   Report.add_row t
     [ "memory-log tx coalescing (Queue: naive vs R)"; Report.kops n; Report.kops rr; Report.ratio (rr /. n) ];
   t

@@ -46,7 +46,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
             ()));
   let inst = Runner.client_instance kind fe ~name:"faultsweep" in
   let base = Int64.of_int (4 * preload) in
-  let kops, _elapsed =
+  let kops, _, _ =
     Runner.measure ~clock:(Client.clock fe) ~ops (fun i ->
         let key = Int64.add base (Int64.of_int i) in
         inst.Runner.put key (Runner.value_of ~size:value_size key))

@@ -1,21 +1,44 @@
 (** Multi-front-end experiments: reader scalability (Figure 8), multiple
     structures per back-end (Figure 9), partitioning over several
     back-ends (Figure 10), CPU utilization (Figure 11), the §6.3 lock
-    ping-point test, and the lock-contention scaling study. Each client
-    is a straight-line loop handed to {!Asym_sim.Sched}, which suspends
-    it at every clock advance — clients interleave at verb granularity,
-    racing inside lock holds and optimistic read sections. *)
+    ping-point test, and the lock-contention scaling study. Each
+    experiment only describes its clients' steps; {!Runner.race} runs
+    them as straight-line loops under {!Asym_sim.Sched}, which suspends a
+    client at every clock advance — clients interleave at verb
+    granularity, racing inside lock holds and optimistic read sections. *)
 
 open Asym_sim
 open Asym_core
 
 let lat = Latency.default
 
-(* Align a set of clocks at a common starting line. *)
-let align clocks =
-  let t0 = Sched.makespan clocks in
-  List.iter (fun c -> Clock.wait_until c t0) clocks;
-  t0
+(* A uniformly random insert / lookup over the keys [0, keyspace). *)
+let put_random inst rng keyspace =
+  let k = Int64.of_int (Asym_util.Rng.int rng keyspace) in
+  inst.Runner.put k (Runner.value_of k)
+
+let get_random inst rng keyspace =
+  ignore (inst.Runner.get (Int64.of_int (Asym_util.Rng.int rng keyspace)))
+
+(* {!Runner.race} entries for front-ends that each insert random keys,
+   front-end [i] drawing them from seed [seed + i]. *)
+let inserters ~seed ~keyspace clients =
+  List.mapi
+    (fun i (c, inst) ->
+      let rng = Asym_util.Rng.create ~seed:(Int64.of_int (seed + i)) in
+      (Client.clock c, fun () -> put_random inst rng keyspace))
+    clients
+
+(* A raced client's throughput over its own window from [t0]. *)
+let rate t0 c n = Runner.kops_of n (Clock.now (Client.clock c) - t0)
+
+let mean = function
+  | [] -> 0.0
+  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+(* Failed optimistic reads over attempted reads. *)
+let fail_ratio ~ok ~failed =
+  if ok + failed = 0 then 0.0 else float_of_int failed /. float_of_int (ok + failed)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8 — multiple readers, one writer                              *)
@@ -44,56 +67,26 @@ let fig8_point ~kind ~readers ~preload ~duration =
     (fun i (_, inst) ->
       let rng = Asym_util.Rng.create ~seed:(Int64.of_int (900 + i)) in
       for _ = 1 to 1024 do
-        ignore (inst.Runner.get (Int64.of_int (Asym_util.Rng.int rng preload)))
+        get_random inst rng preload
       done)
     rinsts;
-  let clocks = Client.clock writer :: List.map Client.clock rclients in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let wops = ref 0 in
   let wrng = Asym_util.Rng.create ~seed:51L in
-  let wclock = Client.clock writer in
-  let wclient =
-    Sched.client ~clock:wclock ~run:(fun () ->
-        while Clock.now wclock < deadline do
-          let k = Int64.of_int (Asym_util.Rng.int wrng (preload * 4)) in
-          winst.Runner.put k (Runner.value_of k);
-          incr wops
-        done)
+  let read i (c, inst) =
+    let rng = Asym_util.Rng.create ~seed:(Int64.of_int (100 + i)) in
+    (Client.clock c, fun () -> get_random inst rng preload)
   in
-  let rops = Hashtbl.create 8 in
-  let rclients_s =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (100 + i)) in
-        Hashtbl.replace rops i 0;
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng preload) in
-              ignore (inst.Runner.get k);
-              Hashtbl.replace rops i (Hashtbl.find rops i + 1)
-            done))
-      rinsts
+  let t0, counts =
+    Runner.race ~duration
+      ((Client.clock writer, fun () -> put_random winst wrng (preload * 4))
+      :: List.mapi read rinsts)
   in
-  Sched.run (wclient :: rclients_s);
-  let writer_kops = Runner.kops_of !wops (Clock.now (Client.clock writer) - t0) in
-  let reader_rates =
-    List.mapi
-      (fun i c -> Runner.kops_of (Hashtbl.find rops i) (Clock.now (Client.clock c) - t0))
-      rclients
-  in
-  let reader_avg_kops =
-    if readers = 0 then 0.0
-    else List.fold_left ( +. ) 0.0 reader_rates /. float_of_int readers
-  in
-  let total_reads = Hashtbl.fold (fun _ v a -> a + v) rops 0 in
+  let rops = List.tl counts in
   let retries = List.fold_left (fun a c -> a + Client.read_retries c) 0 rclients in
-  let retry_ratio =
-    if total_reads + retries = 0 then 0.0
-    else float_of_int retries /. float_of_int (total_reads + retries)
-  in
-  { writer_kops; reader_avg_kops; retry_ratio }
+  {
+    writer_kops = rate t0 writer (List.hd counts);
+    reader_avg_kops = mean (List.map2 (rate t0) rclients rops);
+    retry_ratio = fail_ratio ~ok:(List.fold_left ( + ) 0 rops) ~failed:retries;
+  }
 
 let fig8 ~preload ~duration =
   let t =
@@ -138,26 +131,10 @@ let fig9_point ~kind ~n ~preload ~duration =
         Runner.preload_instance inst ~fifo:false ~n:preload ~value_size:64;
         (c, inst))
   in
-  let clocks = List.map (fun (c, _) -> Client.clock c) clients in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let counts = Array.make n 0 in
-  let scheds =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (200 + i)) in
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Runner.put k (Runner.value_of k);
-              counts.(i) <- counts.(i) + 1
-            done))
-      clients
+  let _, counts =
+    Runner.race ~duration (inserters ~seed:200 ~keyspace:(preload * 4) clients)
   in
-  Sched.run scheds;
-  let total = Array.fold_left ( + ) 0 counts in
-  Runner.kops_of total duration
+  Runner.kops_of (List.fold_left ( + ) 0 counts) duration
 
 let fig9 ~preload ~duration =
   let t =
@@ -203,12 +180,12 @@ let fig10_point ~kind ~backends ~preload ~ops =
   Array.iter (fun k -> (route k).Runner.put k (Runner.value_of k)) keys;
   Asym_structs.Multi_backend.iter_parts mb (fun _ inst -> inst.Runner.cleanup ());
   let rng = Asym_util.Rng.create ~seed:61L in
-  let t0 = Clock.now clock in
-  for _ = 1 to ops do
-    let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-    (route k).Runner.put k (Runner.value_of k)
-  done;
-  Runner.kops_of ops (Clock.now clock - t0)
+  let kops, _, _ =
+    Runner.measure ~clock ~ops (fun _ ->
+        let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
+        (route k).Runner.put k (Runner.value_of k))
+  in
+  kops
 
 let fig10 ~preload ~ops =
   let t =
@@ -249,16 +226,15 @@ let fig11 ~preload ~ops =
   let per_window = max 1 (ops / windows) in
   let done_ops = ref 0 in
   for _ = 1 to windows do
-    let t0 = Clock.now clock in
     let fe_busy0 = Clock.busy clock in
     let be_busy0 = Timeline.busy_total (Backend.cpu rig.Runner.bk) in
-    for _ = 1 to per_window do
-      let k = Int64.of_int (Asym_util.Rng.int rng (preload * 2)) in
-      if Asym_util.Rng.float rng < 0.1 then inst.Runner.put k (Runner.value_of k)
-      else ignore (inst.Runner.get k)
-    done;
+    let _, elapsed, _ =
+      Runner.measure ~clock ~ops:per_window (fun _ ->
+          let k = Int64.of_int (Asym_util.Rng.int rng (preload * 2)) in
+          if Asym_util.Rng.float rng < 0.1 then inst.Runner.put k (Runner.value_of k)
+          else ignore (inst.Runner.get k))
+    in
     done_ops := !done_ops + per_window;
-    let elapsed = Clock.now clock - t0 in
     let fe = float_of_int (Clock.busy clock - fe_busy0) /. float_of_int (max 1 elapsed) in
     let be =
       float_of_int (Timeline.busy_total (Backend.cpu rig.Runner.bk) - be_busy0)
@@ -290,56 +266,30 @@ let lock_bench_point ~write_ratio ~readers ~duration =
         let c = Runner.fresh_client ~name:(Printf.sprintf "r%d" i) rig (Client.r ()) in
         (c, Client.register_ds c "object"))
   in
-  let clocks = Client.clock wc :: List.map (fun (c, _) -> Client.clock c) rcs in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let writes = ref 0 in
   let wrng = Asym_util.Rng.create ~seed:81L in
-  let wclk = Client.clock wc in
-  let writer =
-    Sched.client ~clock:wclk ~run:(fun () ->
-        while Clock.now wclk < deadline do
-          if Asym_util.Rng.float wrng < write_ratio then begin
-            Client.writer_lock wc wh;
-            ignore (Client.op_begin wc ~ds:wh.Types.id ~optype:1 ~params:Bytes.empty);
-            Client.write wc ~ds:wh.Types.id ~addr (Bytes.make 64 'w');
-            Client.op_end wc ~ds:wh.Types.id;
-            Client.writer_unlock wc wh
-          end
-          else ignore (Client.read wc ~addr ~len:64);
-          incr writes
-        done)
+  let write () =
+    if Asym_util.Rng.float wrng < write_ratio then begin
+      Client.writer_lock wc wh;
+      ignore (Client.op_begin wc ~ds:wh.Types.id ~optype:1 ~params:Bytes.empty);
+      Client.write wc ~ds:wh.Types.id ~addr (Bytes.make 64 'w');
+      Client.op_end wc ~ds:wh.Types.id;
+      Client.writer_unlock wc wh
+    end
+    else ignore (Client.read wc ~addr ~len:64)
   in
-  let reads = Array.make readers 0 in
-  let fails = Array.make readers 0 in
-  let rsched =
-    List.mapi
-      (fun i (c, hh) ->
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let before = Client.read_retries c in
-              ignore (Client.read_section c hh (fun () -> Client.read c ~addr ~len:64));
-              reads.(i) <- reads.(i) + 1;
-              fails.(i) <- fails.(i) + (Client.read_retries c - before)
-            done))
-      rcs
+  let read (c, hh) =
+    let read () = Client.read c ~addr ~len:64 in
+    (Client.clock c, fun () -> ignore (Client.read_section c hh read))
   in
-  Sched.run (writer :: rsched);
-  let writer_kops = Runner.kops_of !writes (Clock.now (Client.clock wc) - t0) in
-  let reader_total = Array.fold_left ( + ) 0 reads in
-  let fail_total = Array.fold_left ( + ) 0 fails in
-  let per_reader =
-    Array.to_list reads
-    |> List.mapi (fun i n ->
-           Runner.kops_of n (Clock.now (Client.clock (fst (List.nth rcs i))) - t0))
-  in
-  let reader_avg = List.fold_left ( +. ) 0.0 per_reader /. float_of_int readers in
-  let fail_ratio =
-    if reader_total + fail_total = 0 then 0.0
-    else float_of_int fail_total /. float_of_int (reader_total + fail_total)
-  in
-  (reader_avg, reader_avg *. float_of_int readers, writer_kops, fail_ratio)
+  let retries () = List.fold_left (fun a (c, _) -> a + Client.read_retries c) 0 rcs in
+  let retries0 = retries () in
+  let t0, counts = Runner.race ~duration ((Client.clock wc, write) :: List.map read rcs) in
+  let reads = List.tl counts in
+  let reader_avg = mean (List.map2 (fun (c, _) n -> rate t0 c n) rcs reads) in
+  ( reader_avg,
+    reader_avg *. float_of_int readers,
+    rate t0 wc (List.hd counts),
+    fail_ratio ~ok:(List.fold_left ( + ) 0 reads) ~failed:(retries () - retries0) )
 
 let lock_bench ~duration =
   let t =
@@ -386,25 +336,8 @@ let contention_point ~writers ~preload ~duration =
         let c = Runner.fresh_client ~name:(Printf.sprintf "w%d" i) rig cfg in
         (c, Runner.client_instance ~shared:true Runner.Bst c ~name:"contended-ds"))
   in
-  let clocks = List.map (fun (c, _) -> Client.clock c) wcs in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let counts = Array.make writers 0 in
-  let scheds =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (300 + i)) in
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Runner.put k (Runner.value_of k);
-              counts.(i) <- counts.(i) + 1
-            done))
-      wcs
-  in
-  Sched.run scheds;
-  let total = Array.fold_left ( + ) 0 counts in
+  let t0, counts = Runner.race ~duration (inserters ~seed:300 ~keyspace:(preload * 4) wcs) in
+  let total = List.fold_left ( + ) 0 counts in
   let elapsed =
     List.fold_left (fun a (c, _) -> a + (Clock.now (Client.clock c) - t0)) 0 wcs
   in

@@ -117,7 +117,7 @@ let preload_instance inst ~fifo ~n ~value_size =
   end;
   inst.cleanup ()
 
-(* -- single-client measured run ------------------------------------------- *)
+(* -- measured runs ------------------------------------------------------- *)
 
 type result = {
   kops : float;
@@ -166,16 +166,9 @@ let result ~ops ~before ~after (kops, elapsed, lats) =
     lat_p99_us = Asym_util.Stats.percentile lats 99.0;
   }
 
+(* Time [ops] operations on [clock]: virtual-time throughput, the elapsed
+   window, and each operation's virtual latency in microseconds. *)
 let measure ~clock ~ops f =
-  let t0 = Clock.now clock in
-  for i = 0 to ops - 1 do
-    f i
-  done;
-  let elapsed = Clock.now clock - t0 in
-  (kops_of ops elapsed, elapsed)
-
-(* Like {!measure} but also records each operation's virtual latency. *)
-let measure_latencies ~clock ~ops f =
   let lats = Array.make (max 1 ops) 0.0 in
   let t0 = Clock.now clock in
   for i = 0 to ops - 1 do
@@ -186,107 +179,122 @@ let measure_latencies ~clock ~ops f =
   let elapsed = Clock.now clock - t0 in
   (kops_of ops elapsed, elapsed, lats)
 
-(* One operation against the facade. For key/value structures [put_ratio]
-   selects between insert (PUT) and find (GET); for queue/stack it selects
-   between push and pop. *)
-let one_op inst ~fifo ~value_size ~put_ratio ~rng gen i =
-  if fifo then begin
-    if Asym_util.Rng.float rng < put_ratio then
-      inst.push (value_of ~size:value_size (Int64.of_int i))
-    else ignore (inst.pop ())
-  end
-  else if Asym_util.Rng.float rng < put_ratio then begin
-    let k = Asym_workload.Ycsb.key gen in
-    inst.put k (value_of ~size:value_size k)
-  end
-  else ignore (inst.get (Asym_workload.Ycsb.key gen))
+(* The measured client of a cell: [load] fills the rig through a
+   throwaway batched front-end, then the measured client connects with
+   its cache sized to [cache_pct] of the NVM the load used. *)
+let loaded_client rig ~name ~cache_pct ~load cfg =
+  let pre = fresh_client ~name:(name ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
+  load pre;
+  Client.flush pre;
+  fresh_client ~name rig (with_cache_pct rig cfg cache_pct)
 
-(* Run [ops] operations of the given mix on an already attached instance,
-   measuring virtual-time throughput on [clock]. *)
-let drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace ~ops ~seed inst =
+(* The symmetric baseline's counterpart: a local store on a fresh clock. *)
+let local_store ~name ~cfg lat =
+  Asym_baseline.Local_store.create ~cfg lat ~clock:(Clock.create ~name:("sym." ^ name) ())
+
+let align clocks =
+  let t0 = Sched.makespan clocks in
+  List.iter (fun c -> Clock.wait_until c t0) clocks;
+  t0
+
+(* Closed-loop multi-client window: from a common starting line [t0], each
+   client repeats its [step] under the co-simulation until its clock
+   passes [t0 + duration]. *)
+let race ~duration racers =
+  let t0 = align (List.map fst racers) in
+  let deadline = t0 + duration in
+  let counts = Array.make (List.length racers) 0 in
+  Sched.run
+    (List.mapi
+       (fun i (clock, step) ->
+         Sched.client ~clock ~run:(fun () ->
+             while Clock.now clock < deadline do
+               step ();
+               counts.(i) <- counts.(i) + 1
+             done))
+       racers);
+  (t0, Array.to_list counts)
+
+(* One operation of the YCSB-style mix, as a closure over its own
+   generator. For key/value structures [put_ratio] selects between insert
+   (PUT) and find (GET); for queue/stack it selects between push and
+   pop. *)
+let mix_op ~fifo ~value_size ~put_ratio ~dist ~keyspace ~seed inst =
   let rng = Asym_util.Rng.create ~seed in
   let gen =
     Asym_workload.Ycsb.create ~value_size ~distribution:dist ~keyspace:(max 1 keyspace)
       ~put_ratio rng
   in
-  measure_latencies ~clock ~ops (fun i -> one_op inst ~fifo ~value_size ~put_ratio ~rng gen i)
+  fun i ->
+    if fifo then begin
+      if Asym_util.Rng.float rng < put_ratio then
+        inst.push (value_of ~size:value_size (Int64.of_int i))
+      else ignore (inst.pop ())
+    end
+    else if Asym_util.Rng.float rng < put_ratio then begin
+      let k = Asym_workload.Ycsb.key gen in
+      inst.put k (value_of ~size:value_size k)
+    end
+    else ignore (inst.get (Asym_workload.Ycsb.key gen))
 
-(* One Table-3-style cell on the AsymNVM architecture: preload through a
-   throwaway client, then measure on a fresh client with the target
-   configuration (cache sized as a fraction of the NVM in use). *)
+(* The measured window of a cell on client [c]. When observability is on
+   it becomes one metrics phase (snapshot + reset, so counters are
+   per-cell). *)
+let measured c ~phase ~ops op =
+  let before = counters c in
+  let m = Obs_report.phase phase (fun () -> measure ~clock:(Client.clock c) ~ops op) in
+  result ~ops ~before ~after:(counters c) m
+
+let preloaded rig ~kind ~preload ~value_size ~cache_pct cfg =
+  let nm = ds_name kind in
+  loaded_client rig ~name:nm ~cache_pct cfg ~load:(fun pre ->
+      preload_instance (client_instance kind pre ~name:nm) ~fifo:(is_fifo kind) ~n:preload
+        ~value_size)
+
+(* One Table-3-style cell on the AsymNVM architecture: preload, warm the
+   measurement client's cache and adaptive level threshold, measure. *)
 let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_ratio = 1.0)
     ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ?warmup ~rig ~cfg ~kind ~preload ~ops
     () =
-  let fifo = is_fifo kind in
-  let nm = ds_name kind in
-  let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = client_instance kind pre ~name:nm in
-  preload_instance pinst ~fifo ~n:preload ~value_size;
-  let cfg = with_cache_pct rig cfg cache_pct in
-  let c = fresh_client ~name:nm rig cfg in
-  let inst = client_instance ~shared kind c ~name:nm in
-  let clock = Client.clock c in
-  (* Warm the cache and the adaptive level threshold before measuring. *)
+  let c = preloaded rig ~kind ~preload ~value_size ~cache_pct cfg in
+  let inst = client_instance ~shared kind c ~name:(ds_name kind) in
+  let op =
+    mix_op ~fifo:(is_fifo kind) ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) inst
+  in
   let warmup = match warmup with Some w -> w | None -> max 256 (ops / 2) in
-  let _ =
-    drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops:warmup
-      ~seed:(Int64.add seed 1L) inst
-  in
-  let before = counters c in
-  let m =
-    (* When observability is on, each measured cell becomes one metrics
-       phase: snapshot + reset, so counters are per-cell. *)
-    Obs_report.phase
-      (nm ^ "." ^ Client.config_name cfg)
-      (fun () ->
-        drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
-  in
-  result ~ops ~before ~after:(counters c) m
+  ignore (measure ~clock:(Client.clock c) ~ops:warmup (op ~seed:(Int64.add seed 1L)));
+  measured c ~phase:(ds_name kind ^ "." ^ Client.config_name cfg) ~ops (op ~seed)
 
 (* A Figure-13 style run: the synthetic industry trace (power-law keys,
    64 B - 8 KB values) instead of the fixed-size YCSB generator. *)
 let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~ops ~put_ratio ()
     =
-  let fifo = is_fifo kind in
-  let nm = ds_name kind in
-  let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = client_instance kind pre ~name:nm in
-  preload_instance pinst ~fifo ~n:preload ~value_size:64;
-  let cfg = with_cache_pct rig cfg cache_pct in
-  let c = fresh_client ~name:nm rig cfg in
-  let inst = client_instance kind c ~name:nm in
-  let before = counters c in
-  let rng = Asym_util.Rng.create ~seed in
+  let c = preloaded rig ~kind ~preload ~value_size:64 ~cache_pct cfg in
+  let inst = client_instance kind c ~name:(ds_name kind) in
   let tr =
     Asym_workload.Trace.create
-      ~kind:(if fifo then `Fifo put_ratio else `Kv put_ratio)
-      rng
+      ~kind:(if is_fifo kind then `Fifo put_ratio else `Kv put_ratio)
+      (Asym_util.Rng.create ~seed)
   in
-  let clock = Client.clock c in
-  let m =
-    Obs_report.phase
-      (nm ^ ".trace." ^ Client.config_name cfg)
-      (fun () ->
-        measure_latencies ~clock ~ops (fun _ ->
-            match Asym_workload.Trace.next tr with
-            | Asym_workload.Trace.Push v -> inst.push v
-            | Asym_workload.Trace.Pop -> ignore (inst.pop ())
-            | Asym_workload.Trace.Put (k, v) -> inst.put k v
-            | Asym_workload.Trace.Get k -> ignore (inst.get k)))
-  in
-  result ~ops ~before ~after:(counters c) m
+  measured c ~phase:(ds_name kind ^ ".trace." ^ Client.config_name cfg) ~ops (fun _ ->
+      match Asym_workload.Trace.next tr with
+      | Asym_workload.Trace.Push v -> inst.push v
+      | Asym_workload.Trace.Pop -> ignore (inst.pop ())
+      | Asym_workload.Trace.Put (k, v) -> inst.put k v
+      | Asym_workload.Trace.Get k -> ignore (inst.get k))
 
 (* The same cell on the symmetric baseline. *)
 let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform)
     ?(seed = 99L) ~lat ~cfg ~kind ~preload ~ops () =
   let fifo = is_fifo kind in
   let nm = ds_name kind in
-  let clock = Clock.create ~name:("sym." ^ nm) () in
-  let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
+  let s = local_store ~name:nm ~cfg lat in
   let inst = local_instance kind s ~name:nm in
   preload_instance inst ~fifo ~n:preload ~value_size;
+  let clock = Asym_baseline.Local_store.clock s in
   let m =
     Obs_report.phase (nm ^ ".sym") (fun () ->
-        drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
+        measure ~clock ~ops
+          (mix_op ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~seed inst))
   in
   result ~ops ~before:no_counters ~after:no_counters m

@@ -2,9 +2,12 @@
 
     Builds rigs (a back-end plus optional mirrors), attaches the eight
     data structures through {!Asym_structs.Catalog} on both
-    architectures, and runs the standard preload → warm-up → measure
-    cycle that every table/figure cell uses. Throughput is virtual-time throughput: operations divided
-    by the simulated nanoseconds they spanned. *)
+    architectures, and the three drivers every table/figure cell is
+    built from: {!loaded_client} (preload through a throwaway front-end),
+    {!measure} (a timed single-client loop) and {!race} (a closed-loop
+    multi-client window under {!Asym_sim.Sched}). Throughput is
+    virtual-time throughput: operations divided by the simulated
+    nanoseconds they spanned. *)
 
 type ds_kind = Asym_structs.Catalog.kind =
   | Queue
@@ -96,7 +99,34 @@ val kops_of : int -> Asym_sim.Simtime.t -> float
 (** Operations over elapsed virtual time, in thousands per second (0 for
     an empty window). *)
 
-val measure : clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) -> float * Asym_sim.Simtime.t
+val measure :
+  clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) ->
+  float * Asym_sim.Simtime.t * float array
+(** Run [f 0 .. f (ops-1)] and time them on [clock]: KOPS, the elapsed
+    virtual time, and each operation's virtual latency in microseconds. *)
+
+val loaded_client :
+  rig -> name:string -> cache_pct:float -> load:(Asym_core.Client.t -> unit) ->
+  Asym_core.Client.config -> Asym_core.Client.t
+(** [load] fills the rig through a throwaway [Client.rcb ~batch_size:256]
+    front-end ([name ^ ".preload"]), which is then flushed; the measured
+    client connects with {!with_cache_pct}[ cache_pct]. *)
+
+val local_store :
+  name:string -> cfg:Asym_baseline.Local_store.config -> Asym_sim.Latency.t ->
+  Asym_baseline.Local_store.t
+(** A symmetric-baseline store on a fresh clock named ["sym." ^ name]. *)
+
+val align : Asym_sim.Clock.t list -> Asym_sim.Simtime.t
+(** Move every clock up to their makespan, the common starting line. *)
+
+val race :
+  duration:Asym_sim.Simtime.t -> (Asym_sim.Clock.t * (unit -> unit)) list ->
+  Asym_sim.Simtime.t * int list
+(** Closed-loop co-simulated window: {!align} the clocks at [t0], then run
+    each [(clock, step)] under {!Asym_sim.Sched}, repeating [step] until
+    [clock] reaches [t0 + duration]. Returns [t0] and each client's count
+    of completed steps. *)
 
 val run_asym :
   ?shared:bool -> ?value_size:int -> ?cache_pct:float -> ?put_ratio:float ->

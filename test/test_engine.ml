@@ -21,11 +21,6 @@ let with_obs f () =
       Obs.reset ();
       Obs.set_enabled false)
 
-let align clocks =
-  let t0 = Sched.makespan clocks in
-  List.iter (fun c -> Clock.wait_until c t0) clocks;
-  t0
-
 (* -- determinism ------------------------------------------------------------ *)
 
 (* The scheduler picks the next client purely from (virtual time, client
@@ -87,7 +82,7 @@ let test_lock_interleaving () =
   in
   let c0, h0 = mk "w0" and c1, h1 = mk "w1" in
   let addr = Client.malloc c0 64 in
-  ignore (align [ Client.clock c0; Client.clock c1 ]);
+  ignore (Runner.align [ Client.clock c0; Client.clock c1 ]);
   let sections = Array.make 2 [] in
   let body i c (h : Types.handle) =
     let clk = Client.clock c in
@@ -175,7 +170,7 @@ let test_client_conservation () =
   in
   let pairs = [ mk 0; mk 1 ] in
   let clocks = List.map (fun (c, _) -> Client.clock c) pairs in
-  let t0 = align clocks in
+  let t0 = Runner.align clocks in
   let marks =
     List.map (fun clk -> (clk, Attr.local_snapshot (Clock.attr clk))) clocks
   in
@@ -215,7 +210,7 @@ let test_heartbeat_interleaves () =
   let inst = Runner.client_instance Runner.Bst c ~name:"hbds" in
   let clk = Client.clock c in
   let kclk = Clock.create ~name:"ka" () in
-  ignore (align [ clk; kclk ]);
+  ignore (Runner.align [ clk; kclk ]);
   let lease = Simtime.us 500 in
   let stop = Clock.now clk + Simtime.ms 2 in
   let ka = Ka.create ~lease ~skew:Simtime.zero (Asym_util.Rng.create ~seed:9L) in

@@ -70,6 +70,38 @@ let test_fig9_scales () =
   let three = Multiclient.fig9_point ~kind:Runner.Bpt ~n:3 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
   check Alcotest.bool "3 clients beat 1" true (three > 1.5 *. one)
 
+(* Two front-ends racing on one rig: the co-simulated window reproduces
+   exactly, both make progress, and each runs until its clock passes the
+   deadline. *)
+let test_race () =
+  let duration = Asym_sim.Simtime.ms 2 in
+  let run () =
+    let rig = Runner.make_rig lat in
+    let racers =
+      List.init 2 (fun i ->
+          let c =
+            Runner.fresh_client ~name:(Printf.sprintf "w%d" i) rig
+              (Asym_core.Client.rcb ~batch_size:8 ())
+          in
+          let inst = Runner.client_instance Runner.Bst c ~name:(Printf.sprintf "ds%d" i) in
+          let rng = Asym_util.Rng.create ~seed:(Int64.of_int (10 + i)) in
+          ( Asym_core.Client.clock c,
+            fun () ->
+              let k = Int64.of_int (Asym_util.Rng.int rng 512) in
+              inst.Runner.put k (Runner.value_of k) ))
+    in
+    let t0, counts = Runner.race ~duration racers in
+    List.iter
+      (fun (clk, _) ->
+        check Alcotest.bool "clock ends at or past the deadline" true
+          (Asym_sim.Clock.now clk >= t0 + duration))
+      racers;
+    counts
+  in
+  let a = run () and b = run () in
+  check Alcotest.(list int) "per-client counts identical across runs" a b;
+  List.iter (fun n -> check Alcotest.bool "every client made progress" true (n > 0)) a
+
 let test_fig10_point () =
   let k = Multiclient.fig10_point ~kind:Runner.Bpt ~backends:2 ~preload:300 ~ops:300 in
   check Alcotest.bool "partitioned positive" true (k > 0.0)
@@ -103,6 +135,7 @@ let () =
         [
           Alcotest.test_case "fig8 point" `Quick test_fig8_point;
           Alcotest.test_case "fig9 scaling" `Quick test_fig9_scales;
+          Alcotest.test_case "race" `Quick test_race;
           Alcotest.test_case "fig10 point" `Quick test_fig10_point;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
