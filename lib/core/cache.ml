@@ -2,14 +2,25 @@ type policy = Lru | Rr | Hybrid
 
 let policy_name = function Lru -> "LRU" | Rr -> "RR" | Hybrid -> "Hybrid"
 
+(* A hit touches one node and allocates nothing: the recency list is
+   intrusive and circular around a sentinel (so no link is ever an
+   [option]), and the page table is specialised to int keys. The table is
+   never iterated, so its bucket order cannot leak into any result. *)
 type node = {
   id : int;
   mutable data : bytes;
   mutable last_use : int;
   mutable slot : int;  (* index in the dense array *)
-  mutable prev : node option;  (* towards MRU *)
-  mutable next : node option;  (* towards LRU *)
+  mutable prev : node;  (* towards MRU; the sentinel before the MRU page *)
+  mutable next : node;  (* towards LRU; the sentinel after the LRU page *)
 }
+
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (id : int) = id land max_int
+end)
 
 type t = {
   policy : policy;
@@ -17,11 +28,10 @@ type t = {
   cap : int;  (* capacity in pages *)
   choose_set : int;
   rng : Asym_util.Rng.t;
-  table : (int, node) Hashtbl.t;
-  dense : node option array;
+  table : node Pages.t;
+  sentinel : node;  (* [sentinel.next] is the MRU page, [sentinel.prev] the LRU *)
+  dense : node array;  (* slots [0, count) are live; the rest hold the sentinel *)
   mutable count : int;
-  mutable mru : node option;
-  mutable lru : node option;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -30,17 +40,19 @@ type t = {
 
 let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
   let cap = max 1 (capacity_bytes / page_size) in
+  let rec sentinel =
+    { id = -1; data = Bytes.empty; last_use = 0; slot = -1; prev = sentinel; next = sentinel }
+  in
   {
     policy;
     page = page_size;
     cap;
     choose_set;
     rng;
-    table = Hashtbl.create (2 * cap);
-    dense = Array.make cap None;
+    table = Pages.create (2 * cap);
+    sentinel;
+    dense = Array.make cap sentinel;
     count = 0;
-    mru = None;
-    lru = None;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -60,96 +72,86 @@ let reset_stats t =
 
 (* -- recency list -------------------------------------------------------- *)
 
-let detach t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.lru <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let detach n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.mru;
-  n.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
-  t.mru <- Some n
+  let s = t.sentinel in
+  n.prev <- s;
+  n.next <- s.next;
+  s.next.prev <- n;
+  s.next <- n
 
 let touch t n =
   t.tick <- t.tick + 1;
   n.last_use <- t.tick;
-  (* Compare the nodes, not the options: [t.mru != Some n] tested
-     physical inequality against a freshly boxed option, which is always
-     true, so every hit on the MRU page detached and re-linked it. *)
-  match t.mru with
-  | Some m when m == n -> ()
-  | _ ->
-      t.relinks <- t.relinks + 1;
-      detach t n;
-      push_front t n
+  if t.sentinel.next != n then begin
+    t.relinks <- t.relinks + 1;
+    detach n;
+    push_front t n
+  end
 
 (* -- dense array (for random sampling) ----------------------------------- *)
 
 let dense_add t n =
   n.slot <- t.count;
-  t.dense.(t.count) <- Some n;
+  t.dense.(t.count) <- n;
   t.count <- t.count + 1
 
 let dense_remove t n =
   let last = t.count - 1 in
-  (match t.dense.(last) with
-  | Some m when m != n ->
-      t.dense.(n.slot) <- Some m;
-      m.slot <- n.slot
-  | _ -> ());
-  t.dense.(last) <- None;
+  let m = t.dense.(last) in
+  if m != n then begin
+    t.dense.(n.slot) <- m;
+    m.slot <- n.slot
+  end;
+  t.dense.(last) <- t.sentinel;
   t.count <- last
 
 (* -- eviction ------------------------------------------------------------ *)
 
 let victim t =
   match t.policy with
-  | Lru -> ( match t.lru with Some n -> n | None -> assert false)
-  | Rr -> (
-      match t.dense.(Asym_util.Rng.int t.rng t.count) with
-      | Some n -> n
-      | None -> assert false)
+  | Lru -> t.sentinel.prev
+  | Rr -> t.dense.(Asym_util.Rng.int t.rng t.count)
   | Hybrid ->
-      (* Sample [choose_set] pages, evict the least recently used one. *)
-      let best = ref None in
-      for _ = 1 to t.choose_set do
-        match t.dense.(Asym_util.Rng.int t.rng t.count) with
-        | Some n -> (
-            match !best with
-            | Some b when b.last_use <= n.last_use -> ()
-            | _ -> best := Some n)
-        | None -> assert false
+      (* Sample [choose_set] pages, evict the least recently used one; the
+         first of equally old samples wins. *)
+      let best = ref t.dense.(Asym_util.Rng.int t.rng t.count) in
+      for _ = 2 to t.choose_set do
+        let n = t.dense.(Asym_util.Rng.int t.rng t.count) in
+        if n.last_use < !best.last_use then best := n
       done;
-      (match !best with Some n -> n | None -> assert false)
+      !best
 
 let remove t n =
-  Hashtbl.remove t.table n.id;
-  detach t n;
+  Pages.remove t.table n.id;
+  detach n;
   dense_remove t n
 
 (* -- public operations ---------------------------------------------------- *)
 
 let find t id =
-  match Hashtbl.find_opt t.table id with
-  | Some n ->
+  match Pages.find t.table id with
+  | n ->
       touch t n;
       t.hits <- t.hits + 1;
-      Some n.data
-  | None ->
+      n.data
+  | exception Not_found ->
       t.misses <- t.misses + 1;
-      None
+      raise Not_found
 
 let insert t id data =
-  match Hashtbl.find_opt t.table id with
-  | Some n ->
+  match Pages.find t.table id with
+  | n ->
       n.data <- data;
       touch t n
-  | None ->
+  | exception Not_found ->
       if t.count >= t.cap then remove t (victim t);
-      let n = { id; data; last_use = 0; slot = 0; prev = None; next = None } in
-      Hashtbl.replace t.table id n;
+      let s = t.sentinel in
+      let n = { id; data; last_use = 0; slot = 0; prev = s; next = s } in
+      Pages.replace t.table id n;
       dense_add t n;
       push_front t n;
       t.tick <- t.tick + 1;
@@ -160,9 +162,9 @@ let patch t ~addr value =
   let first = addr / t.page in
   let last = (addr + len - 1) / t.page in
   for id = first to last do
-    match Hashtbl.find_opt t.table id with
-    | None -> ()
-    | Some n ->
+    match Pages.find t.table id with
+    | exception Not_found -> ()
+    | n ->
         let page_base = id * t.page in
         let lo = max addr page_base in
         let hi = min (addr + len) (page_base + Bytes.length n.data) in
@@ -170,8 +172,8 @@ let patch t ~addr value =
   done
 
 let clear t =
-  Hashtbl.reset t.table;
-  Array.fill t.dense 0 t.cap None;
+  Pages.reset t.table;
+  Array.fill t.dense 0 t.cap t.sentinel;
   t.count <- 0;
-  t.mru <- None;
-  t.lru <- None
+  t.sentinel.next <- t.sentinel;
+  t.sentinel.prev <- t.sentinel

@@ -25,8 +25,10 @@ val page_size : t -> int
 val capacity_pages : t -> int
 val length : t -> int
 
-val find : t -> int -> bytes option
-(** [find t page_id] returns the cached page and refreshes its recency. *)
+val find : t -> int -> bytes
+(** [find t page_id] returns the cached page and refreshes its recency.
+    Raises [Not_found] (and counts a miss) when the page is not cached. A
+    hit allocates nothing. *)
 
 val insert : t -> int -> bytes -> unit
 (** Insert a page, evicting per policy if full. *)

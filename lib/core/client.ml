@@ -336,14 +336,14 @@ let read_via_cache t c ~addr ~len =
     let page_base = id * page in
     let data =
       match Cache.find c id with
-      | Some b ->
+      | b ->
           Clock.advance t.clk
             (t.lat.Latency.dram_ns
             + if t.cfg.cache_policy = Cache.Lru then lru_touch_ns else 0);
           if Asym_obs.enabled () then
             Asym_obs.Registry.inc ~labels:[ ("event", "hit") ] "client.cache";
           b
-      | None ->
+      | exception Not_found ->
           if Asym_obs.enabled () then
             Asym_obs.Registry.inc ~labels:[ ("event", "miss") ] "client.cache";
           let cap = Asym_nvm.Device.capacity (Backend.device t.bk) in

@@ -29,14 +29,20 @@ module type S = sig
 
   val read : ?hint:[ `Hot | `Cold ] -> t -> addr:Types.addr -> len:int -> bytes
   (** [rnvm_read]. [`Cold] bypasses the cache (the data structure expects
-      no reuse, e.g. B+Tree leaves below the caching threshold). *)
+      no reuse, e.g. B+Tree leaves below the caching threshold). The
+      result is a fresh buffer the caller owns: it aliases no cache page,
+      pending log entry or media, so a structure may edit it in place and
+      hand it to {!write}. *)
 
   val read_u64 : t -> ?hint:[ `Hot | `Cold ] -> Types.addr -> int64
 
   val write : t -> ds:Types.ds_id -> addr:Types.addr -> bytes -> unit
   (** [rnvm_write]/[rnvm_mem_log]: durable according to the store's mode —
       immediately (direct/naive), or when the operation's logs are
-      persisted (logged mode). *)
+      persisted (logged mode). The store may keep the buffer itself until
+      the next flush (a logged front-end's [Log.Mem_entry] holds it by
+      reference), so the caller must never mutate a buffer after writing
+      it. *)
 
   val write_u64 : t -> ds:Types.ds_id -> Types.addr -> int64 -> unit
 

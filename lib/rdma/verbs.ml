@@ -158,11 +158,12 @@ let round_trip t ~op ~wire ~service ~media =
   let start = Timeline.acquire t.remote_nic ~at ~dur in
   let queueing = start - at in
   (* Same total as one combined advance, but each component lands on its
-     own attribution cause. *)
-  Clock.advance ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_rtt_ns;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_bytes t.client service;
-  Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
+     own attribution cause; nothing happens between them, so one yield. *)
+  Clock.charge ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
+  Clock.charge ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_rtt_ns;
+  Clock.charge ~cause:Asym_obs.Attr.Rdma_bytes t.client service;
+  Clock.charge ~cause:Asym_obs.Attr.Nvm_media t.client media;
+  Clock.yield t.client;
   t.ops <- t.ops + 1;
   obs_verb t ~op ~wire ~start ~dur;
   start + dur + media
@@ -240,9 +241,10 @@ let atomic t ~op ~media =
   let dur = t.lat.Latency.rdma_post_ns in
   let start = Timeline.acquire t.remote_nic ~at ~dur in
   let queueing = start - at in
-  Clock.advance ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_atomic_ns;
-  Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
+  Clock.charge ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
+  Clock.charge ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_atomic_ns;
+  Clock.charge ~cause:Asym_obs.Attr.Nvm_media t.client media;
+  Clock.yield t.client;
   t.ops <- t.ops + 1;
   t.wire_bytes <- t.wire_bytes + 16;
   obs_verb t ~op ~wire:16 ~start ~dur

@@ -2,29 +2,30 @@ type t = {
   name : string;
   mutable now : Simtime.t;
   mutable busy : Simtime.t;
-  (* Set by Sched.run while this clock's owner executes under the
-     effect handler; gates the Yield perform so clocks advanced outside
-     a co-simulation (single-client runs, setup code) never raise
-     Effect.Unhandled. *)
-  mutable coop : bool;
+  (* The latest time this clock may reach without suspending. Sched.run
+     sets it to the earliest other task's time while this clock's owner
+     runs under the effect handler (min_int while the owner is suspended),
+     and max_int outside a co-simulation, so clocks advanced by
+     single-client runs and setup code never raise Effect.Unhandled. *)
+  mutable limit : Simtime.t;
   attr : Asym_obs.Attr.local;
 }
 
-(* Performed after every forward movement of a cooperating clock — the
+(* Performed when a cooperating clock moves past its limit — the
    suspension point that makes clients resumable at every virtual-time
-   advance. Sched runs each client under a handler for this effect and
-   always resumes the globally-earliest clock. *)
+   advance that lets another client go first. Sched runs each client
+   under a handler for this effect and always resumes the
+   globally-earliest clock. *)
 type _ Effect.t += Yield : t -> unit Effect.t
 
 let create ?(name = "node") () =
-  { name; now = 0; busy = 0; coop = false; attr = Asym_obs.Attr.local_create () }
+  { name; now = 0; busy = 0; limit = max_int; attr = Asym_obs.Attr.local_create () }
 
 let name t = t.name
 let now t = t.now
 let attr t = t.attr
-let set_coop t v = t.coop <- v
-let coop t = t.coop
-let yield t = if t.coop then Effect.perform (Yield t)
+let set_limit t l = t.limit <- l
+let yield t = if t.now > t.limit then Effect.perform (Yield t)
 
 (* Every forward movement of [now] is charged to an attribution cause
    here, at the single choke point — so summing the per-cause sink always
@@ -34,12 +35,15 @@ let yield t = if t.coop then Effect.perform (Yield t)
    side effects that follow the advance (a verb's media write, a lock
    CAS decision) execute at the verb's completion time in global
    virtual-time order. *)
-let advance ?(cause = Asym_obs.Attr.Local_compute) t d =
+let charge ?(cause = Asym_obs.Attr.Local_compute) t d =
   assert (d >= 0);
   Asym_obs.Attr.local_charge t.attr cause d;
   t.now <- t.now + d;
-  t.busy <- t.busy + d;
-  if d > 0 then yield t
+  t.busy <- t.busy + d
+
+let advance ?cause t d =
+  charge ?cause t d;
+  yield t
 
 let wait_until ?(cause = Asym_obs.Attr.Local_compute) t at =
   if at > t.now then begin

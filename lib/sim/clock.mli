@@ -8,8 +8,8 @@
 type t
 
 type _ Effect.t += Yield : t -> unit Effect.t
-(** Performed after every forward movement of a {e cooperating} clock
-    (see {!set_coop}) — the suspension point of the verb-granular
+(** Performed by {!yield} once a {e cooperating} clock has moved past its
+    limit (see {!set_limit}) — the suspension point of the verb-granular
     co-simulation. {!Sched.run} installs the handler; a clock advanced
     outside a scheduler never performs it. *)
 
@@ -19,7 +19,16 @@ val now : t -> Simtime.t
 
 val advance : ?cause:Asym_obs.Attr.cause -> t -> Simtime.t -> unit
 (** Spend [d] nanoseconds of busy time, charged to [cause] (default
-    [Local_compute]) in the attribution sink when observability is on. *)
+    [Local_compute]) in the attribution sink when observability is on,
+    then {!yield}. *)
+
+val charge : ?cause:Asym_obs.Attr.cause -> t -> Simtime.t -> unit
+(** {!advance} without the {!yield}: for a run of advances with no side
+    effect between them, which then yield once. *)
+
+val yield : t -> unit
+(** Suspend to the scheduler if this clock is past its limit, i.e. another
+    cooperating client must run first. A no-op outside {!Sched.run}. *)
 
 val wait_until : ?cause:Asym_obs.Attr.cause -> t -> Simtime.t -> unit
 (** Block (idle) until the given absolute time, if it is in the future.
@@ -34,11 +43,11 @@ val attr : t -> Asym_obs.Attr.local
     are taken against this local sink so they survive mid-operation
     suspension under the co-simulation. *)
 
-val set_coop : t -> bool -> unit
-(** Enable/disable the {!Yield} perform. Only {!Sched.run} should flip
-    this — a cooperating clock must be running under its handler. *)
-
-val coop : t -> bool
+val set_limit : t -> Simtime.t -> unit
+(** The latest time the clock may reach before {!yield} performs
+    {!Yield}: [max_int] (the default) never performs, [min_int] performs
+    at every yield. Only {!Sched.run} should set it — a clock with a
+    finite limit must be running under its handler. *)
 
 val utilization : t -> since:Simtime.t -> busy_since:Simtime.t -> float
 (** Utilization over the window from [since] (with [busy_since] the busy

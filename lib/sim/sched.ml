@@ -1,10 +1,14 @@
 (* Verb-granular co-simulation engine.
 
-   Each client runs inside an OCaml 5 effect handler: every forward
-   movement of its clock performs [Clock.Yield] (see Clock.advance), the
+   Each client runs inside an OCaml 5 effect handler. A resumed client
+   gets a limit on its clock: the earliest suspended client's time, minus
+   one when that client wins the tie-break. Once an advance takes the
+   clock past it, the clock performs [Clock.Yield] (see Clock.yield), the
    handler captures the continuation, and the scheduler resumes the
    globally-earliest clock — so clients suspend and resume *inside*
-   operations, at every virtual-time advance.
+   operations, at every virtual-time advance that lets another client go
+   first. A client that is still earliest keeps running without an
+   effect, and a lone client never performs one.
 
    Determinism: the next client to run is a pure function of virtual
    time — a binary min-heap keyed on (clock value, client id), with the
@@ -71,8 +75,6 @@ module Heap = struct
       i := p
     done
 
-  let min h = if h.n = 0 then None else Some h.a.(0)
-
   let pop h =
     if h.n = 0 then None
     else begin
@@ -113,23 +115,25 @@ let run clients =
       in
       let h = Heap.create ~dummy:(List.hd tasks) (List.length tasks) in
       List.iter (fun t -> Heap.push h t) tasks;
-      List.iter (fun c -> Clock.set_coop c.clock true) clients;
+      List.iter (fun c -> Clock.set_limit c.clock min_int) clients;
       Fun.protect
-        ~finally:(fun () -> List.iter (fun c -> Clock.set_coop c.clock false) clients)
+        ~finally:(fun () -> List.iter (fun c -> Clock.set_limit c.clock max_int) clients)
         (fun () ->
           let rec drive t =
-            match exec t with
+            (* [t] runs until its clock passes the earliest suspended task. *)
+            (if h.Heap.n = 0 then Clock.set_limit t.tclock max_int
+             else
+               let m = h.Heap.a.(0) in
+               Clock.set_limit t.tclock (if t.id < m.id then m.at else m.at - 1));
+            let status = exec t in
+            Clock.set_limit t.tclock min_int;
+            match status with
             | Done -> next ()
             | Yielded k ->
                 t.at <- Clock.now t.tclock;
                 t.state <- Suspended k;
-                (* Fast path: still the earliest clock — keep running
-                   without touching the heap. *)
-                (match Heap.min h with
-                | Some m when Heap.before m t ->
-                    Heap.push h t;
-                    next ()
-                | _ -> drive t)
+                Heap.push h t;
+                next ()
           and next () =
             match Heap.pop h with None -> () | Some t -> drive t
           in

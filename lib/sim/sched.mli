@@ -1,11 +1,12 @@
 (** Verb-granular cooperative co-simulation.
 
-    Each client runs inside an OCaml 5 effect handler: every forward
-    movement of its clock ({!Clock.advance}/{!Clock.wait_until})
-    suspends it via {!Clock.Yield}, and the scheduler resumes the
-    client whose clock is globally earliest — so clients interleave
-    {e within} operations, at the granularity of individual RDMA verbs,
-    lock CAS probes, cache hits and log flushes.
+    Each client runs inside an OCaml 5 effect handler: a forward movement
+    of its clock ({!Clock.advance}/{!Clock.wait_until}) that takes it past
+    another client's suspends it via {!Clock.Yield}, and the scheduler
+    resumes the client whose clock is globally earliest — so clients
+    interleave {e within} operations, at the granularity of individual
+    RDMA verbs, lock CAS probes, cache hits and log flushes. A client that
+    is still earliest runs on without suspending.
 
     Scheduling is deterministic: the next client is picked from a binary
     min-heap keyed on (virtual time, client id), where the id is the

@@ -19,144 +19,188 @@ let op_vinsert = 3
 let fanout = 32
 let max_keys = fanout - 1
 
-(* Store-independent: the node record and its 512-byte codec, search,
-   insert and split, shared with the multi-version tree. Arrays carry one
-   spare slot: a node transiently holds max_keys + 1 keys between an
-   insert and the split that follows; the overflowed shape is never
-   encoded to NVM. *)
+(* Store-independent: the node is a view over its 512-byte on-media image,
+   shared with the multi-version tree. Reads go to the image in place and
+   every edit is a blit on it, so the buffer a traversal loads is the one
+   [store] writes. The image has no spare slot, so an insert into a full
+   node goes through [insert_split], which writes the two halves the
+   overflowed node would split into. *)
 module Node = struct
-  type t = {
-    leaf : bool;
-    mutable nkeys : int;
-    keys : int64 array;  (* max_keys (+ 1 spare) *)
-    children : int array;  (* fanout (+ 1 spare), internal only *)
-    mutable next : int;  (* leaf only *)
-    vals : int array;  (* max_keys (+ 1 spare), leaf only *)
-  }
+  type t = bytes
 
   let node_bytes = 512
 
+  (* Byte offsets of the slot arrays (see the layout above). *)
+  let leaf_keys = 16
+  let leaf_vals = 264
+  let inner_keys = 8
+  let inner_children = 256
+
+  (* [Bytes.get_int64_le] is an out-of-line call that boxes its result;
+     the primitives inline and stay unboxed. [get64u] skips the bounds
+     check, so it reads only offsets known to lie inside the image. *)
+  external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+  external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+  external swap64 : int64 -> int64 = "%bswap_int64"
+
+  let[@inline] get_le n off = if Sys.big_endian then swap64 (get64 n off) else get64 n off
+  let[@inline] set_le n off v = set64 n off (if Sys.big_endian then swap64 v else v)
+
   let empty leaf =
-    {
-      leaf;
-      nkeys = 0;
-      keys = Array.make (max_keys + 1) 0L;
-      children = Array.make (fanout + 1) 0;
-      next = 0;
-      vals = Array.make (max_keys + 1) 0;
-    }
-
-  let encode n =
-    assert (n.nkeys <= max_keys);
-    let b = Bytes.make node_bytes '\000' in
-    Bytes.set_uint8 b 0 (if n.leaf then 1 else 2);
-    Bytes.set_uint8 b 1 n.nkeys;
-    if n.leaf then begin
-      Bytes.set_int64_le b 8 (Int64.of_int n.next);
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (16 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (264 + (8 * i)) (Int64.of_int n.vals.(i))
-      done
-    end
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i))
-      done;
-    b
-
-  let decode b =
-    let leaf = Bytes.get_uint8 b 0 = 1 in
-    let n = empty leaf in
-    n.nkeys <- Bytes.get_uint8 b 1;
-    if leaf then begin
-      n.next <- Int64.to_int (Bytes.get_int64_le b 8);
-      for i = 0 to max_keys - 1 do
-        n.keys.(i) <- Bytes.get_int64_le b (16 + (8 * i));
-        n.vals.(i) <- Int64.to_int (Bytes.get_int64_le b (264 + (8 * i)))
-      done
-    end
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then n.keys.(i) <- Bytes.get_int64_le b (8 + (8 * i));
-        n.children.(i) <- Int64.to_int (Bytes.get_int64_le b (256 + (8 * i)))
-      done;
+    let n = Bytes.make node_bytes '\000' in
+    Bytes.set_uint8 n 0 (if leaf then 1 else 2);
     n
 
+  let[@inline] leaf n = Bytes.get_uint8 n 0 = 1
+  let[@inline] nkeys n = Bytes.get_uint8 n 1
+  let set_nkeys n k = Bytes.set_uint8 n 1 k
+  let[@inline] keys_base n = if leaf n then leaf_keys else inner_keys
+
+  (* Slot [i] of a [slots]-slot array. An optimistic reader can load a
+     torn or reclaimed block that claims up to 255 keys: past the image it
+     reads one zero slot, then raises [Invalid_argument], which aborts the
+     read section. *)
+  let[@inline] slot n ~base ~slots i =
+    if i < slots then get_le n (base + (8 * i))
+    else if i = slots then 0L
+    else invalid_arg "index out of bounds"
+
+  let[@inline] set_slot n ~base i v = set_le n (base + (8 * i)) v
+
+  let[@inline] key n i = slot n ~base:(keys_base n) ~slots:max_keys i
+  let[@inline] child n i = Int64.to_int (slot n ~base:inner_children ~slots:fanout i)
+  let[@inline] value n i = Int64.to_int (slot n ~base:leaf_vals ~slots:max_keys i)
+  let[@inline] next n = Int64.to_int (get_le n 8)
+  let set_child n i c = set_slot n ~base:inner_children i (Int64.of_int c)
+  let set_value n i v = set_slot n ~base:leaf_vals i (Int64.of_int v)
+  let set_next n a = set_le n 8 (Int64.of_int a)
+
+  (* The first of the node's keys [>= k] ([strict]) or [> k], as an
+     index. A well-formed node's keys all lie inside its 512 bytes, so
+     the scan reads them without a per-slot bounds test. *)
+  let[@inline] scan n k ~strict =
+    let nk = nkeys n and i = ref 0 in
+    if nk <= max_keys && Bytes.length n = node_bytes then begin
+      let base = keys_base n in
+      while
+        !i < nk
+        &&
+        let x = get64u n (base + (8 * !i)) in
+        let x = if Sys.big_endian then swap64 x else x in
+        if strict then x < k else x <= k
+      do
+        incr i
+      done
+    end
+    else
+      while
+        !i < nk
+        &&
+        let x = key n !i in
+        if strict then x < k else x <= k
+      do
+        incr i
+      done;
+    !i
+
   (* Index of the child to descend into: number of separator keys <= key. *)
-  let child_index n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) <= key then go (i + 1) else i in
-    go 0
+  let child_index n k = scan n k ~strict:false
 
   (* Position of [key] in a leaf, or the insertion point. *)
-  let leaf_pos n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) < key then go (i + 1) else i in
-    go 0
+  let leaf_pos n k = scan n k ~strict:true
+
+  (* Move [len] slots of the array at [base] from slot [src] to [dst]. *)
+  let shift n ~base ~src ~dst len =
+    if len > 0 then Bytes.blit n (base + (8 * src)) n (base + (8 * dst)) (8 * len)
 
   let leaf_insert_at n pos key valptr =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1);
-      n.vals.(i) <- n.vals.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.vals.(pos) <- valptr;
-    n.nkeys <- n.nkeys + 1
+    let nk = nkeys n in
+    assert (nk < max_keys);
+    shift n ~base:leaf_keys ~src:pos ~dst:(pos + 1) (nk - pos);
+    shift n ~base:leaf_vals ~src:pos ~dst:(pos + 1) (nk - pos);
+    set_slot n ~base:leaf_keys pos key;
+    set_value n pos valptr;
+    set_nkeys n (nk + 1)
 
+  (* The vacated last slot keeps a stale copy: nothing reads past [nkeys]. *)
   let leaf_remove_at n pos =
-    for i = pos to n.nkeys - 2 do
-      n.keys.(i) <- n.keys.(i + 1);
-      n.vals.(i) <- n.vals.(i + 1)
-    done;
-    n.nkeys <- n.nkeys - 1
+    let nk = nkeys n in
+    shift n ~base:leaf_keys ~src:(pos + 1) ~dst:pos (nk - pos - 1);
+    shift n ~base:leaf_vals ~src:(pos + 1) ~dst:pos (nk - pos - 1);
+    set_nkeys n (nk - 1)
 
   let internal_insert_at n pos key child =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1)
-    done;
-    for i = n.nkeys + 1 downto pos + 2 do
-      n.children.(i) <- n.children.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.children.(pos + 1) <- child;
-    n.nkeys <- n.nkeys + 1
+    let nk = nkeys n in
+    assert (nk < max_keys);
+    shift n ~base:inner_keys ~src:pos ~dst:(pos + 1) (nk - pos);
+    shift n ~base:inner_children ~src:(pos + 1) ~dst:(pos + 2) (nk - pos);
+    set_slot n ~base:inner_keys pos key;
+    set_child n (pos + 1) child;
+    set_nkeys n (nk + 1)
 
-  (* Split [n] in two, zeroing the slots it vacates; returns the separator
-     and the new right sibling (still unallocated). A leaf keeps its lower
-     half and hands its chain link to the sibling; an internal node pushes
-     its middle key up. *)
-  let split n =
-    let right = empty n.leaf in
-    if n.leaf then begin
-      let half = n.nkeys / 2 in
-      let moved = n.nkeys - half in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(half + i);
-        right.vals.(i) <- n.vals.(half + i);
-        n.keys.(half + i) <- 0L;
-        n.vals.(half + i) <- 0
-      done;
-      right.nkeys <- moved;
-      n.nkeys <- half;
-      right.next <- n.next;
-      (right.keys.(0), right)
+  (* One slot array of a node being split. Logically the array is its
+     first [upto] slots with [x] inserted at [at] ([at >= upto]: nothing
+     inserted). Slots [from, upto) of that sequence go to [right]; [n]
+     keeps [0, keep) and zeroes the image slots it vacates. *)
+  let spread n ~base ~slots ~at ~x ~keep ~from ~upto right =
+    let copy src dst len =
+      if len > 0 then Bytes.blit n (base + (8 * src)) right (base + (8 * dst)) (8 * len)
+    in
+    if at < from then copy (from - 1) 0 (upto - from)
+    else if at < upto then begin
+      copy from 0 (at - from);
+      set_slot right ~base (at - from) x;
+      copy at (at - from + 1) (upto - at - 1)
+    end
+    else copy from 0 (upto - from);
+    if at < keep then begin
+      shift n ~base ~src:at ~dst:(at + 1) (keep - 1 - at);
+      set_slot n ~base at x
+    end;
+    let hi = min upto slots in
+    if hi > keep then Bytes.fill n (base + (8 * keep)) (8 * (hi - keep)) '\000'
+
+  (* Split the [total]-key node that [n] holds with [k]/[ptr] inserted
+     at [at] ([at = total]: no insert). A leaf keeps [total / 2] keys, the
+     separator is the sibling's first key and the sibling takes over the
+     chain link; an internal node pushes its middle key up. *)
+  let split_with n ~total ~at k ptr =
+    let right = empty (leaf n) in
+    if leaf n then begin
+      let half = total / 2 in
+      spread n ~base:leaf_keys ~slots:max_keys ~at ~x:k ~keep:half ~from:half ~upto:total
+        right;
+      spread n ~base:leaf_vals ~slots:max_keys ~at ~x:(Int64.of_int ptr) ~keep:half ~from:half
+        ~upto:total right;
+      set_nkeys right (total - half);
+      set_nkeys n half;
+      set_next right (next n);
+      (get_le right leaf_keys, right)
     end
     else begin
-      let mid = n.nkeys / 2 in
-      let sep = n.keys.(mid) in
-      let moved = n.nkeys - mid - 1 in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(mid + 1 + i);
-        n.keys.(mid + 1 + i) <- 0L
-      done;
-      for i = 0 to moved do
-        right.children.(i) <- n.children.(mid + 1 + i);
-        n.children.(mid + 1 + i) <- 0
-      done;
-      right.nkeys <- moved;
-      n.keys.(mid) <- 0L;
-      n.nkeys <- mid;
+      let mid = total / 2 in
+      let sep = if mid < at then key n mid else if mid = at then k else key n (mid - 1) in
+      spread n ~base:inner_keys ~slots:max_keys ~at ~x:k ~keep:mid ~from:(mid + 1) ~upto:total
+        right;
+      spread n ~base:inner_children ~slots:fanout ~at:(at + 1) ~x:(Int64.of_int ptr)
+        ~keep:(mid + 1) ~from:(mid + 1) ~upto:(total + 1) right;
+      set_nkeys right (total - mid - 1);
+      set_nkeys n mid;
       (sep, right)
     end
+
+  let split n =
+    let nk = nkeys n in
+    split_with n ~total:nk ~at:nk 0L 0
+
+  let insert_split n pos key ptr =
+    let nk = nkeys n in
+    if nk < max_keys then begin
+      if leaf n then leaf_insert_at n pos key ptr else internal_insert_at n pos key ptr;
+      None
+    end
+    else Some (split_with n ~total:(nk + 1) ~at:pos key ptr)
 end
 
 module Make (S : Store.S) = struct
@@ -172,10 +216,8 @@ module Make (S : Store.S) = struct
 
   let handle t = t.h
 
-  let load t ~depth addr =
-    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
-
-  let store t ~ds addr n = S.write t.s ~ds ~addr (encode n)
+  let load t ~depth addr = S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes
+  let store t ~ds addr n = S.write t.s ~ds ~addr n
 
   let alloc_node t ~ds n =
     let addr = S.malloc t.s node_bytes in
@@ -183,20 +225,20 @@ module Make (S : Store.S) = struct
     addr
 
   (* Returns [Some (sep, right_addr)] if [addr] split. A full leaf splits
-     before the insert; an internal node overflows by one in DRAM and
-     splits before it is stored. *)
+     before the insert; a full internal node splits as if it had taken the
+     separator first. *)
   let rec insert_rec t ~ds addr depth key valptr =
     let n = load t ~depth addr in
-    if n.leaf then begin
+    if leaf n then begin
       let pos = leaf_pos n key in
-      if pos < n.nkeys && n.keys.(pos) = key then begin
-        let old = n.vals.(pos) in
-        n.vals.(pos) <- valptr;
+      if pos < nkeys n && Node.key n pos = key then begin
+        let old = value n pos in
+        set_value n pos valptr;
         store t ~ds addr n;
         B.free t.s old;
         None
       end
-      else if n.nkeys < max_keys then begin
+      else if nkeys n < max_keys then begin
         leaf_insert_at n pos key valptr;
         store t ~ds addr n;
         None
@@ -206,27 +248,24 @@ module Make (S : Store.S) = struct
         (if key >= sep then leaf_insert_at right (leaf_pos right key) key valptr
          else leaf_insert_at n (leaf_pos n key) key valptr);
         let right_addr = alloc_node t ~ds right in
-        n.next <- right_addr;
+        set_next n right_addr;
         store t ~ds addr n;
         Some (sep, right_addr)
       end
     end
     else begin
       let idx = child_index n key in
-      match insert_rec t ~ds n.children.(idx) (depth + 1) key valptr with
+      match insert_rec t ~ds (child n idx) (depth + 1) key valptr with
       | None -> None
-      | Some (sep, right_addr) ->
-          internal_insert_at n idx sep right_addr;
-          if n.nkeys <= max_keys then begin
-            store t ~ds addr n;
-            None
-          end
-          else begin
-            let osep, right = split n in
-            let raddr = alloc_node t ~ds right in
-            store t ~ds addr n;
-            Some (osep, raddr)
-          end
+      | Some (sep, right_addr) -> (
+          match insert_split n idx sep right_addr with
+          | None ->
+              store t ~ds addr n;
+              None
+          | Some (osep, right) ->
+              let raddr = alloc_node t ~ds right in
+              store t ~ds addr n;
+              Some (osep, raddr))
     end
 
   let put_nolog t ~ds key value =
@@ -243,10 +282,8 @@ module Make (S : Store.S) = struct
        | None -> ()
        | Some (sep, right_addr) ->
            let nroot = empty false in
-           nroot.nkeys <- 1;
-           nroot.keys.(0) <- sep;
-           nroot.children.(0) <- root;
-           nroot.children.(1) <- right_addr;
+           set_child nroot 0 root;
+           internal_insert_at nroot 0 sep right_addr;
            let addr = alloc_node t ~ds nroot in
            S.write_u64 t.s ~ds t.h.Types.root (Int64.of_int addr));
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
@@ -257,7 +294,7 @@ module Make (S : Store.S) = struct
 
   let rec find_leaf t ~depth addr key =
     let n = load t ~depth addr in
-    if n.leaf then n else find_leaf t ~depth:(depth + 1) n.children.(child_index n key) key
+    if leaf n then n else find_leaf t ~depth:(depth + 1) (child n (child_index n key)) key
 
   let find t ~key =
     let v =
@@ -267,7 +304,7 @@ module Make (S : Store.S) = struct
           else begin
             let leaf = find_leaf t ~depth:0 root key in
             let pos = leaf_pos leaf key in
-            if pos < leaf.nkeys && leaf.keys.(pos) = key then Some (B.read t.s leaf.vals.(pos))
+            if pos < nkeys leaf && Node.key leaf pos = key then Some (B.read t.s (value leaf pos))
             else None
           end)
     in
@@ -278,10 +315,10 @@ module Make (S : Store.S) = struct
 
   let rec delete_rec t ~ds addr depth key =
     let n = load t ~depth addr in
-    if n.leaf then begin
+    if leaf n then begin
       let pos = leaf_pos n key in
-      if pos < n.nkeys && n.keys.(pos) = key then begin
-        let blob = n.vals.(pos) in
+      if pos < nkeys n && Node.key n pos = key then begin
+        let blob = value n pos in
         leaf_remove_at n pos;
         store t ~ds addr n;
         B.free t.s blob;
@@ -289,7 +326,7 @@ module Make (S : Store.S) = struct
       end
       else false
     end
-    else delete_rec t ~ds n.children.(child_index n key) (depth + 1) key
+    else delete_rec t ~ds (child n (child_index n key)) (depth + 1) key
 
   let delete t ~key =
     F.mutate t.fr ~optype:op_delete ~params:(Params.of_key key) (fun ds ->
@@ -313,13 +350,13 @@ module Make (S : Store.S) = struct
       let continue_ = ref true in
       while !continue_ do
         let n = !leaf in
-        for i = 0 to n.nkeys - 1 do
-          if n.keys.(i) >= lo && n.keys.(i) <= hi then
-            out := (n.keys.(i), B.read t.s n.vals.(i)) :: !out
+        for i = 0 to nkeys n - 1 do
+          let k = key n i in
+          if k >= lo && k <= hi then out := (k, B.read t.s (value n i)) :: !out
         done;
-        if n.nkeys > 0 && n.keys.(n.nkeys - 1) > hi then continue_ := false
-        else if n.next = 0 then continue_ := false
-        else leaf := load t ~depth:12 n.next
+        if nkeys n > 0 && key n (nkeys n - 1) > hi then continue_ := false
+        else if next n = 0 then continue_ := false
+        else leaf := load t ~depth:12 (next n)
       done;
       List.rev !out
     end

@@ -1,7 +1,8 @@
 (** Multi-version (copy-on-write) B+Tree — the append-only B-Tree of §6.2.
 
-    The nodes are {!Pbptree.Node}s, but immutable: an insert path-copies
-    from leaf to root and installs the new version with a root CAS. Leaf
+    The nodes are {!Pbptree.Node}s, but immutable once stored: an insert
+    edits the loaded copy of each node on the path, stores it at a fresh
+    address and installs the new version with a root CAS. Leaf
     chaining is dropped (a chained leaf would need
     in-place updates); in-order traversal goes through the tree. *)
 
@@ -26,26 +27,22 @@ module Make (S : Store.S) = struct
   let gc_pending t = F.Gc.pending t.gc
   let gc_drain t = F.Gc.drain t.gc
 
-  let load t ~depth addr =
-    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
+  let load t ~depth addr = S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes
 
   let alloc_node t ~ds ~created n =
     let addr = S.malloc t.s node_bytes in
-    S.write t.s ~ds ~addr (encode n);
+    S.write t.s ~ds ~addr n;
     created := (addr, node_bytes) :: !created;
     addr
 
-  (* Store a path-copied node that may have overflowed by one key: an
-     overflow splits (after the insert, unlike the in-place tree) into two
-     fresh nodes and a separator to propagate. *)
-  let alloc_split t ~ds ~created n =
-    if n.nkeys <= Pbptree.max_keys then (alloc_node t ~ds ~created n, None)
-    else begin
-      let sep, right = split n in
-      let laddr = alloc_node t ~ds ~created n in
-      let raddr = alloc_node t ~ds ~created right in
-      (laddr, Some (sep, raddr))
-    end
+  (* Store a path copy, and the right half when the insert that made it
+     split it (after the insert, unlike the in-place tree): two fresh
+     nodes and a separator to propagate. *)
+  let alloc_split t ~ds ~created n split =
+    let laddr = alloc_node t ~ds ~created n in
+    match split with
+    | None -> (laddr, None)
+    | Some (sep, right) -> (laddr, Some (sep, alloc_node t ~ds ~created right))
 
   let put t ~key ~value =
     ignore
@@ -59,28 +56,32 @@ module Make (S : Store.S) = struct
              if addr = 0 then begin
                let leaf = empty true in
                leaf_insert_at leaf 0 key valptr;
-               alloc_split t ~ds ~created leaf
+               alloc_split t ~ds ~created leaf None
              end
              else begin
                let n = load t ~depth addr in
                obsolete := (addr, node_bytes) :: !obsolete;
-               if n.leaf then begin
-                 let pos = leaf_pos n key in
-                 if pos < n.nkeys && n.keys.(pos) = key then begin
-                   obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
-                   n.vals.(pos) <- valptr
+               let split =
+                 if leaf n then begin
+                   let pos = leaf_pos n key in
+                   if pos < nkeys n && Pbptree.Node.key n pos = key then begin
+                     let old = Pbptree.Node.value n pos in
+                     obsolete := (old, B.size t.s old) :: !obsolete;
+                     set_value n pos valptr;
+                     None
+                   end
+                   else insert_split n pos key valptr
                  end
-                 else leaf_insert_at n pos key valptr
-               end
-               else begin
-                 let idx = child_index n key in
-                 let child', spl = ins n.children.(idx) (depth + 1) in
-                 n.children.(idx) <- child';
-                 match spl with
-                 | None -> ()
-                 | Some (sep, raddr) -> internal_insert_at n idx sep raddr
-               end;
-               alloc_split t ~ds ~created n
+                 else begin
+                   let idx = child_index n key in
+                   let child', spl = ins (child n idx) (depth + 1) in
+                   set_child n idx child';
+                   match spl with
+                   | None -> None
+                   | Some (sep, raddr) -> insert_split n idx sep raddr
+                 end
+               in
+               alloc_split t ~ds ~created n split
              end
            in
            let new_child, spl = ins root 0 in
@@ -88,10 +89,8 @@ module Make (S : Store.S) = struct
            | None -> Some new_child
            | Some (sep, raddr) ->
                let nroot = empty false in
-               nroot.nkeys <- 1;
-               nroot.keys.(0) <- sep;
-               nroot.children.(0) <- new_child;
-               nroot.children.(1) <- raddr;
+               set_child nroot 0 new_child;
+               internal_insert_at nroot 0 sep raddr;
                Some (alloc_node t ~ds ~created nroot)));
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
 
@@ -102,12 +101,13 @@ module Make (S : Store.S) = struct
             if addr = 0 then None
             else begin
               let n = load t ~depth addr in
-              if n.leaf then begin
+              if leaf n then begin
                 let pos = leaf_pos n key in
-                if pos < n.nkeys && n.keys.(pos) = key then Some (B.read t.s n.vals.(pos))
+                if pos < nkeys n && Pbptree.Node.key n pos = key then
+                  Some (B.read t.s (value n pos))
                 else None
               end
-              else go n.children.(child_index n key) (depth + 1)
+              else go (child n (child_index n key)) (depth + 1)
             end
           in
           go (Int64.to_int (F.current_root t.fr)) 0)
@@ -126,11 +126,11 @@ module Make (S : Store.S) = struct
             if addr = 0 then None
             else begin
               let n = load t ~depth addr in
-              if n.leaf then begin
+              if leaf n then begin
                 let pos = leaf_pos n key in
-                if pos < n.nkeys && n.keys.(pos) = key then begin
+                if pos < nkeys n && Pbptree.Node.key n pos = key then begin
                   obsolete := (addr, node_bytes) :: !obsolete;
-                  obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
+                  obsolete := (value n pos, B.size t.s (value n pos)) :: !obsolete;
                   leaf_remove_at n pos;
                   Some (alloc_node t ~ds ~created n)
                 end
@@ -138,11 +138,11 @@ module Make (S : Store.S) = struct
               end
               else begin
                 let idx = child_index n key in
-                match del n.children.(idx) (depth + 1) with
+                match del (child n idx) (depth + 1) with
                 | None -> None
                 | Some child' ->
                     obsolete := (addr, node_bytes) :: !obsolete;
-                    n.children.(idx) <- child';
+                    set_child n idx child';
                     Some (alloc_node t ~ds ~created n)
               end
             end
@@ -157,17 +157,17 @@ module Make (S : Store.S) = struct
       if addr = 0 then acc
       else begin
         let n = load t ~depth:8 addr in
-        if n.leaf then begin
+        if leaf n then begin
           let acc = ref acc in
-          for i = 0 to n.nkeys - 1 do
-            acc := f !acc n.keys.(i) (B.read t.s n.vals.(i))
+          for i = 0 to nkeys n - 1 do
+            acc := f !acc (Pbptree.Node.key n i) (B.read t.s (value n i))
           done;
           !acc
         end
         else begin
           let acc = ref acc in
-          for i = 0 to n.nkeys do
-            acc := go !acc n.children.(i)
+          for i = 0 to nkeys n do
+            acc := go !acc (child n i)
           done;
           !acc
         end

@@ -1,9 +1,10 @@
 (** Multi-version (copy-on-write) B+Tree — the append-only B-Tree of §6.2.
 
-    Uses the B+Tree's 512-byte node, {!Pbptree.Node}, but never updates
-    a live node: an insert path-copies from leaf to root (splitting a
-    copied node after it overflows) and installs the version with a root
-    CAS through {!Ds_intf.Frame}. Leaf chaining is dropped (a chained
+    Uses the B+Tree's 512-byte node view, {!Pbptree.Node}, but never
+    updates a live node: an insert edits the loaded copy of each node on
+    the path (splitting a full one with {!Pbptree.Node.insert_split}),
+    stores it at a fresh address and installs the version with a root CAS
+    through {!Ds_intf.Frame}. Leaf chaining is dropped (a chained
     leaf would need in-place updates); in-order traversal goes through
     the tree. *)
 

@@ -1,24 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would allocate a box on every draw. *)
+type t = bytes
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
-let copy t = { state = t.state }
+let create ~seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
+
+let copy = Bytes.copy
 
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators" (OOPSLA'14). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix seed }
+let split t = create ~seed:(mix (next_int64 t))
 
 let bits30 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 

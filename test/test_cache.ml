@@ -12,6 +12,9 @@ let mk ?(choose_set = 8) ?(cap_pages = 4) policy =
 
 let page c = Bytes.make 64 c
 
+(* [Cache.find] as an option, for assertions. *)
+let cached c id = match Cache.find c id with b -> Some b | exception Not_found -> None
+
 let test_mru_hit_does_not_relink () =
   let t = mk Cache.Lru in
   Cache.insert t 0 (page 'a');
@@ -20,11 +23,11 @@ let test_mru_hit_does_not_relink () =
      untouched — the buggy [t.mru != Some n] relinked on every hit. *)
   let before = Cache.relinks t in
   for _ = 1 to 10 do
-    ignore (Cache.find t 1)
+    ignore (cached t 1)
   done;
   check Alcotest.int "MRU hits do not relink" before (Cache.relinks t);
   (* A hit on a non-MRU page must relink (that is what keeps LRU LRU). *)
-  ignore (Cache.find t 0);
+  ignore (cached t 0);
   check Alcotest.int "non-MRU hit relinks" (before + 1) (Cache.relinks t);
   check Alcotest.int "all hits counted" 11 (Cache.hits t)
 
@@ -35,11 +38,11 @@ let test_mru_recency_still_correct () =
   Cache.insert t 0 (page 'a');
   Cache.insert t 1 (page 'b');
   for _ = 1 to 5 do
-    ignore (Cache.find t 1)
+    ignore (cached t 1)
   done;
   Cache.insert t 2 (page 'c');
-  check Alcotest.bool "LRU page 0 evicted" true (Cache.find t 0 = None);
-  check Alcotest.bool "MRU page 1 kept" true (Cache.find t 1 <> None)
+  check Alcotest.bool "LRU page 0 evicted" true (cached t 0 = None);
+  check Alcotest.bool "MRU page 1 kept" true (cached t 1 <> None)
 
 let test_hybrid_evicts_oldest_of_sample () =
   (* With choose_set >= population the sample is exhaustive, so Hybrid
@@ -49,13 +52,13 @@ let test_hybrid_evicts_oldest_of_sample () =
     Cache.insert t id (page 'x')
   done;
   (* Touch 0 and 2; 1 is now the oldest untouched page. *)
-  ignore (Cache.find t 0);
-  ignore (Cache.find t 2);
+  ignore (cached t 0);
+  ignore (cached t 2);
   Cache.insert t 4 (page 'y');
-  check Alcotest.bool "oldest-of-sample evicted" true (Cache.find t 1 = None);
+  check Alcotest.bool "oldest-of-sample evicted" true (cached t 1 = None);
   List.iter
     (fun id ->
-      check Alcotest.bool (Printf.sprintf "page %d survives" id) true (Cache.find t id <> None))
+      check Alcotest.bool (Printf.sprintf "page %d survives" id) true (cached t id <> None))
     [ 0; 2; 3; 4 ]
 
 let test_patch_spanning_short_final_page () =
@@ -66,11 +69,11 @@ let test_patch_spanning_short_final_page () =
   (* A patch covering [60, 100) crosses into page 1 but extends past its
      short tail: only bytes [64, 80) of it may land. *)
   Cache.patch t ~addr:60 (Bytes.make 40 'Z');
-  (match Cache.find t 0 with
+  (match cached t 0 with
   | Some p ->
       check Alcotest.string "page 0 tail patched" "aZZZZ" (Bytes.to_string (Bytes.sub p 59 5))
   | None -> Alcotest.fail "page 0 evicted");
-  match Cache.find t 1 with
+  match cached t 1 with
   | Some p ->
       check Alcotest.int "short page length preserved" 16 (Bytes.length p);
       check Alcotest.string "short page fully patched" (String.make 16 'Z') (Bytes.to_string p)
@@ -82,7 +85,7 @@ let test_patch_entirely_past_short_page () =
   (* Addr 32 is inside page 0's range but past its 8 stored bytes: the
      patch must be a no-op, not an out-of-bounds blit. *)
   Cache.patch t ~addr:32 (Bytes.make 8 'Z');
-  match Cache.find t 0 with
+  match cached t 0 with
   | Some p -> check Alcotest.string "untouched" (String.make 8 'a') (Bytes.to_string p)
   | None -> Alcotest.fail "page evicted"
 
@@ -92,16 +95,151 @@ let test_clear_then_reuse () =
   Cache.insert t 1 (page 'b');
   Cache.clear t;
   check Alcotest.int "empty" 0 (Cache.length t);
-  check Alcotest.bool "gone" true (Cache.find t 0 = None);
+  check Alcotest.bool "gone" true (cached t 0 = None);
   (* Refill past capacity: eviction and the dense sample array must work
      on the recycled structure. *)
   for id = 10 to 14 do
     Cache.insert t id (page 'c')
   done;
   check Alcotest.int "at capacity" 2 (Cache.length t);
-  ignore (Cache.find t 14);
+  ignore (cached t 14);
   Cache.insert t 20 (page 'd');
   check Alcotest.int "still at capacity" 2 (Cache.length t)
+
+(* -- model-based properties ------------------------------------------------ *)
+
+type op = Find of int | Insert of int | Patch of int * int | Clear
+
+let op_gen ~ids =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun i -> Find i) (int_bound ids));
+        (4, map (fun i -> Insert i) (int_bound ids));
+        (1, map2 (fun a l -> Patch (a, l)) (int_bound (64 * (ids + 1))) (int_range 1 100));
+        (1, return Clear);
+      ])
+
+let ops_arb ~ids = QCheck.make QCheck.Gen.(list_size (int_range 1 400) (op_gen ~ids))
+let fill id = Bytes.make 64 (Char.chr (Char.code 'a' + (id mod 26)))
+
+(* Apply [Patch] to a page image the way [Cache.patch] must. *)
+let patch_model id data ~addr ~len =
+  let base = id * 64 in
+  for a = max addr base to min (addr + len) (base + 64) - 1 do
+    Bytes.set data (a - base) 'P'
+  done
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+(* An exact LRU cache as a list, most recent first. Hits, misses, page
+   bytes and every evicted id must agree with the real cache. *)
+let prop_lru_matches_list_model =
+  QCheck.Test.make ~count:300 ~name:"LRU cache matches a list model"
+    (QCheck.pair (QCheck.int_range 1 6) (ops_arb ~ids:12))
+    (fun (cap, ops) ->
+      let t = mk ~cap_pages:cap Cache.Lru in
+      let model = ref [] (* (id, bytes) *) and hits = ref 0 and misses = ref 0 in
+      let to_front id data = model := (id, data) :: List.remove_assoc id !model in
+      let miss id =
+        incr misses;
+        if cached t id <> None then fail "page %d should be absent" id
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Find id -> (
+              match (List.assoc_opt id !model, cached t id) with
+              | Some d, Some b ->
+                  incr hits;
+                  if not (Bytes.equal d b) then fail "page %d: wrong bytes" id;
+                  to_front id d
+              | None, None -> incr misses
+              | Some _, None -> fail "page %d missed, model hits" id
+              | None, Some _ -> fail "page %d hit, model misses" id)
+          | Insert id ->
+              let data = fill id in
+              (if (not (List.mem_assoc id !model)) && List.length !model >= cap then
+                 let victim, _ = List.nth !model (List.length !model - 1) in
+                 model := List.remove_assoc victim !model;
+                 Cache.insert t id data;
+                 miss victim
+               else Cache.insert t id data);
+              to_front id (Bytes.copy data)
+          | Patch (addr, len) ->
+              Cache.patch t ~addr (Bytes.make len 'P');
+              List.iter (fun (id, d) -> patch_model id d ~addr ~len) !model
+          | Clear ->
+              Cache.clear t;
+              model := []);
+          if Cache.length t <> List.length !model then fail "length differs";
+          if Cache.hits t <> !hits || Cache.misses t <> !misses then fail "hit/miss counts differ")
+        ops;
+      true)
+
+(* Hybrid: the victim is the least recent of [choose_set] pages sampled
+   from the dense array with the cache's own stream, drawn here from a
+   copy of it. The model keeps the same dense array (swap-remove) and the
+   same recency ticks. *)
+let prop_hybrid_victim_is_oldest_of_sample =
+  QCheck.Test.make ~count:300 ~name:"Hybrid evicts the oldest of its 32 samples"
+    (QCheck.pair (QCheck.int_range 1 48) (ops_arb ~ids:96))
+    (fun (cap, ops) ->
+      let rng = Asym_util.Rng.create ~seed:11L in
+      let t = Cache.create ~policy:Cache.Hybrid ~page_size:64 ~capacity_bytes:(cap * 64) rng in
+      let dense = Array.make cap (-1) and count = ref 0 in
+      let last_use = Hashtbl.create 16 and tick = ref 0 in
+      let touch id =
+        incr tick;
+        Hashtbl.replace last_use id !tick
+      in
+      let slot id =
+        let rec go i = if i >= !count then None else if dense.(i) = id then Some i else go (i + 1) in
+        go 0
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Find id -> (
+              match (slot id, cached t id) with
+              | Some _, Some _ -> touch id
+              | None, None -> ()
+              | _ -> fail "page %d: hit/miss differs" id)
+          | Insert id when slot id <> None ->
+              Cache.insert t id (fill id);
+              touch id
+          | Insert id ->
+              let victim =
+                if !count < cap then None
+                else begin
+                  let r = Asym_util.Rng.copy rng in
+                  let best = ref dense.(Asym_util.Rng.int r !count) in
+                  for _ = 2 to 32 do
+                    let c = dense.(Asym_util.Rng.int r !count) in
+                    if Hashtbl.find last_use c < Hashtbl.find last_use !best then best := c
+                  done;
+                  Some !best
+                end
+              in
+              Cache.insert t id (fill id);
+              (match victim with
+              | None -> ()
+              | Some v ->
+                  let i = Option.get (slot v) in
+                  decr count;
+                  dense.(i) <- dense.(!count);
+                  Hashtbl.remove last_use v;
+                  if cached t v <> None then fail "expected victim %d still cached" v);
+              dense.(!count) <- id;
+              incr count;
+              touch id
+          | Patch (addr, len) -> Cache.patch t ~addr (Bytes.make len 'P')
+          | Clear ->
+              Cache.clear t;
+              count := 0;
+              Hashtbl.reset last_use)
+        ops;
+      Cache.length t = !count)
 
 let () =
   Alcotest.run "cache"
@@ -120,4 +258,7 @@ let () =
           Alcotest.test_case "past short page is no-op" `Quick test_patch_entirely_past_short_page;
         ] );
       ("clear", [ Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse ]);
+      ( "model",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lru_matches_list_model; prop_hybrid_victim_is_oldest_of_sample ] );
     ]

@@ -48,15 +48,18 @@ let test_overlay_last_write_wins () =
 
 (* -- cache ------------------------------------------------------------------- *)
 
+(* [Cache.find] as an option, for assertions. *)
+let cached c id = match Cache.find c id with b -> Some b | exception Not_found -> None
+
 let mk_cache ?(policy = Cache.Hybrid) ?(pages = 8) () =
   Cache.create ~policy ~page_size:64 ~capacity_bytes:(pages * 64)
     (Asym_util.Rng.create ~seed:1L)
 
 let test_cache_hit_miss () =
   let c = mk_cache () in
-  check Alcotest.bool "miss" true (Cache.find c 5 = None);
+  check Alcotest.bool "miss" true (cached c 5 = None);
   Cache.insert c 5 (Bytes.make 64 'x');
-  check Alcotest.bool "hit" true (Cache.find c 5 <> None);
+  check Alcotest.bool "hit" true (cached c 5 <> None);
   check Alcotest.int "hits" 1 (Cache.hits c);
   check Alcotest.int "misses" 1 (Cache.misses c)
 
@@ -72,18 +75,18 @@ let test_cache_lru_evicts_oldest () =
   Cache.insert c 1 (Bytes.create 64);
   Cache.insert c 2 (Bytes.create 64);
   Cache.insert c 3 (Bytes.create 64);
-  ignore (Cache.find c 1);
+  ignore (cached c 1);
   (* 2 is now LRU *)
   Cache.insert c 4 (Bytes.create 64);
-  check Alcotest.bool "1 kept" true (Cache.find c 1 <> None);
-  check Alcotest.bool "2 evicted" true (Cache.find c 2 = None)
+  check Alcotest.bool "1 kept" true (cached c 1 <> None);
+  check Alcotest.bool "2 evicted" true (cached c 2 = None)
 
 let test_cache_patch () =
   let c = mk_cache () in
   Cache.insert c 1 (Bytes.make 64 'a');
   (* page 1 covers addresses 64..127 *)
   Cache.patch c ~addr:70 (Bytes.of_string "ZZZ");
-  match Cache.find c 1 with
+  match cached c 1 with
   | Some b -> check Alcotest.string "patched" "aZZZa" (Bytes.sub_string b 5 5)
   | None -> Alcotest.fail "page lost"
 
@@ -94,7 +97,7 @@ let miss_ratio policy =
   let z = Asym_util.Zipf.create ~theta:0.9 ~n:512 (Asym_util.Rng.create ~seed:5L) in
   for _ = 1 to 30_000 do
     let p = Asym_util.Zipf.next z in
-    match Cache.find c p with None -> Cache.insert c p (Bytes.create 64) | Some _ -> ()
+    match cached c p with None -> Cache.insert c p (Bytes.create 64) | Some _ -> ()
   done;
   float_of_int (Cache.misses c) /. float_of_int (Cache.hits c + Cache.misses c)
 
@@ -305,7 +308,7 @@ let prop_cache_never_exceeds_capacity =
           in
           List.iter
             (fun id ->
-              match Cache.find c id with
+              match cached c id with
               | Some _ -> ()
               | None -> Cache.insert c id (Bytes.create 64))
             accesses;
@@ -426,7 +429,7 @@ let prop_cache_readback =
         (fun id s acc ->
           acc
           &&
-          match Cache.find c id with
+          match cached c id with
           | Some b -> Bytes.to_string b = s
           | None -> true (* evicted is fine; wrong bytes are not *))
         model true)

@@ -138,6 +138,68 @@ let test_sched_interleaves_by_time () =
   check Alcotest.string "starts with one of each" "fast"
     (match order with a :: _ -> a | [] -> "none")
 
+(* Run [body] counting the [Clock.Yield]s it performs, each passed on to
+   the scheduler's own handler. *)
+let counting yields body () =
+  Effect.Deep.match_with body ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Clock.Yield _ ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  incr yields;
+                  Effect.perform e;
+                  Effect.Deep.continue k ())
+          | _ -> None);
+    }
+
+let test_sched_yields_only_when_overtaken () =
+  (* A lone client never suspends. *)
+  let solo = Clock.create () and n = ref 0 in
+  Sched.run
+    [
+      Sched.client ~clock:solo
+        ~run:
+          (counting n (fun () ->
+               for _ = 1 to 100 do
+                 Clock.advance solo 1
+               done));
+    ];
+  check Alcotest.int "one client performs no effect" 0 !n;
+  check Alcotest.int "its clock still advanced" 100 (Clock.now solo);
+  (* [a] steps by 1 ten times, [b] once by 100: [a] suspends once (at 1,
+     past [b]'s 0), then runs to 10 without suspending while it is still
+     earliest. The order of events is unchanged. *)
+  let a = Clock.create () and b = Clock.create () in
+  let ya = ref 0 and yb = ref 0 and log = ref [] in
+  let step name clk d =
+    Clock.advance clk d;
+    log := (name, Clock.now clk) :: !log
+  in
+  Sched.run
+    [
+      Sched.client ~clock:a
+        ~run:
+          (counting ya (fun () ->
+               for _ = 1 to 10 do
+                 step "a" a 1
+               done));
+      Sched.client ~clock:b ~run:(counting yb (fun () -> step "b" b 100));
+    ];
+  check Alcotest.int "a suspends once" 1 !ya;
+  check Alcotest.int "b suspends once" 1 !yb;
+  check
+    Alcotest.(list (pair string int))
+    "time order"
+    (List.init 10 (fun i -> ("a", i + 1)) @ [ ("b", 100) ])
+    (List.rev !log);
+  Clock.advance a 5;
+  check Alcotest.int "no effect after the run" 15 (Clock.now a)
+
 let test_sched_makespan () =
   let a = Clock.create () and b = Clock.create () in
   Clock.advance a 100;
@@ -175,5 +237,7 @@ let () =
         [
           Alcotest.test_case "virtual-time interleaving" `Quick test_sched_interleaves_by_time;
           Alcotest.test_case "makespan" `Quick test_sched_makespan;
+          Alcotest.test_case "yields only when overtaken" `Quick
+            test_sched_yields_only_when_overtaken;
         ] );
     ]

@@ -341,8 +341,8 @@ let test_bptree_splits () =
 
 module Node = Pbptree.Node
 
-let int_array = Alcotest.(array int)
-let int64_array = Alcotest.(array int64)
+let int_list = Alcotest.(list int)
+let int64_list = Alcotest.(list int64)
 
 (* Keys 10, 20, ...; leaf values 1000 + i, internal children 100 + i. *)
 let mk_leaf nkeys =
@@ -350,86 +350,206 @@ let mk_leaf nkeys =
   for i = 0 to nkeys - 1 do
     Node.leaf_insert_at n i (Int64.of_int (10 * (i + 1))) (1000 + i)
   done;
-  n.Node.next <- 4242;
+  Node.set_next n 4242;
   n
 
 let mk_internal nkeys =
   let n = Node.empty false in
-  n.Node.children.(0) <- 100;
+  Node.set_child n 0 100;
   for i = 0 to nkeys - 1 do
     Node.internal_insert_at n i (Int64.of_int (10 * (i + 1))) (101 + i)
   done;
   n
 
-let check_node msg (a : Node.t) (b : Node.t) =
-  check Alcotest.bool (msg ^ " leaf") a.leaf b.leaf;
-  check Alcotest.int (msg ^ " nkeys") a.nkeys b.nkeys;
-  check int64_array (msg ^ " keys") a.keys b.keys;
-  check int_array (msg ^ " children") a.children b.children;
-  check Alcotest.int (msg ^ " next") a.next b.next;
-  check int_array (msg ^ " vals") a.vals b.vals
+let keys n from upto = List.init (upto - from) (fun i -> Node.key n (from + i))
+let children n from upto = List.init (upto - from) (fun i -> Node.child n (from + i))
+let values n from upto = List.init (upto - from) (fun i -> Node.value n (from + i))
 
+(* The view reads back what was written, and its bytes are exactly the
+   reference codec's image of the same node. *)
 let test_node_roundtrip () =
   let leaf = mk_leaf 7 in
-  check Alcotest.int "512-byte image" Node.node_bytes (Bytes.length (Node.encode leaf));
-  check_node "leaf" leaf (Node.decode (Node.encode leaf));
+  check Alcotest.int "512-byte image" Node.node_bytes (Bytes.length leaf);
+  check Alcotest.bool "leaf" true (Node.leaf leaf);
+  check Alcotest.int "nkeys" 7 (Node.nkeys leaf);
+  check int64_list "keys" (List.init 7 (fun i -> Int64.of_int (10 * (i + 1)))) (keys leaf 0 7);
+  check int_list "values" (List.init 7 (fun i -> 1000 + i)) (values leaf 0 7);
+  check Alcotest.int "next" 4242 (Node.next leaf);
+  check bytes_eq "leaf image" (Node_ref.encode (Node_ref.decode leaf)) leaf;
   let full = mk_leaf Pbptree.max_keys in
-  check_node "full leaf" full (Node.decode (Node.encode full));
+  check bytes_eq "full leaf image" (Node_ref.encode (Node_ref.decode full)) full;
   let internal = mk_internal Pbptree.max_keys in
-  check_node "internal" internal (Node.decode (Node.encode internal));
+  check Alcotest.bool "internal" false (Node.leaf internal);
+  check int_list "children" (List.init Pbptree.fanout (fun i -> 100 + i))
+    (children internal 0 Pbptree.fanout);
+  check bytes_eq "internal image" (Node_ref.encode (Node_ref.decode internal)) internal;
   check Alcotest.int "descend right of an equal separator" 2 (Node.child_index internal 20L);
   check Alcotest.int "leaf insertion point" 3 (Node.leaf_pos leaf 35L)
 
-let zero_from a i = Array.for_all (fun x -> x = 0) (Array.sub a i (Array.length a - i))
-let zero64_from a i = Array.for_all (fun x -> x = 0L) (Array.sub a i (Array.length a - i))
+let zero_from f n i upto = List.for_all (fun x -> x = 0) (List.init (upto - i) (fun k -> f n (i + k)))
 
 let test_node_split_leaf () =
   let n = mk_leaf Pbptree.max_keys in
   let sep, right = Node.split n in
   let half = Pbptree.max_keys / 2 in
   let moved = Pbptree.max_keys - half in
-  check Alcotest.int "left keeps the lower half" half n.nkeys;
-  check Alcotest.int "right takes the rest" moved right.nkeys;
-  check Alcotest.int64 "separator is the right's first key" right.keys.(0) sep;
+  check Alcotest.int "left keeps the lower half" half (Node.nkeys n);
+  check Alcotest.int "right takes the rest" moved (Node.nkeys right);
+  check Alcotest.int64 "separator is the right's first key" (Node.key right 0) sep;
   check Alcotest.int64 "separator" (Int64.of_int (10 * (half + 1))) sep;
-  check int64_array "right keys"
-    (Array.init moved (fun i -> Int64.of_int (10 * (half + i + 1))))
-    (Array.sub right.keys 0 moved);
-  check int_array "right vals"
-    (Array.init moved (fun i -> 1000 + half + i))
-    (Array.sub right.vals 0 moved);
-  check Alcotest.bool "vacated keys zeroed" true (zero64_from n.keys half);
-  check Alcotest.bool "vacated vals zeroed" true (zero_from n.vals half);
-  check Alcotest.int "right inherits the chain link" 4242 right.next;
-  check Alcotest.bool "right is a leaf" true right.leaf
+  check int64_list "right keys"
+    (List.init moved (fun i -> Int64.of_int (10 * (half + i + 1))))
+    (keys right 0 moved);
+  check int_list "right vals" (List.init moved (fun i -> 1000 + half + i)) (values right 0 moved);
+  check Alcotest.bool "vacated keys zeroed" true
+    (List.for_all (fun k -> k = 0L) (keys n half Pbptree.max_keys));
+  check Alcotest.bool "vacated vals zeroed" true (zero_from Node.value n half Pbptree.max_keys);
+  check Alcotest.int "right inherits the chain link" 4242 (Node.next right);
+  check Alcotest.bool "right is a leaf" true (Node.leaf right)
 
 let test_node_split_internal () =
-  (* Overflowed by one: max_keys + 1 keys, the shape only DRAM ever holds. *)
-  let n = mk_internal (Pbptree.max_keys + 1) in
+  (* A full node taking one more separator: the max_keys + 1 keys split
+     as one overflowed node would. *)
+  let n = mk_internal Pbptree.max_keys in
   let total = Pbptree.max_keys + 1 in
   let mid = total / 2 in
-  let sep, right = Node.split n in
+  let sep, right =
+    match Node.insert_split n Pbptree.max_keys (Int64.of_int (10 * total)) (100 + total) with
+    | Some s -> s
+    | None -> Alcotest.fail "a full node must split"
+  in
   check Alcotest.int64 "middle key moves up" (Int64.of_int (10 * (mid + 1))) sep;
-  check Alcotest.int "left keys" mid n.nkeys;
-  check Alcotest.int "right keys" (total - mid - 1) right.nkeys;
-  check int64_array "right keys"
-    (Array.init right.nkeys (fun i -> Int64.of_int (10 * (mid + i + 2))))
-    (Array.sub right.keys 0 right.nkeys);
-  check int_array "right children"
-    (Array.init (right.nkeys + 1) (fun i -> 101 + mid + i))
-    (Array.sub right.children 0 (right.nkeys + 1));
-  check int_array "left children"
-    (Array.init (mid + 1) (fun i -> 100 + i))
-    (Array.sub n.children 0 (mid + 1));
-  check Alcotest.bool "vacated keys (separator included) zeroed" true (zero64_from n.keys mid);
-  check Alcotest.bool "vacated children zeroed" true (zero_from n.children (mid + 1));
-  check Alcotest.bool "right is internal" false right.leaf;
-  check_node "left survives encoding" n (Node.decode (Node.encode n))
+  check Alcotest.int "left keys" mid (Node.nkeys n);
+  check Alcotest.int "right keys" (total - mid - 1) (Node.nkeys right);
+  check int64_list "right keys"
+    (List.init (Node.nkeys right) (fun i -> Int64.of_int (10 * (mid + i + 2))))
+    (keys right 0 (Node.nkeys right));
+  check int_list "right children"
+    (List.init (Node.nkeys right + 1) (fun i -> 101 + mid + i))
+    (children right 0 (Node.nkeys right + 1));
+  check int_list "left children" (List.init (mid + 1) (fun i -> 100 + i)) (children n 0 (mid + 1));
+  check Alcotest.bool "vacated keys (separator included) zeroed" true
+    (List.for_all (fun k -> k = 0L) (keys n mid Pbptree.max_keys));
+  check Alcotest.bool "vacated children zeroed" true
+    (zero_from Node.child n (mid + 1) Pbptree.fanout);
+  check Alcotest.bool "right is internal" false (Node.leaf right)
 
-let test_node_encode_rejects_overflow () =
-  let n = mk_internal (Pbptree.max_keys + 1) in
-  let raised = match Node.encode n with _ -> false | exception Assert_failure _ -> true in
-  check Alcotest.bool "overflowed node is never encoded" true raised
+let test_node_full_insert_rejected () =
+  let assert_fails msg f =
+    let raised = match f () with () -> false | exception Assert_failure _ -> true in
+    check Alcotest.bool msg true raised
+  in
+  let leaf = mk_leaf Pbptree.max_keys and internal = mk_internal Pbptree.max_keys in
+  assert_fails "full leaf" (fun () -> Node.leaf_insert_at leaf 0 1L 1);
+  assert_fails "full internal node" (fun () -> Node.internal_insert_at internal 0 1L 1)
+
+let test_node_torn_reads () =
+  (* A reclaimed block can claim 255 keys: reads past the image see one
+     zero slot, then fail inside the read section. *)
+  let n = mk_leaf 3 in
+  Bytes.set_uint8 n 1 255;
+  check Alcotest.int64 "spare slot reads zero" 0L (Node.key n Pbptree.max_keys);
+  let raised =
+    match Node.key n (Pbptree.max_keys + 1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "past the spare slot" true raised;
+  let runs_off = match Node.leaf_pos n 100L with _ -> false | exception Invalid_argument _ -> true in
+  check Alcotest.bool "a search runs off the image and fails" true runs_off
+
+(* Random edit sequences on the view and on the reference record: every
+   intermediate image, split sibling and separator must agree byte for
+   byte. A full node takes an insert either BPT-leaf style (split, then
+   insert into a half) or through [insert_split] (the reference inserts
+   into its spare slot, then splits). *)
+type node_op = Ins of int * int64 * int | Rem of int | Split | Keep_right of bool
+
+let node_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun p k v -> Ins (p, k, v)) (int_bound 40) (map Int64.of_int int) (int_bound 1_000_000));
+        (2, map (fun p -> Rem p) (int_bound 40));
+        (1, return Split);
+        (1, map (fun b -> Keep_right b) bool);
+      ])
+
+let prop_node_byte_image =
+  QCheck.Test.make ~count:300 ~name:"node view matches the reference image"
+    QCheck.(make Gen.(pair bool (list_size (int_range 1 120) node_op_gen)))
+    (fun (is_leaf, ops) ->
+      let v = ref (Node.empty is_leaf) and r = ref (Node_ref.empty is_leaf) in
+      if not is_leaf then begin
+        Node.set_child !v 0 7;
+        !r.Node_ref.children.(0) <- 7
+      end;
+      let same what (a : Node.t) b =
+        if not (Bytes.equal a (Node_ref.encode b)) then
+          QCheck.Test.fail_reportf "%s: images differ" what
+      in
+      let take_split (sep, right) (rsep, rright) =
+        if sep <> rsep then QCheck.Test.fail_reportf "separators differ";
+        same "right sibling" right rright;
+        (right, rright)
+      in
+      let last_right = ref None in
+      List.iter
+        (fun op ->
+          let nk = Node.nkeys !v in
+          (match op with
+          | Ins (p, k, x) ->
+              let pos = p mod (nk + 1) in
+              if nk < Pbptree.max_keys then begin
+                if is_leaf then begin
+                  Node.leaf_insert_at !v pos k x;
+                  Node_ref.leaf_insert_at !r pos k x
+                end
+                else begin
+                  Node.internal_insert_at !v pos k x;
+                  Node_ref.internal_insert_at !r pos k x
+                end
+              end
+              else if is_leaf && x mod 2 = 0 then begin
+                let sep, right = Node.split !v and rsep, rright = Node_ref.split !r in
+                last_right := Some (take_split (sep, right) (rsep, rright));
+                let half = Node.nkeys !v in
+                if pos <= half then begin
+                  Node.leaf_insert_at !v pos k x;
+                  Node_ref.leaf_insert_at !r pos k x
+                end
+                else begin
+                  Node.leaf_insert_at right (pos - half) k x;
+                  Node_ref.leaf_insert_at rright (pos - half) k x;
+                  same "right after insert" right rright
+                end
+              end
+              else begin
+                (if is_leaf then Node_ref.leaf_insert_at !r pos k x
+                 else Node_ref.internal_insert_at !r pos k x);
+                let rs = Node_ref.split !r in
+                match Node.insert_split !v pos k x with
+                | Some s -> last_right := Some (take_split s rs)
+                | None -> QCheck.Test.fail_reportf "full node did not split"
+              end
+          | Rem p ->
+              if is_leaf && nk > 0 then begin
+                Node.leaf_remove_at !v (p mod nk);
+                Node_ref.leaf_remove_at !r (p mod nk)
+              end
+          | Split ->
+              if nk > 0 then
+                last_right := Some (take_split (Node.split !v) (Node_ref.split !r))
+          | Keep_right b -> (
+              match !last_right with
+              | Some (right, rright) when b ->
+                  v := right;
+                  r := rright;
+                  last_right := None
+              | _ -> ()));
+          same "node" !v !r)
+        ops;
+      true)
 
 let test_bptree_range () =
   let fe = mk_client (mk_backend ()) in
@@ -691,8 +811,9 @@ let () =
           Alcotest.test_case "node round-trip" `Quick test_node_roundtrip;
           Alcotest.test_case "node split leaf" `Quick test_node_split_leaf;
           Alcotest.test_case "node split internal" `Quick test_node_split_internal;
-          Alcotest.test_case "node encode rejects overflow" `Quick
-            test_node_encode_rejects_overflow;
+          Alcotest.test_case "node full insert rejected" `Quick test_node_full_insert_rejected;
+          Alcotest.test_case "node torn reads" `Quick test_node_torn_reads;
+          qt prop_node_byte_image;
           qt prop_bptree;
           qt prop_bpt_range;
         ] );

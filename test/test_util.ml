@@ -39,6 +39,35 @@ let test_rng_float_unit_interval () =
     if f < 0.0 || f >= 1.0 then Alcotest.failf "out of range: %f" f
   done
 
+(* The first draws of two streams, pinned: the generator's state
+   representation may change, its output may not. *)
+let test_rng_golden () =
+  let golden seed expected =
+    let r = Rng.create ~seed in
+    List.iteri
+      (fun i e -> check Alcotest.int64 (Printf.sprintf "seed %Ld draw %d" seed i) e (Rng.next_int64 r))
+      expected
+  in
+  golden 1L
+    [
+      0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL; 0x71c18690ee42c90bL;
+      0x71bb54d8d101b5b9L; 0xc34d0bff90150280L; 0xe099ec6cd7363ca5L; 0x85e7bb0f12278575L;
+    ];
+  golden 42L
+    [
+      0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+      0x09bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L;
+    ]
+
+let test_rng_copy_continues () =
+  let a = Rng.create ~seed:3L in
+  ignore (Rng.next_int64 a);
+  let b = Rng.copy a in
+  check Alcotest.int64 "copy continues the stream" (Rng.next_int64 a) (Rng.next_int64 b);
+  ignore (Rng.next_int64 a);
+  let c = Rng.copy b in
+  check Alcotest.int64 "copies are independent" (Rng.next_int64 b) (Rng.next_int64 c)
+
 let test_rng_split_independent () =
   let a = Rng.create ~seed:5L in
   let b = Rng.split a in
@@ -307,6 +336,8 @@ let () =
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "float in [0,1)" `Quick test_rng_float_unit_interval;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "copy continues" `Quick test_rng_copy_continues;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
         ] );
