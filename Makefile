@@ -3,7 +3,7 @@
 # checked only when ocamlformat is installed (the CI container does not
 # ship it; .ocamlformat pins the version for environments that do).
 
-.PHONY: all build test fmt fmt-check check crashsweep faultsweep bench demo clean
+.PHONY: all build test fmt fmt-check check crashsweep gates faultsweep bench demo clean
 
 all: build
 
@@ -31,6 +31,20 @@ check: build test fmt-check
 crashsweep:
 	dune exec bin/asymnvm.exe -- check --structure all --ops 50
 	dune exec bin/asymnvm.exe -- check --structure all --ops 5 --stride 1000 --fuzz 300
+
+# The byte-identity gates: the smoke set, fig8, every experiment and the
+# crash census, each regenerated into a *_ci file and compared with its
+# committed baseline. The census baseline holds make's echoed command
+# lines, so the sub-make must echo them and must not print directories.
+gates:
+	dune exec bench/main.exe -- smoke --json BENCH_ci.json
+	cmp bench/baseline.json BENCH_ci.json
+	dune exec bench/main.exe -- fig8 --json FIG8_ci.json
+	cmp bench/fig8_baseline.json FIG8_ci.json
+	dune exec bench/main.exe -- all --json ALL_ci.json
+	cmp bench/all_baseline.json ALL_ci.json
+	$(MAKE) --no-print-directory crashsweep > CRASHSWEEP_ci.txt
+	cmp bench/crashsweep_baseline.txt CRASHSWEEP_ci.txt
 
 # Transient-fault sweep: throughput, retry counts and read-back
 # integrity versus verb drop rate (Naive and RCB B+Trees).

@@ -42,7 +42,6 @@ type t = {
   sessions : session option array;
   ds_by_id : (Types.ds_id, ds_record) Hashtbl.t;
   ds_by_name : (string, ds_record) Hashtbl.t;
-  locks : (Types.addr, Timeline.t) Hashtbl.t;
   mutable mirror_list : Mirror.t list;
   mutable next_ds : int;
   mutable crashed : bool;
@@ -153,7 +152,6 @@ let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 102
     sessions = Array.make max_sessions None;
     ds_by_id = Hashtbl.create 16;
     ds_by_name = Hashtbl.create 16;
-    locks = Hashtbl.create 16;
     mirror_list = [];
     next_ds = 1;
     crashed = false;
@@ -349,15 +347,7 @@ let note_op_offset t ~session ~opnum ~offset =
 
 let replicate_raw t ~at ~addr b = repl t ~at ~addr b
 
-(* -- locks and sequence numbers ------------------------------------------------ *)
-
-let lock_timeline t addr =
-  match Hashtbl.find_opt t.locks addr with
-  | Some tl -> tl
-  | None ->
-      let tl = Timeline.create ~name:(Printf.sprintf "lock@%#x" addr) () in
-      Hashtbl.replace t.locks addr tl;
-      tl
+(* -- sequence numbers ------------------------------------------------------------ *)
 
 let seqno t ~ds =
   match Hashtbl.find_opt t.ds_by_id ds with
@@ -433,9 +423,7 @@ let abandoned_locks t ~session =
     records;
   Hashtbl.fold (fun addr () acc -> addr :: acc) held []
 
-let force_release_lock t addr ~at =
-  Device.write_u64 t.dev ~addr 0L;
-  Timeline.release (lock_timeline t addr) ~at
+let force_release_lock t addr = Device.write_u64 t.dev ~addr 0L
 
 let session_cursors t ~session =
   let s = get_session t session in
@@ -461,7 +449,6 @@ let restart t =
   t.alloc <- Backend_alloc.load t.dev t.layout;
   t.meta_cursor <- Int64.to_int (Device.read_u64 t.dev ~addr:t.layout.Layout.meta_base);
   rebuild_ds_registry t;
-  Hashtbl.reset t.locks;
   t.crashed <- false;
   let statuses = ref [] in
   for sid = 0 to t.layout.Layout.max_sessions - 1 do
@@ -509,7 +496,6 @@ let of_device ?(name = "backend") dev lat =
       sessions = Array.make layout.Layout.max_sessions None;
       ds_by_id = Hashtbl.create 16;
       ds_by_name = Hashtbl.create 16;
-      locks = Hashtbl.create 16;
       mirror_list = [];
       next_ds = 1;
       crashed = false;

@@ -94,9 +94,6 @@ val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> un
 
 (** {2 Concurrency support} *)
 
-val lock_timeline : t -> Types.addr -> Asym_sim.Timeline.t
-(** The contention timeline of the writer lock at [addr]. *)
-
 val seqno : t -> ds:Types.ds_id -> int64
 
 (** {2 Recovery support (§7.2)} *)
@@ -110,7 +107,9 @@ val abandoned_locks : t -> session:Types.session_id -> Types.addr list
 (** Locks for which the session logged an acquire without a matching
     release — the lock-ahead log of §6.1. *)
 
-val force_release_lock : t -> Types.addr -> at:Asym_sim.Simtime.t -> unit
+val force_release_lock : t -> Types.addr -> unit
+(** Zero the lock word at [addr], releasing a lock that a crashed
+    incarnation still held. *)
 
 val session_cursors : t -> session:Types.session_id -> Rpc_msg.cursors
 

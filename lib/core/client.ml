@@ -690,16 +690,6 @@ let writer_lock t (h : Types.handle) =
       Fmt.failwith "%s: writer_lock: lock at %#x still held after %d CAS probes" t.cname
         h.Types.lock max_lock_probes
   done;
-  (* Outside the co-simulation execution order is not virtual-time order:
-     a winner's clock can still be behind the previous holder's release
-     time. The per-lock timeline keeps hold intervals serialized in
-     virtual time either way (under the scheduler the spin already did —
-     the winning probe executes after the release write, on a clock the
-     scheduler kept >= the holder's). *)
-  let tl = Backend.lock_timeline t.bk h.Types.lock in
-  let start = Timeline.hold tl ~at:(Clock.now t.clk) in
-  if start > Clock.now t.clk then
-    Clock.wait_until ~cause:Asym_obs.Attr.Lock_wait t.clk start;
   t.lock_wait_ns <- t.lock_wait_ns + (Clock.now t.clk - requested)
 
 let writer_unlock t (h : Types.handle) =
@@ -708,7 +698,6 @@ let writer_unlock t (h : Types.handle) =
   let b = Bytes.make 8 '\000' in
   (* The release write needs ordering, not an ack. *)
   Verbs.write_unsignaled t.conn ~addr:h.Types.lock b;
-  Timeline.release (Backend.lock_timeline t.bk h.Types.lock) ~at:(Clock.now t.clk);
   lock_record t ~acquire:false h.Types.lock
 
 (* -- optimistic read sections (§6.3, Algorithm 2) ------------------------------ *)
@@ -825,7 +814,7 @@ let recover t =
      and log the release so later scans see the lock balanced. *)
   List.iter
     (fun lock_addr ->
-      Backend.force_release_lock t.bk lock_addr ~at:(Clock.now t.clk);
+      Backend.force_release_lock t.bk lock_addr;
       lock_record t ~acquire:false lock_addr)
     (Backend.abandoned_locks t.bk ~session:t.sid);
   let ops = Backend.unreplayed_ops t.bk ~session:t.sid in

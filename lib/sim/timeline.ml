@@ -14,7 +14,7 @@ type t = {
   mutable stops : int array;
   mutable count : int;
   mutable horizon : Simtime.t;  (* nothing may be scheduled before this *)
-  mutable free : Simtime.t;  (* open-ended hold bookkeeping *)
+  mutable free : Simtime.t;  (* end of the latest booked slot *)
   mutable busy : Simtime.t;
   mutable queued : Simtime.t;  (* total wait between request and grant *)
 }
@@ -116,18 +116,6 @@ let acquire t ~at ~dur =
     if start + dur > t.free then t.free <- start + dur;
     book t ~wait:(start - requested) ~service:dur;
     start
-  end
-
-let hold t ~at =
-  let start = Simtime.max at t.free in
-  book t ~wait:(start - at) ~service:0;
-  start
-
-let release t ~at =
-  if at > t.free then begin
-    book t ~wait:0 ~service:(at - t.free);
-    t.busy <- t.busy + (at - t.free);
-    t.free <- at
   end
 
 let free_at t = t.free

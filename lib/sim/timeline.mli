@@ -1,10 +1,11 @@
-(** A contended shared resource (a NIC, a lock, a replay engine).
+(** A contended shared resource (a NIC, a replay engine).
 
     A timeline serializes work items: a request arriving at virtual time
     [at] for [dur] nanoseconds starts at [max at free] and pushes the
     resource's free time forward. This is a standard single-server queue
-    and is how back-end NIC saturation (Figs 8–10) and lock contention
-    (§6) manifest in the simulation. *)
+    and is how back-end NIC saturation (Figs 8–10) manifests in the
+    simulation. Writer locks are not timelines: lock contention (§6) is
+    the CAS probes a loser spins, each booking a slot on the NIC. *)
 
 type t
 
@@ -14,13 +15,6 @@ val name : t -> string
 val acquire : t -> at:Simtime.t -> dur:Simtime.t -> Simtime.t
 (** [acquire t ~at ~dur] returns the start time of the granted slot.
     The slot ends at [start + dur]. *)
-
-val hold : t -> at:Simtime.t -> Simtime.t
-(** Begin an open-ended hold (e.g. a mutex): returns the start time, with
-    the resource marked busy until {!release} is called. *)
-
-val release : t -> at:Simtime.t -> unit
-(** End an open-ended hold at absolute time [at]. *)
 
 val free_at : t -> Simtime.t
 (** Next time the resource is free. *)

@@ -126,18 +126,6 @@ let test_timeline_contention () =
     (List.fold_left (fun acc f -> acc + f) 0 finishes)
     (counter "timeline.queue_ns" + counter "timeline.service_ns")
 
-let test_timeline_hold_release () =
-  let tl = Timeline.create ~name:"mtx" () in
-  let s0 = Timeline.hold tl ~at:0 in
-  check Alcotest.int "uncontended hold starts immediately" 0 s0;
-  Timeline.release tl ~at:50;
-  let s1 = Timeline.hold tl ~at:20 in
-  check Alcotest.int "contended hold waits for release" 50 s1;
-  Timeline.release tl ~at:80;
-  let counter n = Registry.counter_value ~labels:[ ("resource", "mtx") ] n in
-  check Alcotest.int "hold queue time" 30 (counter "timeline.queue_ns");
-  check Alcotest.int "held service time" 80 (counter "timeline.service_ns")
-
 (* -- whole-stack conservation ----------------------------------------------- *)
 
 (* The acceptance property: a 1000-op BPT RCB run attributes every
@@ -184,8 +172,6 @@ let () =
         [
           Alcotest.test_case "queue/service under contention" `Quick
             (with_obs (fun () -> test_timeline_contention ()));
-          Alcotest.test_case "hold/release booking" `Quick
-            (with_obs (fun () -> test_timeline_hold_release ()));
         ] );
       ( "conservation",
         [

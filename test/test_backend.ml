@@ -274,21 +274,34 @@ let test_drain_busies_backend_cpu () =
 
 (* -- locks ------------------------------------------------------------------------ *)
 
+(* Both writers ask for the lock at the same virtual time; only the CAS
+   spin on the lock word orders their holds. *)
 let test_writer_lock_serializes () =
   let bk = mk_backend () in
   let fe1, c1 = mk_client ~name:"w1" bk in
   let fe2, c2 = mk_client ~name:"w2" bk in
   let h = Client.register_ds fe1 "t" in
   let h2 = Client.register_ds fe2 "t" in
-  Client.writer_lock fe1 h;
-  let t1 = Clock.now c1 in
-  (* Simulate fe1 holding the lock for 50 us of work. *)
-  Clock.advance c1 (Simtime.us 50);
-  Client.writer_unlock fe1 h;
-  ignore t1;
-  Client.writer_lock fe2 h2;
-  check Alcotest.bool "second writer waited" true (Clock.now c2 >= Clock.now c1 - Simtime.us 5);
-  Client.writer_unlock fe2 h2
+  let t0 = Simtime.max (Clock.now c1) (Clock.now c2) in
+  Clock.wait_until c1 t0;
+  Clock.wait_until c2 t0;
+  let released = ref 0 and acquired = ref 0 in
+  Sched.run
+    [
+      Sched.client ~clock:c1 ~run:(fun () ->
+          Client.writer_lock fe1 h;
+          (* fe1 holds the lock for 50 us of work. *)
+          Clock.advance c1 (Simtime.us 50);
+          released := Clock.now c1;
+          Client.writer_unlock fe1 h);
+      Sched.client ~clock:c2 ~run:(fun () ->
+          Client.writer_lock fe2 h2;
+          acquired := Clock.now c2;
+          Client.writer_unlock fe2 h2);
+    ];
+  check Alcotest.bool "second writer acquires after the release" true (!acquired >= !released);
+  check Alcotest.bool "second writer waited longer than the holder" true
+    (Client.lock_wait_ns fe2 > Client.lock_wait_ns fe1)
 
 (* Replay changes media (and bumps the SN) when the writer posts its
    transaction, but books its CPU slot behind whatever the back-end CPU

@@ -158,11 +158,18 @@ let test_two_writers_locked () =
   let opts = Ds_intf.shared_options in
   let t1 = Bst.attach ~opts fe1 ~name:"shared" in
   let t2 = Bst.attach ~opts fe2 ~name:"shared" in
-  (* Interleave writes from both front-ends. *)
-  for i = 0 to 49 do
-    Bst.put t1 ~key:(Int64.of_int (2 * i)) ~value:(v (Printf.sprintf "w1-%d" i));
-    Bst.put t2 ~key:(Int64.of_int ((2 * i) + 1)) ~value:(v (Printf.sprintf "w2-%d" i))
-  done;
+  (* Each front-end writes its 50 keys as one co-simulated client; the
+     writer lock's CAS word is all that keeps their puts apart. *)
+  let writer fe t ~tag ~parity =
+    Sched.client ~clock:(Client.clock fe) ~run:(fun () ->
+        for i = 0 to 49 do
+          Bst.put t ~key:(Int64.of_int ((2 * i) + parity)) ~value:(v (Printf.sprintf "%s-%d" tag i))
+        done)
+  in
+  Sched.run [ writer fe1 t1 ~tag:"w1" ~parity:0; writer fe2 t2 ~tag:"w2" ~parity:1 ];
+  (* 100 uncontended acquisitions would cost one CAS probe each. *)
+  check Alcotest.bool "the writers spun on each other's holds" true
+    (Client.lock_wait_ns fe1 + Client.lock_wait_ns fe2 > 100 * lat.Latency.rdma_atomic_ns);
   (* Both must observe the full merged structure. *)
   check Alcotest.int "w1 sees all" 100 (List.length (Bst.to_list t1));
   check Alcotest.int "w2 sees all" 100 (List.length (Bst.to_list t2));

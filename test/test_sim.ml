@@ -106,14 +106,6 @@ let prop_timeline_no_overlap =
       ok sorted
       && List.for_all2 (fun (at, _) (start, _) -> start >= at) reqs slots)
 
-let test_timeline_hold_release () =
-  let tl = Timeline.create () in
-  let s = Timeline.hold tl ~at:50 in
-  check Alcotest.int "uncontended hold" 50 s;
-  Timeline.release tl ~at:200;
-  check Alcotest.int "held until release" 200 (Timeline.hold tl ~at:100);
-  check Alcotest.int "free after release" 250 (Timeline.hold tl ~at:250)
-
 (* -- Sched ----------------------------------------------------------------- *)
 
 let test_sched_interleaves_by_time () =
@@ -230,7 +222,6 @@ let () =
           Alcotest.test_case "fifo queueing" `Quick test_timeline_fifo;
           Alcotest.test_case "backfills idle gaps" `Quick test_timeline_backfills_gaps;
           Alcotest.test_case "gap too small" `Quick test_timeline_gap_too_small;
-          Alcotest.test_case "hold/release" `Quick test_timeline_hold_release;
           QCheck_alcotest.to_alcotest prop_timeline_no_overlap;
         ] );
       ( "sched",

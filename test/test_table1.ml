@@ -138,14 +138,28 @@ let test_writer_lock_mutual_exclusion_cost () =
   let fe2 = Client.connect ~name:"fe2" (Client.r ()) bk ~clock:(Clock.create ~name:"fe2" ()) in
   let h1 = Client.register_ds fe1 "d" in
   let h2 = Client.register_ds fe2 "d" in
-  Client.writer_lock fe1 h1;
-  Clock.advance (Client.clock fe1) (Simtime.us 100);
-  Client.writer_unlock fe1 h1;
-  (* fe2 contends: its acquisition cannot complete before fe1's release. *)
-  Client.writer_lock fe2 h2;
-  check Alcotest.bool "waited for the holder" true
-    (Clock.now (Client.clock fe2) >= Clock.now (Client.clock fe1) - Simtime.us 10);
-  Client.writer_unlock fe2 h2
+  let c1 = Client.clock fe1 and c2 = Client.clock fe2 in
+  let t0 = Simtime.max (Clock.now c1) (Clock.now c2) in
+  Clock.wait_until c1 t0;
+  Clock.wait_until c2 t0;
+  let released = ref 0 and acquired = ref 0 in
+  Sched.run
+    [
+      Sched.client ~clock:c1 ~run:(fun () ->
+          Client.writer_lock fe1 h1;
+          Clock.advance c1 (Simtime.us 100);
+          released := Clock.now c1;
+          Client.writer_unlock fe1 h1);
+      (* fe2 contends from the same start: its acquisition cannot complete
+         before fe1's release. *)
+      Sched.client ~clock:c2 ~run:(fun () ->
+          Client.writer_lock fe2 h2;
+          acquired := Clock.now c2;
+          Client.writer_unlock fe2 h2);
+    ];
+  check Alcotest.bool "acquired after the holder's release" true (!acquired >= !released);
+  check Alcotest.bool "waited longer than the holder" true
+    (Client.lock_wait_ns fe2 > Client.lock_wait_ns fe1)
 
 let test_reader_lock_retries_are_bounded () =
   let _, fe = mk () in
