@@ -98,7 +98,7 @@ let tests () =
     Test.make ~name:"tx/encode-scan"
       (Staged.stage (fun () ->
            match Log.Tx.scan (Log.Tx.encode tx) ~pos:0 with
-           | Log.Tx.Record _ -> ()
+           | Log.Record _ -> ()
            | _ -> assert false));
     (* §7.2: torn-tail scan of an intact record. *)
     Test.make ~name:"recovery/tx-scan" (Staged.stage (fun () -> ignore (Log.Tx.scan tx_bytes ~pos:0)));

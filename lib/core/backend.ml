@@ -21,10 +21,6 @@ type session = {
   mutable lpn : int;  (* ring-relative replay cursor, persisted *)
   mutable opn_covered : int64;  (* persisted *)
   mutable oplog_tail : int;  (* ring-relative GC cursor, persisted *)
-  mutable memlog_head : int;  (* volatile append cursor (truth is ring bytes) *)
-  mutable oplog_head : int;  (* volatile *)
-  mutable next_opnum : int64;  (* volatile *)
-  op_index : (int64 * int) Queue.t;  (* opnum -> ring offset, volatile *)
 }
 
 type session_status = Session_consistent | Session_torn_tail
@@ -49,7 +45,7 @@ type t = {
   mutable n_replayed_txs : int;
   mutable n_replayed_entries : int;
   mutable n_dup_replays : int;
-  mutable scan_buf : bytes;  (* replay's window onto a memory-log ring, reused *)
+  mutable scan_buf : bytes;  (* the scans' window onto a log ring, reused *)
 }
 
 let rpc_base_ns = 400
@@ -82,8 +78,7 @@ let repl t ~at ~addr ?len b =
 let repl_uncharged t ~addr b =
   List.iter (fun m -> Device.write (Mirror.device m) ~addr b) t.mirror_list
 
-let write_word t ~at addr v =
-  ignore at;
+let write_word t addr v =
   Device.write_u64 t.dev ~addr v;
   List.iter (fun m -> Device.write_u64 (Mirror.device m) ~addr v) t.mirror_list
 
@@ -97,11 +92,11 @@ let slot_opn = 8
 let slot_tail = 16
 let slot_inuse = 24
 
-let persist_session t ~at s =
+let persist_session t s =
   let base = Layout.session_slot t.layout ~session:s.sid in
-  write_word t ~at (base + slot_lpn) (Int64.of_int s.lpn);
-  write_word t ~at (base + slot_opn) s.opn_covered;
-  write_word t ~at (base + slot_tail) (Int64.of_int s.oplog_tail)
+  write_word t (base + slot_lpn) (Int64.of_int s.lpn);
+  write_word t (base + slot_opn) s.opn_covered;
+  write_word t (base + slot_tail) (Int64.of_int s.oplog_tail)
 
 let load_session t sid =
   let base = Layout.session_slot t.layout ~session:sid in
@@ -114,10 +109,6 @@ let load_session t sid =
         lpn = Int64.to_int (Device.read_u64 t.dev ~addr:(base + slot_lpn));
         opn_covered = Device.read_u64 t.dev ~addr:(base + slot_opn);
         oplog_tail = Int64.to_int (Device.read_u64 t.dev ~addr:(base + slot_tail));
-        memlog_head = 0;
-        oplog_head = 0;
-        next_opnum = 1L;
-        op_index = Queue.create ();
       }
 
 let get_session t sid =
@@ -246,24 +237,6 @@ let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.t) =
   t.n_replayed_entries <- t.n_replayed_entries + List.length entries;
   stop
 
-let gc_oplog t ~at s =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    match Queue.peek_opt s.op_index with
-    | Some (opnum, _) when opnum <= s.opn_covered ->
-        let _, off = Queue.pop s.op_index in
-        ignore off;
-        changed := true
-    | _ -> continue_ := false
-  done;
-  if !changed then begin
-    (match Queue.peek_opt s.op_index with
-    | Some (_, off) -> s.oplog_tail <- off
-    | None -> s.oplog_tail <- s.oplog_head);
-    persist_session t ~at s
-  end
-
 (* Zero a consumed region of a log ring: log truncation. Keeping consumed
    and never-written ring bytes zero is what lets a post-crash scan stop at
    the first Empty byte instead of tripping over stale records from a
@@ -272,19 +245,86 @@ let truncate_ring t ~ring_base ~off ~len =
   Device.zero t.dev ~addr:(ring_base + off) ~len;
   zero_uncharged t ~addr:(ring_base + off) ~len
 
-(* Read a record-sized window at a ring position into [scan_buf], growing
-   it if a record happens to be larger than the initial guess. Bytes past
-   the window are stale and never decoded. *)
-let scan_at t ~ring_base ~cap ~pos =
+(* Read a [window]-sized piece of a ring at [pos] into [scan_buf] and scan
+   the frame there, growing the window while the frame runs past it. Bytes
+   past the window are stale and never decoded. One reader for both
+   rings: [scan] is {!Log.Tx.scan} or {!Log.Op_entry.scan}. *)
+let scan_at t ~ring_base ~cap ~pos ~window
+    (scan : ?lim:int -> bytes -> pos:int -> 'a Log.scan) =
   let rec go len =
     let len = min len (cap - pos) in
     if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
     Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
-    match Log.Tx.scan t.scan_buf ~pos:0 ~lim:len with
-    | Log.Tx.Torn when len < cap - pos -> go (len * 4)
+    match scan t.scan_buf ~pos:0 ~lim:len with
+    | Log.Torn when len < cap - pos -> go (len * 4)
     | r -> r
   in
-  go 16_384
+  go window
+
+(* -- op-log walk -------------------------------------------------------- *)
+
+(* An op-log record is a few dozen bytes; a transaction frame can be
+   many kilobytes. *)
+let oplog_window = 512
+
+(* Walk the session's op-log records from the persisted tail, calling
+   [f op pos len] on each in log order. The walk ends at the first zero
+   byte or torn frame — the append head — and returns that ring offset.
+   It never walks more than one lap: a front-end that overran its own
+   records leaves no zero byte to stop at. *)
+let walk_oplog t s f =
+  let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
+  let rec go pos walked =
+    if walked >= cap then pos
+    else
+      match scan_at t ~ring_base ~cap ~pos ~window:oplog_window Log.Op_entry.scan with
+      | Log.Record (op, len) ->
+          f op pos len;
+          go (pos + len) (walked + len)
+      | Log.Wrap -> go 0 (walked + cap - pos)
+      | Log.Empty | Log.Torn -> pos
+  in
+  go s.oplog_tail 0
+
+(* The lock-ahead log (§6.1): keep [held] the set of locks whose acquire
+   record has no release record after it. *)
+let track_lock held op =
+  let ty = op.Log.Op_entry.optype in
+  if ty = optype_lock_acquire || ty = optype_lock_release then begin
+    let addr = Int64.to_int (Bytes.get_int64_le op.Log.Op_entry.params 0) in
+    if ty = optype_lock_acquire then Hashtbl.replace held addr () else Hashtbl.remove held addr
+  end
+
+(* Op-log truncation, with the memory log's discipline: move the tail
+   past covered records and zero them, so a later walk ends at the first
+   zero byte. The tail stops at the first uncovered record, and only ever
+   rests where every lock acquired since the old tail is released: an
+   acquire record is how recovery finds a lock a crashed holder left set,
+   even when the holder's operation was flushed inside the lock. The new
+   tail is persisted before its records are zeroed. *)
+let gc_oplog t s =
+  let held = Hashtbl.create 4 in
+  let covered = ref true in
+  let tail = ref s.oplog_tail in
+  ignore
+    (walk_oplog t s (fun op pos len ->
+         if !covered && Int64.compare op.Log.Op_entry.opnum s.opn_covered <= 0 then begin
+           track_lock held op;
+           if Hashtbl.length held = 0 then tail := pos + len
+         end
+         else covered := false));
+  let from = s.oplog_tail in
+  if !tail <> from then begin
+    let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
+    s.oplog_tail <- !tail;
+    persist_session t s;
+    if !tail > from then truncate_ring t ~ring_base ~off:from ~len:(!tail - from)
+    else begin
+      (* The walk wrapped: the old tail's lap ends at the ring's end. *)
+      truncate_ring t ~ring_base ~off:from ~len:(cap - from);
+      if !tail > 0 then truncate_ring t ~ring_base ~off:0 ~len:!tail
+    end
+  end
 
 (* Replay every complete transaction sitting past the session's LPN, until
    the scan hits the zeroed frontier (Empty) or a torn record. Consumed
@@ -296,8 +336,8 @@ let replay_pending t ~at s =
   let continue_ = ref true in
   while !continue_ do
     let pos = s.lpn in
-    match scan_at t ~ring_base ~cap ~pos with
-    | Log.Tx.Record (tx, consumed) ->
+    match scan_at t ~ring_base ~cap ~pos ~window:16_384 Log.Tx.scan with
+    | Log.Record (tx, consumed) ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
            retry after a lost ack, or a re-drain racing a reconnect).
@@ -315,35 +355,23 @@ let replay_pending t ~at s =
         assert (Int64.compare s.opn_covered covered_before >= 0);
         truncate_ring t ~ring_base ~off:pos ~len:consumed;
         s.lpn <- (pos + consumed) mod cap
-    | Log.Tx.Wrap ->
+    | Log.Wrap ->
         truncate_ring t ~ring_base ~off:pos ~len:1;
         s.lpn <- 0
-    | Log.Tx.Empty -> continue_ := false
-    | Log.Tx.Torn ->
+    | Log.Empty -> continue_ := false
+    | Log.Torn ->
         torn := true;
         Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
         continue_ := false
   done;
-  persist_session t ~at:!time s;
-  gc_oplog t ~at:!time s;
+  persist_session t s;
+  gc_oplog t s;
   !torn
 
 let drain_session t ~session ~arrival =
   check_alive t;
   let s = get_session t session in
   ignore (replay_pending t ~at:arrival s)
-
-(* -- front-end cursor notifications ------------------------------------ *)
-
-let note_heads t ~session ?memlog_head ?oplog_head ?next_opnum () =
-  let s = get_session t session in
-  (match memlog_head with Some v -> s.memlog_head <- v | None -> ());
-  (match oplog_head with Some v -> s.oplog_head <- v | None -> ());
-  match next_opnum with Some v -> s.next_opnum <- v | None -> ()
-
-let note_op_offset t ~session ~opnum ~offset =
-  let s = get_session t session in
-  Queue.push (opnum, offset) s.op_index
 
 let replicate_raw t ~at ~addr b = repl t ~at ~addr b
 
@@ -359,42 +387,19 @@ let seqno t ~ds =
 let memlog_ring t ~session = Layout.memlog_region t.layout ~session
 let oplog_ring t ~session = Layout.oplog_region t.layout ~session
 
-(* -- op-log scanning (recovery) ----------------------------------------- *)
-
-let scan_oplog t s =
-  let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
-  let ring = Device.read t.dev ~addr:ring_base ~len:cap in
-  let records = ref [] in
-  let pos = ref s.oplog_tail in
-  let head = ref s.oplog_tail in
-  let next_opnum = ref 1L in
-  let continue_ = ref true in
-  while !continue_ do
-    match Log.Op_entry.scan ring ~pos:!pos with
-    | Log.Op_entry.Record (op, consumed) ->
-        records := (op, !pos) :: !records;
-        if Int64.compare op.Log.Op_entry.opnum !next_opnum >= 0 then
-          next_opnum := Int64.add op.Log.Op_entry.opnum 1L;
-        pos := !pos + consumed;
-        head := !pos
-    | Log.Op_entry.Wrap -> pos := 0
-    | Log.Op_entry.Empty | Log.Op_entry.Torn -> continue_ := false
-  done;
-  (List.rev !records, !head, !next_opnum)
+(* -- recovery support -------------------------------------------------- *)
 
 let unreplayed_ops t ~session =
   check_alive t;
   let s = get_session t session in
-  let records, _, _ = scan_oplog t s in
-  let ops =
-    records
-    |> List.filter_map (fun (op, _) ->
-           if
-             (not (internal_optype op.Log.Op_entry.optype))
-             && Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0
-           then Some op
-           else None)
-  in
+  let ops = ref [] in
+  ignore
+    (walk_oplog t s (fun op _ _ ->
+         if
+           (not (internal_optype op.Log.Op_entry.optype))
+           && Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0
+         then ops := op :: !ops));
+  let ops = List.rev !ops in
   (* Recovery re-executes these: a duplicated opnum here would double-apply
      an operation, so the stream must be strictly increasing. (A retried
      op-log append lands at the same ring offset — positional idempotence —
@@ -410,28 +415,24 @@ let unreplayed_ops t ~session =
 let abandoned_locks t ~session =
   check_alive t;
   let s = get_session t session in
-  let records, _, _ = scan_oplog t s in
   let held = Hashtbl.create 4 in
-  List.iter
-    (fun (op, _) ->
-      let ty = op.Log.Op_entry.optype in
-      if ty = optype_lock_acquire || ty = optype_lock_release then begin
-        let addr = Bytes.get_int64_le op.Log.Op_entry.params 0 |> Int64.to_int in
-        if ty = optype_lock_acquire then Hashtbl.replace held addr ()
-        else Hashtbl.remove held addr
-      end)
-    records;
+  ignore (walk_oplog t s (fun op _ _ -> track_lock held op));
   Hashtbl.fold (fun addr () acc -> addr :: acc) held []
 
 let force_release_lock t addr = Device.write_u64 t.dev ~addr 0L
 
 let session_cursors t ~session =
   let s = get_session t session in
+  let last = ref s.opn_covered in
+  let oplog_head =
+    walk_oplog t s (fun op _ _ ->
+        if Int64.compare op.Log.Op_entry.opnum !last > 0 then last := op.Log.Op_entry.opnum)
+  in
   {
-    Rpc_msg.memlog_head = s.memlog_head;
-    oplog_head = s.oplog_head;
+    Rpc_msg.memlog_head = s.lpn;
+    oplog_head;
     opn_covered = s.opn_covered;
-    next_opnum = s.next_opnum;
+    next_opnum = Int64.succ !last;
   }
 
 (* -- crash and restart --------------------------------------------------- *)
@@ -459,22 +460,6 @@ let restart t =
         (* Redo every intact transaction past the LPN. Replay is
            idempotent: entries are absolute-address redo records. *)
         let torn = replay_pending t ~at:0 s in
-        s.memlog_head <- s.lpn;
-        let records, op_head, next_opnum = scan_oplog t s in
-        s.oplog_head <- op_head;
-        (* The ring scan under-counts when GC already reclaimed every
-           covered record: a fresh opnum must still exceed [opn_covered],
-           or ops logged after this restart are indistinguishable from
-           covered ones and recovery silently drops them. *)
-        s.next_opnum <-
-          (let floor_ = Int64.add s.opn_covered 1L in
-           if Int64.compare next_opnum floor_ < 0 then floor_ else next_opnum);
-        Queue.clear s.op_index;
-        List.iter
-          (fun (op, off) ->
-            if Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0 then
-              Queue.push (op.Log.Op_entry.opnum, off) s.op_index)
-          records;
         statuses :=
           (sid, if torn then Session_torn_tail else Session_consistent) :: !statuses
   done;
@@ -511,7 +496,7 @@ let of_device ?(name = "backend") dev lat =
 
 (* -- RPC ----------------------------------------------------------------- *)
 
-let alloc_meta t ~at len =
+let alloc_meta t len =
   let len = (len + 7) / 8 * 8 in
   let base = t.layout.Layout.meta_base + 8 in
   if t.meta_cursor + len > t.layout.Layout.meta_len - 8 then None
@@ -519,11 +504,11 @@ let alloc_meta t ~at len =
     let addr = base + t.meta_cursor in
     t.meta_cursor <- t.meta_cursor + len;
     Device.zero t.dev ~addr ~len;
-    write_word t ~at t.layout.Layout.meta_base (Int64.of_int t.meta_cursor);
+    write_word t t.layout.Layout.meta_base (Int64.of_int t.meta_cursor);
     Some addr
   end
 
-let fresh_session t ~at =
+let fresh_session t =
   let rec find i =
     if i >= t.layout.Layout.max_sessions then None
     else if t.sessions.(i) = None then Some i
@@ -532,22 +517,11 @@ let fresh_session t ~at =
   match find 0 with
   | None -> None
   | Some sid ->
-      let s =
-        {
-          sid;
-          lpn = 0;
-          opn_covered = 0L;
-          oplog_tail = 0;
-          memlog_head = 0;
-          oplog_head = 0;
-          next_opnum = 1L;
-          op_index = Queue.create ();
-        }
-      in
+      let s = { sid; lpn = 0; opn_covered = 0L; oplog_tail = 0 } in
       t.sessions.(sid) <- Some s;
       let base = Layout.session_slot t.layout ~session:sid in
-      write_word t ~at (base + slot_inuse) 1L;
-      persist_session t ~at s;
+      write_word t (base + slot_inuse) 1L;
+      persist_session t s;
       (* Zero the session's rings so scans terminate at Empty. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
       Device.zero t.dev ~addr:mbase ~len:mcap;
@@ -562,7 +536,7 @@ let handle_register_ds t ~at ds_name =
   | Some r -> Rpc_msg.R_handle { ds = r.ds; root = r.root; lock = r.lock; sn = r.sn }
   | None -> (
       let alloc3 () =
-        match (alloc_meta t ~at 8, alloc_meta t ~at 8, alloc_meta t ~at 8) with
+        match (alloc_meta t 8, alloc_meta t 8, alloc_meta t 8) with
         | Some a, Some b, Some c -> Some (a, b, c)
         | _ -> None
       in
@@ -590,7 +564,7 @@ let handle t ~at ~session req =
         Rpc_msg.R_error "no such session"
       else Rpc_msg.R_session sid
   | Rpc_msg.Open_session { reuse = None; _ } -> (
-      match fresh_session t ~at with
+      match fresh_session t with
       | Some sid -> Rpc_msg.R_session sid
       | None -> Rpc_msg.R_error "no free session slots")
   | Rpc_msg.Close_session -> (
@@ -599,7 +573,7 @@ let handle t ~at ~session req =
       | Some sid ->
           t.sessions.(sid) <- None;
           let base = Layout.session_slot t.layout ~session:sid in
-          write_word t ~at (base + slot_inuse) 0L;
+          write_word t (base + slot_inuse) 0L;
           Rpc_msg.R_unit)
   | Rpc_msg.Malloc { slabs } -> (
       match Backend_alloc.alloc t.alloc ~slabs with
@@ -629,7 +603,7 @@ let handle t ~at ~session req =
       repl t ~at ~addr:t.layout.Layout.bitmap_base b;
       Rpc_msg.R_unit
   | Rpc_msg.Alloc_meta { len } -> (
-      match alloc_meta t ~at len with
+      match alloc_meta t len with
       | Some addr -> Rpc_msg.R_addr addr
       | None -> Rpc_msg.R_error "meta heap exhausted")
   | Rpc_msg.Name_set { name; kind; addr } ->

@@ -73,19 +73,9 @@ val drain_session : t -> session:Types.session_id -> arrival:Asym_sim.Simtime.t 
     ring: apply entries to the data area, bump the per-structure sequence
     number around each application (the SN optimistic readers validate
     against, Algorithm 2), advance and persist the LPN and OPN, forward the
-    stream to mirrors. Media changes immediately; the work is charged to
-    the back-end CPU timeline starting at [arrival], and the caller is not
-    blocked. *)
-
-val note_heads :
-  t -> session:Types.session_id -> ?memlog_head:int -> ?oplog_head:int ->
-  ?next_opnum:int64 -> unit -> unit
-(** Front-end libraries keep the back-end's volatile view of their append
-    cursors in sync (the durable truth is the ring contents themselves). *)
-
-val note_op_offset : t -> session:Types.session_id -> opnum:int64 -> offset:int -> unit
-(** Record where an operation-log entry landed, enabling op-log ring
-    garbage collection once the OPN passes it. *)
+    stream to mirrors, then truncate the op log past what the OPN covers.
+    Media changes immediately; the work is charged to the back-end CPU
+    timeline starting at [arrival], and the caller is not blocked. *)
 
 val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> unit
 (** Forward bytes that a front-end wrote with a one-sided verb (operation
@@ -96,7 +86,10 @@ val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> un
 
 val seqno : t -> ds:Types.ds_id -> int64
 
-(** {2 Recovery support (§7.2)} *)
+(** {2 Recovery support (§7.2)}
+
+    Each of these walks the session's op-log ring from its persisted tail
+    to the first zero byte or torn record, never more than one lap. *)
 
 val unreplayed_ops : t -> session:Types.session_id -> Log.Op_entry.t list
 (** Operation-log records past the session's OPN — the operations whose
@@ -112,6 +105,11 @@ val force_release_lock : t -> Types.addr -> unit
     incarnation still held. *)
 
 val session_cursors : t -> session:Types.session_id -> Rpc_msg.cursors
+(** A session's cursors as its rings hold them (the [Get_cursors] RPC): the
+    memory-log head is the LPN; the op-log head is where a walk from the
+    persisted tail ends, at the first zero byte or torn record; the next
+    operation number is one past the larger of the largest logged one and
+    the OPN. *)
 
 (** {2 Statistics} *)
 

@@ -396,10 +396,12 @@ let oplog_append ?(signaled = None) t raw =
   let ring_base, cap = Backend.oplog_ring t.bk ~session:t.sid in
   let len = Bytes.length raw in
   let obs_t0 = if Asym_obs.enabled () then Clock.now t.clk else 0 in
-  if t.oplog_head + len > cap then begin
-    (* Wrap: drop a marker and continue at the ring base. *)
+  if len + 1 > cap then failwith (t.cname ^ ": operation record exceeds op-log ring");
+  (* Wrap: drop a marker and continue at the ring base. A record never
+     ends at the ring's last byte, which the marker may need. *)
+  if t.oplog_head + len + 1 > cap then begin
     with_retry t (fun () ->
-        Verbs.write t.conn ~addr:(ring_base + t.oplog_head) Log.Op_entry.wrap_marker);
+        Verbs.write t.conn ~addr:(ring_base + t.oplog_head) Log.wrap_marker);
     t.oplog_head <- 0
   end;
   let offset = t.oplog_head in
@@ -414,14 +416,12 @@ let oplog_append ?(signaled = None) t raw =
      end
    end);
   t.oplog_head <- offset + len;
-  Backend.note_heads t.bk ~session:t.sid ~oplog_head:t.oplog_head ();
   Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr:(ring_base + offset) raw;
   if Asym_obs.enabled () then begin
     Asym_obs.Registry.add "log.appended_bytes" len;
     Asym_obs.Span.complete ~cat:"log" ~track:t.cname ~ts:obs_t0
       ~dur:(Clock.now t.clk - obs_t0) "oplog.append"
-  end;
-  offset
+  end
 
 let op_begin t ~ds ~optype ~params =
   check_live t;
@@ -431,9 +431,7 @@ let op_begin t ~ds ~optype ~params =
   t.next_opnum <- Int64.add opnum 1L;
   if use_op_log t.cfg then begin
     let raw = Log.Op_entry.encode { Log.Op_entry.ds; opnum; optype; params } in
-    let offset = oplog_append t raw in
-    Backend.note_op_offset t.bk ~session:t.sid ~opnum ~offset;
-    Backend.note_heads t.bk ~session:t.sid ~next_opnum:t.next_opnum ();
+    oplog_append t raw;
     t.pending_op_list <- (ds, (opnum, optype, params)) :: t.pending_op_list
   end;
   t.cur_op <- Some opnum;
@@ -566,14 +564,12 @@ let flush t =
     if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
     if t.memlog_head + total + 1 > cap then begin
       with_retry t (fun () ->
-          Verbs.write t.conn ~addr:(ring_base + t.memlog_head) Log.Tx.wrap_marker);
+          Verbs.write t.conn ~addr:(ring_base + t.memlog_head) Log.wrap_marker);
       t.memlog_head <- 0
     end;
     with_retry t (fun () ->
         Verbs.write ~wire_len:wire ~len:total t.conn ~addr:(ring_base + t.memlog_head) t.tx_buf);
     t.memlog_head <- t.memlog_head + total;
-    Backend.note_heads t.bk ~session:t.sid ~memlog_head:t.memlog_head
-      ~next_opnum:t.next_opnum ();
     Backend.drain_session t.bk ~session:t.sid ~arrival:(Clock.now t.clk);
     (* Root switches become visible only now that their version's memory
        logs are replayed. *)
@@ -665,9 +661,7 @@ let lock_record t ~acquire lock_addr =
   let raw = Log.Op_entry.encode { Log.Op_entry.ds = 0; opnum; optype; params } in
   (* Lock-ahead records only need to be ordered before the memory logs
      they guard, not to block the writer: post them unsignaled. *)
-  let offset = oplog_append ~signaled:(Some false) t raw in
-  Backend.note_op_offset t.bk ~session:t.sid ~opnum ~offset;
-  Backend.note_heads t.bk ~session:t.sid ~next_opnum:t.next_opnum ()
+  oplog_append ~signaled:(Some false) t raw
 
 (* A probe spinning against a live holder outside the co-simulation (no
    scheduler to run the holder's release) would hang; convert that into

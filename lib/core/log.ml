@@ -14,6 +14,31 @@ let flag_op_pointer = 0x02
    to prove the crash-point sweep can fail. *)
 let crc_check = ref true
 
+type 'a scan = Record of 'a * int | Torn | Wrap | Empty
+
+(* One frame of either ring at [pos]: the tag byte, the body [decode]
+   reads, then the CRC32 of both. Bytes from [lim] on are stale and never
+   looked at. *)
+let scan_frame ~tag ?lim buf ~pos decode =
+  let lim = match lim with Some l -> min l (Bytes.length buf) | None -> Bytes.length buf in
+  if pos >= lim then Empty
+  else
+    match Bytes.get_uint8 buf pos with
+    | 0x00 -> Empty
+    | b when b = tag_wrap -> Wrap
+    | b when b <> tag -> Torn
+    | _ -> (
+        try
+          let d = Codec.Dec.of_bytes ~pos:(pos + 1) ~lim buf in
+          let v = decode d ~lim in
+          let body_len = Codec.Dec.pos d - pos in
+          let crc = Codec.Dec.u32 d in
+          if !crc_check && crc <> Crc32.digest buf ~pos ~len:body_len then Torn
+          else Record (v, Codec.Dec.pos d - pos)
+        with Exit | Invalid_argument _ -> Torn)
+
+let wrap_marker = Bytes.make 1 (Char.chr tag_wrap)
+
 module Mem_entry = struct
   type t = { addr : Types.addr; value : bytes; from_op : int64 option }
 
@@ -80,47 +105,25 @@ module Tx = struct
     + List.fold_left (fun acc en -> acc + 13 + entry_payload en) 0 t.entries
     + 5
 
-  type scan_result = Record of t * int | Torn | Wrap | Empty
-
   let scan ?lim buf ~pos =
-    let lim = match lim with Some l -> min l (Bytes.length buf) | None -> Bytes.length buf in
-    if pos >= lim then Empty
-    else
-      match Bytes.get_uint8 buf pos with
-      | 0x00 -> Empty
-      | b when b = tag_wrap -> Wrap
-      | b when b <> tag_tx -> Torn
-      | _ -> (
-          try
-            let d = Codec.Dec.of_bytes ~pos ~lim buf in
-            let _tag = Codec.Dec.u8 d in
-            let ds = Codec.Dec.u32i d in
-            let op_hi = Codec.Dec.u64 d in
-            let n = Codec.Dec.u32i d in
-            if n > 1_000_000 then raise Exit;
-            let entries = ref [] in
-            for _ = 1 to n do
-              let flag = Codec.Dec.u8 d in
-              if flag <> flag_inline && flag <> flag_op_pointer then raise Exit;
-              let from_op = if flag = flag_op_pointer then Some (Codec.Dec.u64 d) else None in
-              let addr = Codec.Dec.u64i d in
-              let len = Codec.Dec.u32i d in
-              if len > lim then raise Exit;
-              let value = Codec.Dec.bytes d len in
-              entries := { Mem_entry.addr; value; from_op } :: !entries
-            done;
-            if Codec.Dec.u8 d <> tag_commit then raise Exit;
-            let body_len = Codec.Dec.pos d - pos in
-            let crc = Codec.Dec.u32 d in
-            let actual = Crc32.digest buf ~pos ~len:body_len in
-            if !crc_check && crc <> actual then Torn
-            else
-              Record
-                ( { ds; op_hi; entries = List.rev !entries },
-                  Codec.Dec.pos d - pos )
-          with Exit | Invalid_argument _ -> Torn)
-
-  let wrap_marker = Bytes.make 1 (Char.chr tag_wrap)
+    scan_frame ~tag:tag_tx ?lim buf ~pos (fun d ~lim ->
+        let ds = Codec.Dec.u32i d in
+        let op_hi = Codec.Dec.u64 d in
+        let n = Codec.Dec.u32i d in
+        if n > 1_000_000 then raise Exit;
+        let entries = ref [] in
+        for _ = 1 to n do
+          let flag = Codec.Dec.u8 d in
+          if flag <> flag_inline && flag <> flag_op_pointer then raise Exit;
+          let from_op = if flag = flag_op_pointer then Some (Codec.Dec.u64 d) else None in
+          let addr = Codec.Dec.u64i d in
+          let len = Codec.Dec.u32i d in
+          if len > lim then raise Exit;
+          let value = Codec.Dec.bytes d len in
+          entries := { Mem_entry.addr; value; from_op } :: !entries
+        done;
+        if Codec.Dec.u8 d <> tag_commit then raise Exit;
+        { ds; op_hi; entries = List.rev !entries })
 end
 
 module Op_entry = struct
@@ -144,31 +147,12 @@ module Op_entry = struct
     end;
     raw
 
-  type scan_result = Record of t * int | Torn | Wrap | Empty
-
-  let scan buf ~pos =
-    if pos >= Bytes.length buf then Empty
-    else
-      match Bytes.get_uint8 buf pos with
-      | 0x00 -> Empty
-      | b when b = tag_wrap -> Wrap
-      | b when b <> tag_op -> Torn
-      | _ -> (
-          try
-            let d = Codec.Dec.of_bytes ~pos buf in
-            let _tag = Codec.Dec.u8 d in
-            let ds = Codec.Dec.u32i d in
-            let opnum = Codec.Dec.u64 d in
-            let optype = Codec.Dec.u8 d in
-            let len = Codec.Dec.u32i d in
-            if len > Bytes.length buf then raise Exit;
-            let params = Codec.Dec.bytes d len in
-            let body_len = Codec.Dec.pos d - pos in
-            let crc = Codec.Dec.u32 d in
-            let actual = Crc32.digest buf ~pos ~len:body_len in
-            if !crc_check && crc <> actual then Torn
-            else Record ({ ds; opnum; optype; params }, Codec.Dec.pos d - pos)
-          with Exit | Invalid_argument _ -> Torn)
-
-  let wrap_marker = Bytes.make 1 (Char.chr tag_wrap)
+  let scan ?lim buf ~pos =
+    scan_frame ~tag:tag_op ?lim buf ~pos (fun d ~lim ->
+        let ds = Codec.Dec.u32i d in
+        let opnum = Codec.Dec.u64 d in
+        let optype = Codec.Dec.u8 d in
+        let len = Codec.Dec.u32i d in
+        if len > lim then raise Exit;
+        { ds; opnum; optype; params = Codec.Dec.bytes d len })
 end

@@ -27,6 +27,18 @@ val crc_check : bool ref
     sweep notices a recovery path that replays corrupted records. Always
     [true] outside that test. *)
 
+type 'a scan =
+  | Record of 'a * int  (** a valid record and the bytes it consumed *)
+  | Torn  (** started but fails framing or checksum — a torn write *)
+  | Wrap  (** wrap marker: continue scanning at the ring base *)
+  | Empty  (** zero byte: end of written log *)
+(** What a ring holds at a scanned position; both log kinds frame the same
+    way. *)
+
+val wrap_marker : bytes
+(** The one byte a front-end writes where a record no longer fits before
+    the ring's end. *)
+
 module Mem_entry : sig
   type t = {
     addr : Types.addr;
@@ -53,18 +65,10 @@ module Tx : sig
   val wire_size : t -> int
   (** Bytes the NIC actually moves, with the op-log pointer optimization. *)
 
-  type scan_result =
-    | Record of t * int  (** a valid record and the bytes it consumed *)
-    | Torn  (** started but fails framing or checksum — a torn write *)
-    | Wrap  (** wrap marker: continue scanning at the ring base *)
-    | Empty  (** zero byte: end of written log *)
-
-  val scan : ?lim:int -> bytes -> pos:int -> scan_result
+  val scan : ?lim:int -> bytes -> pos:int -> t scan
   (** Examine the log ring contents at [pos]. Bytes from [lim] (default
       the buffer's length) on are not looked at: a frame that runs past
       it is [Torn]. *)
-
-  val wrap_marker : bytes
 end
 
 module Op_entry : sig
@@ -72,8 +76,6 @@ module Op_entry : sig
 
   val encode : t -> bytes
 
-  type scan_result = Record of t * int | Torn | Wrap | Empty
-
-  val scan : bytes -> pos:int -> scan_result
-  val wrap_marker : bytes
+  val scan : ?lim:int -> bytes -> pos:int -> t scan
+  (** Like {!Tx.scan}. *)
 end

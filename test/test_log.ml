@@ -10,7 +10,7 @@ let test_tx_roundtrip () =
   let t = tx [ entry 100 "abc"; entry 200 "defghij"; entry 64 "" ] in
   let b = Log.Tx.encode t in
   match Log.Tx.scan b ~pos:0 with
-  | Log.Tx.Record (t', consumed) ->
+  | Log.Record (t', consumed) ->
       check Alcotest.int "consumed all" (Bytes.length b) consumed;
       check Alcotest.int "ds" 3 t'.Log.Tx.ds;
       check Alcotest.int64 "op_hi" 9L t'.Log.Tx.op_hi;
@@ -26,25 +26,25 @@ let test_tx_roundtrip () =
 
 let test_tx_empty_at_zero_byte () =
   let b = Bytes.make 64 '\000' in
-  check Alcotest.bool "empty" true (Log.Tx.scan b ~pos:0 = Log.Tx.Empty)
+  check Alcotest.bool "empty" true (Log.Tx.scan b ~pos:0 = Log.Empty)
 
 let test_tx_wrap_marker () =
   let b = Bytes.make 8 '\000' in
-  Bytes.blit Log.Tx.wrap_marker 0 b 0 1;
-  check Alcotest.bool "wrap" true (Log.Tx.scan b ~pos:0 = Log.Tx.Wrap)
+  Bytes.blit Log.wrap_marker 0 b 0 1;
+  check Alcotest.bool "wrap" true (Log.Tx.scan b ~pos:0 = Log.Wrap)
 
 let test_tx_torn_detected () =
   let t = tx [ entry 100 "some value here" ] in
   let b = Log.Tx.encode t in
   (* Corrupt one payload byte: the CRC must catch it. *)
   Bytes.set b (Bytes.length b - 6) 'X';
-  check Alcotest.bool "torn" true (Log.Tx.scan b ~pos:0 = Log.Tx.Torn)
+  check Alcotest.bool "torn" true (Log.Tx.scan b ~pos:0 = Log.Torn)
 
 let test_tx_truncated_is_torn () =
   let t = tx [ entry 100 "0123456789abcdef" ] in
   let b = Log.Tx.encode t in
   let cut = Bytes.sub b 0 (Bytes.length b - 5) in
-  check Alcotest.bool "truncated torn" true (Log.Tx.scan cut ~pos:0 = Log.Tx.Torn)
+  check Alcotest.bool "truncated torn" true (Log.Tx.scan cut ~pos:0 = Log.Torn)
 
 (* Replay reuses one buffer, so bytes past the window it just read are
    left over from earlier reads. A frame that runs past [lim] must be torn
@@ -53,16 +53,17 @@ let test_tx_scan_stops_at_lim () =
   let b = Log.Tx.encode (tx [ entry 100 "a value that runs past the window" ]) in
   let n = Bytes.length b in
   (match Log.Tx.scan b ~pos:0 ~lim:n with
-  | Log.Tx.Record (_, consumed) -> check Alcotest.int "whole frame inside lim" n consumed
+  | Log.Record (_, consumed) -> check Alcotest.int "whole frame inside lim" n consumed
   | _ -> Alcotest.fail "expected record");
   List.iter
     (fun lim ->
       check Alcotest.bool
         (Printf.sprintf "cut at %d of %d is torn" lim n)
         true
-        (Log.Tx.scan b ~pos:0 ~lim = Log.Tx.Torn))
+        (Log.Tx.scan b ~pos:0 ~lim = Log.Torn))
     [ n - 1; n - 4; n - 5; 20; 1 ];
-  check Alcotest.bool "nothing before lim is empty" true (Log.Tx.scan b ~pos:0 ~lim:0 = Log.Tx.Empty)
+  check Alcotest.bool "nothing before lim is empty" true
+    (Log.Tx.scan b ~pos:0 ~lim:0 = Log.Empty)
 
 let test_tx_sequence_scan () =
   let t1 = tx ~op_hi:1L [ entry 0 "one" ] in
@@ -72,12 +73,12 @@ let test_tx_sequence_scan () =
   Bytes.blit b1 0 buf 0 (Bytes.length b1);
   Bytes.blit b2 0 buf (Bytes.length b1) (Bytes.length b2);
   match Log.Tx.scan buf ~pos:0 with
-  | Log.Tx.Record (r1, c1) -> (
+  | Log.Record (r1, c1) -> (
       check Alcotest.int64 "first" 1L r1.Log.Tx.op_hi;
       match Log.Tx.scan buf ~pos:c1 with
-      | Log.Tx.Record (r2, c2) ->
+      | Log.Record (r2, c2) ->
           check Alcotest.int64 "second" 2L r2.Log.Tx.op_hi;
-          check Alcotest.bool "then empty" true (Log.Tx.scan buf ~pos:(c1 + c2) = Log.Tx.Empty)
+          check Alcotest.bool "then empty" true (Log.Tx.scan buf ~pos:(c1 + c2) = Log.Empty)
       | _ -> Alcotest.fail "expected second record")
   | _ -> Alcotest.fail "expected first record"
 
@@ -94,7 +95,7 @@ let test_tx_wire_size_pointer_optimization () =
   (* The op number must round-trip — a scan that fabricates it would
      send recovery to the wrong op-log record. *)
   match Log.Tx.scan (Log.Tx.encode pointed) ~pos:0 with
-  | Log.Tx.Record (t', _) -> (
+  | Log.Record (t', _) -> (
       match t'.Log.Tx.entries with
       | [ e ] ->
           check Alcotest.(option int64) "from_op" (Some 5L) e.Log.Mem_entry.from_op;
@@ -107,7 +108,7 @@ let test_op_roundtrip () =
   let op = { Log.Op_entry.ds = 7; opnum = 42L; optype = 3; params = Bytes.of_string "kv" } in
   let b = Log.Op_entry.encode op in
   match Log.Op_entry.scan b ~pos:0 with
-  | Log.Op_entry.Record (op', consumed) ->
+  | Log.Record (op', consumed) ->
       check Alcotest.int "consumed" (Bytes.length b) consumed;
       check Alcotest.int "ds" 7 op'.Log.Op_entry.ds;
       check Alcotest.int64 "opnum" 42L op'.Log.Op_entry.opnum;
@@ -115,11 +116,29 @@ let test_op_roundtrip () =
       check Alcotest.string "params" "kv" (Bytes.to_string op'.Log.Op_entry.params)
   | _ -> Alcotest.fail "expected record"
 
+(* The op-log walk reads through the same reused window as replay. *)
+let test_op_scan_stops_at_lim () =
+  let op = { Log.Op_entry.ds = 1; opnum = 3L; optype = 1; params = Bytes.of_string "params" } in
+  let b = Log.Op_entry.encode op in
+  let n = Bytes.length b in
+  (match Log.Op_entry.scan b ~pos:0 ~lim:n with
+  | Log.Record (_, consumed) -> check Alcotest.int "whole record inside lim" n consumed
+  | _ -> Alcotest.fail "expected record");
+  List.iter
+    (fun lim ->
+      check Alcotest.bool
+        (Printf.sprintf "cut at %d of %d is torn" lim n)
+        true
+        (Log.Op_entry.scan b ~pos:0 ~lim = Log.Torn))
+    [ n - 1; n - 4; 18; 1 ];
+  check Alcotest.bool "nothing before lim is empty" true
+    (Log.Op_entry.scan b ~pos:0 ~lim:0 = Log.Empty)
+
 let test_op_torn () =
   let op = { Log.Op_entry.ds = 1; opnum = 1L; optype = 1; params = Bytes.of_string "payload" } in
   let b = Log.Op_entry.encode op in
   Bytes.set b 14 '\255';
-  check Alcotest.bool "torn" true (Log.Op_entry.scan b ~pos:0 = Log.Op_entry.Torn)
+  check Alcotest.bool "torn" true (Log.Op_entry.scan b ~pos:0 = Log.Torn)
 
 (* A 1-byte payload is the hardest torn-write case: the tear clips almost
    nothing, so only the checksum can tell. Both log kinds must catch a
@@ -128,44 +147,45 @@ let test_tx_one_byte_payload_torn () =
   let t = tx [ entry 100 "x" ] in
   let good = Log.Tx.encode t in
   (match Log.Tx.scan good ~pos:0 with
-  | Log.Tx.Record (t', _) ->
+  | Log.Record (t', _) ->
       check Alcotest.int "sanity: 1-byte entry round-trips" 1 (List.length t'.Log.Tx.entries)
   | _ -> Alcotest.fail "expected record");
   let cut = Bytes.sub good 0 (Bytes.length good - 1) in
-  check Alcotest.bool "clipping the last byte is torn" true (Log.Tx.scan cut ~pos:0 = Log.Tx.Torn);
+  check Alcotest.bool "clipping the last byte is torn" true
+    (Log.Tx.scan cut ~pos:0 = Log.Torn);
   let flipped = Bytes.copy good in
   Bytes.set flipped (Bytes.length flipped - 1) '\255';
   check Alcotest.bool "flipping the last byte is torn" true
-    (Log.Tx.scan flipped ~pos:0 = Log.Tx.Torn)
+    (Log.Tx.scan flipped ~pos:0 = Log.Torn)
 
 let test_op_one_byte_payload_torn () =
   let op = { Log.Op_entry.ds = 1; opnum = 1L; optype = 1; params = Bytes.of_string "p" } in
   let good = Log.Op_entry.encode op in
   (match Log.Op_entry.scan good ~pos:0 with
-  | Log.Op_entry.Record (op', _) ->
+  | Log.Record (op', _) ->
       check Alcotest.string "sanity: 1-byte params round-trip" "p"
         (Bytes.to_string op'.Log.Op_entry.params)
   | _ -> Alcotest.fail "expected record");
   let cut = Bytes.sub good 0 (Bytes.length good - 1) in
   check Alcotest.bool "clipping the last byte is torn" true
-    (Log.Op_entry.scan cut ~pos:0 = Log.Op_entry.Torn);
+    (Log.Op_entry.scan cut ~pos:0 = Log.Torn);
   let flipped = Bytes.copy good in
   Bytes.set flipped (Bytes.length flipped - 1) '\255';
   check Alcotest.bool "flipping the last byte is torn" true
-    (Log.Op_entry.scan flipped ~pos:0 = Log.Op_entry.Torn)
+    (Log.Op_entry.scan flipped ~pos:0 = Log.Torn)
 
 let test_op_empty_and_wrap () =
   let b = Bytes.make 4 '\000' in
-  check Alcotest.bool "empty" true (Log.Op_entry.scan b ~pos:0 = Log.Op_entry.Empty);
-  Bytes.blit Log.Op_entry.wrap_marker 0 b 0 1;
-  check Alcotest.bool "wrap" true (Log.Op_entry.scan b ~pos:0 = Log.Op_entry.Wrap)
+  check Alcotest.bool "empty" true (Log.Op_entry.scan b ~pos:0 = Log.Empty);
+  Bytes.blit Log.wrap_marker 0 b 0 1;
+  check Alcotest.bool "wrap" true (Log.Op_entry.scan b ~pos:0 = Log.Wrap)
 
 let test_tx_empty_entries () =
   (* A header-only transaction (the §8.1 fully-annulled batch) still
      round-trips and advances op coverage. *)
   let t = tx ~op_hi:7L [] in
   match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
-  | Log.Tx.Record (t', _) ->
+  | Log.Record (t', _) ->
       check Alcotest.int64 "op_hi" 7L t'.Log.Tx.op_hi;
       check Alcotest.int "no entries" 0 (List.length t'.Log.Tx.entries)
   | _ -> Alcotest.fail "expected record"
@@ -175,12 +195,12 @@ let test_tx_scan_at_offset () =
   let buf = Bytes.make (Bytes.length b1 + 10) '\000' in
   Bytes.blit b1 0 buf 5 (Bytes.length b1);
   (* Scanning at the right offset parses; at offset 0 it reports Empty. *)
-  check Alcotest.bool "offset 0 empty" true (Log.Tx.scan buf ~pos:0 = Log.Tx.Empty);
+  check Alcotest.bool "offset 0 empty" true (Log.Tx.scan buf ~pos:0 = Log.Empty);
   (match Log.Tx.scan buf ~pos:5 with
-  | Log.Tx.Record (r, _) -> check Alcotest.int64 "parsed at offset" 1L r.Log.Tx.op_hi
+  | Log.Record (r, _) -> check Alcotest.int64 "parsed at offset" 1L r.Log.Tx.op_hi
   | _ -> Alcotest.fail "expected record at offset 5");
   check Alcotest.bool "past end empty" true
-    (Log.Tx.scan buf ~pos:(Bytes.length buf) = Log.Tx.Empty)
+    (Log.Tx.scan buf ~pos:(Bytes.length buf) = Log.Empty)
 
 let test_wire_size_matches_encoded_without_pointers () =
   (* With no op-log pointers the wire size equals the encoded size. *)
@@ -199,7 +219,7 @@ let prop_tx_roundtrip =
     (fun (entries, (ds, op_hi)) ->
       let t = { Log.Tx.ds; op_hi = Int64.logand op_hi Int64.max_int; entries } in
       match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
-      | Log.Tx.Record (t', _) ->
+      | Log.Record (t', _) ->
           t'.Log.Tx.ds = t.Log.Tx.ds
           && t'.Log.Tx.op_hi = t.Log.Tx.op_hi
           && List.for_all2
@@ -219,8 +239,8 @@ let prop_tx_bitflip_never_parses_wrong =
       let byte = i / 8 and bit = i mod 8 in
       Bytes.set_uint8 b byte (Bytes.get_uint8 b byte lxor (1 lsl bit));
       match Log.Tx.scan b ~pos:0 with
-      | Log.Tx.Record _ -> false (* CRC32 catches all single-bit flips *)
-      | Log.Tx.Torn | Log.Tx.Empty | Log.Tx.Wrap -> true)
+      | Log.Record _ -> false (* CRC32 catches all single-bit flips *)
+      | Log.Torn | Log.Empty | Log.Wrap -> true)
 
 (* The on-media frames, pinned to bytes: any codec or checksum change that
    moves the stored format fails here, not after a crash. *)
@@ -271,6 +291,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_op_roundtrip;
           Alcotest.test_case "torn" `Quick test_op_torn;
+          Alcotest.test_case "scan stops at lim" `Quick test_op_scan_stops_at_lim;
           Alcotest.test_case "1-byte payload torn" `Quick test_op_one_byte_payload_torn;
           Alcotest.test_case "empty/wrap" `Quick test_op_empty_and_wrap;
           Alcotest.test_case "golden bytes" `Quick test_op_golden_bytes;

@@ -451,6 +451,132 @@ let test_torn_oplog_entry_ignored () =
   check (Alcotest.option bytes_eq) "acked push survived" (Some (v "acked")) (Stack.peek t);
   check Alcotest.int "exactly one element" 1 (Stack.size t)
 
+(* Re-execute what recovery returned on a freshly attached stack and make
+   it durable, as an application restarting after a crash would. *)
+let recover_stack fe ~name =
+  let ops = Client.recover fe in
+  let t = Stack.attach fe ~name in
+  let reg = Registry.create () in
+  Registry.register reg ~ds:(Stack.handle t).Types.id (Stack.replay t);
+  Registry.replay_all reg ops;
+  Client.flush fe;
+  (t, ops)
+
+let test_ack_after_torn_oplog_survives () =
+  let bk = mk_backend () in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:64 ()) bk in
+  let t = Stack.attach fe ~name:"s" in
+  Stack.push t (v "flushed");
+  Client.flush fe;
+  Stack.push t (v "torn-victim");
+  Asym_nvm.Device.tear_last_write (Backend.device bk) ~keep:5;
+  Client.crash fe;
+  let t, ops = recover_stack fe ~name:"s" in
+  check Alcotest.int "nothing to replay" 0 (List.length ops);
+  (* The next record must land on the torn bytes, not past them: a walk
+     from the tail stops at the first torn frame. *)
+  Stack.push t (v "acked");
+  Client.crash fe;
+  let t, ops = recover_stack fe ~name:"s" in
+  check (Alcotest.list bytes_eq) "the acked push is replayed" [ v "acked" ]
+    (List.map (fun op -> op.Log.Op_entry.params) ops);
+  check (Alcotest.list bytes_eq) "stack" [ v "acked"; v "flushed" ] (Stack.to_list t)
+
+let test_flushed_lock_holder_found () =
+  (* A batch-1 writer flushes inside its critical section; the covered
+     acquire record must still tell recovery that the lock is held. *)
+  let bk = mk_backend () in
+  let fe1 = mk_client ~cfg:(Client.r ()) ~name:"fe1" bk in
+  let h = Client.register_ds fe1 "locked-ds" in
+  let addr = Client.malloc fe1 64 in
+  Client.writer_lock fe1 h;
+  ignore (Client.op_begin fe1 ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
+  Client.write_u64 fe1 ~ds:h.Types.id addr 7L;
+  Client.op_end fe1 ~ds:h.Types.id;
+  check Alcotest.int "the op was flushed" 1 (Client.flushes fe1);
+  Client.crash fe1;
+  check
+    (Alcotest.list Alcotest.int)
+    "lock-ahead log identifies the lock" [ h.Types.lock ]
+    (Backend.abandoned_locks bk ~session:(Client.session fe1));
+  check Alcotest.int "nothing to replay" 0 (List.length (Client.recover fe1));
+  let dev = Backend.device bk in
+  check Alcotest.int64 "lock word released" 0L
+    (Asym_nvm.Device.read_u64 dev ~addr:h.Types.lock);
+  check Alcotest.int64 "flushed write survived" 7L (Asym_nvm.Device.read_u64 dev ~addr);
+  let fe2 = mk_client ~cfg:(Client.r ()) ~name:"fe2" bk in
+  let h2 = Client.register_ds fe2 "locked-ds" in
+  Client.writer_lock fe2 h2;
+  Client.writer_unlock fe2 h2
+
+(* Rings of 4 KiB, so that a few hundred records lap them. *)
+let small_ring_backend ~sessions =
+  Backend.create ~name:"bk" ~max_sessions:sessions ~memlog_cap:(64 * 1024) ~oplog_cap:4096
+    ~slab_size:4096 ~capacity:(8 * 1024 * 1024) lat
+
+let test_lapped_oplog_recovers () =
+  let bk = small_ring_backend ~sessions:1 in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:8 ()) bk in
+  let t = ref (Stack.attach fe ~name:"s") in
+  let pushed = ref 0 in
+  for round = 1 to 300 do
+    for _ = 1 to 4 do
+      Stack.push !t (v (string_of_int !pushed));
+      incr pushed
+    done;
+    if round mod 5 = 0 then begin
+      Client.crash fe;
+      t := fst (recover_stack fe ~name:"s")
+    end
+  done;
+  check (Alcotest.list bytes_eq) "every acknowledged push, in order"
+    (List.init !pushed (fun i -> v (string_of_int (!pushed - 1 - i))))
+    (Stack.to_list !t)
+
+let test_overrun_oplog_recovery_terminates () =
+  (* The front-end does not stop at its own uncovered records: 200
+     equal-sized records lap a 4 KiB ring and overwrite the older ones
+     record for record, so the ring holds no zero byte to stop at.
+     Recovery cannot replay such a log, but it must come back (here from
+     the strictly-increasing opnum check) instead of walking the ring
+     forever. *)
+  let bk = small_ring_backend ~sessions:1 in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:1000 ()) bk in
+  let t = Stack.attach fe ~name:"s" in
+  for i = 0 to 199 do
+    Stack.push t (v (Printf.sprintf "%04d" i))
+  done;
+  check Alcotest.int "only the attach flushed" 1 (Client.flushes fe);
+  Client.crash fe;
+  match Client.recover fe with
+  | ops -> check Alcotest.bool "at most one lap of ops" true (List.length ops < 200)
+  | exception Assert_failure _ -> ()
+
+let test_oplog_wrap_marker_stays_in_ring () =
+  let bk = small_ring_backend ~sessions:2 in
+  let cfg = Client.rcb ~batch_size:1000 () in
+  let fe0 = mk_client ~cfg ~name:"fe0" bk in
+  let fe1 = mk_client ~cfg ~name:"fe1" bk in
+  let append fe (h : Types.handle) len =
+    ignore (Client.op_begin fe ~ds:h.Types.id ~optype:1 ~params:(Bytes.make len 'p'));
+    Client.op_end fe ~ds:h.Types.id
+  in
+  append fe1 (Client.register_ds fe1 "d1") 8;
+  let base1, _ = Backend.oplog_ring bk ~session:(Client.session fe1) in
+  let first_tag () =
+    Bytes.get_uint8 (Asym_nvm.Device.read (Backend.device bk) ~addr:base1 ~len:1) 0
+  in
+  check Alcotest.int "fe1's first record" 0xA7 (first_tag ());
+  let base0, cap = Backend.oplog_ring bk ~session:(Client.session fe0) in
+  check Alcotest.int "fe1's ring follows fe0's" (base0 + cap) base1;
+  (* fe0: a 30-byte record, then one sized to end exactly at its ring's
+     end, then one more. *)
+  let h0 = Client.register_ds fe0 "d0" in
+  append fe0 h0 8;
+  append fe0 h0 (cap - 30 - 22);
+  append fe0 h0 8;
+  check Alcotest.int "fe1's first record is intact" 0xA7 (first_tag ())
+
 (* -- crash + replay for each remaining structure kind --------------------------- *)
 
 module Bpt = Pbptree.Make (Client)
@@ -615,7 +741,18 @@ let () =
       ( "locks",
         [ Alcotest.test_case "abandoned lock released" `Quick test_abandoned_lock_released_on_recovery ]
       );
-      ("oplog", [ Alcotest.test_case "torn op ignored" `Quick test_torn_oplog_entry_ignored ]);
+      ( "oplog",
+        [
+          Alcotest.test_case "torn op ignored" `Quick test_torn_oplog_entry_ignored;
+          Alcotest.test_case "ack after a torn op survives" `Quick
+            test_ack_after_torn_oplog_survives;
+          Alcotest.test_case "flushed lock holder found" `Quick test_flushed_lock_holder_found;
+          Alcotest.test_case "lapped ring recovers" `Quick test_lapped_oplog_recovers;
+          Alcotest.test_case "overrun ring recovery terminates" `Quick
+            test_overrun_oplog_recovery_terminates;
+          Alcotest.test_case "wrap marker stays in the ring" `Quick
+            test_oplog_wrap_marker_stays_in_ring;
+        ] );
       ( "crash-replay-per-structure",
         [
           Alcotest.test_case "bptree" `Quick test_crash_replay_bptree;

@@ -180,8 +180,8 @@ let prop_tx_scan_total =
       let buf = Bytes.of_string junk in
       let pos = if Bytes.length buf = 0 then 0 else pos mod (Bytes.length buf + 1) in
       match Log.Tx.scan buf ~pos with
-      | Log.Tx.Record (_, consumed) -> consumed > 0 && pos + consumed <= Bytes.length buf
-      | Log.Tx.Torn | Log.Tx.Wrap | Log.Tx.Empty -> true)
+      | Log.Record (_, consumed) -> consumed > 0 && pos + consumed <= Bytes.length buf
+      | Log.Torn | Log.Wrap | Log.Empty -> true)
 
 let prop_op_scan_total =
   QCheck.Test.make ~count:500 ~name:"Op_entry.scan is total on arbitrary buffers"
@@ -189,8 +189,8 @@ let prop_op_scan_total =
     (fun junk ->
       let buf = Bytes.of_string junk in
       match Log.Op_entry.scan buf ~pos:0 with
-      | Log.Op_entry.Record (_, consumed) -> consumed > 0 && consumed <= Bytes.length buf
-      | Log.Op_entry.Torn | Log.Op_entry.Wrap | Log.Op_entry.Empty -> true)
+      | Log.Record (_, consumed) -> consumed > 0 && consumed <= Bytes.length buf
+      | Log.Torn | Log.Wrap | Log.Empty -> true)
 
 let () =
   Alcotest.run "table1"
