@@ -158,9 +158,8 @@ let drill_cmd =
     (* Case 3: back-end transient failure. *)
     Backend.crash bk;
     (try H.put h ~key:1000L ~value:(Bytes.of_string "x")
-     with Asym_rdma.Verbs.Failure_detected _ -> Client.abort_tx fe);
+     with Asym_rdma.Verbs.Failure_detected _ -> ());
     ignore (Backend.restart bk);
-    Client.reconnect_after_backend_restart fe;
     Asym_structs.Registry.replay_all reg (Client.recover fe);
     Client.flush fe;
     ok "case 3: back-end restart + redo" (H.get h ~key:50L <> None);
@@ -168,7 +167,7 @@ let drill_cmd =
     Backend.crash bk;
     (match Asym_cluster.Failover.failover ~dead:bk lat with
     | Some bk' ->
-        Client.switch_backend fe bk';
+        Asym_structs.Registry.replay_all reg (Client.recover ~backend:bk' fe);
         let h = H.attach ~nbuckets:256 fe ~name:"drill" in
         ok "case 4: mirror promotion" (H.get h ~key:75L <> None)
     | None -> ok "case 4: mirror promotion" false);
@@ -264,7 +263,9 @@ let checked base ~what ok =
 
 let count = checked Arg.int ~what:"must be >= 0" (fun n -> n >= 0)
 let positive_int = checked Arg.int ~what:"must be >= 1" (fun n -> n >= 1)
-let probability = checked Arg.float ~what:"must be in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+(* A verb lost with probability 1 never gets through: the sweep and the
+   fuzzer reject it, so the converter does too. *)
+let probability = checked Arg.float ~what:"must be in [0, 1)" (fun p -> p >= 0. && p < 1.)
 
 let check_cmd =
   let run structure ops seed stride no_tear point tear_point fuzz fuzz_clients fault_drop json =

@@ -44,11 +44,20 @@ type world = {
 let now w = Array.fold_left (fun t fe -> Simtime.max t (Clock.now (Client.clock fe))) Simtime.zero w.fes
 let inst_name c = Printf.sprintf "chk%d" c
 
+let command ~structure ~steps ~seed ~clients ~drop =
+  Printf.sprintf "asymnvm check --structure %s --fuzz %d --seed %Ld --fuzz-clients %d%s" structure
+    steps seed clients
+    (if drop > 0. then Printf.sprintf " --fault-drop %g" drop else "")
+
+let reproducer o =
+  command ~structure:o.structure ~steps:o.steps ~seed:o.seed ~clients:o.clients ~drop:o.fault_drop
+
 let fail w ~step ~event detail =
-  w.failures <-
-    Printf.sprintf "step %d [%s] %s (reproduce: asymnvm check --structure %s --fuzz %d --seed %Ld)"
-      step event detail w.subject.Subject.name w.steps w.seed
-    :: w.failures
+  let cmd =
+    command ~structure:w.subject.Subject.name ~steps:w.steps ~seed:w.seed
+      ~clients:(Array.length w.fes) ~drop:w.drop
+  in
+  w.failures <- Printf.sprintf "step %d [%s] %s (reproduce: %s)" step event detail cmd :: w.failures
 
 (* Install the transient-fault model on a freshly (re)connected client.
    Seeds derive from the world seed plus the client index, so the loss
@@ -100,11 +109,15 @@ let make_world (subject : Subject.t) ~clients ~steps ~seed ~drop =
   Array.iteri (fun c _ -> install_fault w c) fes;
   w
 
-(* Recover client [c] on whatever back-end it currently points at:
-   re-sync the session, re-attach the instance, replay uncovered ops. *)
-let recover_client w c =
+(* Recover client [c] on [backend], or on whatever back-end it currently
+   points at: re-sync the session, re-attach the instance, replay
+   uncovered ops. *)
+let recover_client ?backend w c =
   let fe = w.fes.(c) in
-  let ops = Client.recover fe in
+  let ops = Client.recover ?backend fe in
+  (* A promotion opens a fresh connection: re-arm its loss schedule so
+     faults survive the failover (the recovery reads ran before it). *)
+  if backend <> None then install_fault w c;
   w.insts.(c) <- w.subject.Subject.attach ~name:(inst_name c) fe;
   let reg = Asym_structs.Registry.create () in
   w.insts.(c).Asym_structs.Catalog.register reg;
@@ -164,22 +177,18 @@ let step_client_crash w ~step =
       fail w ~step ~event:"client-crash" (Printf.sprintf "recovery raised %s" (Printexc.to_string e)));
   validate w ~step ~event:"client-crash" c
 
-let reconnect_all w ~step ~event =
-  Array.iteri
-    (fun c fe ->
-      match
-        Client.reconnect_after_backend_restart fe;
-        recover_client w c
-      with
-      | () -> validate w ~step ~event c
-      | exception e ->
-          fail w ~step ~event (Printf.sprintf "client %d reconnect raised %s" c (Printexc.to_string e)))
-    w.fes
+let recover_all ?backend w ~step ~event =
+  for c = 0 to Array.length w.fes - 1 do
+    match recover_client ?backend w c with
+    | () -> validate w ~step ~event c
+    | exception e ->
+        fail w ~step ~event (Printf.sprintf "client %d recovery raised %s" c (Printexc.to_string e))
+  done
 
 let step_backend_restart w ~step =
   Backend.crash w.bk;
   ignore (Backend.restart w.bk);
-  reconnect_all w ~step ~event:"backend-restart"
+  recover_all w ~step ~event:"backend-restart"
 
 let step_mirror_crash w ~step:_ =
   match List.filter (fun m -> not (Mirror.is_crashed m)) (Backend.mirrors w.bk) with
@@ -200,7 +209,7 @@ let step_promotion w ~step =
   | None ->
       ignore (Backend.restart w.bk);
       Keepalive.renew w.ka "backend" ~now:t;
-      reconnect_all w ~step ~event:"promotion-restart";
+      recover_all w ~step ~event:"promotion-restart";
       `Restarted
   | Some m ->
       w.generation <- w.generation + 1;
@@ -219,20 +228,7 @@ let step_promotion w ~step =
         (Backend.mirrors w.bk);
       w.bk <- bk';
       Keepalive.renew w.ka "backend" ~now:t;
-      Array.iteri
-        (fun c fe ->
-          match
-            Client.switch_backend fe bk';
-            (* switch_backend opens a fresh connection — re-arm its
-               loss schedule so faults survive the failover. *)
-            install_fault w c;
-            recover_client w c
-          with
-          | () -> validate w ~step ~event:"promotion" c
-          | exception e ->
-              fail w ~step ~event:"promotion"
-                (Printf.sprintf "client %d switch raised %s" c (Printexc.to_string e)))
-        w.fes;
+      recover_all ~backend:bk' w ~step ~event:"promotion";
       `Promoted
 
 (* Arm a grey period — a window of heavy loss — on one client's

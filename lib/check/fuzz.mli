@@ -47,4 +47,8 @@ val run : ?clients:int -> ?drop:float -> Subject.t -> steps:int -> seed:int64 ->
     dump/model divergence or spurious failover under loss is a bug in
     the retry layer, not an accepted outcome. *)
 
+val reproducer : outcome -> string
+(** The [asymnvm check] command line that replays the run: structure,
+    steps, seed, client count and, when faults were on, the drop rate. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -2,12 +2,6 @@ open Asym_sim
 open Asym_nvm
 open Asym_rdma
 
-(* Operation-log record types >= 250 are framework-internal (lock-ahead
-   records, §6.1); data-structure operations use 0..249. *)
-let optype_lock_acquire = 254
-let optype_lock_release = 253
-let internal_optype ty = ty >= 250
-
 type ds_record = {
   ds : Types.ds_id;
   ds_name : string;
@@ -87,28 +81,23 @@ let zero_uncharged t ~addr ~len =
 
 (* -- session slots ------------------------------------------------------ *)
 
-let slot_lpn = 0
-let slot_opn = 8
-let slot_tail = 16
-let slot_inuse = 24
-
 let persist_session t s =
   let base = Layout.session_slot t.layout ~session:s.sid in
-  write_word t (base + slot_lpn) (Int64.of_int s.lpn);
-  write_word t (base + slot_opn) s.opn_covered;
-  write_word t (base + slot_tail) (Int64.of_int s.oplog_tail)
+  write_word t (base + Layout.slot_lpn) (Int64.of_int s.lpn);
+  write_word t (base + Layout.slot_opn) s.opn_covered;
+  write_word t (base + Layout.slot_tail) (Int64.of_int s.oplog_tail)
 
 let load_session t sid =
   let base = Layout.session_slot t.layout ~session:sid in
-  let inuse = Device.read_u64 t.dev ~addr:(base + slot_inuse) in
+  let inuse = Device.read_u64 t.dev ~addr:(base + Layout.slot_inuse) in
   if inuse = 0L then None
   else
     Some
       {
         sid;
-        lpn = Int64.to_int (Device.read_u64 t.dev ~addr:(base + slot_lpn));
-        opn_covered = Device.read_u64 t.dev ~addr:(base + slot_opn);
-        oplog_tail = Int64.to_int (Device.read_u64 t.dev ~addr:(base + slot_tail));
+        lpn = Int64.to_int (Device.read_u64 t.dev ~addr:(base + Layout.slot_lpn));
+        opn_covered = Device.read_u64 t.dev ~addr:(base + Layout.slot_opn);
+        oplog_tail = Int64.to_int (Device.read_u64 t.dev ~addr:(base + Layout.slot_tail));
       }
 
 let get_session t sid =
@@ -245,55 +234,23 @@ let truncate_ring t ~ring_base ~off ~len =
   Device.zero t.dev ~addr:(ring_base + off) ~len;
   zero_uncharged t ~addr:(ring_base + off) ~len
 
-(* Read a [window]-sized piece of a ring at [pos] into [scan_buf] and scan
-   the frame there, growing the window while the frame runs past it. Bytes
-   past the window are stale and never decoded. One reader for both
-   rings: [scan] is {!Log.Tx.scan} or {!Log.Op_entry.scan}. *)
-let scan_at t ~ring_base ~cap ~pos ~window
-    (scan : ?lim:int -> bytes -> pos:int -> 'a Log.scan) =
+(* Read [len] bytes of a ring at [pos] into [scan_buf], the window every
+   scan of either ring decodes from. *)
+let read_ring t ~ring_base ~pos ~len =
+  if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
+  Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
+  t.scan_buf
+
+(* Scan the transaction frame at [pos], growing the window while the
+   frame runs past it. Bytes past the window are stale and never decoded. *)
+let scan_tx t ~ring_base ~cap ~pos =
   let rec go len =
     let len = min len (cap - pos) in
-    if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
-    Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
-    match scan t.scan_buf ~pos:0 ~lim:len with
+    match Log.Tx.scan (read_ring t ~ring_base ~pos ~len) ~pos:0 ~lim:len with
     | Log.Torn when len < cap - pos -> go (len * 4)
     | r -> r
   in
-  go window
-
-(* -- op-log walk -------------------------------------------------------- *)
-
-(* An op-log record is a few dozen bytes; a transaction frame can be
-   many kilobytes. *)
-let oplog_window = 512
-
-(* Walk the session's op-log records from the persisted tail, calling
-   [f op pos len] on each in log order. The walk ends at the first zero
-   byte or torn frame — the append head — and returns that ring offset.
-   It never walks more than one lap: a front-end that overran its own
-   records leaves no zero byte to stop at. *)
-let walk_oplog t s f =
-  let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
-  let rec go pos walked =
-    if walked >= cap then pos
-    else
-      match scan_at t ~ring_base ~cap ~pos ~window:oplog_window Log.Op_entry.scan with
-      | Log.Record (op, len) ->
-          f op pos len;
-          go (pos + len) (walked + len)
-      | Log.Wrap -> go 0 (walked + cap - pos)
-      | Log.Empty | Log.Torn -> pos
-  in
-  go s.oplog_tail 0
-
-(* The lock-ahead log (§6.1): keep [held] the set of locks whose acquire
-   record has no release record after it. *)
-let track_lock held op =
-  let ty = op.Log.Op_entry.optype in
-  if ty = optype_lock_acquire || ty = optype_lock_release then begin
-    let addr = Int64.to_int (Bytes.get_int64_le op.Log.Op_entry.params 0) in
-    if ty = optype_lock_acquire then Hashtbl.replace held addr () else Hashtbl.remove held addr
-  end
+  go 16_384
 
 (* Op-log truncation, with the memory log's discipline: move the tail
    past covered records and zero them, so a later walk ends at the first
@@ -303,19 +260,19 @@ let track_lock held op =
    even when the holder's operation was flushed inside the lock. The new
    tail is persisted before its records are zeroed. *)
 let gc_oplog t s =
-  let held = Hashtbl.create 4 in
+  let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
+  let held = ref [] in
   let covered = ref true in
   let tail = ref s.oplog_tail in
   ignore
-    (walk_oplog t s (fun op pos len ->
+    (Log.walk_ops ~read:(read_ring t ~ring_base) ~cap ~tail:s.oplog_tail (fun op ~pos ~len ->
          if !covered && Int64.compare op.Log.Op_entry.opnum s.opn_covered <= 0 then begin
-           track_lock held op;
-           if Hashtbl.length held = 0 then tail := pos + len
+           held := Log.track_lock !held op;
+           if !held = [] then tail := pos + len
          end
          else covered := false));
   let from = s.oplog_tail in
   if !tail <> from then begin
-    let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
     s.oplog_tail <- !tail;
     persist_session t s;
     if !tail > from then truncate_ring t ~ring_base ~off:from ~len:(!tail - from)
@@ -336,7 +293,7 @@ let replay_pending t ~at s =
   let continue_ = ref true in
   while !continue_ do
     let pos = s.lpn in
-    match scan_at t ~ring_base ~cap ~pos ~window:16_384 Log.Tx.scan with
+    match scan_tx t ~ring_base ~cap ~pos with
     | Log.Record (tx, consumed) ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
@@ -386,54 +343,6 @@ let seqno t ~ds =
 
 let memlog_ring t ~session = Layout.memlog_region t.layout ~session
 let oplog_ring t ~session = Layout.oplog_region t.layout ~session
-
-(* -- recovery support -------------------------------------------------- *)
-
-let unreplayed_ops t ~session =
-  check_alive t;
-  let s = get_session t session in
-  let ops = ref [] in
-  ignore
-    (walk_oplog t s (fun op _ _ ->
-         if
-           (not (internal_optype op.Log.Op_entry.optype))
-           && Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0
-         then ops := op :: !ops));
-  let ops = List.rev !ops in
-  (* Recovery re-executes these: a duplicated opnum here would double-apply
-     an operation, so the stream must be strictly increasing. (A retried
-     op-log append lands at the same ring offset — positional idempotence —
-     which is exactly what this assertion pins down.) *)
-  ignore
-    (List.fold_left
-       (fun last op ->
-         assert (Int64.compare op.Log.Op_entry.opnum last > 0);
-         op.Log.Op_entry.opnum)
-       s.opn_covered ops);
-  ops
-
-let abandoned_locks t ~session =
-  check_alive t;
-  let s = get_session t session in
-  let held = Hashtbl.create 4 in
-  ignore (walk_oplog t s (fun op _ _ -> track_lock held op));
-  Hashtbl.fold (fun addr () acc -> addr :: acc) held []
-
-let force_release_lock t addr = Device.write_u64 t.dev ~addr 0L
-
-let session_cursors t ~session =
-  let s = get_session t session in
-  let last = ref s.opn_covered in
-  let oplog_head =
-    walk_oplog t s (fun op _ _ ->
-        if Int64.compare op.Log.Op_entry.opnum !last > 0 then last := op.Log.Op_entry.opnum)
-  in
-  {
-    Rpc_msg.memlog_head = s.lpn;
-    oplog_head;
-    opn_covered = s.opn_covered;
-    next_opnum = Int64.succ !last;
-  }
 
 (* -- crash and restart --------------------------------------------------- *)
 
@@ -520,7 +429,7 @@ let fresh_session t =
       let s = { sid; lpn = 0; opn_covered = 0L; oplog_tail = 0 } in
       t.sessions.(sid) <- Some s;
       let base = Layout.session_slot t.layout ~session:sid in
-      write_word t (base + slot_inuse) 1L;
+      write_word t (base + Layout.slot_inuse) 1L;
       persist_session t s;
       (* Zero the session's rings so scans terminate at Empty. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
@@ -573,7 +482,7 @@ let handle t ~at ~session req =
       | Some sid ->
           t.sessions.(sid) <- None;
           let base = Layout.session_slot t.layout ~session:sid in
-          write_word t (base + slot_inuse) 0L;
+          write_word t (base + Layout.slot_inuse) 0L;
           Rpc_msg.R_unit)
   | Rpc_msg.Malloc { slabs } -> (
       match Backend_alloc.alloc t.alloc ~slabs with
@@ -602,23 +511,8 @@ let handle t ~at ~session req =
       in
       repl t ~at ~addr:t.layout.Layout.bitmap_base b;
       Rpc_msg.R_unit
-  | Rpc_msg.Alloc_meta { len } -> (
-      match alloc_meta t len with
-      | Some addr -> Rpc_msg.R_addr addr
-      | None -> Rpc_msg.R_error "meta heap exhausted")
-  | Rpc_msg.Name_set { name; kind; addr } ->
-      Naming.set t.naming name kind addr;
-      let nb =
-        Device.read t.dev ~addr:t.layout.Layout.naming_base ~len:(Naming.persisted_len t.naming)
-      in
-      repl t ~at ~addr:t.layout.Layout.naming_base nb;
-      Rpc_msg.R_unit
   | Rpc_msg.Name_get { name } -> Rpc_msg.R_name (Naming.find t.naming name)
   | Rpc_msg.Register_ds { name } -> handle_register_ds t ~at name
-  | Rpc_msg.Get_cursors -> (
-      match session with
-      | None -> Rpc_msg.R_error "no session"
-      | Some sid -> Rpc_msg.R_cursors (session_cursors t ~session:sid))
 
 let req_label = function
   | Rpc_msg.Open_session _ -> "open_session"
@@ -626,11 +520,8 @@ let req_label = function
   | Rpc_msg.Malloc _ -> "malloc"
   | Rpc_msg.Free _ -> "free"
   | Rpc_msg.Free_batch _ -> "free_batch"
-  | Rpc_msg.Alloc_meta _ -> "alloc_meta"
-  | Rpc_msg.Name_set _ -> "name_set"
   | Rpc_msg.Name_get _ -> "name_get"
   | Rpc_msg.Register_ds _ -> "register_ds"
-  | Rpc_msg.Get_cursors -> "get_cursors"
 
 let rpc t ~conn ~session req =
   check_alive t;

@@ -73,7 +73,10 @@ val drain_session : t -> session:Types.session_id -> arrival:Asym_sim.Simtime.t 
     ring: apply entries to the data area, bump the per-structure sequence
     number around each application (the SN optimistic readers validate
     against, Algorithm 2), advance and persist the LPN and OPN, forward the
-    stream to mirrors, then truncate the op log past what the OPN covers.
+    stream to mirrors, then truncate the op log past what the OPN covers
+    ({!Log.walk_ops} from the persisted tail; the new tail is persisted
+    too). The back-end keeps no other copy of a session's cursors: a
+    recovering front-end reads the slot and walks its op log itself.
     Media changes immediately; the work is charged to the back-end CPU
     timeline starting at [arrival], and the caller is not blocked. *)
 
@@ -85,31 +88,6 @@ val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> un
 (** {2 Concurrency support} *)
 
 val seqno : t -> ds:Types.ds_id -> int64
-
-(** {2 Recovery support (§7.2)}
-
-    Each of these walks the session's op-log ring from its persisted tail
-    to the first zero byte or torn record, never more than one lap. *)
-
-val unreplayed_ops : t -> session:Types.session_id -> Log.Op_entry.t list
-(** Operation-log records past the session's OPN — the operations whose
-    memory logs never became durable and must be re-executed by the
-    front-end (Cases 2.b/2.c). Lock-ahead records are excluded. *)
-
-val abandoned_locks : t -> session:Types.session_id -> Types.addr list
-(** Locks for which the session logged an acquire without a matching
-    release — the lock-ahead log of §6.1. *)
-
-val force_release_lock : t -> Types.addr -> unit
-(** Zero the lock word at [addr], releasing a lock that a crashed
-    incarnation still held. *)
-
-val session_cursors : t -> session:Types.session_id -> Rpc_msg.cursors
-(** A session's cursors as its rings hold them (the [Get_cursors] RPC): the
-    memory-log head is the LPN; the op-log head is where a walk from the
-    persisted tail ends, at the first zero byte or torn record; the next
-    operation number is one past the larger of the largest logged one and
-    the OPN. *)
 
 (** {2 Statistics} *)
 

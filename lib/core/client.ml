@@ -69,6 +69,7 @@ type t = {
   mutable ops_since_flush : int;
   mutable memlog_head : int;
   mutable oplog_head : int;
+  mutable oplog_bytes : int;  (* op-log bytes appended since the last flush *)
   mutable next_opnum : int64;
   mutable cur_op : int64 option;
   mutable op_started : Simtime.t;  (* span anchor for the current op *)
@@ -267,6 +268,7 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       ops_since_flush = 0;
       memlog_head = 0;
       oplog_head = 0;
+      oplog_bytes = 0;
       (* opnum 0 is reserved: opn_covered = 0 means "nothing covered". *)
       next_opnum = 1L;
       cur_op = None;
@@ -400,8 +402,9 @@ let oplog_append ?(signaled = None) t raw =
   (* Wrap: drop a marker and continue at the ring base. A record never
      ends at the ring's last byte, which the marker may need. *)
   if t.oplog_head + len + 1 > cap then begin
-    with_retry t (fun () ->
-        Verbs.write t.conn ~addr:(ring_base + t.oplog_head) Log.wrap_marker);
+    let addr = ring_base + t.oplog_head in
+    with_retry t (fun () -> Verbs.write t.conn ~addr Log.wrap_marker);
+    Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr Log.wrap_marker;
     t.oplog_head <- 0
   end;
   let offset = t.oplog_head in
@@ -416,6 +419,7 @@ let oplog_append ?(signaled = None) t raw =
      end
    end);
   t.oplog_head <- offset + len;
+  t.oplog_bytes <- t.oplog_bytes + len;
   Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr:(ring_base + offset) raw;
   if Asym_obs.enabled () then begin
     Asym_obs.Registry.add "log.appended_bytes" len;
@@ -588,7 +592,8 @@ let flush t =
     end
   end;
   Overlay.clear t.overlay;
-  t.ops_since_flush <- 0
+  t.ops_since_flush <- 0;
+  t.oplog_bytes <- 0
 
 (* §4.1: a read after a persistent fence must observe all data the fence
    ordered before it; the fence completes when the buffered memory logs
@@ -632,10 +637,17 @@ let op_end t ~ds =
   match t.cfg.mode with
   | `Direct -> ()
   | `Logged ->
-      let _, ring_cap = Backend.memlog_ring t.bk ~session:t.sid in
+      let _, memlog_cap = Backend.memlog_ring t.bk ~session:t.sid in
+      let _, oplog_cap = Backend.oplog_ring t.bk ~session:t.sid in
       (* Flush at the batch boundary, or early when the local buffer fills
-         (the [is_fulled ()] condition of the paper's Figure 2). *)
-      if t.ops_since_flush >= t.cfg.batch_size || t.pending_bytes >= ring_cap / 4 then flush t
+         (the [is_fulled ()] condition of the paper's Figure 2), or before
+         the op-log records the next flush covers could lap the ring: GC
+         can only move the op-log tail past covered records. *)
+      if
+        t.ops_since_flush >= t.cfg.batch_size
+        || t.pending_bytes >= memlog_cap / 4
+        || t.oplog_bytes >= oplog_cap / 2
+      then flush t
 
 (* -- allocator -------------------------------------------------------------- *)
 
@@ -653,12 +665,9 @@ let free t addr ~len =
 
 let lock_record t ~acquire lock_addr =
   (* The lock-ahead log: a small durable record naming the lock. *)
-  let params = Bytes.create 8 in
-  Bytes.set_int64_le params 0 (Int64.of_int lock_addr);
   let opnum = t.next_opnum in
   t.next_opnum <- Int64.add opnum 1L;
-  let optype = if acquire then 254 else 253 in
-  let raw = Log.Op_entry.encode { Log.Op_entry.ds = 0; opnum; optype; params } in
+  let raw = Log.Op_entry.encode (Log.lock_record ~acquire ~opnum lock_addr) in
   (* Lock-ahead records only need to be ordered before the memory logs
      they guard, not to block the writer: post them unsignaled. *)
   oplog_append ~signaled:(Some false) t raw
@@ -686,13 +695,15 @@ let writer_lock t (h : Types.handle) =
   done;
   t.lock_wait_ns <- t.lock_wait_ns + (Clock.now t.clk - requested)
 
+let release_lock t lock_addr =
+  (* The release write needs ordering, not an ack. *)
+  Verbs.write_unsignaled t.conn ~addr:lock_addr (Bytes.make 8 '\000');
+  lock_record t ~acquire:false lock_addr
+
 let writer_unlock t (h : Types.handle) =
   check_live t;
   if t.cfg.flush_on_unlock then flush t;
-  let b = Bytes.make 8 '\000' in
-  (* The release write needs ordering, not an ack. *)
-  Verbs.write_unsignaled t.conn ~addr:h.Types.lock b;
-  lock_record t ~acquire:false h.Types.lock
+  release_lock t h.Types.lock
 
 (* -- optimistic read sections (§6.3, Algorithm 2) ------------------------------ *)
 
@@ -782,17 +793,60 @@ let crash t =
   t.crashed <- true;
   Asym_obs.Span.instant ~cat:"fault" ~track:t.cname ~ts:(Clock.now t.clk) "client.crash"
 
-let abort_tx t = drop_volatile t
+(* The session's cursors as its rings hold them, read with one-sided
+   verbs: the slot gives the LPN (the memory-log head: every flush is
+   replayed before it returns, and a restart replays the rest), the OPN
+   and the op-log tail, and one walk from the tail gives the op-log head,
+   the largest logged operation number, the operations past the OPN, the
+   locks still held and the bytes GC has yet to reclaim. *)
+let read_cursors t =
+  let layout = Backend.layout t.bk in
+  let slot =
+    with_retry t (fun () ->
+        Verbs.read t.conn
+          ~addr:(Layout.session_slot layout ~session:t.sid)
+          ~len:Layout.slot_cursors_len)
+  in
+  let word off = Bytes.get_int64_le slot off in
+  let opn = word Layout.slot_opn in
+  let ring_base, cap = Backend.oplog_ring t.bk ~session:t.sid in
+  let read ~pos ~len = with_retry t (fun () -> Verbs.read t.conn ~addr:(ring_base + pos) ~len) in
+  let ops = ref [] and held = ref [] and last = ref opn and walked = ref 0 in
+  let head =
+    Log.walk_ops ~read ~cap ~tail:(Int64.to_int (word Layout.slot_tail)) (fun op ~pos:_ ~len ->
+        let opnum = op.Log.Op_entry.opnum in
+        walked := !walked + len;
+        held := Log.track_lock !held op;
+        if Int64.compare opnum !last > 0 then last := opnum;
+        if (not (Log.internal_optype op.Log.Op_entry.optype)) && Int64.compare opnum opn > 0
+        then begin
+          (* Recovery re-executes these: a duplicated opnum here would
+             double-apply an operation, so the stream must be strictly
+             increasing. (A retried op-log append lands at the same ring
+             offset — positional idempotence — which is exactly what this
+             assertion pins down.) *)
+          (match !ops with
+          | prev :: _ -> assert (Int64.compare opnum prev.Log.Op_entry.opnum > 0)
+          | [] -> ());
+          ops := op :: !ops
+        end)
+  in
+  t.memlog_head <- Int64.to_int (word Layout.slot_lpn);
+  t.oplog_head <- head;
+  t.oplog_bytes <- !walked;
+  t.next_opnum <- Int64.succ !last;
+  (List.rev !ops, !held)
 
-let resync_cursors t =
-  match rpc t Rpc_msg.Get_cursors with
-  | Rpc_msg.R_cursors { memlog_head; oplog_head; opn_covered = _; next_opnum } ->
-      t.memlog_head <- memlog_head;
-      t.oplog_head <- oplog_head;
-      t.next_opnum <- next_opnum
-  | other -> Fmt.failwith "%s: get_cursors failed: %a" t.cname Rpc_msg.pp_response other
-
-let recover t =
+let recover ?backend t =
+  drop_volatile t;
+  (match backend with
+  | Some bk ->
+      t.bk <- bk;
+      t.conn <-
+        Verbs.connect ~client:t.clk ~remote_nic:(Backend.nic bk) ~remote_mem:(Backend.device bk)
+          t.lat;
+      Hashtbl.reset t.handles
+  | None -> ());
   t.crashed <- false;
   let obs_t0 = if Asym_obs.enabled () then Clock.now t.clk else 0 in
   Asym_obs.Span.instant ~cat:"fault" ~track:t.cname ~ts:obs_t0 "client.recover_begin";
@@ -802,38 +856,13 @@ let recover t =
    with
   | Rpc_msg.R_session sid -> t.sid <- sid
   | other -> Fmt.failwith "%s: session reopen failed: %a" t.cname Rpc_msg.pp_response other);
-  resync_cursors t;
+  let ops, held = read_cursors t in
   t.falloc <- make_falloc t;
-  (* Release locks our previous incarnation still held (lock-ahead log),
-     and log the release so later scans see the lock balanced. *)
-  List.iter
-    (fun lock_addr ->
-      Backend.force_release_lock t.bk lock_addr;
-      lock_record t ~acquire:false lock_addr)
-    (Backend.abandoned_locks t.bk ~session:t.sid);
-  let ops = Backend.unreplayed_ops t.bk ~session:t.sid in
-  (* Reading the op-log tail back costs one round trip plus payload. *)
-  let bytes = List.fold_left (fun acc o -> acc + Bytes.length o.Log.Op_entry.params + 22) 0 ops in
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.clk t.lat.Latency.rdma_rtt_ns;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_bytes t.clk (Latency.rdma_payload_ns t.lat bytes);
+  (* Release locks our previous incarnation still held (lock-ahead log). *)
+  List.iter (release_lock t) held;
   if Asym_obs.enabled () then begin
     Asym_obs.Registry.add "log.recovered_ops" (List.length ops);
     Asym_obs.Span.complete ~cat:"fault" ~track:t.cname ~ts:obs_t0
       ~dur:(Clock.now t.clk - obs_t0) "client.recover"
   end;
   ops
-
-let reconnect_after_backend_restart t =
-  drop_volatile t;
-  Verbs.set_failed t.conn false;
-  resync_cursors t
-
-let switch_backend t bk =
-  drop_volatile t;
-  t.bk <- bk;
-  t.conn <-
-    Verbs.connect ~client:t.clk ~remote_nic:(Backend.nic bk) ~remote_mem:(Backend.device bk)
-      t.lat;
-  t.falloc <- make_falloc t;
-  Hashtbl.reset t.handles;
-  resync_cursors t

@@ -44,17 +44,6 @@ val connect :
   ?name:string -> ?rng:Asym_util.Rng.t -> config -> Backend.t -> clock:Asym_sim.Clock.t -> t
 (** Open a session on the back-end. *)
 
-val reconnect_after_backend_restart : t -> unit
-(** Re-arm the connection after the back-end came back ({!Backend.restart})
-    or after mirror promotion — clears the cache and aborts any buffered
-    transaction (§4.3: "the front-end node handles exceptions, aborts the
-    transaction and clears the cache"). *)
-
-val switch_backend : t -> Backend.t -> unit
-(** Point this client at a promoted mirror (Case 4). Volatile state is
-    dropped; the session id is preserved (sessions live in the replicated
-    media image). *)
-
 include Store.S with type t := t
 
 val persist_fence : t -> unit
@@ -91,15 +80,23 @@ val crash : t -> unit
 
 val is_crashed : t -> bool
 
-val recover : t -> Log.Op_entry.t list
-(** Case 1/2 front-end recovery: reopen the session, fetch the LPN/OPN
-    cursors, release locks the crashed incarnation still held, and return
-    the operations whose memory logs never became durable — the caller
-    (data-structure layer) re-executes them. *)
+val recover : ?backend:Backend.t -> t -> Log.Op_entry.t list
+(** The one way a front-end resumes after any §7.2 failure: its own crash
+    (Cases 1/2), a back-end restart (Case 3, after {!Backend.restart}) or
+    a mirror promotion (Case 4, with [~backend] the promoted back-end; the
+    session id is kept, since sessions live in the replicated image).
 
-val abort_tx : t -> unit
-(** Case 3 client side: throw away buffered logs and cached pages after a
-    back-end failure was detected mid-operation. *)
+    Drops all volatile state — cache, overlay, buffered logs, allocator
+    block lists (§4.3: "the front-end node handles exceptions, aborts the
+    transaction and clears the cache") — and reopens the session. Then it
+    reads its cursors the way every other front-end path touches the
+    back-end, with verbs: one RDMA read of the session slot (LPN, OPN,
+    op-log tail) and one {!Log.walk_ops} of its op log from the tail over
+    windowed RDMA reads. For each lock a previous incarnation still holds
+    it writes 0 to the lock word and logs the release, as
+    [writer_unlock] does. Returns the operations past the OPN — those
+    whose memory logs never became durable — for the caller
+    (data-structure layer) to re-execute. *)
 
 (** {2 Statistics} *)
 

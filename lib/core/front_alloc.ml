@@ -17,7 +17,6 @@ type slab = {
 
 type t = {
   ops : backend_ops;
-  prefetch : int;  (* slabs fetched per back-end RPC *)
   min_class : int;
   classes : int array;  (* block sizes, ascending powers of two *)
   partial : slab list ref array;  (* per class, slabs with free blocks *)
@@ -25,14 +24,18 @@ type t = {
   large : (Types.addr, int) Hashtbl.t;  (* base -> slab count *)
   mutable empty_pool : Types.addr list;
   mutable empty_count : int;
-  reclaim_threshold : int;
   mutable n_alloc : int;
   mutable n_free : int;
   mutable n_slab_rpc : int;
   mutable n_leaked : int;
 }
 
-let create ?(reclaim_threshold = 64) ?(prefetch = 8) ops =
+(* Slabs fetched per back-end RPC, and emptied slabs kept before the
+   surplus goes back. *)
+let prefetch = 8
+let reclaim_threshold = 64
+
+let create ops =
   let min_class = 16 in
   (* Size classes up to the full slab (a whole-slab "class" still benefits
      from prefetching several slabs per RPC). *)
@@ -40,7 +43,6 @@ let create ?(reclaim_threshold = 64) ?(prefetch = 8) ops =
   let classes = Array.of_list (build min_class []) in
   {
     ops;
-    prefetch = max 1 prefetch;
     min_class;
     classes;
     partial = Array.init (Array.length classes) (fun _ -> ref []);
@@ -48,7 +50,6 @@ let create ?(reclaim_threshold = 64) ?(prefetch = 8) ops =
     large = Hashtbl.create 16;
     empty_pool = [];
     empty_count = 0;
-    reclaim_threshold;
     n_alloc = 0;
     n_free = 0;
     n_slab_rpc = 0;
@@ -74,8 +75,7 @@ let take_empty_slab t =
          stash the extras in the empty pool. *)
       t.n_slab_rpc <- t.n_slab_rpc + 1;
       let base, got =
-        try (t.ops.alloc_slabs t.prefetch, t.prefetch)
-        with Out_of_nvm when t.prefetch > 1 -> (t.ops.alloc_slabs 1, 1)
+        try (t.ops.alloc_slabs prefetch, prefetch) with Out_of_nvm -> (t.ops.alloc_slabs 1, 1)
       in
       for i = got - 1 downto 1 do
         t.empty_pool <- (base + (i * t.ops.slab_size)) :: t.empty_pool;
@@ -134,8 +134,8 @@ let release_slab t s =
   Hashtbl.remove t.slabs s.base;
   t.empty_pool <- s.base :: t.empty_pool;
   t.empty_count <- t.empty_count + 1;
-  if t.empty_count > t.reclaim_threshold then begin
-    let keep = t.reclaim_threshold / 2 in
+  if t.empty_count > reclaim_threshold then begin
+    let keep = reclaim_threshold / 2 in
     let rec split i acc = function
       | rest when i = 0 -> (List.rev acc, rest)
       | [] -> (List.rev acc, [])

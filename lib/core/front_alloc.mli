@@ -6,8 +6,8 @@
     volatile by design: after a front-end crash only slab-level occupancy
     is reconstructed (from the back-end's persistent bitmap), trading a
     bounded leak inside partially-used slabs for allocation speed — the
-    paper's exact trade-off. Emptied slabs beyond [reclaim_threshold] are
-    returned to the back-end. *)
+    paper's exact trade-off. Emptied slabs beyond 64 are returned to the
+    back-end. *)
 
 exception Out_of_nvm
 
@@ -21,9 +21,9 @@ type backend_ops = {
 
 type t
 
-val create : ?reclaim_threshold:int -> ?prefetch:int -> backend_ops -> t
-(** [prefetch] slabs are fetched per back-end RPC (default 8), amortizing
-    the network round trip over many block allocations. *)
+val create : backend_ops -> t
+(** Eight slabs are fetched per back-end RPC, amortizing the network
+    round trip over many block allocations. *)
 
 val alloc : t -> int -> Types.addr
 (** Allocate [size] bytes of back-end NVM. Requests larger than half a

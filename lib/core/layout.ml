@@ -1,6 +1,11 @@
 let magic = 0x4153594D4E564D31L (* "ASYMNVM1" *)
 let superblock_len = 256
 let session_slot_len = 64
+let slot_lpn = 0
+let slot_opn = 8
+let slot_tail = 16
+let slot_inuse = 24
+let slot_cursors_len = 24
 
 type t = {
   capacity : int;

@@ -5,7 +5,7 @@
     {v
     0           superblock (magic + layout parameters)
     naming      global naming space (§5.1)
-    sessions    per-session metadata slots: LPN, OPN, log cursors
+    sessions    per-session metadata slots: LPN, OPN, op-log tail
     meta heap   small persistent words: roots, locks, sequence numbers
     bitmap      slab allocation bitmap (§5.2)
     memlog      per-session memory-log rings (§4.2)
@@ -38,6 +38,24 @@ type t = {
 }
 
 val session_slot_len : int
+
+(** Byte offsets of a session slot's 8-byte little-endian words. The
+    back-end persists the first three; a recovering front-end reads them
+    back with one RDMA read of {!slot_cursors_len} bytes. *)
+
+val slot_lpn : int
+(** The memory-log replay cursor, ring-relative. *)
+
+val slot_opn : int
+(** The highest operation number the replayed memory logs cover. *)
+
+val slot_tail : int
+(** The op-log GC cursor, ring-relative: where a walk starts. *)
+
+val slot_inuse : int
+(** Non-zero while the slot belongs to an open session. *)
+
+val slot_cursors_len : int
 
 val compute :
   ?naming_len:int ->

@@ -156,3 +156,53 @@ module Op_entry = struct
         if len > lim then raise Exit;
         { ds; opnum; optype; params = Codec.Dec.bytes d len })
 end
+
+(* -- the lock-ahead log (§6.1) -------------------------------------------- *)
+
+(* Operation-log record types >= 250 are framework-internal; data-structure
+   operations use 0..249. *)
+let optype_lock_acquire = 254
+let optype_lock_release = 253
+let internal_optype ty = ty >= 250
+
+let lock_record ~acquire ~opnum addr =
+  let params = Bytes.create 8 in
+  Bytes.set_int64_le params 0 (Int64.of_int addr);
+  let optype = if acquire then optype_lock_acquire else optype_lock_release in
+  { Op_entry.ds = 0; opnum; optype; params }
+
+let track_lock held (op : Op_entry.t) =
+  let ty = op.optype in
+  if ty <> optype_lock_acquire && ty <> optype_lock_release then held
+  else
+    let addr = Int64.to_int (Bytes.get_int64_le op.params 0) in
+    let others = List.filter (fun a -> a <> addr) held in
+    if ty = optype_lock_acquire then addr :: others else others
+
+(* -- the op-log walk ------------------------------------------------------- *)
+
+(* An op-log record is a few dozen bytes, so one window holds many. *)
+let walk_window = 4096
+
+(* [buf] holds the ring's [len] bytes from [base]; [off] is the next
+   record's offset in it. A frame that runs past the window is re-read
+   from its start, the window growing while the frame alone overruns it. *)
+let walk_ops ~read ~cap ~tail f =
+  let rec fill pos walked len =
+    let len = min len (cap - pos) in
+    decode (read ~pos ~len) pos len 0 walked
+  and decode buf base len off walked =
+    let pos = base + off in
+    if walked >= cap then pos
+    else
+      match Op_entry.scan buf ~pos:off ~lim:len with
+      | Record (op, n) ->
+          f op ~pos ~len:n;
+          decode buf base len (off + n) (walked + n)
+      | Wrap -> fill 0 (walked + cap - pos) walk_window
+      | Empty when off < len || pos >= cap -> pos
+      | Empty -> fill pos walked walk_window
+      | Torn when base + len < cap -> fill pos walked (if off = 0 then len * 4 else walk_window)
+      | Torn -> pos
+  in
+  fill tail 0 walk_window

@@ -79,3 +79,40 @@ module Op_entry : sig
   val scan : ?lim:int -> bytes -> pos:int -> t scan
   (** Like {!Tx.scan}. *)
 end
+
+(** {2 The lock-ahead log (§6.1)}
+
+    A writer logs an acquire record naming the lock before it takes the
+    lock and a release record after it lets go, so recovery can find a
+    lock a crashed holder left set. *)
+
+val internal_optype : int -> bool
+(** Record types from 250 up are the framework's own (lock-ahead
+    records); data-structure operations use 0..249. *)
+
+val lock_record : acquire:bool -> opnum:int64 -> Types.addr -> Op_entry.t
+(** The acquire or release record for the lock word at the address. *)
+
+val track_lock : Types.addr list -> Op_entry.t -> Types.addr list
+(** Fold one record into the set of locks held: those whose acquire
+    record has no release record after it. Other records leave the set
+    as it is. *)
+
+(** {2 The op-log walk} *)
+
+val walk_ops :
+  read:(pos:int -> len:int -> bytes) ->
+  cap:int ->
+  tail:int ->
+  (Op_entry.t -> pos:int -> len:int -> unit) ->
+  int
+(** Walk a [cap]-byte op-log ring from ring offset [tail], calling
+    [f op ~pos ~len] on each record in log order, and return the ring
+    offset where the walk ended: the first zero byte or torn frame, which
+    is the append head. [read ~pos ~len] returns a buffer whose first
+    [len] bytes are the ring's from [pos]. The walk reads 4 KiB at a time
+    and decodes every whole record in a window before it reads the next;
+    a record cut by a window's end is read again from its start. It never
+    walks more than one lap: a front-end that overran its own records
+    leaves no zero byte to stop at. The back-end's op-log GC and
+    front-end recovery both walk with it. *)

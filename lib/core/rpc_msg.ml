@@ -6,11 +6,8 @@ type request =
   | Malloc of { slabs : int }
   | Free of { addr : Types.addr; slabs : int }
   | Free_batch of { addrs : Types.addr list }
-  | Alloc_meta of { len : int }
-  | Name_set of { name : string; kind : Types.name_kind; addr : Types.addr }
   | Name_get of { name : string }
   | Register_ds of { name : string }
-  | Get_cursors
 
 type handle_info = {
   ds : Types.ds_id;
@@ -19,20 +16,12 @@ type handle_info = {
   sn : Types.addr;
 }
 
-type cursors = {
-  memlog_head : int;
-  oplog_head : int;
-  opn_covered : int64;
-  next_opnum : int64;
-}
-
 type response =
   | R_unit
   | R_addr of Types.addr
   | R_session of Types.session_id
   | R_name of (Types.name_kind * Types.addr) option
   | R_handle of handle_info
-  | R_cursors of cursors
   | R_error of string
 
 let encode_request r =
@@ -58,21 +47,12 @@ let encode_request r =
       Codec.Enc.u8 e 10;
       Codec.Enc.u32i e (List.length addrs);
       List.iter (Codec.Enc.u64i e) addrs
-  | Alloc_meta { len } ->
-      Codec.Enc.u8 e 5;
-      Codec.Enc.u32i e len
-  | Name_set { name; kind; addr } ->
-      Codec.Enc.u8 e 6;
-      Codec.Enc.string e name;
-      Codec.Enc.u8 e (Types.name_kind_code kind);
-      Codec.Enc.u64i e addr
   | Name_get { name } ->
       Codec.Enc.u8 e 7;
       Codec.Enc.string e name
   | Register_ds { name } ->
       Codec.Enc.u8 e 8;
-      Codec.Enc.string e name
-  | Get_cursors -> Codec.Enc.u8 e 9);
+      Codec.Enc.string e name);
   Codec.Enc.to_bytes e
 
 let decode_request b =
@@ -92,15 +72,8 @@ let decode_request b =
       let addr = Codec.Dec.u64i d in
       let slabs = Codec.Dec.u32i d in
       Free { addr; slabs }
-  | 5 -> Alloc_meta { len = Codec.Dec.u32i d }
-  | 6 ->
-      let name = Codec.Dec.string d in
-      let kind = Types.name_kind_of_code (Codec.Dec.u8 d) in
-      let addr = Codec.Dec.u64i d in
-      Name_set { name; kind; addr }
   | 7 -> Name_get { name = Codec.Dec.string d }
   | 8 -> Register_ds { name = Codec.Dec.string d }
-  | 9 -> Get_cursors
   | 10 ->
       let n = Codec.Dec.u32i d in
       Free_batch { addrs = List.init n (fun _ -> Codec.Dec.u64i d) }
@@ -130,12 +103,6 @@ let encode_response r =
       Codec.Enc.u64i e root;
       Codec.Enc.u64i e lock;
       Codec.Enc.u64i e sn
-  | R_cursors { memlog_head; oplog_head; opn_covered; next_opnum } ->
-      Codec.Enc.u8 e 6;
-      Codec.Enc.u64i e memlog_head;
-      Codec.Enc.u64i e oplog_head;
-      Codec.Enc.u64 e opn_covered;
-      Codec.Enc.u64 e next_opnum
   | R_error msg ->
       Codec.Enc.u8 e 7;
       Codec.Enc.string e msg);
@@ -160,27 +127,8 @@ let decode_response b =
       let lock = Codec.Dec.u64i d in
       let sn = Codec.Dec.u64i d in
       R_handle { ds; root; lock; sn }
-  | 6 ->
-      let memlog_head = Codec.Dec.u64i d in
-      let oplog_head = Codec.Dec.u64i d in
-      let opn_covered = Codec.Dec.u64 d in
-      let next_opnum = Codec.Dec.u64 d in
-      R_cursors { memlog_head; oplog_head; opn_covered; next_opnum }
   | 7 -> R_error (Codec.Dec.string d)
   | c -> invalid_arg (Printf.sprintf "Rpc_msg.decode_response: tag %d" c)
-
-let pp_request fmt = function
-  | Open_session { client_name; _ } -> Format.fprintf fmt "open_session(%s)" client_name
-  | Close_session -> Format.fprintf fmt "close_session"
-  | Malloc { slabs } -> Format.fprintf fmt "malloc(%d slabs)" slabs
-  | Free { addr; slabs } -> Format.fprintf fmt "free(%#x, %d slabs)" addr slabs
-  | Free_batch { addrs } -> Format.fprintf fmt "free_batch(%d slabs)" (List.length addrs)
-  | Alloc_meta { len } -> Format.fprintf fmt "alloc_meta(%d)" len
-  | Name_set { name; kind; addr } ->
-      Format.fprintf fmt "name_set(%s, %a, %#x)" name Types.pp_name_kind kind addr
-  | Name_get { name } -> Format.fprintf fmt "name_get(%s)" name
-  | Register_ds { name } -> Format.fprintf fmt "register_ds(%s)" name
-  | Get_cursors -> Format.fprintf fmt "get_cursors"
 
 let pp_response fmt = function
   | R_unit -> Format.fprintf fmt "ok"
@@ -189,5 +137,4 @@ let pp_response fmt = function
   | R_name None -> Format.fprintf fmt "name: none"
   | R_name (Some (kind, addr)) -> Format.fprintf fmt "name: %a@%#x" Types.pp_name_kind kind addr
   | R_handle { ds; _ } -> Format.fprintf fmt "handle ds=%d" ds
-  | R_cursors _ -> Format.fprintf fmt "cursors"
   | R_error msg -> Format.fprintf fmt "error: %s" msg

@@ -13,11 +13,8 @@ type request =
   | Free of { addr : Types.addr; slabs : int }
   | Free_batch of { addrs : Types.addr list }
       (** periodic reclamation: many 1-slab frees in one RFP round (§5.2) *)
-  | Alloc_meta of { len : int }
-  | Name_set of { name : string; kind : Types.name_kind; addr : Types.addr }
   | Name_get of { name : string }
   | Register_ds of { name : string }
-  | Get_cursors
 
 type handle_info = {
   ds : Types.ds_id;
@@ -26,20 +23,12 @@ type handle_info = {
   sn : Types.addr;
 }
 
-type cursors = {
-  memlog_head : int;  (** ring-relative append offset for memory logs *)
-  oplog_head : int;  (** ring-relative append offset for operation logs *)
-  opn_covered : int64;  (** last operation whose memory logs are replayed *)
-  next_opnum : int64;  (** next operation number to assign *)
-}
-
 type response =
   | R_unit
   | R_addr of Types.addr
   | R_session of Types.session_id
   | R_name of (Types.name_kind * Types.addr) option
   | R_handle of handle_info
-  | R_cursors of cursors
   | R_error of string
 
 val encode_request : request -> bytes
@@ -47,5 +36,4 @@ val decode_request : bytes -> request
 val encode_response : response -> bytes
 val decode_response : bytes -> response
 
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

@@ -33,7 +33,6 @@ type conn = {
   remote_nic : Timeline.t;
   remote_mem : Asym_nvm.Device.t;
   lat : Latency.t;
-  mutable failed : bool;
   mutable ops : int;
   mutable wire_bytes : int;
   mutable fault : (Fault.t * Asym_util.Rng.t) option;
@@ -48,7 +47,6 @@ let connect ~client ~remote_nic ~remote_mem lat =
     remote_nic;
     remote_mem;
     lat;
-    failed = false;
     ops = 0;
     wire_bytes = 0;
     fault = None;
@@ -59,8 +57,6 @@ let connect ~client ~remote_nic ~remote_mem lat =
 
 let client_clock t = t.client
 let remote_mem t = t.remote_mem
-let set_failed t v = t.failed <- v
-let is_failed t = t.failed
 
 let set_fault t f =
   t.fault <-
@@ -131,9 +127,6 @@ let inject_delay t d =
     Clock.advance ~cause:Asym_obs.Attr.Fault_retry t.client d
   end
 
-let check_alive t =
-  if t.failed then raise (Failure_detected (Asym_nvm.Device.name t.remote_mem))
-
 (* Per-verb accounting: a counter, wire bytes, and a span occupying the
    remote NIC's track for the verb's service slot. One branch when
    observability is off. *)
@@ -177,7 +170,6 @@ let check_bounds t ~addr ~len =
       (Printf.sprintf "Rdma.Verbs: invalid memory region (addr=%d len=%d)" addr len)
 
 let read t ~addr ~len =
-  check_alive t;
   check_bounds t ~addr ~len;
   (* A lost read has no remote side effect whichever direction vanished. *)
   (match fate t ~atomic:false with
@@ -190,7 +182,6 @@ let read t ~addr ~len =
   Asym_nvm.Device.read t.remote_mem ~addr ~len
 
 let write ?wire_len ?len:data_len t ~addr b =
-  check_alive t;
   let data_len = match data_len with Some n -> n | None -> Bytes.length b in
   check_bounds t ~addr ~len:data_len;
   let verdict = fate t ~atomic:false in
@@ -220,7 +211,6 @@ let write ?wire_len ?len:data_len t ~addr b =
    promised by the next signaled verb — which IS injected, so a grey
    period still surfaces through the synchronizing round trip. *)
 let write_unsignaled t ~addr b =
-  check_alive t;
   Asym_nvm.Crashpoint.in_verb "rdma.write_unsignaled" @@ fun () ->
   let len = Bytes.length b in
   let service = Latency.rdma_payload_ns t.lat len in
@@ -250,7 +240,6 @@ let atomic t ~op ~media =
   obs_verb t ~op ~wire:16 ~start ~dur
 
 let compare_and_swap t ~addr ~expected ~desired =
-  check_alive t;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"cas"
   | Deliver d -> inject_delay t d);
@@ -268,7 +257,6 @@ let compare_and_swap t ~addr ~expected ~desired =
    ops/wire accounting: Table 1 counts lock traffic separately from the
    per-operation verbs, as the paper does. *)
 let lock_probe t ~addr =
-  check_alive t;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"lock_cas"
   | Deliver d -> inject_delay t d);
@@ -281,7 +269,6 @@ let lock_probe t ~addr =
   Asym_nvm.Device.compare_and_swap t.remote_mem ~addr ~expected:0L ~desired:1L = 0L
 
 let fetch_add t ~addr delta =
-  check_alive t;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"fetch_add"
   | Deliver d -> inject_delay t d);

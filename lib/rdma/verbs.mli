@@ -12,8 +12,9 @@
     {!Asym_nvm.Device.tear_last_write} by failure tests. *)
 
 exception Failure_detected of string
-(** Raised when the remote end is marked failed — the RNIC feedback the
-    front-end uses to detect back-end crashes (paper §7.2 Case 3). *)
+(** The RNIC feedback a front-end gets from a crashed back-end (paper §7.2
+    Case 3). The back-end's RPC and replay entry points raise it; the
+    one-sided verbs here do not model a dead remote and never do. *)
 
 exception Verb_timeout of string
 (** A signaled verb's completion never arrived within the timeout: the
@@ -60,9 +61,6 @@ val connect :
 
 val client_clock : conn -> Asym_sim.Clock.t
 val remote_mem : conn -> Asym_nvm.Device.t
-
-val set_failed : conn -> bool -> unit
-val is_failed : conn -> bool
 
 val set_fault : conn -> Fault.t option -> unit
 (** Install (or clear, with [None]) the transient-fault model. Clearing

@@ -8,21 +8,20 @@
 
 open Asym_core
 
-let default_n_us = 4000
-let default_l_us = 1000
+let n_us = 4000
+let l_us = 1000
 
 module Make (S : Store.S) = struct
   type t = {
     s : S.t;
-    delay : Asym_sim.Simtime.t;
     q : (Asym_sim.Simtime.t * Types.addr * int) Queue.t;
   }
 
-  let create ?(n_us = default_n_us) ?(l_us = default_l_us) s =
-    { s; delay = Asym_sim.Simtime.us (n_us + l_us); q = Queue.create () }
+  let delay = Asym_sim.Simtime.us (n_us + l_us)
+  let create s = { s; q = Queue.create () }
 
   let defer t addr ~len =
-    Queue.push (Asym_sim.Clock.now (S.clock t.s) + t.delay, addr, len) t.q
+    Queue.push (Asym_sim.Clock.now (S.clock t.s) + delay, addr, len) t.q
 
   (* Release everything whose grace period expired. Called at operation
      boundaries by the multi-version structures. *)

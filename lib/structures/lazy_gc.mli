@@ -5,13 +5,10 @@
     [n + l] microseconds of virtual time (the paper fixes n/l at
     4000/1000 µs); every read is required to complete within n µs. *)
 
-val default_n_us : int
-val default_l_us : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 
-  val create : ?n_us:int -> ?l_us:int -> S.t -> t
+  val create : S.t -> t
   val defer : t -> Asym_core.Types.addr -> len:int -> unit
 
   val pump : t -> unit

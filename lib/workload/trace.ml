@@ -26,9 +26,11 @@ let value_size t =
    structures index by. *)
 let hashed_key t = Int64.of_int (Zipf.next_scrambled t.zipf)
 
+(* Zero-filled: the bytes past the 8-byte tag reach the media, so they
+   must not depend on what the allocator left in the buffer. *)
 let value t =
   let n = value_size t in
-  let b = Bytes.create n in
+  let b = Bytes.make n '\000' in
   Bytes.set_int64_le b 0 (Rng.next_int64 t.rng);
   b
 

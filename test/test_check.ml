@@ -202,6 +202,16 @@ let test_fuzz_deterministic () =
   check Alcotest.int "same promotions" a.Fuzz.promotions b.Fuzz.promotions;
   check Alcotest.(list string) "same failures" a.Fuzz.failures b.Fuzz.failures
 
+let test_fuzz_reproducer () =
+  (* The command line must replay the same run: a 3-client or faulty
+     failure reproduced with the defaults would be a different schedule. *)
+  let s = Option.get (Subject.find "pstack") in
+  check Alcotest.string "clients and drop rate"
+    "asymnvm check --structure pstack --fuzz 3 --seed 7 --fuzz-clients 3 --fault-drop 0.05"
+    (Fuzz.reproducer (Fuzz.run ~clients:3 ~drop:0.05 s ~steps:3 ~seed:7L));
+  check Alcotest.string "faults off" "asymnvm check --structure pstack --fuzz 3 --seed 7 --fuzz-clients 2"
+    (Fuzz.reproducer (Fuzz.run s ~steps:3 ~seed:7L))
+
 let per_subject f = List.map (fun s -> Alcotest.test_case s.Subject.name `Quick (f s)) Subject.all
 
 let () =
@@ -243,6 +253,7 @@ let () =
         [
           Alcotest.test_case "faults exercised, no failures" `Quick test_fuzz_exercises_faults;
           Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic;
+          Alcotest.test_case "reproducer" `Quick test_fuzz_reproducer;
         ] );
       ("fuzz all structures", per_subject (fun s -> test_fuzz_multi_client s));
     ]

@@ -256,6 +256,102 @@ let test_tx_golden_bytes () =
    ^ "65722d656e7472792d76616c7565c37edb49a2")
     (hex (Log.Tx.encode t))
 
+(* -- the op-log walk --------------------------------------------------------- *)
+
+(* A ring written the way a front-end appends: records of varying size
+   from [tail] (one of them bigger than a 4 KiB walk window), a wrap
+   marker where the next one no longer fits before the last byte, then
+   on from the ring base. *)
+let walk_ring ~cap ~tail ~n =
+  let ring = Bytes.make cap '\000' in
+  let head = ref tail in
+  for i = 1 to n do
+    let params = Bytes.make (if i = 5 then 6000 else i * 97 mod 301) 'p' in
+    let raw = Log.Op_entry.encode { Log.Op_entry.ds = 1; opnum = Int64.of_int i; optype = 1; params } in
+    if !head + Bytes.length raw + 1 > cap then begin
+      Bytes.set_uint8 ring !head 0xFF;
+      head := 0
+    end;
+    Bytes.blit raw 0 ring !head (Bytes.length raw);
+    head := !head + Bytes.length raw
+  done;
+  (ring, !head)
+
+let walk ring ~tail =
+  let read ~pos ~len = Bytes.sub ring pos len in
+  let seen = ref [] in
+  let head =
+    Log.walk_ops ~read ~cap:(Bytes.length ring) ~tail (fun op ~pos ~len:_ ->
+        seen := (op.Log.Op_entry.opnum, pos) :: !seen)
+  in
+  (List.rev !seen, head)
+
+(* The reference walk: one scan per record over the whole ring. *)
+let walk_reference ring ~tail =
+  let cap = Bytes.length ring in
+  let rec go pos walked acc =
+    if walked >= cap then (List.rev acc, pos)
+    else
+      match Log.Op_entry.scan ring ~pos with
+      | Log.Record (op, n) -> go (pos + n) (walked + n) ((op.Log.Op_entry.opnum, pos) :: acc)
+      | Log.Wrap -> go 0 (walked + cap - pos) acc
+      | Log.Empty | Log.Torn -> (List.rev acc, pos)
+  in
+  go tail 0 []
+
+let walk_result = Alcotest.(pair (list (pair int64 int)) int)
+
+let test_walk_windows () =
+  (* Records cut by a window's end, one longer than a window and a wrap:
+     the windowed walk sees what a scan per record sees. *)
+  let ring, head = walk_ring ~cap:20_000 ~tail:12_000 ~n:60 in
+  check Alcotest.bool "the records wrap" true (head < 12_000);
+  let seen, head' = walk ring ~tail:12_000 in
+  check Alcotest.int "ends at the append head" head head';
+  check Alcotest.(list int64) "every record, in order" (List.init 60 (fun i -> Int64.of_int (i + 1)))
+    (List.map fst seen);
+  check walk_result "as the reference walk" (walk_reference ring ~tail:12_000) (seen, head')
+
+let test_walk_stops_at_torn_frame () =
+  let ring, head = walk_ring ~cap:20_000 ~tail:0 ~n:40 in
+  (* Tear the last record's CRC: the walk ends where that record starts. *)
+  Bytes.set_uint8 ring (head - 1) (Bytes.get_uint8 ring (head - 1) lxor 0xFF);
+  let seen, head' = walk ring ~tail:0 in
+  check Alcotest.int "every whole record" 39 (List.length seen);
+  check walk_result "as the reference walk" (walk_reference ring ~tail:0) (seen, head')
+
+let test_walk_one_lap () =
+  (* A ring with no zero byte anywhere, 400 records and the wrap marker
+     after them: the walk gives up after a lap. The 32-byte records also
+     end exactly where each 4 KiB window does. *)
+  let ring = Bytes.make ((32 * 400) + 1) '\xff' in
+  for i = 0 to 399 do
+    let raw =
+      Log.Op_entry.encode
+        { Log.Op_entry.ds = 1; opnum = Int64.of_int i; optype = 1; params = Bytes.make 10 'q' }
+    in
+    Bytes.blit raw 0 ring (i * 32) 32
+  done;
+  let seen, head = walk ring ~tail:32 in
+  check Alcotest.int "one lap of records" 400 (List.length seen);
+  check Alcotest.int "stops where it began" 32 head;
+  check walk_result "as the reference walk" (walk_reference ring ~tail:32) (seen, head)
+
+let test_track_lock () =
+  let record ~acquire ~opnum addr = Log.lock_record ~acquire ~opnum addr in
+  let held =
+    List.fold_left Log.track_lock []
+      [
+        record ~acquire:true ~opnum:1L 64;
+        record ~acquire:true ~opnum:2L 128;
+        { Log.Op_entry.ds = 1; opnum = 3L; optype = 1; params = Bytes.make 8 '\000' };
+        record ~acquire:false ~opnum:4L 64;
+      ]
+  in
+  check Alcotest.(list int) "only the unreleased lock" [ 128 ] held;
+  check Alcotest.bool "lock records are internal" true
+    (Log.internal_optype (record ~acquire:true ~opnum:1L 0).Log.Op_entry.optype)
+
 let test_op_golden_bytes () =
   let op =
     { Log.Op_entry.ds = 5; opnum = 42L; optype = 1; params = Bytes.of_string "key=17,val=99" }
@@ -295,5 +391,12 @@ let () =
           Alcotest.test_case "1-byte payload torn" `Quick test_op_one_byte_payload_torn;
           Alcotest.test_case "empty/wrap" `Quick test_op_empty_and_wrap;
           Alcotest.test_case "golden bytes" `Quick test_op_golden_bytes;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "windows match a per-record scan" `Quick test_walk_windows;
+          Alcotest.test_case "stops at a torn frame" `Quick test_walk_stops_at_torn_frame;
+          Alcotest.test_case "at most one lap" `Quick test_walk_one_lap;
+          Alcotest.test_case "held-lock tracking" `Quick test_track_lock;
         ] );
     ]

@@ -63,16 +63,6 @@ let test_fetch_add_applies () =
   check Alcotest.int64 "old" 0L old;
   check Alcotest.int64 "new" 3L (Device.read_u64 dev ~addr:64)
 
-let test_failure_detection () =
-  let _, _, _, conn = mk () in
-  Verbs.set_failed conn true;
-  Alcotest.check_raises "read fails" (Verbs.Failure_detected "backend") (fun () ->
-      ignore (Verbs.read conn ~addr:0 ~len:8));
-  Alcotest.check_raises "write fails" (Verbs.Failure_detected "backend") (fun () ->
-      Verbs.write conn ~addr:0 (Bytes.create 1));
-  Verbs.set_failed conn false;
-  ignore (Verbs.read conn ~addr:0 ~len:8)
-
 let test_counters () =
   let _, _, _, conn = mk () in
   Verbs.write conn ~addr:0 (Bytes.create 10);
@@ -110,7 +100,6 @@ let () =
           Alcotest.test_case "nic queueing" `Quick test_nic_queueing;
           Alcotest.test_case "cas" `Quick test_cas_applies;
           Alcotest.test_case "fetch_add" `Quick test_fetch_add_applies;
-          Alcotest.test_case "failure detection" `Quick test_failure_detection;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "wire_len override" `Quick test_wire_len_override;
           Alcotest.test_case "payload scaling" `Quick test_larger_payload_costs_more;

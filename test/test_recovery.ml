@@ -112,7 +112,9 @@ let test_case2b_torn_memlog_detected () =
   Client.op_end fe ~ds:h.Types.id;
   (* Hand-write a transaction into the ring and tear it. *)
   let ring_base, _ = Backend.memlog_ring bk ~session:(Client.session fe) in
-  let cursors = Backend.session_cursors bk ~session:(Client.session fe) in
+  (* The memory-log head is the LPN: every flush is replayed before it returns. *)
+  let slot = Layout.session_slot (Backend.layout bk) ~session:(Client.session fe) in
+  let lpn = Asym_nvm.Device.read_u64 (Backend.device bk) ~addr:(slot + Layout.slot_lpn) in
   let tx =
     Log.Tx.encode
       {
@@ -121,7 +123,7 @@ let test_case2b_torn_memlog_detected () =
         entries = [ Log.Mem_entry.make ~addr (Bytes.of_string "DEADBEEF") ];
       }
   in
-  Asym_nvm.Device.write (Backend.device bk) ~addr:(ring_base + cursors.Rpc_msg.memlog_head) tx;
+  Asym_nvm.Device.write (Backend.device bk) ~addr:(ring_base + Int64.to_int lpn) tx;
   Backend.crash ~torn_keep:(Bytes.length tx - 3) bk;
   let statuses = Backend.restart bk in
   check Alcotest.bool "torn tail reported" true
@@ -141,9 +143,7 @@ let test_case3_backend_transient () =
   (* Backend dies; in-flight ops observe Failure_detected via the RNIC. *)
   Backend.crash bk;
   (try Hash.put t ~key:100L ~value:(v "lost") with Asym_rdma.Verbs.Failure_detected _ -> ());
-  Client.abort_tx fe;
   ignore (Backend.restart bk);
-  Client.reconnect_after_backend_restart fe;
   let ops = Client.recover fe in
   let reg = Registry.create () in
   Registry.register reg ~ds:(Hash.handle t).Types.id (Hash.replay t);
@@ -172,7 +172,7 @@ let test_case3_restart_replay_idempotent () =
   ignore (Backend.restart bk);
   Backend.crash bk;
   ignore (Backend.restart bk);
-  Client.reconnect_after_backend_restart fe;
+  check Alcotest.int "nothing to replay" 0 (List.length (Client.recover fe));
   let t = Bst.attach fe ~name:"b" in
   check Alcotest.int "ten keys" 10 (List.length (Bst.to_list t))
 
@@ -220,7 +220,7 @@ let test_case4_promote_nvm_mirror () =
   check Alcotest.bool "nvm mirror elected" true
     (match Asym_cluster.Failover.elect [ m2; m1 ] with Some m -> m == m1 | None -> false);
   let bk' = Asym_cluster.Failover.promote m1 lat in
-  Client.switch_backend fe bk';
+  check Alcotest.int "nothing to replay" 0 (List.length (Client.recover ~backend:bk' fe));
   let t = Bst.attach fe ~name:"b" in
   check Alcotest.int "all keys on new backend" 50 (List.length (Bst.to_list t));
   check (Alcotest.option bytes_eq) "spot check" (Some (v "33")) (Bst.find t ~key:33L);
@@ -242,7 +242,7 @@ let test_case4_promote_ssd_mirror () =
   match Asym_cluster.Failover.elect [ m1; m2 ] with
   | Some m when m == m2 ->
       let bk' = Asym_cluster.Failover.promote m2 lat in
-      Client.switch_backend fe bk';
+      check Alcotest.int "nothing to replay" 0 (List.length (Client.recover ~backend:bk' fe));
       let t = Hash.attach ~nbuckets:32 fe ~name:"h" in
       check (Alcotest.option bytes_eq) "rebuilt" (Some (v "11")) (Hash.get t ~key:11L)
   | _ -> Alcotest.fail "expected ssd mirror election"
@@ -258,7 +258,7 @@ let test_case4_failover_helper () =
   | None -> Alcotest.fail "no successor"
   | Some bk' ->
       ignore m1;
-      Client.switch_backend fe bk';
+      check Alcotest.int "nothing to replay" 0 (List.length (Client.recover ~backend:bk' fe));
       let t = Bst.attach fe ~name:"b" in
       check (Alcotest.option bytes_eq) "survived" (Some (v "one")) (Bst.find t ~key:1L)
 
@@ -405,6 +405,18 @@ let test_keepalive_forget_mid_epoch () =
 
 (* -- abandoned locks ----------------------------------------------------------- *)
 
+(* The locks a session's op log names as held, walked from the persisted
+   tail straight off the back-end's media: what recovery reads. *)
+let held_locks bk fe =
+  let dev = Backend.device bk and session = Client.session fe in
+  let slot = Layout.session_slot (Backend.layout bk) ~session in
+  let tail = Int64.to_int (Asym_nvm.Device.read_u64 dev ~addr:(slot + Layout.slot_tail)) in
+  let ring_base, cap = Backend.oplog_ring bk ~session in
+  let read ~pos ~len = Asym_nvm.Device.read dev ~addr:(ring_base + pos) ~len in
+  let held = ref [] in
+  ignore (Log.walk_ops ~read ~cap ~tail (fun op ~pos:_ ~len:_ -> held := Log.track_lock !held op));
+  !held
+
 let test_abandoned_lock_released_on_recovery () =
   let bk = mk_backend () in
   let fe1 = mk_client ~cfg:(Client.rcb ~batch_size:8 ()) ~name:"fe1" bk in
@@ -415,12 +427,12 @@ let test_abandoned_lock_released_on_recovery () =
   check
     (Alcotest.list Alcotest.int)
     "lock-ahead log identifies the lock" [ h.Types.lock ]
-    (Backend.abandoned_locks bk ~session:(Client.session fe1));
+    (held_locks bk fe1);
   ignore (Client.recover fe1);
   check
     (Alcotest.list Alcotest.int)
     "released after recovery" []
-    (Backend.abandoned_locks bk ~session:(Client.session fe1));
+    (held_locks bk fe1);
   (* Another writer can now take the lock without waiting forever. *)
   let fe2 = mk_client ~cfg:(Client.rcb ~batch_size:8 ()) ~name:"fe2" bk in
   let h2 = Client.register_ds fe2 "locked-ds" in
@@ -453,8 +465,8 @@ let test_torn_oplog_entry_ignored () =
 
 (* Re-execute what recovery returned on a freshly attached stack and make
    it durable, as an application restarting after a crash would. *)
-let recover_stack fe ~name =
-  let ops = Client.recover fe in
+let recover_stack ?backend fe ~name =
+  let ops = Client.recover ?backend fe in
   let t = Stack.attach fe ~name in
   let reg = Registry.create () in
   Registry.register reg ~ds:(Stack.handle t).Types.id (Stack.replay t);
@@ -498,7 +510,7 @@ let test_flushed_lock_holder_found () =
   check
     (Alcotest.list Alcotest.int)
     "lock-ahead log identifies the lock" [ h.Types.lock ]
-    (Backend.abandoned_locks bk ~session:(Client.session fe1));
+    (held_locks bk fe1);
   check Alcotest.int "nothing to replay" 0 (List.length (Client.recover fe1));
   let dev = Backend.device bk in
   check Alcotest.int64 "lock word released" 0L
@@ -534,19 +546,28 @@ let test_lapped_oplog_recovers () =
     (Stack.to_list !t)
 
 let test_overrun_oplog_recovery_terminates () =
-  (* The front-end does not stop at its own uncovered records: 200
-     equal-sized records lap a 4 KiB ring and overwrite the older ones
-     record for record, so the ring holds no zero byte to stop at.
-     Recovery cannot replay such a log, but it must come back (here from
-     the strictly-increasing opnum check) instead of walking the ring
-     forever. *)
+  (* A front-end that overran its own uncovered records leaves equal-sized
+     records lapping a 4 KiB ring, the newer lap overwriting the older one
+     record for record, so the ring holds no zero byte to stop at. (A
+     front-end now flushes before that can happen, so the ring is laid
+     out here by hand: 157 records and a wrap marker, then 43 more from
+     the ring base.) Recovery cannot replay such a log, but it must come
+     back (here from the strictly-increasing opnum check) instead of
+     walking the ring forever. *)
   let bk = small_ring_backend ~sessions:1 in
   let fe = mk_client ~cfg:(Client.rcb ~batch_size:1000 ()) bk in
-  let t = Stack.attach fe ~name:"s" in
+  let base, cap = Backend.oplog_ring bk ~session:(Client.session fe) in
+  let dev = Backend.device bk in
+  let record i =
+    Log.Op_entry.encode
+      { Log.Op_entry.ds = 1; opnum = Int64.of_int (i + 1); optype = 1; params = v "0000" }
+  in
+  let len = Bytes.length (record 0) in
+  let per_lap = (cap - 1) / len in
   for i = 0 to 199 do
-    Stack.push t (v (Printf.sprintf "%04d" i))
+    Asym_nvm.Device.write dev ~addr:(base + (i mod per_lap * len)) (record i)
   done;
-  check Alcotest.int "only the attach flushed" 1 (Client.flushes fe);
+  Asym_nvm.Device.write dev ~addr:(base + (per_lap * len)) Log.wrap_marker;
   Client.crash fe;
   match Client.recover fe with
   | ops -> check Alcotest.bool "at most one lap of ops" true (List.length ops < 200)
@@ -576,6 +597,38 @@ let test_oplog_wrap_marker_stays_in_ring () =
   append fe0 h0 (cap - 30 - 22);
   append fe0 h0 8;
   check Alcotest.int "fe1's first record is intact" 0xA7 (first_tag ())
+
+let test_promoted_mirror_walks_past_the_wrap () =
+  (* 170 pushes at batch 48 on a 4 KiB op ring: the 26 uncovered ones
+     span the ring's wrap. The promoted mirror must hold the wrap marker
+     the front-end wrote, or its walk stops at a zero byte there. *)
+  let bk = small_ring_backend ~sessions:1 in
+  let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:(8 * 1024 * 1024) lat in
+  Backend.attach_mirror bk m;
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:48 ()) bk in
+  let t = Stack.attach fe ~name:"s" in
+  for i = 0 to 169 do
+    Stack.push t (v (Printf.sprintf "%04d" i))
+  done;
+  Backend.crash bk;
+  let t, ops = recover_stack ~backend:(Asym_cluster.Failover.promote m lat) fe ~name:"s" in
+  check Alcotest.int "every uncovered push" 26 (List.length ops);
+  check Alcotest.int "every push" 170 (Stack.size t)
+
+let test_oplog_flush_before_overrun () =
+  (* 300 pushes at batch 1000 on a 4 KiB op ring: the front-end must
+     flush before its uncovered records lap the ring, or GC reclaims
+     records recovery still needs. *)
+  let bk = small_ring_backend ~sessions:1 in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:1000 ()) bk in
+  let t = Stack.attach fe ~name:"s" in
+  for i = 0 to 299 do
+    Stack.push t (v (Printf.sprintf "%04d" i))
+  done;
+  Client.crash fe;
+  let t, _ = recover_stack fe ~name:"s" in
+  check Alcotest.int "every push" 300 (Stack.size t);
+  check (Alcotest.option bytes_eq) "top is the last push" (Some (v "0299")) (Stack.peek t)
 
 (* -- crash + replay for each remaining structure kind --------------------------- *)
 
@@ -752,6 +805,10 @@ let () =
             test_overrun_oplog_recovery_terminates;
           Alcotest.test_case "wrap marker stays in the ring" `Quick
             test_oplog_wrap_marker_stays_in_ring;
+          Alcotest.test_case "promoted mirror walks past the wrap" `Quick
+            test_promoted_mirror_walks_past_the_wrap;
+          Alcotest.test_case "flush before the op log overruns" `Quick
+            test_oplog_flush_before_overrun;
         ] );
       ( "crash-replay-per-structure",
         [
