@@ -59,7 +59,25 @@ let tests () =
   let pending = Array.init 64 (fun _ -> Client.malloc w node) in
   ignore (Client.op_begin w ~ds:hw.Types.id ~optype:1 ~params:Bytes.empty);
   Array.iter (fun addr -> Client.write w ~ds:hw.Types.id ~addr (Bytes.make node 'n')) pending;
-  let i = ref 0 and j = ref 0 in
+  (* A full 4 MiB Hybrid cache of 256-byte pages (the front-end default),
+     a standalone overlay holding a 1,024-op batch of 512-byte nodes, and
+     a timeline booked in time order. *)
+  let page = Bytes.make 256 'p' in
+  let cache () =
+    Cache.create ~policy:Cache.Hybrid ~page_size:256 ~capacity_bytes:(4 * 1024 * 1024)
+      (Asym_util.Rng.create ~seed:3L)
+  in
+  let full = cache () and sparse = cache () in
+  let pages = Cache.capacity_pages full in
+  for id = 0 to pages - 1 do
+    Cache.insert full id page
+  done;
+  let ov = Overlay.create () and ov_node = Bytes.make node 'o' in
+  for k = 0 to 1023 do
+    Overlay.add ov ~addr:(k * node) ov_node
+  done;
+  let tl = Asym_sim.Timeline.create () in
+  let i = ref 0 and j = ref 0 and k = ref 0 and next_id = ref pages and at = ref 0 in
   [
     (* Table 2: the allocator fast path. *)
     Test.make ~name:"table2/two-tier-alloc-free"
@@ -94,14 +112,45 @@ let tests () =
       (Staged.stage
          (let b = Bytes.make 4096 'z' in
           fun () -> ignore (Asym_util.Crc32.digest_bytes b)));
-    (* §4.2: transaction encode + scan roundtrip. *)
+    (* §4.2: transaction encode, scan and a walk over its entries. *)
     Test.make ~name:"tx/encode-scan"
       (Staged.stage (fun () ->
-           match Log.Tx.scan (Log.Tx.encode tx) ~pos:0 with
-           | Log.Record _ -> ()
+           let b = Log.Tx.encode tx in
+           match Log.Tx.scan b ~pos:0 with
+           | Log.Record (v, _) -> Log.Tx.iter_entries b v (fun ~addr:_ ~pos:_ ~len:_ -> ())
            | _ -> assert false));
     (* §7.2: torn-tail scan of an intact record. *)
     Test.make ~name:"recovery/tx-scan" (Staged.stage (fun () -> ignore (Log.Tx.scan tx_bytes ~pos:0)));
+    (* §4.4: the front-end page cache and the write overlay beside it. *)
+    Test.make ~name:"cache/hit"
+      (Staged.stage (fun () ->
+           incr k;
+           ignore (Cache.find full (!k land (pages - 1)))));
+    Test.make ~name:"cache/insert-evict-hybrid"
+      (Staged.stage (fun () ->
+           incr next_id;
+           Cache.insert full !next_id page));
+    (* Refills 10% of the pages, then clears: the clear of a read-section
+       retry. *)
+    Test.make ~name:"cache/clear"
+      (Staged.stage (fun () ->
+           for id = 0 to (pages / 10) - 1 do
+             Cache.insert sparse id page
+           done;
+           Cache.clear sparse));
+    Test.make ~name:"overlay/add-node"
+      (Staged.stage (fun () ->
+           incr k;
+           Overlay.add ov ~addr:(!k land 1023 * node) ov_node));
+    Test.make ~name:"overlay/read-node"
+      (Staged.stage (fun () ->
+           incr k;
+           ignore (Overlay.try_read ov ~addr:(!k land 1023 * node) ~len:node)));
+    (* Every back-end and NIC booking. *)
+    Test.make ~name:"timeline/append"
+      (Staged.stage (fun () ->
+           at := !at + 100;
+           ignore (Asym_sim.Timeline.acquire tl ~at:!at ~dur:50)));
   ]
 
 let run () =

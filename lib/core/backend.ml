@@ -69,8 +69,8 @@ let repl t ~at ~addr ?len b =
 (* Functional-only mirror update for bytes that travel piggybacked inside
    an already-charged replica message (e.g. data-area entries contained in
    a forwarded transaction log). *)
-let repl_uncharged t ~addr b =
-  List.iter (fun m -> Device.write (Mirror.device m) ~addr b) t.mirror_list
+let repl_uncharged t ~addr ~pos ~len b =
+  List.iter (fun m -> Device.write (Mirror.device m) ~addr ~pos ~len b) t.mirror_list
 
 let write_word t addr v =
   Device.write_u64 t.dev ~addr v;
@@ -180,50 +180,43 @@ let rebuild_ds_registry t =
 
 (* -- memory-log replay -------------------------------------------------- *)
 
-(* The frame's [len] bytes are the start of [scan_buf]. *)
-let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.t) =
+(* The frame's [len] bytes are the start of [scan_buf]; each entry is
+   written to the device and the mirrors straight from there. *)
+let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
+  let buf = t.scan_buf in
+  let entries = tx.Log.Tx.count in
   (* Cost: per-entry CPU + NVM media, plus the two sequence-number bumps. *)
-  let entries = tx.Log.Tx.entries in
-  let media =
-    List.fold_left
-      (fun acc { Log.Mem_entry.value; _ } ->
-        acc + Latency.nvm_write_cost t.lat (Bytes.length value))
-      0 entries
-  in
+  let media = ref 0 in
+  Log.Tx.iter_entries buf tx (fun ~addr:_ ~pos:_ ~len ->
+      media := !media + Latency.nvm_write_cost t.lat len);
   let dur =
-    (t.lat.Latency.cpu_entry_ns * List.length entries)
-    + media
-    + (2 * Latency.nvm_write_cost t.lat 8)
+    (t.lat.Latency.cpu_entry_ns * entries) + !media + (2 * Latency.nvm_write_cost t.lat 8)
   in
   let start = Timeline.acquire t.cpu_tl ~at ~dur in
   let stop = start + dur in
   if Asym_obs.enabled () then begin
     Asym_obs.Registry.inc "log.replayed_txs";
-    Asym_obs.Registry.add "log.replayed_entries" (List.length entries);
+    Asym_obs.Registry.add "log.replayed_entries" entries;
     Asym_obs.Registry.add "log.replayed_bytes" len;
     Asym_obs.Span.complete ~cat:"log" ~track:(Timeline.name t.cpu_tl) ~ts:start ~dur
       "log.replay_tx"
   end;
+  let write_entries () =
+    Log.Tx.iter_entries buf tx (fun ~addr ~pos ~len ->
+        Device.write t.dev ~addr ~pos ~len buf;
+        repl_uncharged t ~addr ~pos ~len buf)
+  in
   (match Hashtbl.find_opt t.ds_by_id tx.Log.Tx.ds with
   | Some r ->
       ignore (Device.fetch_add t.dev ~addr:r.sn 1L);
-      List.iter
-        (fun { Log.Mem_entry.addr; value; _ } ->
-          Device.write t.dev ~addr value;
-          repl_uncharged t ~addr value)
-        entries;
+      write_entries ();
       ignore (Device.fetch_add t.dev ~addr:r.sn 1L)
-  | None ->
-      List.iter
-        (fun { Log.Mem_entry.addr; value; _ } ->
-          Device.write t.dev ~addr value;
-          repl_uncharged t ~addr value)
-        entries);
+  | None -> write_entries ());
   (* Forward the log record itself to the mirrors (one charged message);
      the data-area entry writes above piggyback inside it. *)
-  repl t ~at:stop ~addr:(ring_base + ring_off) ~len t.scan_buf;
+  repl t ~at:stop ~addr:(ring_base + ring_off) ~len buf;
   t.n_replayed_txs <- t.n_replayed_txs + 1;
-  t.n_replayed_entries <- t.n_replayed_entries + List.length entries;
+  t.n_replayed_entries <- t.n_replayed_entries + entries;
   stop
 
 (* Zero a consumed region of a log ring: log truncation. Keeping consumed
@@ -241,16 +234,21 @@ let read_ring t ~ring_base ~pos ~len =
   Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
   t.scan_buf
 
-(* Scan the transaction frame at [pos], growing the window while the
-   frame runs past it. Bytes past the window are stale and never decoded. *)
+(* Scan the transaction frame at [pos] in [scan_buf], growing the window
+   while the frame runs past it: each step reads only the bytes past the
+   window it already holds. Bytes past the window are stale and never
+   decoded. *)
 let scan_tx t ~ring_base ~cap ~pos =
-  let rec go len =
+  let rec go have len =
     let len = min len (cap - pos) in
-    match Log.Tx.scan (read_ring t ~ring_base ~pos ~len) ~pos:0 ~lim:len with
-    | Log.Torn when len < cap - pos -> go (len * 4)
+    if Bytes.length t.scan_buf < len then
+      t.scan_buf <- Bytes.extend t.scan_buf 0 (len - Bytes.length t.scan_buf);
+    Device.read_into t.dev ~addr:(ring_base + pos + have) t.scan_buf ~pos:have ~len:(len - have);
+    match Log.Tx.scan t.scan_buf ~pos:0 ~lim:len with
+    | Log.Torn when len < cap - pos -> go len (len * 4)
     | r -> r
   in
-  go 16_384
+  go 0 16_384
 
 (* Op-log truncation, with the memory log's discipline: move the tail
    past covered records and zero them, so a later walk ends at the first
@@ -302,7 +300,7 @@ let replay_pending t ~at s =
            records, so re-applying is idempotent — but it must never
            move the covered OPN backwards. *)
         let covered_before = s.opn_covered in
-        if tx.Log.Tx.entries <> [] && Int64.compare tx.Log.Tx.op_hi covered_before <= 0 then begin
+        if tx.Log.Tx.count > 0 && Int64.compare tx.Log.Tx.op_hi covered_before <= 0 then begin
           t.n_dup_replays <- t.n_dup_replays + 1;
           if Asym_obs.enabled () then Asym_obs.Registry.inc "log.dup_replays"
         end;

@@ -2,35 +2,30 @@ type policy = Lru | Rr | Hybrid
 
 let policy_name = function Lru -> "LRU" | Rr -> "RR" | Hybrid -> "Hybrid"
 
-(* A hit touches one node and allocates nothing: the recency list is
-   intrusive and circular around a sentinel (so no link is ever an
-   [option]), and the page table is specialised to int keys. The table is
-   never iterated, so its bucket order cannot leak into any result. *)
-type node = {
-  id : int;
-  mutable data : bytes;
-  mutable last_use : int;
-  mutable slot : int;  (* index in the dense array *)
-  mutable prev : node;  (* towards MRU; the sentinel before the MRU page *)
-  mutable next : node;  (* towards LRU; the sentinel after the LRU page *)
-}
+module Index = Asym_util.Slot_index
 
-module Pages = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (id : int) = id land max_int
-end)
-
+(* A structure of arrays over [cap] slots. A held page owns one slot:
+   [ids], [data] and [last_use] describe it, [prev]/[next] link it into
+   the circular recency list around the sentinel slot [cap], and [pos] is
+   its index in [dense], whose first [count] entries are the held slots
+   the samplers draw from. Slots [0, count) are exactly the held ones: an
+   eviction frees a slot only for the insert that caused it. [index] maps
+   a page id to its slot and is never iterated, so its layout cannot leak
+   into any result. No operation allocates. *)
 type t = {
   policy : policy;
   page : int;
-  cap : int;  (* capacity in pages *)
+  cap : int;  (* capacity in pages; also the sentinel slot *)
   choose_set : int;
   rng : Asym_util.Rng.t;
-  table : node Pages.t;
-  sentinel : node;  (* [sentinel.next] is the MRU page, [sentinel.prev] the LRU *)
-  dense : node array;  (* slots [0, count) are live; the rest hold the sentinel *)
+  index : Index.t;
+  ids : int array;
+  data : bytes array;
+  last_use : int array;
+  prev : int array;  (* towards MRU; [cap + 1] entries, the sentinel last *)
+  next : int array;  (* towards LRU *)
+  dense : int array;
+  pos : int array;  (* [dense.(pos.(s)) = s] for a held slot [s] *)
   mutable count : int;
   mutable tick : int;
   mutable hits : int;
@@ -40,18 +35,21 @@ type t = {
 
 let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
   let cap = max 1 (capacity_bytes / page_size) in
-  let rec sentinel =
-    { id = -1; data = Bytes.empty; last_use = 0; slot = -1; prev = sentinel; next = sentinel }
-  in
+  let links = Array.make (cap + 1) cap in
   {
     policy;
     page = page_size;
     cap;
     choose_set;
     rng;
-    table = Pages.create (2 * cap);
-    sentinel;
-    dense = Array.make cap sentinel;
+    index = Index.create cap;
+    ids = Array.make cap 0;
+    data = Array.make cap Bytes.empty;
+    last_use = Array.make cap 0;
+    prev = links;
+    next = Array.copy links;
+    dense = Array.make cap 0;
+    pos = Array.make cap 0;
     count = 0;
     tick = 0;
     hits = 0;
@@ -70,110 +68,117 @@ let reset_stats t =
   t.hits <- 0;
   t.misses <- 0
 
+let lookup t id = Index.find t.index ~keys:t.ids id
+
 (* -- recency list -------------------------------------------------------- *)
 
-let detach n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev
+let detach t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
 
-let push_front t n =
-  let s = t.sentinel in
-  n.prev <- s;
-  n.next <- s.next;
-  s.next.prev <- n;
-  s.next <- n
+let push_front t s =
+  let first = t.next.(t.cap) in
+  t.prev.(s) <- t.cap;
+  t.next.(s) <- first;
+  t.prev.(first) <- s;
+  t.next.(t.cap) <- s
 
-let touch t n =
+let touch t s =
   t.tick <- t.tick + 1;
-  n.last_use <- t.tick;
-  if t.sentinel.next != n then begin
+  t.last_use.(s) <- t.tick;
+  if t.next.(t.cap) <> s then begin
     t.relinks <- t.relinks + 1;
-    detach n;
-    push_front t n
+    detach t s;
+    push_front t s
   end
-
-(* -- dense array (for random sampling) ----------------------------------- *)
-
-let dense_add t n =
-  n.slot <- t.count;
-  t.dense.(t.count) <- n;
-  t.count <- t.count + 1
-
-let dense_remove t n =
-  let last = t.count - 1 in
-  let m = t.dense.(last) in
-  if m != n then begin
-    t.dense.(n.slot) <- m;
-    m.slot <- n.slot
-  end;
-  t.dense.(last) <- t.sentinel;
-  t.count <- last
 
 (* -- eviction ------------------------------------------------------------ *)
 
+let sample t = t.dense.(Asym_util.Rng.int t.rng t.count)
+
 let victim t =
   match t.policy with
-  | Lru -> t.sentinel.prev
-  | Rr -> t.dense.(Asym_util.Rng.int t.rng t.count)
+  | Lru -> t.prev.(t.cap)
+  | Rr -> sample t
   | Hybrid ->
       (* Sample [choose_set] pages, evict the least recently used one; the
          first of equally old samples wins. *)
-      let best = ref t.dense.(Asym_util.Rng.int t.rng t.count) in
+      let best = ref (sample t) in
       for _ = 2 to t.choose_set do
-        let n = t.dense.(Asym_util.Rng.int t.rng t.count) in
-        if n.last_use < !best.last_use then best := n
+        let s = sample t in
+        if t.last_use.(s) < t.last_use.(!best) then best := s
       done;
       !best
 
-let remove t n =
-  Pages.remove t.table n.id;
-  detach n;
-  dense_remove t n
+(* Drop slot [s]'s page: the last dense entry moves into its place. *)
+let evict t s =
+  Index.remove t.index ~keys:t.ids t.ids.(s);
+  detach t s;
+  let last = t.count - 1 in
+  let moved = t.dense.(last) in
+  t.dense.(t.pos.(s)) <- moved;
+  t.pos.(moved) <- t.pos.(s);
+  t.count <- last
 
 (* -- public operations ---------------------------------------------------- *)
 
 let find t id =
-  match Pages.find t.table id with
-  | n ->
-      touch t n;
-      t.hits <- t.hits + 1;
-      n.data
-  | exception Not_found ->
-      t.misses <- t.misses + 1;
-      raise Not_found
+  let s = lookup t id in
+  if s >= 0 then begin
+    touch t s;
+    t.hits <- t.hits + 1;
+    t.data.(s)
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    raise Not_found
+  end
 
 let insert t id data =
-  match Pages.find t.table id with
-  | n ->
-      n.data <- data;
-      touch t n
-  | exception Not_found ->
-      if t.count >= t.cap then remove t (victim t);
-      let s = t.sentinel in
-      let n = { id; data; last_use = 0; slot = 0; prev = s; next = s } in
-      Pages.replace t.table id n;
-      dense_add t n;
-      push_front t n;
-      t.tick <- t.tick + 1;
-      n.last_use <- t.tick
+  let s = lookup t id in
+  if s >= 0 then begin
+    t.data.(s) <- data;
+    touch t s
+  end
+  else begin
+    let s =
+      if t.count >= t.cap then begin
+        let v = victim t in
+        evict t v;
+        v
+      end
+      else t.count
+    in
+    t.ids.(s) <- id;
+    t.data.(s) <- data;
+    Index.add t.index id s;
+    t.dense.(t.count) <- s;
+    t.pos.(s) <- t.count;
+    t.count <- t.count + 1;
+    push_front t s;
+    t.tick <- t.tick + 1;
+    t.last_use.(s) <- t.tick
+  end
 
 let patch t ~addr value =
   let len = Bytes.length value in
   let first = addr / t.page in
   let last = (addr + len - 1) / t.page in
   for id = first to last do
-    match Pages.find t.table id with
-    | exception Not_found -> ()
-    | n ->
-        let page_base = id * t.page in
-        let lo = max addr page_base in
-        let hi = min (addr + len) (page_base + Bytes.length n.data) in
-        if hi > lo then Bytes.blit value (lo - addr) n.data (lo - page_base) (hi - lo)
+    let s = lookup t id in
+    if s >= 0 then begin
+      let page = t.data.(s) in
+      let page_base = id * t.page in
+      let lo = max addr page_base in
+      let hi = min (addr + len) (page_base + Bytes.length page) in
+      if hi > lo then Bytes.blit value (lo - addr) page (lo - page_base) (hi - lo)
+    end
   done
 
 let clear t =
-  Pages.reset t.table;
-  Array.fill t.dense 0 t.cap t.sentinel;
+  Index.clear t.index ~keys:t.ids t.count;
+  Array.fill t.data 0 t.count Bytes.empty;
   t.count <- 0;
-  t.sentinel.next <- t.sentinel;
-  t.sentinel.prev <- t.sentinel
+  t.next.(t.cap) <- t.cap;
+  t.prev.(t.cap) <- t.cap

@@ -10,7 +10,12 @@
 
     Dirty data never needs writing back: writes travel through the memory
     log, the cache only ever holds a coherent copy (the front-end patches
-    cached pages as it appends memory logs). *)
+    cached pages as it appends memory logs).
+
+    The cache is a set of flat arrays over page slots with an
+    open-addressed index from page id to slot. No operation allocates:
+    {!find}, {!insert}, {!patch} and {!clear} only read and write those
+    arrays (and draw from the generator). *)
 
 type policy = Lru | Rr | Hybrid
 
@@ -26,17 +31,24 @@ val capacity_pages : t -> int
 val length : t -> int
 
 val find : t -> int -> bytes
-(** [find t page_id] returns the cached page and refreshes its recency.
+(** [find t page_id] returns the cached page and refreshes its recency:
+    one index probe and, unless the page is already MRU, one relink.
     Raises [Not_found] (and counts a miss) when the page is not cached. A
     hit allocates nothing. *)
 
 val insert : t -> int -> bytes -> unit
-(** Insert a page, evicting per policy if full. *)
+(** Insert a page (the cache keeps the buffer itself), evicting per policy
+    if full: [Lru] takes the list tail, [Rr] one random draw, [Hybrid]
+    [choose_set] draws compared by their last-use ticks. Allocates
+    nothing. *)
 
 val patch : t -> addr:Types.addr -> bytes -> unit
-(** Overwrite the cached bytes covering [addr], where present. *)
+(** Overwrite the cached bytes covering [addr], where present: one index
+    probe per page the range touches. Moves neither recency nor counters. *)
 
 val clear : t -> unit
+(** Drop every page. [clear] is O(pages held), not O(capacity), and
+    allocates nothing. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -105,25 +105,49 @@ module Tx = struct
     + List.fold_left (fun acc en -> acc + 13 + entry_payload en) 0 t.entries
     + 5
 
+  type view = { ds : Types.ds_id; op_hi : int64; count : int; first : int }
+
+  (* The one reader of the entry layout: flag (1), for a pointer entry
+     the op number (8), addr (8), value length (4), value. Calls [f] on
+     each of [count] entries from [first] and returns the end of the last;
+     [Exit] when one is malformed or runs past [lim]. *)
+  let walk_entries buf ~first ~count ~lim f =
+    let p = ref first in
+    for _ = 1 to count do
+      if !p >= lim then raise Exit;
+      let flag = Bytes.get_uint8 buf !p in
+      let q =
+        if flag = flag_inline then !p + 1
+        else if flag = flag_op_pointer then !p + 9
+        else raise Exit
+      in
+      if q + 12 > lim then raise Exit;
+      let addr = Bytes.get_int64_le buf q in
+      if addr < 0L || addr > Int64.of_int max_int then raise Exit;
+      let pos = q + 12 in
+      let len = Int32.to_int (Bytes.get_int32_le buf (q + 8)) land 0xFFFFFFFF in
+      if len > lim - pos then raise Exit;
+      f ~addr:(Int64.to_int addr) ~pos ~len;
+      p := pos + len
+    done;
+    !p
+
+  (* Checks every entry header and skips its value: nothing is copied. *)
   let scan ?lim buf ~pos =
     scan_frame ~tag:tag_tx ?lim buf ~pos (fun d ~lim ->
         let ds = Codec.Dec.u32i d in
         let op_hi = Codec.Dec.u64 d in
-        let n = Codec.Dec.u32i d in
-        if n > 1_000_000 then raise Exit;
-        let entries = ref [] in
-        for _ = 1 to n do
-          let flag = Codec.Dec.u8 d in
-          if flag <> flag_inline && flag <> flag_op_pointer then raise Exit;
-          let from_op = if flag = flag_op_pointer then Some (Codec.Dec.u64 d) else None in
-          let addr = Codec.Dec.u64i d in
-          let len = Codec.Dec.u32i d in
-          if len > lim then raise Exit;
-          let value = Codec.Dec.bytes d len in
-          entries := { Mem_entry.addr; value; from_op } :: !entries
-        done;
+        let count = Codec.Dec.u32i d in
+        if count > 1_000_000 then raise Exit;
+        let first = Codec.Dec.pos d in
+        let stop = walk_entries buf ~first ~count ~lim (fun ~addr:_ ~pos:_ ~len:_ -> ()) in
+        Codec.Dec.skip d (stop - first);
         if Codec.Dec.u8 d <> tag_commit then raise Exit;
-        { ds; op_hi; entries = List.rev !entries })
+        { ds; op_hi; count; first })
+
+  (* [scan] has checked every entry this walks. *)
+  let iter_entries buf v f =
+    ignore (walk_entries buf ~first:v.first ~count:v.count ~lim:(Bytes.length buf) f)
 end
 
 module Op_entry = struct

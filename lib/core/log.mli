@@ -65,10 +65,28 @@ module Tx : sig
   val wire_size : t -> int
   (** Bytes the NIC actually moves, with the op-log pointer optimization. *)
 
-  val scan : ?lim:int -> bytes -> pos:int -> t scan
-  (** Examine the log ring contents at [pos]. Bytes from [lim] (default
-      the buffer's length) on are not looked at: a frame that runs past
-      it is [Torn]. *)
+  type view = {
+    ds : Types.ds_id;
+    op_hi : int64;
+    count : int;  (** entries in the frame *)
+    first : int;  (** buffer offset of the first entry's header *)
+  }
+  (** A checked frame, read in place: its entries stay in the scanned
+      buffer. *)
+
+  val scan : ?lim:int -> bytes -> pos:int -> view scan
+  (** Examine the log ring contents at [pos]: the frame's layout, bounds,
+      commit tag and CRC. Bytes from [lim] (default the buffer's length)
+      on are not looked at: a frame that runs past it is [Torn]. Costs one
+      pass over the frame (the CRC) and allocates the view, never a copy
+      of an entry value. *)
+
+  val iter_entries : bytes -> view -> (addr:Types.addr -> pos:int -> len:int -> unit) -> unit
+  (** [iter_entries buf v f] calls [f] on each entry of the frame [v] that
+      {!scan} found in [buf], in log order: the entry's value is the [len]
+      bytes of [buf] from [pos]. A pointer entry stores its op number in
+      the 8 bytes before its address; replay never reads it. Allocates
+      nothing. *)
 end
 
 module Op_entry : sig

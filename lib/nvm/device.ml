@@ -180,12 +180,12 @@ let read_u64 t ~addr =
   count_read t ~len:8;
   get_word t addr
 
-let write t ~addr ?len b =
-  let len = match len with Some n -> n | None -> Bytes.length b in
-  if len > Bytes.length b then invalid_arg "Nvm.Device.write: len";
+let write t ~addr ?(pos = 0) ?len b =
+  let len = match len with Some n -> n | None -> Bytes.length b - pos in
+  if pos < 0 || pos + len > Bytes.length b then invalid_arg "Nvm.Device.write: len";
   check t addr len;
   save_pre t ~addr ~len;
-  blit_in t ~addr b ~pos:0 ~len;
+  blit_in t ~addr b ~pos ~len;
   count_write t ~len;
   Crashpoint.hit ~site:"nvm.write"
 

@@ -38,8 +38,9 @@ val read_into : t -> addr:addr -> bytes -> pos:int -> len:int -> unit
 (** Like {!read}, into the buffer from [pos] on; counts as one read of [len] bytes. *)
 
 val read_u64 : t -> addr:addr -> int64
-val write : t -> addr:addr -> ?len:int -> bytes -> unit
-(** Write the first [len] bytes of the buffer (default: all of it). *)
+val write : t -> addr:addr -> ?pos:int -> ?len:int -> bytes -> unit
+(** Write the [len] bytes of the buffer from [pos] (default: from 0 to
+    its end). *)
 
 val write_u64 : t -> addr:addr -> int64 -> unit
 

@@ -261,6 +261,59 @@ let test_large_tx_replays_through_growth () =
   check Alcotest.bool "mirror image equals the back-end's" true
     (Bytes.equal (image dev) (image (Mirror.device m)))
 
+(* One frame bigger than 64 KiB, written straight into a session's ring,
+   with entries that straddle the 16 KiB first window (and the 64 KiB
+   second one) and overlap each other. Replay grows the window twice,
+   reading only the bytes past it, and writes every entry from the window:
+   the data area and the mirror must hold what applying the entries one by
+   one gives, after the same device reads as reading each grown window
+   whole (16 KiB, 64 KiB, then the rest of the ring; one 16 KiB read finds
+   the ring empty after the frame; the op-log GC walk reads one window). *)
+let test_replay_frame_past_two_windows () =
+  let bk = mk_backend () in
+  let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
+  Backend.attach_mirror bk m;
+  let fe, _ = mk_client bk in
+  let h = Client.register_ds fe "kv" in
+  let region = Client.malloc fe 16_384 in
+  let rng = Asym_util.Rng.create ~seed:5L in
+  let entries =
+    List.init 200 (fun i ->
+        let len = 1 + Asym_util.Rng.int rng 900 in
+        let addr = region + Asym_util.Rng.int rng (16_384 - len) in
+        Log.Mem_entry.make ~addr (Bytes.make len (Char.chr (33 + (i mod 90)))))
+  in
+  let frame = Log.Tx.encode { Log.Tx.ds = h.Types.id; op_hi = 1L; entries } in
+  let n = Bytes.length frame in
+  check Alcotest.bool "frame past 64 KiB" true (n > 65_536 && n < 256 * 1024);
+  (match Log.Tx.scan frame ~pos:0 with
+  | Log.Record (v, _) ->
+      let straddles w =
+        let hit = ref false in
+        Log.Tx.iter_entries frame v (fun ~addr:_ ~pos ~len -> if pos < w && pos + len > w then hit := true);
+        !hit
+      in
+      check Alcotest.bool "an entry straddles 16 KiB" true (straddles 16_384);
+      check Alcotest.bool "an entry straddles 64 KiB" true (straddles 65_536)
+  | _ -> Alcotest.fail "expected record");
+  let dev = Backend.device bk in
+  let expect = Asym_nvm.Device.read dev ~addr:region ~len:16_384 in
+  List.iter
+    (fun { Log.Mem_entry.addr; value; _ } ->
+      Bytes.blit value 0 expect (addr - region) (Bytes.length value))
+    entries;
+  let ring_base, _ = Backend.memlog_ring bk ~session:(Client.session fe) in
+  Asym_nvm.Device.write dev ~addr:ring_base frame;
+  let reads0 = Asym_nvm.Device.reads_performed dev in
+  Backend.drain_session bk ~session:(Client.session fe) ~arrival:0;
+  check Alcotest.int "device reads" 5 (Asym_nvm.Device.reads_performed dev - reads0);
+  check Alcotest.int "one tx replayed" 1 (Backend.replayed_txs bk);
+  check Alcotest.int "every entry replayed" 200 (Backend.replayed_entries bk);
+  check Alcotest.string "data area" (Bytes.to_string expect)
+    (Bytes.to_string (Asym_nvm.Device.read dev ~addr:region ~len:16_384));
+  check Alcotest.string "mirror" (Bytes.to_string expect)
+    (Bytes.to_string (Asym_nvm.Device.read (Mirror.device m) ~addr:region ~len:16_384))
+
 let test_drain_busies_backend_cpu () =
   let bk = mk_backend () in
   let fe, _ = mk_client bk in
@@ -376,6 +429,8 @@ let () =
           Alcotest.test_case "seqno bumped" `Quick test_seqno_bumped_twice_per_tx;
           Alcotest.test_case "memlog ring wraps" `Quick test_memlog_ring_wraps;
           Alcotest.test_case "drain busies cpu" `Quick test_drain_busies_backend_cpu;
+          Alcotest.test_case "frame past two windows replays in place" `Quick
+            test_replay_frame_past_two_windows;
           Alcotest.test_case "large tx replays through window growth" `Quick
             test_large_tx_replays_through_growth;
         ] );

@@ -241,6 +241,178 @@ let prop_hybrid_victim_is_oldest_of_sample =
         ops;
       Cache.length t = !count)
 
+(* -- the reference cache ------------------------------------------------------ *)
+
+(* [Cache_ref] is the implementation the slot arrays replaced. Both caches
+   run the same trace from copies of one random stream, each on its own
+   copies of the page buffers. After every step the hit, miss and relink
+   counts, the length and the set of held pages agree, every find returns
+   the same bytes or misses in both, and evictions happen in the same
+   order. Membership is read through [patch], which moves neither
+   recency nor counters: a held page's buffer takes the patched byte. *)
+type ref_op = R_find of int | R_insert of int * int | R_patch of int * int | R_clear
+
+let ref_op_gen ~ids =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun i -> R_find i) (int_bound ids));
+        ( 4,
+          map2
+            (fun i short -> R_insert (i, short))
+            (int_bound ids)
+            (frequency [ (4, return 64); (1, int_range 1 63) ]) );
+        (1, map2 (fun a l -> R_patch (a, l)) (int_bound (64 * (ids + 1))) (int_range 1 150));
+        (1, return R_clear);
+      ])
+
+let print_ref_op = function
+  | R_find i -> Printf.sprintf "find %d" i
+  | R_insert (i, n) -> Printf.sprintf "insert %d (%d bytes)" i n
+  | R_patch (a, n) -> Printf.sprintf "patch %d %d" a n
+  | R_clear -> "clear"
+
+type side = {
+  find : int -> bytes option;
+  insert : int -> bytes -> unit;
+  patch : addr:int -> bytes -> unit;
+  clear : unit -> unit;
+  stats : unit -> int * int * int * int;  (* hits, misses, relinks, length *)
+  bufs : (int, bytes) Hashtbl.t;  (* the buffer last inserted per page *)
+}
+
+let side_new ~choose_set ~policy ~cap rng =
+  let c = Cache.create ~choose_set ~policy ~page_size:64 ~capacity_bytes:(cap * 64) rng in
+  {
+    find = (fun id -> match Cache.find c id with b -> Some b | exception Not_found -> None);
+    insert = Cache.insert c;
+    patch = (fun ~addr b -> Cache.patch c ~addr b);
+    clear = (fun () -> Cache.clear c);
+    stats = (fun () -> (Cache.hits c, Cache.misses c, Cache.relinks c, Cache.length c));
+    bufs = Hashtbl.create 16;
+  }
+
+let side_ref ~choose_set ~policy ~cap rng =
+  let policy =
+    match policy with
+    | Cache.Lru -> Cache_ref.Lru
+    | Cache.Rr -> Cache_ref.Rr
+    | Cache.Hybrid -> Cache_ref.Hybrid
+  in
+  let c = Cache_ref.create ~choose_set ~policy ~page_size:64 ~capacity_bytes:(cap * 64) rng in
+  {
+    find = (fun id -> match Cache_ref.find c id with b -> Some b | exception Not_found -> None);
+    insert = Cache_ref.insert c;
+    patch = (fun ~addr b -> Cache_ref.patch c ~addr b);
+    clear = (fun () -> Cache_ref.clear c);
+    stats =
+      (fun () -> (Cache_ref.hits c, Cache_ref.misses c, Cache_ref.relinks c, Cache_ref.length c));
+    bufs = Hashtbl.create 16;
+  }
+
+let held side =
+  Hashtbl.fold
+    (fun id b acc ->
+      let old = Bytes.get b 0 in
+      side.patch ~addr:(id * 64) (Bytes.make 1 (Char.chr (Char.code old lxor 0xff)));
+      let inside = Bytes.get b 0 <> old in
+      Bytes.set b 0 old;
+      if inside then id :: acc else acc)
+    side.bufs []
+  |> List.sort compare
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"cache matches the reference cache under every policy"
+    (QCheck.make
+       ~print:QCheck.Print.(quad string int int (list print_ref_op))
+       QCheck.Gen.(
+         quad
+           (oneofl [ "LRU"; "RR"; "Hybrid" ])
+           (int_range 1 24) (oneofl [ 1; 2; 8; 32 ])
+           (list_size (1 -- 300) (ref_op_gen ~ids:60))))
+    (fun (policy, cap, choose_set, ops) ->
+      let policy =
+        List.find (fun p -> Cache.policy_name p = policy) [ Cache.Lru; Cache.Rr; Cache.Hybrid ]
+      in
+      let rng = Asym_util.Rng.create ~seed:(Int64.of_int (cap * 131 + choose_set)) in
+      let a = side_new ~choose_set ~policy ~cap (Asym_util.Rng.copy rng) in
+      let r = side_ref ~choose_set ~policy ~cap (Asym_util.Rng.copy rng) in
+      let evicted_a = ref [] and evicted_r = ref [] in
+      List.iteri
+        (fun step op ->
+          let before_a = held a and before_r = held r in
+          (match op with
+          | R_find id -> (
+              match (a.find id, r.find id) with
+              | Some x, Some y when Bytes.equal x y -> ()
+              | None, None -> ()
+              | _ -> fail "step %d: find %d differs" step id)
+          | R_insert (id, n) ->
+              let page = Bytes.init n (fun i -> Char.chr ((id + i) land 0xff)) in
+              let pa = Bytes.copy page and pr = Bytes.copy page in
+              Hashtbl.replace a.bufs id pa;
+              Hashtbl.replace r.bufs id pr;
+              a.insert id pa;
+              r.insert id pr
+          | R_patch (addr, len) ->
+              let v = Bytes.make len (Char.chr (step land 0xff)) in
+              a.patch ~addr v;
+              r.patch ~addr v
+          | R_clear ->
+              a.clear ();
+              r.clear ());
+          let after_a = held a and after_r = held r in
+          if after_a <> after_r then fail "step %d: held pages differ" step;
+          if a.stats () <> r.stats () then fail "step %d: counters differ" step;
+          if op <> R_clear then begin
+            let gone before after = List.filter (fun id -> not (List.mem id after)) before in
+            evicted_a := List.rev_append (gone before_a after_a) !evicted_a;
+            evicted_r := List.rev_append (gone before_r after_r) !evicted_r
+          end)
+        ops;
+      !evicted_a = !evicted_r)
+
+(* -- allocation ---------------------------------------------------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Once warm, a hit, an insert that evicts (Hybrid sampling included) and
+   a clear allocate nothing: 10,000 of each stay within the few words the
+   measurement itself costs. *)
+let test_no_allocation () =
+  let t = mk ~choose_set:32 ~cap_pages:64 Cache.Hybrid in
+  let pages = Array.init 256 (fun i -> page (Char.chr (Char.code 'a' + (i mod 26)))) in
+  for id = 0 to 63 do
+    Cache.insert t id pages.(id)
+  done;
+  let hits () =
+    for _ = 1 to 10_000 do
+      for id = 0 to 63 do
+        ignore (Cache.find t id)
+      done
+    done
+  in
+  let inserts () =
+    for i = 0 to 9_999 do
+      Cache.insert t (i land 255) pages.(i land 255)
+    done
+  in
+  let clears () =
+    for i = 0 to 9_999 do
+      Cache.insert t i pages.(i land 255);
+      Cache.clear t
+    done
+  in
+  List.iter
+    (fun (name, f) ->
+      f ();
+      let words = minor_words f in
+      if words > 64. then Alcotest.failf "%s allocated %.0f words" name words)
+    [ ("hits", hits); ("inserts", inserts); ("clears", clears) ]
+
 let () =
   Alcotest.run "cache"
     [
@@ -258,7 +430,12 @@ let () =
           Alcotest.test_case "past short page is no-op" `Quick test_patch_entirely_past_short_page;
         ] );
       ("clear", [ Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse ]);
+      ("alloc", [ Alcotest.test_case "warm operations allocate nothing" `Quick test_no_allocation ]);
       ( "model",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_lru_matches_list_model; prop_hybrid_victim_is_oldest_of_sample ] );
+          [
+            prop_lru_matches_list_model;
+            prop_hybrid_victim_is_oldest_of_sample;
+            prop_cache_matches_reference;
+          ] );
     ]

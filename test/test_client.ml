@@ -362,9 +362,9 @@ type overlay_op =
   | Patch of int * int
   | Clear
 
-let gen_overlay_op =
+let gen_overlay_op ~span ~max_len =
   QCheck.Gen.(
-    let addr = int_bound 320 and len = 1 -- 140 in
+    let addr = int_bound span and len = 1 -- max_len in
     frequency
       [
         (5, map2 (fun a s -> Add (a, s)) addr (string_size ~gen:printable len));
@@ -379,40 +379,87 @@ let print_overlay_op = function
   | Patch (a, n) -> Printf.sprintf "patch %d %d" a n
   | Clear -> "clear"
 
+let overlay_matches_reference ops =
+  let o = Overlay.create () in
+  let model : (int, char) Hashtbl.t = Hashtbl.create 64 in
+  List.for_all
+    (function
+      | Add (addr, s) ->
+          Overlay.add o ~addr (Bytes.of_string s);
+          String.iteri (fun i c -> Hashtbl.replace model (addr + i) c) s;
+          true
+      | Try_read (addr, len) ->
+          let expect =
+            if List.for_all (fun i -> Hashtbl.mem model (addr + i)) (List.init len Fun.id)
+            then Some (Bytes.init len (fun i -> Hashtbl.find model (addr + i)))
+            else None
+          in
+          Overlay.try_read o ~addr ~len = expect
+      | Patch (addr, len) ->
+          let buf = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+          Overlay.patch o ~addr buf;
+          Bytes.equal buf
+            (Bytes.init len (fun i ->
+                 match Hashtbl.find_opt model (addr + i) with
+                 | Some c -> c
+                 | None -> Char.chr (i land 0xff)))
+      | Clear ->
+          Overlay.clear o;
+          Hashtbl.reset model;
+          true)
+    ops
+
 let prop_overlay_matches_reference =
   QCheck.Test.make ~count:300 ~name:"overlay add/try_read/patch/clear vs byte-map reference"
     (QCheck.make
        ~print:QCheck.Print.(list print_overlay_op)
-       QCheck.Gen.(list_size (1 -- 40) gen_overlay_op))
-    (fun ops ->
-      let o = Overlay.create () in
-      let model : (int, char) Hashtbl.t = Hashtbl.create 64 in
-      List.for_all
-        (function
-          | Add (addr, s) ->
-              Overlay.add o ~addr (Bytes.of_string s);
-              String.iteri (fun i c -> Hashtbl.replace model (addr + i) c) s;
-              true
-          | Try_read (addr, len) ->
-              let expect =
-                if List.for_all (fun i -> Hashtbl.mem model (addr + i)) (List.init len Fun.id)
-                then Some (Bytes.init len (fun i -> Hashtbl.find model (addr + i)))
-                else None
-              in
-              Overlay.try_read o ~addr ~len = expect
-          | Patch (addr, len) ->
-              let buf = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
-              Overlay.patch o ~addr buf;
-              Bytes.equal buf
-                (Bytes.init len (fun i ->
-                     match Hashtbl.find_opt model (addr + i) with
-                     | Some c -> c
-                     | None -> Char.chr (i land 0xff)))
-          | Clear ->
-              Overlay.clear o;
-              Hashtbl.reset model;
-              true)
-        ops)
+       QCheck.Gen.(list_size (1 -- 40) (gen_overlay_op ~span:320 ~max_len:140)))
+    overlay_matches_reference
+
+(* The same over a few hundred blocks: the index grows several times, and
+   a [clear] empties an index holding many blocks. *)
+let prop_overlay_matches_reference_wide =
+  QCheck.Test.make ~count:200 ~name:"overlay vs byte-map reference across many blocks"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_overlay_op)
+       QCheck.Gen.(list_size (1 -- 150) (gen_overlay_op ~span:40_000 ~max_len:700)))
+    overlay_matches_reference
+
+(* Once its arena has grown, the overlay adds, patches and clears without
+   allocating, and [try_read] allocates only its result: the buffer and
+   the [Some]. *)
+let test_overlay_allocation () =
+  let o = Overlay.create () in
+  let node = Bytes.make 512 'n' and part = Bytes.make 100 'p' and buf = Bytes.create 512 in
+  let batch () =
+    for i = 0 to 1023 do
+      Overlay.add o ~addr:(i * 4096) node
+    done;
+    Overlay.add o ~addr:3 part;
+    Overlay.patch o ~addr:(7 * 4096) buf;
+    Overlay.patch o ~addr:1 buf;
+    Overlay.clear o
+  in
+  batch ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 64. then Alcotest.failf "add/patch/clear allocated %.0f words" words;
+  for i = 0 to 1023 do
+    Overlay.add o ~addr:(i * 4096) node
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    ignore (Overlay.try_read o ~addr:(i * 4096) ~len:512)
+  done;
+  let words = Gc.minor_words () -. before in
+  (* 512 bytes, the padding word and a header, plus two words of [Some],
+     per read *)
+  let per_read = (512 / (Sys.word_size / 8)) + 2 + 2 in
+  if words > float_of_int ((1000 * per_read) + 64) then
+    Alcotest.failf "try_read allocated %.0f words for 1000 reads" words
 
 let prop_cache_readback =
   QCheck.Test.make ~count:100 ~name:"cache returns the last inserted/patched bytes"
@@ -443,6 +490,7 @@ let () =
           Alcotest.test_case "try_read" `Quick test_overlay_try_read;
           Alcotest.test_case "spans blocks" `Quick test_overlay_spans_blocks;
           Alcotest.test_case "last write wins" `Quick test_overlay_last_write_wins;
+          Alcotest.test_case "allocates only results" `Quick test_overlay_allocation;
         ] );
       ( "cache",
         [
@@ -484,5 +532,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_readback;
           QCheck_alcotest.to_alcotest prop_overlay_matches_byte_model;
           QCheck_alcotest.to_alcotest prop_overlay_matches_reference;
+          QCheck_alcotest.to_alcotest prop_overlay_matches_reference_wide;
         ] );
     ]

@@ -6,22 +6,27 @@ let entry ?from_op addr s = Log.Mem_entry.make ?from_op ~addr (Bytes.of_string s
 
 let tx ?(ds = 3) ?(op_hi = 9L) entries = { Log.Tx.ds; op_hi; entries }
 
+(* The entries of a scanned frame, read through the iterator. *)
+let entries_of buf v =
+  let acc = ref [] in
+  Log.Tx.iter_entries buf v (fun ~addr ~pos ~len -> acc := (addr, Bytes.sub_string buf pos len) :: !acc);
+  List.rev !acc
+
+let as_pairs entries =
+  List.map (fun { Log.Mem_entry.addr; value; _ } -> (addr, Bytes.to_string value)) entries
+
+let entry_list = Alcotest.(list (pair int string))
+
 let test_tx_roundtrip () =
   let t = tx [ entry 100 "abc"; entry 200 "defghij"; entry 64 "" ] in
   let b = Log.Tx.encode t in
   match Log.Tx.scan b ~pos:0 with
-  | Log.Record (t', consumed) ->
+  | Log.Record (v, consumed) ->
       check Alcotest.int "consumed all" (Bytes.length b) consumed;
-      check Alcotest.int "ds" 3 t'.Log.Tx.ds;
-      check Alcotest.int64 "op_hi" 9L t'.Log.Tx.op_hi;
-      check Alcotest.int "entries" 3 (List.length t'.Log.Tx.entries);
-      List.iter2
-        (fun a b ->
-          check Alcotest.int "addr" a.Log.Mem_entry.addr b.Log.Mem_entry.addr;
-          check Alcotest.string "value"
-            (Bytes.to_string a.Log.Mem_entry.value)
-            (Bytes.to_string b.Log.Mem_entry.value))
-        t.Log.Tx.entries t'.Log.Tx.entries
+      check Alcotest.int "ds" 3 v.Log.Tx.ds;
+      check Alcotest.int64 "op_hi" 9L v.Log.Tx.op_hi;
+      check Alcotest.int "entries" 3 v.Log.Tx.count;
+      check entry_list "addresses and values" (as_pairs t.Log.Tx.entries) (entries_of b v)
   | _ -> Alcotest.fail "expected record"
 
 let test_tx_empty_at_zero_byte () =
@@ -92,16 +97,14 @@ let test_tx_wire_size_pointer_optimization () =
   check Alcotest.int "stored frame carries the op number"
     (Bytes.length (Log.Tx.encode plain) + 8)
     (Bytes.length (Log.Tx.encode pointed));
-  (* The op number must round-trip — a scan that fabricates it would
-     send recovery to the wrong op-log record. *)
-  match Log.Tx.scan (Log.Tx.encode pointed) ~pos:0 with
-  | Log.Record (t', _) -> (
-      match t'.Log.Tx.entries with
-      | [ e ] ->
-          check Alcotest.(option int64) "from_op" (Some 5L) e.Log.Mem_entry.from_op;
-          check Alcotest.string "value inline" (String.make 64 'v')
-            (Bytes.to_string e.Log.Mem_entry.value)
-      | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es))
+  (* The value sits past the 8-byte op number, which is stored right
+     before the entry's address. *)
+  let b = Log.Tx.encode pointed in
+  match Log.Tx.scan b ~pos:0 with
+  | Log.Record (v, _) ->
+      check entry_list "value inline" [ (0, String.make 64 'v') ] (entries_of b v);
+      Log.Tx.iter_entries b v (fun ~addr:_ ~pos ~len:_ ->
+          check Alcotest.int64 "op number stored" 5L (Bytes.get_int64_le b (pos - 20)))
   | _ -> Alcotest.fail "expected record"
 
 let test_op_roundtrip () =
@@ -147,8 +150,8 @@ let test_tx_one_byte_payload_torn () =
   let t = tx [ entry 100 "x" ] in
   let good = Log.Tx.encode t in
   (match Log.Tx.scan good ~pos:0 with
-  | Log.Record (t', _) ->
-      check Alcotest.int "sanity: 1-byte entry round-trips" 1 (List.length t'.Log.Tx.entries)
+  | Log.Record (v, _) ->
+      check entry_list "sanity: 1-byte entry round-trips" [ (100, "x") ] (entries_of good v)
   | _ -> Alcotest.fail "expected record");
   let cut = Bytes.sub good 0 (Bytes.length good - 1) in
   check Alcotest.bool "clipping the last byte is torn" true
@@ -184,10 +187,12 @@ let test_tx_empty_entries () =
   (* A header-only transaction (the §8.1 fully-annulled batch) still
      round-trips and advances op coverage. *)
   let t = tx ~op_hi:7L [] in
-  match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
-  | Log.Record (t', _) ->
-      check Alcotest.int64 "op_hi" 7L t'.Log.Tx.op_hi;
-      check Alcotest.int "no entries" 0 (List.length t'.Log.Tx.entries)
+  let b = Log.Tx.encode t in
+  match Log.Tx.scan b ~pos:0 with
+  | Log.Record (v, _) ->
+      check Alcotest.int64 "op_hi" 7L v.Log.Tx.op_hi;
+      check Alcotest.int "no entries" 0 v.Log.Tx.count;
+      check entry_list "iterates nothing" [] (entries_of b v)
   | _ -> Alcotest.fail "expected record"
 
 let test_tx_scan_at_offset () =
@@ -218,15 +223,14 @@ let prop_tx_roundtrip =
     (QCheck.make QCheck.Gen.(pair (list_size (1 -- 10) gen_entry) (pair (int_bound 100) ui64)))
     (fun (entries, (ds, op_hi)) ->
       let t = { Log.Tx.ds; op_hi = Int64.logand op_hi Int64.max_int; entries } in
-      match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
-      | Log.Record (t', _) ->
-          t'.Log.Tx.ds = t.Log.Tx.ds
-          && t'.Log.Tx.op_hi = t.Log.Tx.op_hi
-          && List.for_all2
-               (fun a b ->
-                 a.Log.Mem_entry.addr = b.Log.Mem_entry.addr
-                 && Bytes.equal a.Log.Mem_entry.value b.Log.Mem_entry.value)
-               t.Log.Tx.entries t'.Log.Tx.entries
+      let b = Log.Tx.encode t in
+      match Log.Tx.scan b ~pos:0 with
+      | Log.Record (v, n) ->
+          n = Bytes.length b
+          && v.Log.Tx.ds = t.Log.Tx.ds
+          && v.Log.Tx.op_hi = t.Log.Tx.op_hi
+          && v.Log.Tx.count = List.length entries
+          && entries_of b v = as_pairs entries
       | _ -> false)
 
 let prop_tx_bitflip_never_parses_wrong =

@@ -106,6 +106,36 @@ let prop_timeline_no_overlap =
       ok sorted
       && List.for_all2 (fun (at, _) (start, _) -> start >= at) reqs slots)
 
+(* The append fast path against the general search it short-cuts: random
+   booking sequences, mostly in order with some out-of-order requests and
+   some zero-length ones, long enough to prune the interval arrays several
+   times. *)
+let prop_timeline_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"timeline append fast path matches the general search"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 20_000) (int_bound 40))
+    (fun (seed, extra, late_pct) ->
+      let rng = Asym_util.Rng.create ~seed:(Int64.of_int seed) in
+      let draw = Asym_util.Rng.int rng in
+      let tl = Timeline.create () and r = Timeline_ref.create () in
+      let edge = ref 0 (* the end of the latest booking *) in
+      for _ = 1 to 25_000 + extra do
+        let kind = draw 100 in
+        let at =
+          if kind < late_pct then max 0 (!edge - draw 5_000)
+          else if kind < late_pct + 15 then !edge
+          else !edge + 1 + draw 500
+        in
+        let dur = if draw 20 = 0 then 0 else 1 + draw 300 in
+        let a = Timeline.acquire tl ~at ~dur and b = Timeline_ref.acquire r ~at ~dur in
+        if a <> b then QCheck.Test.fail_reportf "at=%d dur=%d: %d vs %d" at dur a b;
+        edge := max !edge (a + dur)
+      done;
+      (* the reference's horizon moves only when it prunes *)
+      if r.Timeline_ref.horizon = 0 then QCheck.Test.fail_reportf "never pruned";
+      Timeline.busy_total tl = Timeline_ref.busy_total r
+      && Timeline.queued_total tl = Timeline_ref.queued_total r
+      && Timeline.free_at tl = Timeline_ref.free_at r)
+
 (* -- Sched ----------------------------------------------------------------- *)
 
 let test_sched_interleaves_by_time () =
@@ -223,6 +253,7 @@ let () =
           Alcotest.test_case "backfills idle gaps" `Quick test_timeline_backfills_gaps;
           Alcotest.test_case "gap too small" `Quick test_timeline_gap_too_small;
           QCheck_alcotest.to_alcotest prop_timeline_no_overlap;
+          QCheck_alcotest.to_alcotest prop_timeline_matches_reference;
         ] );
       ( "sched",
         [

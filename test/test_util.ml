@@ -325,6 +325,67 @@ let test_histogram_percentile_errors () =
     (Invalid_argument "Stats.Histogram.percentile: p out of [0,100]") (fun () ->
       ignore (Stats.Histogram.percentile h 101.0))
 
+(* -- slot index ----------------------------------------------------------------- *)
+
+(* A table that keeps its keys in slots [0, n), the way the page cache
+   and the write overlay do, against an association list: random adds,
+   removes (the last slot moves into the freed one), lookups, growth and
+   clears, over clustered keys so probe runs and backward shifts are long. *)
+type index_op = I_add of int | I_remove of int | I_find of int | I_clear
+
+let prop_slot_index_matches_model =
+  QCheck.Test.make ~count:150 ~name:"slot index matches an association list"
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (1 -- 400)
+           (frequency
+              [
+                (5, map (fun k -> I_add k) (int_bound 200));
+                (3, map (fun k -> I_remove k) (int_bound 200));
+                (4, map (fun k -> I_find (k - 5)) (int_bound 210));
+                (1, return I_clear);
+              ])))
+    (fun ops ->
+      let idx = Slot_index.create 4 in
+      let keys = ref (Array.make 4 0) and n = ref 0 in
+      let model () = List.init !n (fun s -> (!keys.(s), s)) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | I_add k when Slot_index.find idx ~keys:!keys k < 0 ->
+              if !n = Slot_index.capacity idx then begin
+                keys := Array.append !keys (Array.make (Array.length !keys) 0);
+                Slot_index.grow idx ~keys:!keys !n
+              end;
+              !keys.(!n) <- k;
+              Slot_index.add idx k !n;
+              incr n
+          | I_add _ -> ()
+          | I_remove k ->
+              let s = Slot_index.find idx ~keys:!keys k in
+              if s >= 0 then begin
+                let last = !n - 1 in
+                Slot_index.remove idx ~keys:!keys k;
+                if s <> last then begin
+                  let moved = !keys.(last) in
+                  Slot_index.remove idx ~keys:!keys moved;
+                  !keys.(s) <- moved;
+                  Slot_index.add idx moved s
+                end;
+                n := last
+              end
+          | I_find _ -> ()
+          | I_clear ->
+              Slot_index.clear idx ~keys:!keys !n;
+              n := 0);
+          let m = model () in
+          List.for_all
+            (fun k ->
+              Slot_index.find idx ~keys:!keys k
+              = match List.assoc_opt k m with Some s -> s | None -> -1)
+            (List.init 215 (fun k -> k - 5)))
+        ops)
+
 let () =
   Alcotest.run "util"
     [
@@ -369,6 +430,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_string_roundtrip;
           QCheck_alcotest.to_alcotest prop_positional_accessors;
         ] );
+      ("index", [ QCheck_alcotest.to_alcotest prop_slot_index_matches_model ]);
       ( "stats",
         [
           Alcotest.test_case "running" `Quick test_running_stats;
