@@ -70,12 +70,18 @@ let tests () =
   let full = cache () and sparse = cache () in
   let pages = Cache.capacity_pages full in
   for id = 0 to pages - 1 do
-    Cache.insert full id page
+    ignore (Cache.insert full id page ~len:256)
   done;
   let ov = Overlay.create () and ov_node = Bytes.make node 'o' in
   for k = 0 to 1023 do
     Overlay.add ov ~addr:(k * node) ov_node
   done;
+  (* A frame writer appending 64-byte entries under two structures in
+     turn, reset every 1,024 entries (a batch); and a miss as the
+     front-end serves it: read the page from the device into a scratch
+     buffer, then copy it into a full cache. *)
+  let frames = Log.Frame.create () and entry = Bytes.make 64 'f' in
+  let dev = Backend.device bk and scratch = Bytes.create 256 in
   let tl = Asym_sim.Timeline.create () in
   let i = ref 0 and j = ref 0 and k = ref 0 and next_id = ref pages and at = ref 0 in
   [
@@ -119,6 +125,12 @@ let tests () =
            match Log.Tx.scan b ~pos:0 with
            | Log.Record (v, _) -> Log.Tx.iter_entries b v (fun ~addr:_ ~pos:_ ~len:_ -> ())
            | _ -> assert false));
+    (* §4.3: one memory-log entry laid out at write time. *)
+    Test.make ~name:"log/frame-append"
+      (Staged.stage (fun () ->
+           incr i;
+           if !i land 1023 = 0 then Log.Frame.reset frames;
+           Log.Frame.append frames ~ds:(!i lsr 4 land 1) ~addr:(!i * 64) entry));
     (* §7.2: torn-tail scan of an intact record. *)
     Test.make ~name:"recovery/tx-scan" (Staged.stage (fun () -> ignore (Log.Tx.scan tx_bytes ~pos:0)));
     (* §4.4: the front-end page cache and the write overlay beside it. *)
@@ -129,13 +141,18 @@ let tests () =
     Test.make ~name:"cache/insert-evict-hybrid"
       (Staged.stage (fun () ->
            incr next_id;
-           Cache.insert full !next_id page));
+           ignore (Cache.insert full !next_id page ~len:256)));
+    Test.make ~name:"cache/miss-insert"
+      (Staged.stage (fun () ->
+           incr next_id;
+           Asym_nvm.Device.read_into dev ~addr:(!next_id land 0xFFFF * 256) scratch ~pos:0 ~len:256;
+           ignore (Cache.insert full !next_id scratch ~len:256)));
     (* Refills 10% of the pages, then clears: the clear of a read-section
        retry. *)
     Test.make ~name:"cache/clear"
       (Staged.stage (fun () ->
            for id = 0 to (pages / 10) - 1 do
-             Cache.insert sparse id page
+             ignore (Cache.insert sparse id page ~len:256)
            done;
            Cache.clear sparse));
     Test.make ~name:"overlay/add-node"
@@ -163,7 +180,8 @@ let run () =
     Benchmark.all cfg instances (Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ()))
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "@.== Bechamel micro-benchmarks (wall-clock ns/op) ==@.";
+  Format.printf "@.== Bechamel micro-benchmarks (wall-clock ns/op, dune profile %s) ==@."
+    Build_profile.name;
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with

@@ -5,13 +5,15 @@ let policy_name = function Lru -> "LRU" | Rr -> "RR" | Hybrid -> "Hybrid"
 module Index = Asym_util.Slot_index
 
 (* A structure of arrays over [cap] slots. A held page owns one slot:
-   [ids], [data] and [last_use] describe it, [prev]/[next] link it into
+   [ids], [lens], [last_use] and its [page] bytes at [s * page] in
+   [arena] describe it, [prev]/[next] link it into
    the circular recency list around the sentinel slot [cap], and [pos] is
    its index in [dense], whose first [count] entries are the held slots
    the samplers draw from. Slots [0, count) are exactly the held ones: an
-   eviction frees a slot only for the insert that caused it. [index] maps
+   eviction frees a slot only for the insert that caused it, so the arena
+   only ever grows to the pages held, at most [cap]. [index] maps
    a page id to its slot and is never iterated, so its layout cannot leak
-   into any result. No operation allocates. *)
+   into any result. Once the arena has grown, no operation allocates. *)
 type t = {
   policy : policy;
   page : int;
@@ -20,7 +22,8 @@ type t = {
   rng : Asym_util.Rng.t;
   index : Index.t;
   ids : int array;
-  data : bytes array;
+  mutable arena : bytes;
+  lens : int array;  (* bytes held; a device's last page may be short *)
   last_use : int array;
   prev : int array;  (* towards MRU; [cap + 1] entries, the sentinel last *)
   next : int array;  (* towards LRU *)
@@ -44,7 +47,8 @@ let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
     rng;
     index = Index.create cap;
     ids = Array.make cap 0;
-    data = Array.make cap Bytes.empty;
+    arena = Bytes.empty;
+    lens = Array.make cap 0;
     last_use = Array.make cap 0;
     prev = links;
     next = Array.copy links;
@@ -58,6 +62,8 @@ let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
   }
 
 let page_size t = t.page
+let arena t = t.arena
+let page_length t s = t.lens.(s)
 let capacity_pages t = t.cap
 let length t = t.count
 let hits t = t.hits
@@ -69,6 +75,7 @@ let reset_stats t =
   t.misses <- 0
 
 let lookup t id = Index.find t.index ~keys:t.ids id
+let peek = lookup
 
 (* -- recency list -------------------------------------------------------- *)
 
@@ -127,19 +134,31 @@ let find t id =
   let s = lookup t id in
   if s >= 0 then begin
     touch t s;
-    t.hits <- t.hits + 1;
-    t.data.(s)
+    t.hits <- t.hits + 1
   end
-  else begin
-    t.misses <- t.misses + 1;
-    raise Not_found
+  else t.misses <- t.misses + 1;
+  s
+
+(* Room for slot [s]: double the arena, up to the capacity. *)
+let grow t s =
+  let need = (s + 1) * t.page in
+  if need > Bytes.length t.arena then begin
+    let a = Bytes.create (Int.min (t.cap * t.page) (Int.max need (2 * Bytes.length t.arena))) in
+    Bytes.blit t.arena 0 a 0 (Bytes.length t.arena);
+    t.arena <- a
   end
 
-let insert t id data =
+let store t s src ~len =
+  Bytes.blit src 0 t.arena (s * t.page) len;
+  t.lens.(s) <- len
+
+let insert t id src ~len =
+  if len < 0 || len > t.page || len > Bytes.length src then invalid_arg "Cache.insert";
   let s = lookup t id in
   if s >= 0 then begin
-    t.data.(s) <- data;
-    touch t s
+    store t s src ~len;
+    touch t s;
+    s
   end
   else begin
     let s =
@@ -150,15 +169,17 @@ let insert t id data =
       end
       else t.count
     in
+    grow t s;
+    store t s src ~len;
     t.ids.(s) <- id;
-    t.data.(s) <- data;
     Index.add t.index id s;
     t.dense.(t.count) <- s;
     t.pos.(s) <- t.count;
     t.count <- t.count + 1;
     push_front t s;
     t.tick <- t.tick + 1;
-    t.last_use.(s) <- t.tick
+    t.last_use.(s) <- t.tick;
+    s
   end
 
 let patch t ~addr value =
@@ -168,17 +189,15 @@ let patch t ~addr value =
   for id = first to last do
     let s = lookup t id in
     if s >= 0 then begin
-      let page = t.data.(s) in
       let page_base = id * t.page in
-      let lo = max addr page_base in
-      let hi = min (addr + len) (page_base + Bytes.length page) in
-      if hi > lo then Bytes.blit value (lo - addr) page (lo - page_base) (hi - lo)
+      let lo = Int.max addr page_base in
+      let hi = Int.min (addr + len) (page_base + t.lens.(s)) in
+      if hi > lo then Bytes.blit value (lo - addr) t.arena ((s * t.page) + lo - page_base) (hi - lo)
     end
   done
 
 let clear t =
   Index.clear t.index ~keys:t.ids t.count;
-  Array.fill t.data 0 t.count Bytes.empty;
   t.count <- 0;
   t.next.(t.cap) <- t.cap;
   t.prev.(t.cap) <- t.cap

@@ -59,10 +59,10 @@ type t = {
   lat : Latency.t;
   mutable sid : Types.session_id;
   cache : Cache.t option;
+  miss_page : bytes;  (* a missed page is read here, then copied into the cache *)
   overlay : Overlay.t;
-  mutable pending : (Types.ds_id * Log.Mem_entry.t) list;  (* newest first *)
+  frames : Log.Frame.t;  (* the batch's memory logs, framed as written *)
   mutable pending_bytes : int;
-  mutable tx_buf : bytes;  (* a flush's encoded transactions, reused *)
   mutable pending_op_list : (Types.ds_id * (int64 * int * bytes)) list;  (* newest first *)
   pending_cas : (Types.addr, int64 * int64) Hashtbl.t;  (* addr -> (expected, desired) *)
   mutable pending_slab_frees : (Types.addr * int) list;  (* deferred reclamation *)
@@ -258,10 +258,10 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       lat;
       sid = -1;
       cache;
+      miss_page = Bytes.create (if cfg.use_cache then cfg.page_size else 0);
       overlay = Overlay.create ();
-      pending = [];
+      frames = Log.Frame.create ();
       pending_bytes = 0;
-      tx_buf = Bytes.empty;
       pending_op_list = [];
       pending_cas = Hashtbl.create 4;
       pending_slab_frees = [];
@@ -329,6 +329,10 @@ let lookup_ds t ds_name =
 
 (* -- reads ----------------------------------------------------------------- *)
 
+(* A miss reads the page into [miss_page] (a fresh buffer for a device's
+   short last page) and patches it before the cache copies it in, so a
+   verb that fails for good leaves the cache as it was: no slot claimed,
+   no eviction drawn. *)
 let read_via_cache t c ~addr ~len =
   let page = Cache.page_size c in
   let out = Bytes.create len in
@@ -336,30 +340,32 @@ let read_via_cache t c ~addr ~len =
   let last = (addr + len - 1) / page in
   for id = first to last do
     let page_base = id * page in
-    let data =
-      match Cache.find c id with
-      | b ->
-          Clock.advance t.clk
-            (t.lat.Latency.dram_ns
-            + if t.cfg.cache_policy = Cache.Lru then lru_touch_ns else 0);
-          if Asym_obs.enabled () then
-            Asym_obs.Registry.inc ~labels:[ ("event", "hit") ] "client.cache";
-          b
-      | exception Not_found ->
-          if Asym_obs.enabled () then
-            Asym_obs.Registry.inc ~labels:[ ("event", "miss") ] "client.cache";
-          let cap = Asym_nvm.Device.capacity (Backend.device t.bk) in
-          let plen = min page (cap - page_base) in
-          let b = with_retry t (fun () -> Verbs.read t.conn ~addr:page_base ~len:plen) in
-          (* The overlay patches the page before insertion so the cache
-             never goes backwards w.r.t. our own pending writes. *)
-          Overlay.patch t.overlay ~addr:page_base b;
-          Cache.insert c id b;
-          b
+    let s = Cache.find c id in
+    let s =
+      if s >= 0 then begin
+        Clock.advance t.clk
+          (t.lat.Latency.dram_ns + if t.cfg.cache_policy = Cache.Lru then lru_touch_ns else 0);
+        if Asym_obs.enabled () then
+          Asym_obs.Registry.inc ~labels:[ ("event", "hit") ] "client.cache";
+        s
+      end
+      else begin
+        if Asym_obs.enabled () then
+          Asym_obs.Registry.inc ~labels:[ ("event", "miss") ] "client.cache";
+        let cap = Asym_nvm.Device.capacity (Backend.device t.bk) in
+        let plen = Int.min page (cap - page_base) in
+        let b = if plen = page then t.miss_page else Bytes.create plen in
+        with_retry t (fun () -> Verbs.read_into t.conn ~addr:page_base b ~pos:0 ~len:plen);
+        (* The overlay patches the page before insertion so the cache
+           never goes backwards w.r.t. our own pending writes. *)
+        Overlay.patch t.overlay ~addr:page_base b;
+        Cache.insert c id b ~len:plen
+      end
     in
-    let lo = max addr page_base in
-    let hi = min (addr + len) (page_base + Bytes.length data) in
-    if hi > lo then Bytes.blit data (lo - page_base) out (lo - addr) (hi - lo)
+    let lo = Int.max addr page_base in
+    let hi = Int.min (addr + len) (page_base + Cache.page_length c s) in
+    if hi > lo then
+      Bytes.blit (Cache.arena c) ((s * page) + lo - page_base) out (lo - addr) (hi - lo)
   done;
   out
 
@@ -455,13 +461,10 @@ let write t ~ds ~addr value =
       (match t.cache with Some c -> Cache.patch c ~addr value | None -> ())
   | `Logged ->
       let from_op =
-        match t.cur_op with
-        | Some op
-          when use_op_log t.cfg && t.cfg.pointer_wire_opt && Bytes.length value > 12 ->
-            Some op
-        | _ -> None
+        if use_op_log t.cfg && t.cfg.pointer_wire_opt && Bytes.length value > 12 then t.cur_op
+        else None
       in
-      t.pending <- (ds, Log.Mem_entry.make ?from_op ~addr value) :: t.pending;
+      Log.Frame.append t.frames ~ds ?from_op ~addr value;
       t.pending_bytes <- t.pending_bytes + Bytes.length value + 13;
       Overlay.add t.overlay ~addr value;
       (match t.cache with Some c -> Cache.patch c ~addr value | None -> ());
@@ -530,40 +533,16 @@ let run_pending_cas t =
 let flush t =
   check_live t;
   let obs_t0 = if Asym_obs.enabled () then Clock.now t.clk else 0 in
-  if t.pending <> [] || t.pending_op_list <> [] || Hashtbl.length t.pending_cas > 0 then begin
-    (* One transaction record per consecutive run of same-structure
-       entries. Runs — rather than one group per structure — keep the
-       global write order intact: a block freed by one structure and
-       reallocated by another within the same batch is rewritten in
-       chronological order during replay. *)
-    let op_hi = Int64.pred t.next_opnum in
-    let txs =
-      let runs =
-        List.fold_left
-          (fun acc (ds, entry) ->
-            match acc with
-            | (run_ds, entries) :: rest when run_ds = ds ->
-                (run_ds, entry :: entries) :: rest
-            | _ -> (ds, [ entry ]) :: acc)
-          []
-          (List.rev t.pending)
-      in
-      match runs with
-      | [] ->
-          (* No memory logs buffered (e.g. a batch fully annulled by the
-             §8.1 optimization): still commit an empty transaction so the
-             OPN advances past the covered operations. *)
-          [ { Log.Tx.ds = 0; op_hi; entries = [] } ]
-      | runs ->
-          List.rev_map
-            (fun (ds, entries) -> { Log.Tx.ds; op_hi; entries = List.rev entries })
-            runs
-    in
-    let total = List.fold_left (fun acc tx -> acc + Log.Tx.size tx) 0 txs in
-    let wire = List.fold_left (fun acc tx -> acc + Log.Tx.wire_size tx) 0 txs in
-    if Bytes.length t.tx_buf < total then
-      t.tx_buf <- Bytes.create (max total (2 * Bytes.length t.tx_buf));
-    ignore (List.fold_left (fun off tx -> off + Log.Tx.encode_into tx t.tx_buf ~pos:off) 0 txs);
+  if
+    (not (Log.Frame.is_empty t.frames))
+    || t.pending_op_list <> []
+    || Hashtbl.length t.pending_cas > 0
+  then begin
+    (* With no memory logs buffered (e.g. a batch fully annulled by the
+       §8.1 optimization) the seal commits an empty transaction, so the
+       OPN still advances past the covered operations. *)
+    Log.Frame.seal t.frames ~op_hi:(Int64.pred t.next_opnum);
+    let total = Log.Frame.length t.frames and wire = Log.Frame.wire t.frames in
     let ring_base, cap = Backend.memlog_ring t.bk ~session:t.sid in
     if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
     if t.memlog_head + total + 1 > cap then begin
@@ -572,7 +551,8 @@ let flush t =
       t.memlog_head <- 0
     end;
     with_retry t (fun () ->
-        Verbs.write ~wire_len:wire ~len:total t.conn ~addr:(ring_base + t.memlog_head) t.tx_buf);
+        Verbs.write ~wire_len:wire ~len:total t.conn ~addr:(ring_base + t.memlog_head)
+          (Log.Frame.buffer t.frames));
     t.memlog_head <- t.memlog_head + total;
     Backend.drain_session t.bk ~session:t.sid ~arrival:(Clock.now t.clk);
     (* Root switches become visible only now that their version's memory
@@ -580,7 +560,7 @@ let flush t =
     run_pending_cas t;
     (* Slab reclamation triggered by the now-covered operations is safe. *)
     send_deferred_frees t;
-    t.pending <- [];
+    Log.Frame.reset t.frames;
     t.pending_bytes <- 0;
     t.pending_op_list <- [];
     t.n_flushes <- t.n_flushes + 1;
@@ -776,7 +756,7 @@ let close t =
 let drop_volatile t =
   (match t.cache with Some c -> Cache.clear c | None -> ());
   Overlay.clear t.overlay;
-  t.pending <- [];
+  Log.Frame.reset t.frames;
   t.pending_bytes <- 0;
   t.pending_op_list <- [];
   Hashtbl.reset t.pending_cas;

@@ -45,65 +45,146 @@ module Mem_entry = struct
   let make ?from_op ~addr value = { addr; value; from_op }
 end
 
+(* The stored frame: header (tag 1, ds 4, op_hi 8, count 4), the entries,
+   then the commit tag (1) and the CRC (4) of everything before it. An
+   entry is flag (1), for a pointer entry the op number (8), addr (8),
+   value length (4) and the value. *)
+let header_len = 17
+let trailer_len = 5
+
+module Frame = struct
+  (* [buf] holds closed frames, each with its trailer space reserved, then
+     the open frame's header and entries up to [len]. [starts] lists every
+     frame's offset, the open one last; a closed frame already carries its
+     count and commit tag. [seal] writes what depends on the flush. *)
+  type t = {
+    mutable buf : bytes;
+    mutable len : int;
+    mutable starts : int array;
+    mutable n : int;  (* frames, the last one open; 0 when empty *)
+    mutable ds : Types.ds_id;  (* the open frame's structure *)
+    mutable count : int;  (* the open frame's entries *)
+    mutable wire : int;
+  }
+
+  let create () =
+    { buf = Bytes.empty; len = 0; starts = Array.make 4 0; n = 0; ds = 0; count = 0; wire = 0 }
+
+  let is_empty t = t.n = 0
+  let buffer t = t.buf
+  let length t = if t.n = 0 then header_len + trailer_len else t.len + trailer_len
+  let wire t = if t.n = 0 then header_len + trailer_len else t.wire
+
+  let reset t =
+    t.len <- 0;
+    t.n <- 0;
+    t.count <- 0;
+    t.wire <- 0
+
+  let reserve t n =
+    if t.len + n > Bytes.length t.buf then begin
+      let b = Bytes.create (Int.max (t.len + n) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 b 0 t.len;
+      t.buf <- b
+    end
+
+  let header t ~at ~ds ~count =
+    Bytes.set_uint8 t.buf at tag_tx;
+    Bytes.set_int32_le t.buf (at + 1) (Int32.of_int ds);
+    Bytes.set_int32_le t.buf (at + 13) (Int32.of_int count)
+
+  (* The open frame's count and commit tag; [len] stays before the tag. *)
+  let mark_end t =
+    Bytes.set_int32_le t.buf (t.starts.(t.n - 1) + 13) (Int32.of_int t.count);
+    Bytes.set_uint8 t.buf t.len tag_commit
+
+  let open_frame t ~ds =
+    if t.n = Array.length t.starts then begin
+      let a = Array.make (2 * t.n) 0 in
+      Array.blit t.starts 0 a 0 t.n;
+      t.starts <- a
+    end;
+    t.starts.(t.n) <- t.len;
+    t.n <- t.n + 1;
+    t.ds <- ds;
+    t.count <- 0;
+    header t ~at:t.len ~ds ~count:0;
+    t.len <- t.len + header_len;
+    t.wire <- t.wire + header_len + trailer_len
+
+  let append t ~ds ?from_op ~addr value =
+    let vlen = Bytes.length value in
+    (* Room to close the open frame, open the next, and hold the longest
+       entry header, the value and the trailer. *)
+    reserve t (trailer_len + header_len + 21 + vlen + trailer_len);
+    if t.n = 0 then open_frame t ~ds
+    else if ds <> t.ds then begin
+      mark_end t;
+      t.len <- t.len + trailer_len;
+      open_frame t ~ds
+    end;
+    let p = t.len in
+    let q =
+      match from_op with
+      | Some opn ->
+          Bytes.set_uint8 t.buf p flag_op_pointer;
+          Bytes.set_int64_le t.buf (p + 1) opn;
+          (* The wire ships a 12-byte pointer (op number + offset) in
+             place of a value the op log already holds. *)
+          t.wire <- t.wire + 13 + Int.min 12 vlen;
+          p + 9
+      | None ->
+          Bytes.set_uint8 t.buf p flag_inline;
+          t.wire <- t.wire + 13 + vlen;
+          p + 1
+    in
+    Bytes.set_int64_le t.buf q (Int64.of_int addr);
+    Bytes.set_int32_le t.buf (q + 8) (Int32.of_int vlen);
+    Bytes.blit value 0 t.buf (q + 12) vlen;
+    t.len <- q + 12 + vlen;
+    t.count <- t.count + 1
+
+  let seal_frame t ~start ~stop ~op_hi =
+    Bytes.set_int64_le t.buf (start + 5) op_hi;
+    Bytes.set_int32_le t.buf (stop - 4) (Crc32.digest t.buf ~pos:start ~len:(stop - 4 - start));
+    if Asym_obs.enabled () then begin
+      Asym_obs.Registry.inc "log.tx_encoded";
+      Asym_obs.Registry.add "log.tx_encoded_bytes" (stop - start)
+    end
+
+  (* Nothing here moves [len] or [n], so a seal can be redone. *)
+  let seal ?(ds = 0) t ~op_hi =
+    if t.n = 0 then begin
+      reserve t (header_len + trailer_len);
+      header t ~at:0 ~ds ~count:0;
+      Bytes.set_uint8 t.buf header_len tag_commit;
+      seal_frame t ~start:0 ~stop:(header_len + trailer_len) ~op_hi
+    end
+    else begin
+      mark_end t;
+      for i = 0 to t.n - 1 do
+        let stop = if i = t.n - 1 then t.len + trailer_len else t.starts.(i + 1) in
+        seal_frame t ~start:t.starts.(i) ~stop ~op_hi
+      done
+    end
+end
+
 module Tx = struct
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
 
-  (* Stored size. Header (1+4+8+4) + per entry (1+8+4 + payload, plus 8
-     for the op number of a pointer entry) + commit (1) + crc (4). *)
-  let size t =
-    let entry_size { Mem_entry.value; from_op; _ } =
-      13 + Bytes.length value + if from_op = None then 0 else 8
-    in
-    17 + List.fold_left (fun acc en -> acc + entry_size en) 0 t.entries + 5
-
-  (* Encoded in place: the body, then its CRC, with no intermediate copy. *)
-  let encode_into t buf ~pos =
-    let e = Codec.Enc.into buf ~pos in
-    Codec.Enc.u8 e tag_tx;
-    Codec.Enc.u32i e t.ds;
-    Codec.Enc.u64 e t.op_hi;
-    Codec.Enc.u32i e (List.length t.entries);
+  let frame t =
+    let w = Frame.create () in
     List.iter
-      (fun { Mem_entry.addr; value; from_op } ->
-        (* A pointer entry must carry the op number it points at — the
-           old encoding dropped it and [scan] fabricated [Some 0L]. *)
-        (match from_op with
-        | Some opn ->
-            Codec.Enc.u8 e flag_op_pointer;
-            Codec.Enc.u64 e opn
-        | None -> Codec.Enc.u8 e flag_inline);
-        Codec.Enc.u64i e addr;
-        Codec.Enc.u32i e (Bytes.length value);
-        Codec.Enc.bytes e value)
+      (fun { Mem_entry.addr; value; from_op } -> Frame.append w ~ds:t.ds ?from_op ~addr value)
       t.entries;
-    Codec.Enc.u8 e tag_commit;
-    Codec.Enc.u32 e (Crc32.digest buf ~pos ~len:(Codec.Enc.length e - pos));
-    let n = Codec.Enc.length e - pos in
-    if Asym_obs.enabled () then begin
-      Asym_obs.Registry.inc "log.tx_encoded";
-      Asym_obs.Registry.add "log.tx_encoded_bytes" n
-    end;
-    n
+    Frame.seal ~ds:t.ds w ~op_hi:t.op_hi;
+    w
 
   let encode t =
-    let b = Bytes.create (size t) in
-    ignore (encode_into t b ~pos:0);
-    b
+    let w = frame t in
+    Bytes.sub (Frame.buffer w) 0 (Frame.length w)
 
-  (* Wire cost, not stored size. Header (1+4+8+4) + per entry (1+8+4 +
-     payload) + commit (1) + crc (4). An entry whose value is already
-     durable in the operation log ships a 12-byte pointer (op number +
-     offset) instead of the value — the stored frame additionally spends
-     8 bytes on the op number, but the wire charges only the pointer. *)
-  let wire_size t =
-    let entry_payload { Mem_entry.value; from_op; _ } =
-      match from_op with
-      | Some _ -> min 12 (Bytes.length value)
-      | None -> Bytes.length value
-    in
-    17
-    + List.fold_left (fun acc en -> acc + 13 + entry_payload en) 0 t.entries
-    + 5
+  let wire_size t = Frame.wire (frame t)
 
   type view = { ds : Types.ds_id; op_hi : int64; count : int; first : int }
 

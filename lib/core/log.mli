@@ -18,7 +18,7 @@
     Values are always encoded inline so that checksums and torn-write
     detection operate on real bytes. The §4.3 optimization that replaces a
     value with a pointer into the operation log is accounted in
-    {!Tx.wire_size}, which is what the simulated NIC charges for. *)
+    {!Frame.wire}, which is what the simulated NIC charges for. *)
 
 val crc_check : bool ref
 (** Test-only: when set to [false], {!Tx.scan} and {!Op_entry.scan} accept
@@ -51,19 +51,57 @@ module Mem_entry : sig
   val make : ?from_op:int64 -> addr:Types.addr -> bytes -> t
 end
 
+(** A batch of transaction frames laid out as the writes happen. A logged
+    front-end appends each memory-log entry straight into the buffer that
+    [rnvm_tx_write] ships, opening a new frame whenever the structure id
+    changes: one frame per consecutive run of same-structure entries keeps
+    the global write order for replay. The batch's highest op number is
+    only known at the flush, so {!seal} fills each frame's op number, the
+    open frame's entry count and commit tag, and every CRC in place. *)
+module Frame : sig
+  type t
+
+  val create : unit -> t
+
+  val append : t -> ds:Types.ds_id -> ?from_op:int64 -> addr:Types.addr -> bytes -> unit
+  (** Copy one entry (header and value) into the batch; the buffer is the
+      caller's again on return. [from_op] marks a value the operation log
+      already holds: the entry then stores that op number and costs a
+      12-byte pointer on the wire. Allocates only when the buffer grows. *)
+
+  val is_empty : t -> bool
+  (** Nothing appended since {!create} or {!reset}. *)
+
+  val seal : ?ds:Types.ds_id -> t -> op_hi:int64 -> unit
+  (** Complete every frame for a flush covering operations up to [op_hi].
+      With nothing appended the batch is one empty transaction for
+      structure [ds] (default 0), which still advances the OPN. Sealing
+      moves no entry, so appends may follow and a later seal redoes it. *)
+
+  val buffer : t -> bytes
+  (** The sealed batch: its first {!length} bytes. *)
+
+  val length : t -> int
+  (** Bytes of the sealed batch as stored. *)
+
+  val wire : t -> int
+  (** Bytes the NIC moves for the sealed batch, with the op-log pointer
+      optimization. *)
+
+  val reset : t -> unit
+  (** Forget every entry, keeping the buffer. *)
+end
+
 module Tx : sig
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
-
-  val size : t -> int
-  (** Bytes of the stored frame, as {!encode} produces it. *)
-
-  val encode_into : t -> bytes -> pos:int -> int
-  (** Encode the frame in place at [pos], which must have {!size} bytes
-      free, and return its length. *)
+  (** One frame written as a list: the form tests and tools build. *)
 
   val encode : t -> bytes
+  (** The stored frame: the entries appended to a fresh {!Frame} under
+      [ds], then sealed. *)
+
   val wire_size : t -> int
-  (** Bytes the NIC actually moves, with the op-log pointer optimization. *)
+  (** {!Frame.wire} of that frame. *)
 
   type view = {
     ds : Types.ds_id;

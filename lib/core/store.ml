@@ -39,10 +39,10 @@ module type S = sig
   val write : t -> ds:Types.ds_id -> addr:Types.addr -> bytes -> unit
   (** [rnvm_write]/[rnvm_mem_log]: durable according to the store's mode —
       immediately (direct/naive), or when the operation's logs are
-      persisted (logged mode). The store may keep the buffer itself until
-      the next flush (a logged front-end's [Log.Mem_entry] holds it by
-      reference), so the caller must never mutate a buffer after writing
-      it. *)
+      persisted (logged mode). The store keeps no reference to the buffer:
+      the bytes are copied before [write] returns (a logged front-end lays
+      them into its memory-log frame, overlay and cache pages), so the
+      caller may edit or reuse the buffer afterwards. *)
 
   val write_u64 : t -> ds:Types.ds_id -> Types.addr -> int64 -> unit
 

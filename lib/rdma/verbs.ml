@@ -169,8 +169,9 @@ let check_bounds t ~addr ~len =
     invalid_arg
       (Printf.sprintf "Rdma.Verbs: invalid memory region (addr=%d len=%d)" addr len)
 
-let read t ~addr ~len =
+let read_into t ~addr buf ~pos ~len =
   check_bounds t ~addr ~len;
+  if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Rdma.Verbs.read_into: buffer";
   (* A lost read has no remote side effect whichever direction vanished. *)
   (match fate t ~atomic:false with
   | Lost _ -> lose t ~op:"read"
@@ -179,7 +180,14 @@ let read t ~addr ~len =
   let media = Asym_nvm.Device.read_cost t.remote_mem ~len in
   let _done_at = round_trip t ~op:"read" ~wire:len ~service ~media in
   t.wire_bytes <- t.wire_bytes + len;
-  Asym_nvm.Device.read t.remote_mem ~addr ~len
+  Asym_nvm.Device.read_into t.remote_mem ~addr buf ~pos ~len
+
+(* Bounds first, so a wild length is rejected before it is allocated. *)
+let read t ~addr ~len =
+  check_bounds t ~addr ~len;
+  let b = Bytes.create len in
+  read_into t ~addr b ~pos:0 ~len;
+  b
 
 let write ?wire_len ?len:data_len t ~addr b =
   let data_len = match data_len with Some n -> n | None -> Bytes.length b in

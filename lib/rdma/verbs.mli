@@ -85,6 +85,9 @@ val injected_delays : conn -> int
 val read : conn -> addr:int -> len:int -> bytes
 (** RDMA_Read: one round trip, blocks the client. *)
 
+val read_into : conn -> addr:int -> bytes -> pos:int -> len:int -> unit
+(** {!read} into [len] bytes of the buffer from [pos]. *)
+
 val write : ?wire_len:int -> ?len:int -> conn -> addr:int -> bytes -> unit
 (** RDMA_Write of the first [len] bytes of the buffer (default: all of
     it) with remote durability ack: one round trip. [wire_len] overrides

@@ -20,28 +20,38 @@ let tables =
   done;
   t
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Every index below is an input byte or a CRC byte (< 256) plus a table
+   offset, and every load lies in the slice checked on entry. *)
 let digest ?(init = 0l) b ~pos ~len =
-  assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length b);
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.digest";
   let t = tables in
   let c = ref (Int32.to_int init land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
-    let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
-    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    (* One 64-bit load per 8 bytes. [Int64.to_int] keeps only 63 bits, so
+       the high half is shifted down as an int64 first: bit 63 survives. *)
+    let w = get64u b !i in
+    let w = if Sys.big_endian then swap64 w else w in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
-      t.((7 * 256) + (lo land 0xFF))
-      lxor t.((6 * 256) + ((lo lsr 8) land 0xFF))
-      lxor t.((5 * 256) + ((lo lsr 16) land 0xFF))
-      lxor t.((4 * 256) + (lo lsr 24))
-      lxor t.((3 * 256) + (hi land 0xFF))
-      lxor t.((2 * 256) + ((hi lsr 8) land 0xFF))
-      lxor t.(256 + ((hi lsr 16) land 0xFF))
-      lxor t.(hi lsr 24);
+      Array.unsafe_get t ((7 * 256) + (lo land 0xFF))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xFF))
+      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
     i := !i + 8
   done;
   for j = stop8 to pos + len - 1 do
-    c := t.((!c lxor Bytes.get_uint8 b j) land 0xFF) lxor (!c lsr 8)
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF) lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 

@@ -1,7 +1,9 @@
 (* Reference model of the front-end page cache: the node-and-Hashtbl
-   implementation [Cache] replaced, kept verbatim. The cache reference
-   property in test_cache drives both with the same traces and the same
-   random streams and requires identical observations. *)
+   implementation [Cache] replaced, kept verbatim but for [peek], which
+   reads a held page without moving recency or counters. The cache
+   reference property in test_cache drives both with the same traces and
+   the same random streams and requires identical observations, page
+   bytes included. *)
 
 type policy = Lru | Rr | Hybrid
 
@@ -146,6 +148,8 @@ let find t id =
   | exception Not_found ->
       t.misses <- t.misses + 1;
       raise Not_found
+
+let peek t id = Option.map (fun n -> n.data) (Pages.find_opt t.table id)
 
 let insert t id data =
   match Pages.find t.table id with

@@ -12,13 +12,18 @@ let mk ?(choose_set = 8) ?(cap_pages = 4) policy =
 
 let page c = Bytes.make 64 c
 
-(* [Cache.find] as an option, for assertions. *)
-let cached c id = match Cache.find c id with b -> Some b | exception Not_found -> None
+(* [Cache.find] as an option of a copy of the page, for assertions. *)
+let cached c id =
+  let s = Cache.find c id in
+  if s < 0 then None
+  else Some (Bytes.sub (Cache.arena c) (s * Cache.page_size c) (Cache.page_length c s))
+
+let insert c id page = ignore (Cache.insert c id page ~len:(Bytes.length page))
 
 let test_mru_hit_does_not_relink () =
   let t = mk Cache.Lru in
-  Cache.insert t 0 (page 'a');
-  Cache.insert t 1 (page 'b');
+  insert t 0 (page 'a');
+  insert t 1 (page 'b');
   (* Page 1 is MRU. Hitting it repeatedly must leave the recency list
      untouched — the buggy [t.mru != Some n] relinked on every hit. *)
   let before = Cache.relinks t in
@@ -35,12 +40,12 @@ let test_mru_recency_still_correct () =
   (* After a run of MRU hits, eviction order must be unchanged: page 0 is
      still the LRU victim. *)
   let t = mk ~cap_pages:2 Cache.Lru in
-  Cache.insert t 0 (page 'a');
-  Cache.insert t 1 (page 'b');
+  insert t 0 (page 'a');
+  insert t 1 (page 'b');
   for _ = 1 to 5 do
     ignore (cached t 1)
   done;
-  Cache.insert t 2 (page 'c');
+  insert t 2 (page 'c');
   check Alcotest.bool "LRU page 0 evicted" true (cached t 0 = None);
   check Alcotest.bool "MRU page 1 kept" true (cached t 1 <> None)
 
@@ -49,12 +54,12 @@ let test_hybrid_evicts_oldest_of_sample () =
      must behave exactly like LRU: the globally oldest page goes. *)
   let t = mk ~choose_set:64 ~cap_pages:4 Cache.Hybrid in
   for id = 0 to 3 do
-    Cache.insert t id (page 'x')
+    insert t id (page 'x')
   done;
   (* Touch 0 and 2; 1 is now the oldest untouched page. *)
   ignore (cached t 0);
   ignore (cached t 2);
-  Cache.insert t 4 (page 'y');
+  insert t 4 (page 'y');
   check Alcotest.bool "oldest-of-sample evicted" true (cached t 1 = None);
   List.iter
     (fun id ->
@@ -64,8 +69,8 @@ let test_hybrid_evicts_oldest_of_sample () =
 let test_patch_spanning_short_final_page () =
   let t = mk Cache.Lru in
   (* Page 1 holds only 16 bytes (the structure's tail), page 0 is full. *)
-  Cache.insert t 0 (page 'a');
-  Cache.insert t 1 (Bytes.make 16 'b');
+  insert t 0 (page 'a');
+  insert t 1 (Bytes.make 16 'b');
   (* A patch covering [60, 100) crosses into page 1 but extends past its
      short tail: only bytes [64, 80) of it may land. *)
   Cache.patch t ~addr:60 (Bytes.make 40 'Z');
@@ -81,7 +86,7 @@ let test_patch_spanning_short_final_page () =
 
 let test_patch_entirely_past_short_page () =
   let t = mk Cache.Lru in
-  Cache.insert t 0 (Bytes.make 8 'a');
+  insert t 0 (Bytes.make 8 'a');
   (* Addr 32 is inside page 0's range but past its 8 stored bytes: the
      patch must be a no-op, not an out-of-bounds blit. *)
   Cache.patch t ~addr:32 (Bytes.make 8 'Z');
@@ -89,21 +94,40 @@ let test_patch_entirely_past_short_page () =
   | Some p -> check Alcotest.string "untouched" (String.make 8 'a') (Bytes.to_string p)
   | None -> Alcotest.fail "page evicted"
 
+(* An evicted page's slot takes the next page whole: its bytes and its
+   length, a short page after a full one and a full one after a short. *)
+let test_evicted_slot_takes_new_page () =
+  let t = mk ~cap_pages:1 Cache.Lru in
+  insert t 0 (page 'a');
+  insert t 1 (Bytes.make 16 'b');
+  check Alcotest.(option string) "short page replaced the full one" (Some (String.make 16 'b'))
+    (Option.map Bytes.to_string (cached t 1));
+  check Alcotest.bool "old page gone" true (cached t 0 = None);
+  insert t 2 (page 'c');
+  check Alcotest.(option string) "full page replaced the short one" (Some (String.make 64 'c'))
+    (Option.map Bytes.to_string (cached t 2));
+  (* The page was copied in: the caller's buffer is its own again. *)
+  let src = page 'd' in
+  insert t 3 src;
+  Bytes.fill src 0 64 'X';
+  check Alcotest.(option string) "copy kept" (Some (String.make 64 'd'))
+    (Option.map Bytes.to_string (cached t 3))
+
 let test_clear_then_reuse () =
   let t = mk ~cap_pages:2 Cache.Hybrid in
-  Cache.insert t 0 (page 'a');
-  Cache.insert t 1 (page 'b');
+  insert t 0 (page 'a');
+  insert t 1 (page 'b');
   Cache.clear t;
   check Alcotest.int "empty" 0 (Cache.length t);
   check Alcotest.bool "gone" true (cached t 0 = None);
   (* Refill past capacity: eviction and the dense sample array must work
      on the recycled structure. *)
   for id = 10 to 14 do
-    Cache.insert t id (page 'c')
+    insert t id (page 'c')
   done;
   check Alcotest.int "at capacity" 2 (Cache.length t);
   ignore (cached t 14);
-  Cache.insert t 20 (page 'd');
+  insert t 20 (page 'd');
   check Alcotest.int "still at capacity" 2 (Cache.length t)
 
 (* -- model-based properties ------------------------------------------------ *)
@@ -162,9 +186,9 @@ let prop_lru_matches_list_model =
               (if (not (List.mem_assoc id !model)) && List.length !model >= cap then
                  let victim, _ = List.nth !model (List.length !model - 1) in
                  model := List.remove_assoc victim !model;
-                 Cache.insert t id data;
+                 insert t id data;
                  miss victim
-               else Cache.insert t id data);
+               else insert t id data);
               to_front id (Bytes.copy data)
           | Patch (addr, len) ->
               Cache.patch t ~addr (Bytes.make len 'P');
@@ -206,7 +230,7 @@ let prop_hybrid_victim_is_oldest_of_sample =
               | None, None -> ()
               | _ -> fail "page %d: hit/miss differs" id)
           | Insert id when slot id <> None ->
-              Cache.insert t id (fill id);
+              insert t id (fill id);
               touch id
           | Insert id ->
               let victim =
@@ -221,7 +245,7 @@ let prop_hybrid_victim_is_oldest_of_sample =
                   Some !best
                 end
               in
-              Cache.insert t id (fill id);
+              insert t id (fill id);
               (match victim with
               | None -> ()
               | Some v ->
@@ -243,13 +267,15 @@ let prop_hybrid_victim_is_oldest_of_sample =
 
 (* -- the reference cache ------------------------------------------------------ *)
 
-(* [Cache_ref] is the implementation the slot arrays replaced. Both caches
-   run the same trace from copies of one random stream, each on its own
-   copies of the page buffers. After every step the hit, miss and relink
-   counts, the length and the set of held pages agree, every find returns
-   the same bytes or misses in both, and evictions happen in the same
-   order. Membership is read through [patch], which moves neither
-   recency nor counters: a held page's buffer takes the patched byte. *)
+(* [Cache_ref] is the implementation the slot arrays and the arena
+   replaced. Both caches run the same trace from copies of one random
+   stream, each on its own copies of the page buffers. After every step
+   the hit, miss and relink counts and the length agree, both hold the
+   same pages with the same bytes (read through [peek], which moves
+   neither recency nor counters), every find returns the same bytes or
+   misses in both, and evictions happen in the same order. Short inserts
+   stand for a device's short last page, and a small capacity makes
+   evicted slots take new pages. *)
 type ref_op = R_find of int | R_insert of int * int | R_patch of int * int | R_clear
 
 let ref_op_gen ~ids =
@@ -274,22 +300,23 @@ let print_ref_op = function
 
 type side = {
   find : int -> bytes option;
+  peek : int -> bytes option;
   insert : int -> bytes -> unit;
   patch : addr:int -> bytes -> unit;
   clear : unit -> unit;
   stats : unit -> int * int * int * int;  (* hits, misses, relinks, length *)
-  bufs : (int, bytes) Hashtbl.t;  (* the buffer last inserted per page *)
 }
 
 let side_new ~choose_set ~policy ~cap rng =
   let c = Cache.create ~choose_set ~policy ~page_size:64 ~capacity_bytes:(cap * 64) rng in
+  let page s = if s < 0 then None else Some (Bytes.sub (Cache.arena c) (s * 64) (Cache.page_length c s)) in
   {
-    find = (fun id -> match Cache.find c id with b -> Some b | exception Not_found -> None);
-    insert = Cache.insert c;
+    find = (fun id -> page (Cache.find c id));
+    peek = (fun id -> page (Cache.peek c id));
+    insert = insert c;
     patch = (fun ~addr b -> Cache.patch c ~addr b);
     clear = (fun () -> Cache.clear c);
     stats = (fun () -> (Cache.hits c, Cache.misses c, Cache.relinks c, Cache.length c));
-    bufs = Hashtbl.create 16;
   }
 
 let side_ref ~choose_set ~policy ~cap rng =
@@ -302,26 +329,22 @@ let side_ref ~choose_set ~policy ~cap rng =
   let c = Cache_ref.create ~choose_set ~policy ~page_size:64 ~capacity_bytes:(cap * 64) rng in
   {
     find = (fun id -> match Cache_ref.find c id with b -> Some b | exception Not_found -> None);
+    peek = Cache_ref.peek c;
     insert = Cache_ref.insert c;
     patch = (fun ~addr b -> Cache_ref.patch c ~addr b);
     clear = (fun () -> Cache_ref.clear c);
     stats =
       (fun () -> (Cache_ref.hits c, Cache_ref.misses c, Cache_ref.relinks c, Cache_ref.length c));
-    bufs = Hashtbl.create 16;
   }
 
-let held side =
-  Hashtbl.fold
-    (fun id b acc ->
-      let old = Bytes.get b 0 in
-      side.patch ~addr:(id * 64) (Bytes.make 1 (Char.chr (Char.code old lxor 0xff)));
-      let inside = Bytes.get b 0 <> old in
-      Bytes.set b 0 old;
-      if inside then id :: acc else acc)
-    side.bufs []
-  |> List.sort compare
+(* Every held page and its bytes, by id. *)
+let held ~ids side =
+  List.filter_map
+    (fun id -> Option.map (fun b -> (id, Bytes.to_string b)) (side.peek id))
+    (List.init (ids + 1) Fun.id)
 
 let prop_cache_matches_reference =
+  let ids = 60 in
   QCheck.Test.make ~count:300 ~name:"cache matches the reference cache under every policy"
     (QCheck.make
        ~print:QCheck.Print.(quad string int int (list print_ref_op))
@@ -329,7 +352,7 @@ let prop_cache_matches_reference =
          quad
            (oneofl [ "LRU"; "RR"; "Hybrid" ])
            (int_range 1 24) (oneofl [ 1; 2; 8; 32 ])
-           (list_size (1 -- 300) (ref_op_gen ~ids:60))))
+           (list_size (1 -- 300) (ref_op_gen ~ids))))
     (fun (policy, cap, choose_set, ops) ->
       let policy =
         List.find (fun p -> Cache.policy_name p = policy) [ Cache.Lru; Cache.Rr; Cache.Hybrid ]
@@ -340,7 +363,7 @@ let prop_cache_matches_reference =
       let evicted_a = ref [] and evicted_r = ref [] in
       List.iteri
         (fun step op ->
-          let before_a = held a and before_r = held r in
+          let before_a = held ~ids a and before_r = held ~ids r in
           (match op with
           | R_find id -> (
               match (a.find id, r.find id) with
@@ -348,12 +371,9 @@ let prop_cache_matches_reference =
               | None, None -> ()
               | _ -> fail "step %d: find %d differs" step id)
           | R_insert (id, n) ->
-              let page = Bytes.init n (fun i -> Char.chr ((id + i) land 0xff)) in
-              let pa = Bytes.copy page and pr = Bytes.copy page in
-              Hashtbl.replace a.bufs id pa;
-              Hashtbl.replace r.bufs id pr;
-              a.insert id pa;
-              r.insert id pr
+              let page = Bytes.init n (fun i -> Char.chr ((id + i + step) land 0xff)) in
+              a.insert id (Bytes.copy page);
+              r.insert id (Bytes.copy page)
           | R_patch (addr, len) ->
               let v = Bytes.make len (Char.chr (step land 0xff)) in
               a.patch ~addr v;
@@ -361,11 +381,13 @@ let prop_cache_matches_reference =
           | R_clear ->
               a.clear ();
               r.clear ());
-          let after_a = held a and after_r = held r in
-          if after_a <> after_r then fail "step %d: held pages differ" step;
+          let after_a = held ~ids a and after_r = held ~ids r in
+          if after_a <> after_r then fail "step %d: held pages or their bytes differ" step;
           if a.stats () <> r.stats () then fail "step %d: counters differ" step;
           if op <> R_clear then begin
-            let gone before after = List.filter (fun id -> not (List.mem id after)) before in
+            let gone before after =
+              List.filter (fun (id, _) -> not (List.mem_assoc id after)) before |> List.map fst
+            in
             evicted_a := List.rev_append (gone before_a after_a) !evicted_a;
             evicted_r := List.rev_append (gone before_r after_r) !evicted_r
           end)
@@ -386,7 +408,7 @@ let test_no_allocation () =
   let t = mk ~choose_set:32 ~cap_pages:64 Cache.Hybrid in
   let pages = Array.init 256 (fun i -> page (Char.chr (Char.code 'a' + (i mod 26)))) in
   for id = 0 to 63 do
-    Cache.insert t id pages.(id)
+    insert t id pages.(id)
   done;
   let hits () =
     for _ = 1 to 10_000 do
@@ -397,12 +419,12 @@ let test_no_allocation () =
   in
   let inserts () =
     for i = 0 to 9_999 do
-      Cache.insert t (i land 255) pages.(i land 255)
+      insert t (i land 255) pages.(i land 255)
     done
   in
   let clears () =
     for i = 0 to 9_999 do
-      Cache.insert t i pages.(i land 255);
+      insert t i pages.(i land 255);
       Cache.clear t
     done
   in
@@ -422,7 +444,10 @@ let () =
           Alcotest.test_case "recency order preserved" `Quick test_mru_recency_still_correct;
         ] );
       ( "eviction",
-        [ Alcotest.test_case "hybrid oldest of sample" `Quick test_hybrid_evicts_oldest_of_sample ]
+        [
+          Alcotest.test_case "hybrid oldest of sample" `Quick test_hybrid_evicts_oldest_of_sample;
+          Alcotest.test_case "evicted slot takes new page" `Quick test_evicted_slot_takes_new_page;
+        ]
       );
       ( "patch",
         [

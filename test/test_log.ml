@@ -16,6 +16,7 @@ let as_pairs entries =
   List.map (fun { Log.Mem_entry.addr; value; _ } -> (addr, Bytes.to_string value)) entries
 
 let entry_list = Alcotest.(list (pair int string))
+let fail fmt = QCheck.Test.fail_reportf fmt
 
 let test_tx_roundtrip () =
   let t = tx [ entry 100 "abc"; entry 200 "defghij"; entry 64 "" ] in
@@ -260,6 +261,131 @@ let test_tx_golden_bytes () =
    ^ "65722d656e7472792d76616c7565c37edb49a2")
     (hex (Log.Tx.encode t))
 
+(* -- frames built at write time -------------------------------------------- *)
+
+(* Batches of writes through a logged front-end: runs under three
+   structures, values of 0-600 bytes written inside an operation (so
+   those longer than 12 bytes become op-log pointer entries) or between
+   operations (inline), and batches with operations but no write. Every
+   batch before the last is flushed and replayed, and the data area must
+   hold the writes in order; the back-end then crashes, so the last
+   flush's frames stay in the memory-log ring. Scanned back, they hold
+   exactly the writes of that batch, one frame per structure run (an
+   empty frame for a batch without writes), each carrying the last op
+   number, and every pointer entry names the operation that wrote it. *)
+type write = { wds : int; waddr : int; wvalue : string; wop : int64 option }
+
+let region_len = 8192
+
+let gen_batch ~min_ops =
+  QCheck.Gen.(
+    list_size (min_ops -- 6)
+      (pair (0 -- 2)
+         (list_size (0 -- 5)
+            (triple (0 -- 2) (frequency [ (3, 0 -- 12); (2, 13 -- 600) ]) (0 -- (region_len - 600))))))
+
+let print_batch =
+  QCheck.Print.(list (pair int (list (triple int int int))))
+
+let prop_client_frames_scan_back =
+  QCheck.Test.make ~count:100 ~name:"client batches scan back from the ring"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_batch) print_batch)
+       QCheck.Gen.(pair (list_size (0 -- 3) (gen_batch ~min_ops:0)) (gen_batch ~min_ops:1)))
+    (fun (batches, last) ->
+      let bk =
+        Backend.create ~name:"bk" ~max_sessions:2 ~memlog_cap:(1024 * 1024)
+          ~oplog_cap:(256 * 1024) ~slab_size:4096 ~capacity:(16 * 1024 * 1024)
+          Asym_sim.Latency.default
+      in
+      let fe =
+        Client.connect ~name:"fe" (Client.rcb ~batch_size:100_000 ()) bk
+          ~clock:(Asym_sim.Clock.create ~name:"fe" ())
+      in
+      let ds = Array.map (fun n -> (Client.register_ds fe n).Types.id) [| "a"; "b"; "c" |] in
+      let region = Client.malloc fe region_len in
+      let dev = Backend.device bk in
+      let image = Asym_nvm.Device.read dev ~addr:region ~len:region_len in
+      let stamp = ref 0 and last_op = ref 0L in
+      (* One batch: each element is an operation (its structure and its
+         writes); its writes at odd offsets land after it ends. *)
+      let run_batch ops =
+        List.concat_map
+          (fun (op_ds, writes) ->
+            let opnum = Client.op_begin fe ~ds:ds.(op_ds) ~optype:1 ~params:Bytes.empty in
+            last_op := opnum;
+            let inside, after = List.partition (fun (_, _, off) -> off land 1 = 0) writes in
+            let emit ~in_op (w_ds, len, off) =
+              incr stamp;
+              let value = String.init len (fun i -> Char.chr ((!stamp + i) land 0xff)) in
+              Client.write fe ~ds:ds.(w_ds) ~addr:(region + off) (Bytes.of_string value);
+              Bytes.blit_string value 0 image off len;
+              {
+                wds = ds.(w_ds);
+                waddr = region + off;
+                wvalue = value;
+                wop = (if in_op && len > 12 then Some opnum else None);
+              }
+            in
+            let w1 = List.map (emit ~in_op:true) inside in
+            Client.op_end fe ~ds:ds.(op_ds);
+            w1 @ List.map (emit ~in_op:false) after)
+          ops
+      in
+      List.iter
+        (fun b ->
+          ignore (run_batch b);
+          Client.flush fe;
+          if Asym_nvm.Device.read dev ~addr:region ~len:region_len <> image then
+            fail "replayed data area differs")
+        batches;
+      let written = run_batch last in
+      Backend.crash bk;
+      (match Client.flush fe with
+      | () -> fail "flush to a crashed back-end returned"
+      | exception Asym_rdma.Verbs.Failure_detected _ -> ());
+      let ring_base, cap = Backend.memlog_ring bk ~session:(Client.session fe) in
+      let ring = Asym_nvm.Device.read dev ~addr:ring_base ~len:cap in
+      (* Replay zeroed everything it consumed: the sealed batch is the only
+         data left, after the wrap marker if it wrapped. *)
+      let start =
+        let rec first i = if Bytes.get_uint8 ring i <> 0 then i else first (i + 1) in
+        let i = first 0 in
+        if Bytes.get_uint8 ring i = 0xFF then first (i + 1) else i
+      in
+      let rec scan pos acc =
+        match Log.Tx.scan ring ~pos with
+        | Log.Record (v, n) ->
+            if v.Log.Tx.op_hi <> !last_op then fail "op_hi %Ld, last op %Ld" v.Log.Tx.op_hi !last_op;
+            let entries = ref [] in
+            Log.Tx.iter_entries ring v (fun ~addr ~pos ~len ->
+                let from_op =
+                  if Bytes.get_uint8 ring (pos - 13) = 0x01 then None
+                  else if Bytes.get_uint8 ring (pos - 21) = 0x02 then
+                    Some (Bytes.get_int64_le ring (pos - 20))
+                  else fail "entry at %d has no flag" pos
+                in
+                entries :=
+                  { wds = v.Log.Tx.ds; waddr = addr; wvalue = Bytes.sub_string ring pos len; wop = from_op }
+                  :: !entries);
+            scan (pos + n) ((v.Log.Tx.ds, v.Log.Tx.count, List.rev !entries) :: acc)
+        | Log.Empty -> List.rev acc
+        | Log.Torn | Log.Wrap -> fail "torn frame at %d" pos
+      in
+      let frames = scan start [] in
+      let runs =
+        List.fold_left
+          (fun acc w ->
+            match acc with
+            | (d, n) :: rest when d = w.wds -> (d, n + 1) :: rest
+            | _ -> (w.wds, 1) :: acc)
+          [] written
+        |> List.rev
+      in
+      let runs = if runs = [] then [ (0, 0) ] else runs in
+      List.map (fun (d, n, _) -> (d, n)) frames = runs
+      && List.concat_map (fun (_, _, es) -> es) frames = written)
+
 (* -- the op-log walk --------------------------------------------------------- *)
 
 (* A ring written the way a front-end appends: records of varying size
@@ -386,6 +512,7 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_tx_golden_bytes;
           QCheck_alcotest.to_alcotest prop_tx_roundtrip;
           QCheck_alcotest.to_alcotest prop_tx_bitflip_never_parses_wrong;
+          QCheck_alcotest.to_alcotest prop_client_frames_scan_back;
         ] );
       ( "op",
         [

@@ -219,6 +219,30 @@ let prop_crc32_chains =
       = Crc32.digest ~init:(Crc32.digest_string a) b ~pos:0 ~len:(Bytes.length b)
       && Crc32.digest_bytes ab = reference_crc32 ab ~pos:0 ~len:(Bytes.length ab))
 
+(* The word-wise kernel against the bytewise table: slices of 0-4100
+   bytes (every [len mod 8] tail) at offsets 0-15, odd ones included,
+   over random bytes or bytes all >= 0x80 (the top bit of each 64-bit
+   load), from a random [init] and chained across a random cut. *)
+let prop_crc32_word_kernel =
+  QCheck.Test.make ~count:300 ~name:"word kernel = bytewise table, 0-4100 B"
+    (QCheck.make
+       ~print:QCheck.Print.(quad int int int bool)
+       QCheck.Gen.(quad (0 -- 4100) (0 -- 15) int bool))
+    (fun (len, pos, seed, high) ->
+      let r = Rng.create ~seed:(Int64.of_int seed) in
+      let b =
+        Bytes.init (pos + len + 3) (fun _ ->
+            Char.chr (Rng.int r 256 lor if high then 0x80 else 0))
+      in
+      let init = Int32.of_int (Rng.int r 0x3FFFFFFF * 4 + Rng.int r 4) in
+      let cut = Rng.int r (len + 1) in
+      let whole = reference_crc32 ~init b ~pos ~len in
+      Crc32.digest ~init b ~pos ~len = whole
+      && Crc32.digest
+           ~init:(Crc32.digest ~init b ~pos ~len:cut)
+           b ~pos:(pos + cut) ~len:(len - cut)
+         = whole)
+
 (* -- Codec ------------------------------------------------------------ *)
 
 let test_codec_roundtrip_fixed () =
@@ -421,6 +445,7 @@ let () =
           Alcotest.test_case "bytewise reference, 4 KiB buffers" `Quick
             test_crc32_matches_reference_4k;
           QCheck_alcotest.to_alcotest prop_crc32_chains;
+          QCheck_alcotest.to_alcotest prop_crc32_word_kernel;
         ] );
       ( "codec",
         [
