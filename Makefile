@@ -3,7 +3,7 @@
 # checked only when ocamlformat is installed (the CI container does not
 # ship it; .ocamlformat pins the version for environments that do).
 
-.PHONY: all build test fmt fmt-check check crashsweep gates faultsweep bench demo clean
+.PHONY: all build test fmt fmt-check check crashsweep gates faultsweep bench demo loc clean
 
 all: build
 
@@ -56,6 +56,28 @@ bench:
 
 demo:
 	dune exec bin/asymnvm.exe -- demo
+
+# Lines added, removed and net since revision BASE (default HEAD), from
+# `git diff --numstat` against the working tree, per area: lib/ .ml,
+# lib/ .mli, test/, bench/ and bin/. New files count once `git add`-ed.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- lib test bench bin | awk ' \
+	  $$1 == "-" { next } \
+	  $$3 ~ /^lib\/.*\.ml$$/ { g = "lib .ml" } \
+	  $$3 ~ /^lib\/.*\.mli$$/ { g = "lib .mli" } \
+	  $$3 ~ /^lib\// && $$3 !~ /\.mli?$$/ { next } \
+	  $$3 ~ /^test\// { g = "test" } \
+	  $$3 ~ /^bench\// { g = "bench" } \
+	  $$3 ~ /^bin\// { g = "bin" } \
+	  { add[g] += $$1; del[g] += $$2 } \
+	  END { \
+	    printf "%-14s %7s %7s %7s\n", "area", "added", "removed", "net"; \
+	    n = split("lib .ml,lib .mli,test,bench,bin", order, ","); \
+	    for (i = 1; i <= n; i++) { k = order[i]; \
+	      printf "%-14s %7d %7d %+7d\n", k, add[k], del[k], add[k] - del[k] } \
+	    a = add["lib .ml"] + add["lib .mli"]; d = del["lib .ml"] + del["lib .mli"]; \
+	    printf "%-14s %7d %7d %+7d\n", "lib total", a, d, a - d }'
 
 clean:
 	dune clean

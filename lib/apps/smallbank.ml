@@ -12,14 +12,6 @@ open Asym_structs
 
 type txn = Amalgamate | Balance | Deposit_checking | Send_payment | Transact_savings | Write_check
 
-let txn_name = function
-  | Amalgamate -> "amalgamate"
-  | Balance -> "balance"
-  | Deposit_checking -> "deposit_checking"
-  | Send_payment -> "send_payment"
-  | Transact_savings -> "transact_savings"
-  | Write_check -> "write_check"
-
 (* The standard SmallBank mix: 15/15/15/25/15/15. *)
 let default_mix =
   [

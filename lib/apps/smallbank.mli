@@ -10,8 +10,6 @@
 
 type txn = Amalgamate | Balance | Deposit_checking | Send_payment | Transact_savings | Write_check
 
-val txn_name : txn -> string
-
 val default_mix : (txn * int) list
 (** The standard 15/15/15/25/15/15 SmallBank mix (weights). *)
 

@@ -31,15 +31,6 @@ let default_mix =
     (Delete_call_forwarding, 2);
   ]
 
-let txn_name = function
-  | Get_subscriber_data -> "get_subscriber_data"
-  | Get_new_destination -> "get_new_destination"
-  | Get_access_data -> "get_access_data"
-  | Update_subscriber_data -> "update_subscriber_data"
-  | Update_location -> "update_location"
-  | Insert_call_forwarding -> "insert_call_forwarding"
-  | Delete_call_forwarding -> "delete_call_forwarding"
-
 module Make (S : Store.S) = struct
   module T = Pbptree.Make (S)
 

@@ -16,7 +16,6 @@ type txn =
   | Delete_call_forwarding  (** 2% *)
 
 val default_mix : (txn * int) list
-val txn_name : txn -> string
 
 module Make (S : Asym_core.Store.S) : sig
   module T : module type of Asym_structs.Pbptree.Make (S)

@@ -34,7 +34,6 @@ type t = {
   mutable remote_log_head : int;
   mutable pending_log_bytes : int;
   mutable ops_since_ship : int;
-  mutable n_ops : int;
   mutable lines_written : int;
 }
 
@@ -124,7 +123,6 @@ let create ?(name = "sym") ?(capacity = 64 * 1024 * 1024) ?(cfg = symmetric) lat
       remote_log_head = 0;
       pending_log_bytes = 0;
       ops_since_ship = 0;
-      n_ops = 0;
       lines_written = 0;
     }
   in
@@ -132,8 +130,6 @@ let create ?(name = "sym") ?(capacity = 64 * 1024 * 1024) ?(cfg = symmetric) lat
   t
 
 let clock t = t.clk
-let device t = t.dev
-let ops_executed t = t.n_ops
 
 let alloc_meta t len =
   let len = (len + 7) / 8 * 8 in
@@ -225,7 +221,6 @@ let op_end t ~ds =
   (* Commit fence for the in-place mutations. *)
   Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.clk t.lat.Latency.persist_fence_ns;
   Clock.advance t.clk t.lat.Latency.cpu_op_ns;
-  t.n_ops <- t.n_ops + 1;
   t.ops_since_ship <- t.ops_since_ship + 1;
   if t.ops_since_ship >= t.cfg.log_batch then begin
     ship_log t;

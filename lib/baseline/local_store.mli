@@ -26,6 +26,3 @@ val create :
   clock:Asym_sim.Clock.t -> t
 
 include Asym_core.Store.S with type t := t
-
-val device : t -> Asym_nvm.Device.t
-val ops_executed : t -> int

@@ -18,7 +18,6 @@ type t =
 let empty_map = Map []
 let empty_lifo = Lifo []
 let empty_fifo = Fifo []
-let kind = function Map _ -> `Map | Lifo _ | Fifo _ -> `Seq
 
 let rec put_sorted k v = function
   | [] -> [ (k, v) ]

@@ -14,16 +14,12 @@ type op =
   | Push of bytes
   | Pop
 
-val pp_op : Format.formatter -> op -> unit
-
 type t
 (** An immutable model state. *)
 
 val empty_map : t
 val empty_lifo : t
 val empty_fifo : t
-
-val kind : t -> [ `Map | `Seq ]
 
 val apply : t -> op -> t
 (** Raises [Invalid_argument] on an op of the wrong kind (map op on a

@@ -51,7 +51,6 @@ let cpu t = t.cpu_tl
 let latency t = t.lat
 let layout t = t.layout
 let mirrors t = t.mirror_list
-let is_crashed t = t.crashed
 let replayed_txs t = t.n_replayed_txs
 let replayed_entries t = t.n_replayed_entries
 let dup_replays_absorbed t = t.n_dup_replays
@@ -107,6 +106,32 @@ let get_session t sid =
 
 (* -- construction ------------------------------------------------------- *)
 
+(* A back-end with no open session and an empty ds registry over [dev],
+   whose [layout], naming space and allocator are already on the media. *)
+let make ~name dev lat layout ~naming ~alloc =
+  {
+    bname = name;
+    dev;
+    lat;
+    nic_tl = Timeline.create ~name:(name ^ ".nic") ();
+    cpu_tl = Timeline.create ~name:(name ^ ".cpu") ();
+    layout;
+    naming;
+    alloc;
+    meta_cursor = 0;
+    sessions = Array.make layout.Layout.max_sessions None;
+    ds_by_id = Hashtbl.create 16;
+    ds_by_name = Hashtbl.create 16;
+    mirror_list = [];
+    next_ds = 1;
+    crashed = false;
+    n_rpcs = 0;
+    n_replayed_txs = 0;
+    n_replayed_entries = 0;
+    n_dup_replays = 0;
+    scan_buf = Bytes.create 16_384;
+  }
+
 let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 1024)
     ?(oplog_cap = 2 * 1024 * 1024) ?(slab_size = 4096) ~capacity lat =
   let dev = Device.create ~name:(name ^ ".nvm") ~capacity lat in
@@ -119,28 +144,7 @@ let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 102
   for i = 0 to max_sessions - 1 do
     Device.zero dev ~addr:(Layout.session_slot layout ~session:i) ~len:Layout.session_slot_len
   done;
-  {
-    bname = name;
-    dev;
-    lat;
-    nic_tl = Timeline.create ~name:(name ^ ".nic") ();
-    cpu_tl = Timeline.create ~name:(name ^ ".cpu") ();
-    layout;
-    naming;
-    alloc;
-    meta_cursor = 0;
-    sessions = Array.make max_sessions None;
-    ds_by_id = Hashtbl.create 16;
-    ds_by_name = Hashtbl.create 16;
-    mirror_list = [];
-    next_ds = 1;
-    crashed = false;
-    n_rpcs = 0;
-    n_replayed_txs = 0;
-    n_replayed_entries = 0;
-    n_dup_replays = 0;
-    scan_buf = Bytes.create 16_384;
-  }
+  make ~name dev lat layout ~naming ~alloc
 
 let attach_mirror t m =
   if Device.capacity (Mirror.device m) <> Device.capacity t.dev then
@@ -375,28 +379,9 @@ let restart t =
 let of_device ?(name = "backend") dev lat =
   let layout = Layout.load dev in
   let t =
-    {
-      bname = name;
-      dev;
-      lat;
-      nic_tl = Timeline.create ~name:(name ^ ".nic") ();
-      cpu_tl = Timeline.create ~name:(name ^ ".cpu") ();
-      layout;
-      naming = Naming.load dev ~base:layout.Layout.naming_base ~len:layout.Layout.naming_len;
-      alloc = Backend_alloc.load dev layout;
-      meta_cursor = 0;
-      sessions = Array.make layout.Layout.max_sessions None;
-      ds_by_id = Hashtbl.create 16;
-      ds_by_name = Hashtbl.create 16;
-      mirror_list = [];
-      next_ds = 1;
-      crashed = false;
-      n_rpcs = 0;
-      n_replayed_txs = 0;
-      n_replayed_entries = 0;
-      n_dup_replays = 0;
-      scan_buf = Bytes.create 16_384;
-    }
+    make ~name dev lat layout
+      ~naming:(Naming.load dev ~base:layout.Layout.naming_base ~len:layout.Layout.naming_len)
+      ~alloc:(Backend_alloc.load dev layout)
   in
   ignore (restart t);
   t

@@ -44,8 +44,6 @@ val crash : ?torn_keep:int -> t -> unit
     write). Until {!restart}, every RPC and replay raises
     {!Asym_rdma.Verbs.Failure_detected}. *)
 
-val is_crashed : t -> bool
-
 type session_status = Session_consistent | Session_torn_tail
 
 val restart : t -> (Types.session_id * session_status) list

@@ -5,7 +5,6 @@ type t = {
   mutable used : int;
   mutable rover : int;  (* next-fit starting point *)
   mutable free_singles : int list;  (* fast path for 1-slab allocations *)
-  mutable last_persist : int;
 }
 
 let bit_get b i = Bytes.get_uint8 b (i / 8) land (1 lsl (i mod 8)) <> 0
@@ -19,14 +18,13 @@ let persist_bit t i =
   (* Persist the byte containing bit [i]. *)
   let off = i / 8 in
   Asym_nvm.Device.write t.dev ~addr:(t.layout.Layout.bitmap_base + off)
-    (Bytes.sub t.bitmap off 1);
-  t.last_persist <- 1
+    (Bytes.sub t.bitmap off 1)
 
 let create dev layout =
   let len = layout.Layout.bitmap_len in
   let bitmap = Bytes.make len '\000' in
   Asym_nvm.Device.write dev ~addr:layout.Layout.bitmap_base bitmap;
-  { dev; layout; bitmap; used = 0; rover = 0; free_singles = []; last_persist = len }
+  { dev; layout; bitmap; used = 0; rover = 0; free_singles = [] }
 
 let load dev layout =
   let bitmap =
@@ -36,12 +34,10 @@ let load dev layout =
   for i = 0 to layout.Layout.n_slabs - 1 do
     if bit_get bitmap i then incr used
   done;
-  { dev; layout; bitmap; used = !used; rover = 0; free_singles = []; last_persist = 0 }
+  { dev; layout; bitmap; used = !used; rover = 0; free_singles = [] }
 
-let slab_size t = t.layout.Layout.slab_size
 let total_slabs t = t.layout.Layout.n_slabs
 let used_slabs t = t.used
-let persisted_bytes_last_op t = t.last_persist
 
 let take_single t =
   let rec pop () =

@@ -14,8 +14,6 @@ val create : Asym_nvm.Device.t -> Layout.t -> t
 val load : Asym_nvm.Device.t -> Layout.t -> t
 (** Rebuild the free list from the persistent bitmap. *)
 
-val slab_size : t -> int
-
 val alloc : t -> slabs:int -> Types.addr option
 (** Allocate [slabs] contiguous slabs; [None] when no run fits. The
     bitmap update is persisted before returning. *)
@@ -26,7 +24,3 @@ val free : t -> addr:Types.addr -> slabs:int -> unit
 
 val used_slabs : t -> int
 val total_slabs : t -> int
-
-val persisted_bytes_last_op : t -> int
-(** Size of the bitmap region persisted by the most recent alloc/free
-    (used for replication cost accounting). *)

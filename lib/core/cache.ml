@@ -70,10 +70,6 @@ let hits t = t.hits
 let misses t = t.misses
 let relinks t = t.relinks
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 let lookup t id = Index.find t.index ~keys:t.ids id
 let peek = lookup
 

@@ -69,11 +69,9 @@ val clear : t -> unit
 
 val hits : t -> int
 val misses : t -> int
-(** {!find} successes/failures since creation (or {!reset_stats}). *)
+(** {!find} successes/failures since creation. *)
 
 val relinks : t -> int
 (** Recency-list moves performed by touches. A hit on the page that is
     already MRU must not relink (the fast path the recency list exists
     for), so repeated hits on one page leave this flat. *)
-
-val reset_stats : t -> unit

@@ -82,7 +82,6 @@ type t = {
   handles : (string, Types.handle) Hashtbl.t;
   mutable crashed : bool;
   mutable n_flushes : int;
-  mutable n_ops : int;
   mutable n_retries : int;
   mutable lock_wait_ns : Simtime.t;  (* virtual time spent acquiring writer locks *)
   retry_rng : Asym_util.Rng.t;  (* backoff jitter, seeded from the client name *)
@@ -91,13 +90,9 @@ type t = {
 }
 
 let clock t = t.clk
-let backend t = t.bk
 let session t = t.sid
 let config t = t.cfg
-let name t = t.cname
-let is_crashed t = t.crashed
 let flushes t = t.n_flushes
-let ops_executed t = t.n_ops
 let read_retries t = t.n_retries
 let lock_wait_ns t = t.lock_wait_ns
 let rdma_ops t = Verbs.ops_posted t.conn
@@ -180,11 +175,17 @@ let ping t =
 
 let rpc t req = Backend.rpc t.bk ~conn:t.conn ~session:(Some t.sid) req
 
+(* A response the request does not admit: [what] names the failed step. *)
+let bad_response name what r = Fmt.failwith "%s: %s %a" name what Rpc_msg.pp_response r
+let unexpected t r = bad_response t.cname "unexpected RPC response" r
+
+let rpc_unit t req = match rpc t req with Rpc_msg.R_unit -> () | other -> unexpected t other
+
 let rpc_addr t req =
   match rpc t req with
   | Rpc_msg.R_addr a -> a
   | Rpc_msg.R_error "out of NVM slabs" -> raise Front_alloc.Out_of_nvm
-  | other -> Fmt.failwith "%s: unexpected RPC response %a" t.cname Rpc_msg.pp_response other
+  | other -> unexpected t other
 
 (* Returning a slab to the back-end flips its persistent bitmap bit
    immediately — it is not covered by the memory-log transaction. A slab
@@ -196,27 +197,14 @@ let rpc_addr t req =
 let release_slabs t addr slabs =
   match t.cfg.mode with
   | `Logged -> t.pending_slab_frees <- (addr, slabs) :: t.pending_slab_frees
-  | `Direct -> (
-      match rpc t (Rpc_msg.Free { addr; slabs }) with
-      | Rpc_msg.R_unit -> ()
-      | other -> Fmt.failwith "%s: unexpected RPC response %a" t.cname Rpc_msg.pp_response other)
+  | `Direct -> rpc_unit t (Rpc_msg.Free { addr; slabs })
 
 let send_deferred_frees t =
   if t.pending_slab_frees <> [] then begin
     let singles, runs = List.partition (fun (_, n) -> n = 1) t.pending_slab_frees in
     t.pending_slab_frees <- [];
-    if singles <> [] then begin
-      match rpc t (Rpc_msg.Free_batch { addrs = List.map fst singles }) with
-      | Rpc_msg.R_unit -> ()
-      | other -> Fmt.failwith "%s: unexpected RPC response %a" t.cname Rpc_msg.pp_response other
-    end;
-    List.iter
-      (fun (addr, slabs) ->
-        match rpc t (Rpc_msg.Free { addr; slabs }) with
-        | Rpc_msg.R_unit -> ()
-        | other ->
-            Fmt.failwith "%s: unexpected RPC response %a" t.cname Rpc_msg.pp_response other)
-      runs
+    if singles <> [] then rpc_unit t (Rpc_msg.Free_batch { addrs = List.map fst singles });
+    List.iter (fun (addr, slabs) -> rpc_unit t (Rpc_msg.Free { addr; slabs })) runs
   end
 
 let make_falloc t =
@@ -286,7 +274,6 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       handles = Hashtbl.create 8;
       crashed = false;
       n_flushes = 0;
-      n_ops = 0;
       n_retries = 0;
       lock_wait_ns = 0;
       (* The name hash keeps jitter streams distinct per client while a
@@ -298,7 +285,7 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
   in
   (match Backend.rpc bk ~conn ~session:None (Rpc_msg.Open_session { client_name = name; reuse = None }) with
   | Rpc_msg.R_session sid -> t.sid <- sid
-  | other -> Fmt.failwith "%s: open_session failed: %a" name Rpc_msg.pp_response other);
+  | other -> bad_response name "open_session failed:" other);
   t.falloc <- make_falloc t;
   t
 
@@ -314,8 +301,7 @@ let register_ds t ds_name =
           let h = { Types.id = ds; root; lock; sn; ds_name } in
           Hashtbl.replace t.handles ds_name h;
           h
-      | other ->
-          Fmt.failwith "%s: register_ds failed: %a" t.cname Rpc_msg.pp_response other)
+      | other -> bad_response t.cname "register_ds failed:" other)
 
 let lookup_ds t ds_name =
   check_live t;
@@ -325,7 +311,7 @@ let lookup_ds t ds_name =
       match rpc t (Rpc_msg.Name_get { name = ds_name ^ "!ds" }) with
       | Rpc_msg.R_name None -> None
       | Rpc_msg.R_name (Some _) -> Some (register_ds t ds_name)
-      | other -> Fmt.failwith "%s: lookup_ds failed: %a" t.cname Rpc_msg.pp_response other)
+      | other -> bad_response t.cname "lookup_ds failed:" other)
 
 (* -- reads ----------------------------------------------------------------- *)
 
@@ -591,7 +577,6 @@ let op_end t ~ds =
   check_live t;
   Clock.advance t.clk t.lat.Latency.cpu_op_ns;
   t.cur_op <- None;
-  t.n_ops <- t.n_ops + 1;
   t.ops_since_flush <- t.ops_since_flush + 1;
   if Asym_obs.enabled () then begin
     let now = Clock.now t.clk in
@@ -747,7 +732,7 @@ let close t =
   flush t;
   (match rpc t Rpc_msg.Close_session with
   | Rpc_msg.R_unit -> ()
-  | other -> Fmt.failwith "%s: close_session failed: %a" t.cname Rpc_msg.pp_response other);
+  | other -> bad_response t.cname "close_session failed:" other);
   (* The crashed flag doubles as a use-after-close guard. *)
   t.crashed <- true
 
@@ -835,7 +820,7 @@ let recover ?backend t =
        (Rpc_msg.Open_session { client_name = t.cname; reuse = Some t.sid })
    with
   | Rpc_msg.R_session sid -> t.sid <- sid
-  | other -> Fmt.failwith "%s: session reopen failed: %a" t.cname Rpc_msg.pp_response other);
+  | other -> bad_response t.cname "session reopen failed:" other);
   let ops, held = read_cursors t in
   t.falloc <- make_falloc t;
   (* Release locks our previous incarnation still held (lock-ahead log). *)

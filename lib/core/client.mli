@@ -52,10 +52,8 @@ val persist_fence : t -> unit
     by anyone — observes it. (A plain [flush] already guarantees
     durability; the fence additionally waits out queued replay.) *)
 
-val backend : t -> Backend.t
 val session : t -> Types.session_id
 val config : t -> config
-val name : t -> string
 
 val connection : t -> Asym_rdma.Verbs.conn
 (** The underlying verb connection — how tests and the fault fuzzer
@@ -77,8 +75,6 @@ val close : t -> unit
 val crash : t -> unit
 (** Drop all volatile state: cache, overlay, buffered memory logs,
     allocator block lists, unflushed operation bookkeeping. *)
-
-val is_crashed : t -> bool
 
 val recover : ?backend:Backend.t -> t -> Log.Op_entry.t list
 (** The one way a front-end resumes after any §7.2 failure: its own crash
@@ -107,7 +103,6 @@ val rdma_bytes : t -> int
     accounting) — the paper's bytes-per-operation argument. *)
 
 val flushes : t -> int
-val ops_executed : t -> int
 
 val lock_wait_ns : t -> Asym_sim.Simtime.t
 (** Total virtual time spent acquiring writer locks (CAS probes and

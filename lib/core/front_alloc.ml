@@ -25,9 +25,7 @@ type t = {
   mutable empty_pool : Types.addr list;
   mutable empty_count : int;
   mutable n_alloc : int;
-  mutable n_free : int;
   mutable n_slab_rpc : int;
-  mutable n_leaked : int;
 }
 
 (* Slabs fetched per back-end RPC, and emptied slabs kept before the
@@ -51,9 +49,7 @@ let create ops =
     empty_pool = [];
     empty_count = 0;
     n_alloc = 0;
-    n_free = 0;
     n_slab_rpc = 0;
-    n_leaked = 0;
   }
 
 let class_index t size =
@@ -148,7 +144,6 @@ let release_slab t s =
   end
 
 let free t addr ~len =
-  t.n_free <- t.n_free + 1;
   match Hashtbl.find_opt t.large addr with
   | Some slabs ->
       Hashtbl.remove t.large addr;
@@ -164,8 +159,8 @@ let free t addr ~len =
       | None ->
           (* A block allocated by a pre-crash incarnation: only slab-level
              occupancy was recovered (§5.2), so the block leaks inside its
-             still-live slab. Bounded by design; counted for visibility. *)
-          t.n_leaked <- t.n_leaked + 1
+             still-live slab. Bounded by design. *)
+          ()
       | Some s ->
           let off = addr - base in
           if off mod s.cls <> 0 then invalid_arg "Front_alloc.free: misaligned block";
@@ -185,6 +180,4 @@ let free t addr ~len =
           end)
 
 let allocations t = t.n_alloc
-let frees t = t.n_free
 let slab_rpcs t = t.n_slab_rpc
-let leaked t = t.n_leaked

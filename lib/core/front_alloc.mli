@@ -32,13 +32,8 @@ val alloc : t -> int -> Types.addr
 val free : t -> Types.addr -> len:int -> unit
 (** Release an allocation made through {!alloc} with the same size.
     Freeing a block that belongs to a pre-crash incarnation's slab leaks
-    it (block-level free lists are volatile by design, §5.2); see
-    {!leaked}. *)
+    it (block-level free lists are volatile by design, §5.2). *)
 
 val allocations : t -> int
-val frees : t -> int
 val slab_rpcs : t -> int
 (** How many allocations had to fall through to the back-end RPC. *)
-
-val leaked : t -> int
-(** Blocks leaked because their slab's block map predates a crash. *)

@@ -28,7 +28,6 @@ let create ?(name = "mirror") ~kind ~capacity lat =
 let kind t = t.kind
 let name t = t.name
 let device t = t.dev
-let nic t = t.nic
 
 let media_cost t len =
   match t.kind with

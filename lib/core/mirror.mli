@@ -15,7 +15,6 @@ val create : ?name:string -> kind:kind -> capacity:int -> Asym_sim.Latency.t -> 
 val kind : t -> kind
 val name : t -> string
 val device : t -> Asym_nvm.Device.t
-val nic : t -> Asym_sim.Timeline.t
 
 val replicate :
   t -> from_nic:Asym_sim.Timeline.t -> at:Asym_sim.Simtime.t -> addr:int -> ?len:int -> bytes -> unit

@@ -56,7 +56,6 @@ let set t name kind addr =
   persist t
 
 let find t name = Hashtbl.find_opt t.table name
-let mem t name = Hashtbl.mem t.table name
 
 let remove t name =
   Hashtbl.remove t.table name;

@@ -19,7 +19,6 @@ val set : t -> string -> Types.name_kind -> Types.addr -> unit
 (** Insert or replace; persists immediately. *)
 
 val find : t -> string -> (Types.name_kind * Types.addr) option
-val mem : t -> string -> bool
 val remove : t -> string -> unit
 val to_list : t -> (string * Types.name_kind * Types.addr) list
 val persisted_len : t -> int

@@ -61,7 +61,7 @@ let add t ~addr value =
   while !i < len do
     let a = addr + !i in
     let off = a land (block_size - 1) in
-    let n = min (block_size - off) (len - !i) in
+    let n = Int.min (block_size - off) (len - !i) in
     let s = slot_for t (a lsr block_shift) in
     let base = s lsl block_shift in
     Bytes.blit value !i t.data (base + off) n;
@@ -88,8 +88,8 @@ let patch t ~addr buf =
       let s = lookup t id in
       if s >= 0 then begin
         let block_base = id lsl block_shift in
-        let lo = max addr block_base in
-        let hi = min (addr + len) (block_base + block_size) in
+        let lo = Int.max addr block_base in
+        let hi = Int.min (addr + len) (block_base + block_size) in
         let base = (s lsl block_shift) - block_base in
         if t.n_valid.(s) = block_size then Bytes.blit t.data (base + lo) buf (lo - addr) (hi - lo)
         else
@@ -122,7 +122,7 @@ let try_read t ~addr ~len =
     while !a < stop do
       let id = !a lsr block_shift in
       let block_base = id lsl block_shift in
-      let hi = min stop (block_base + block_size) in
+      let hi = Int.min stop (block_base + block_size) in
       let s = lookup t id in
       let base = (s lsl block_shift) - block_base in
       if s >= 0 && covers t s (base + !a) (base + hi) then begin

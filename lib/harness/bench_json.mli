@@ -6,19 +6,12 @@
     compares two such documents cell by cell for regression gating
     (bench/baseline.json is the committed quick-scale reference). *)
 
-val schema : string
-(** ["asymnvm-bench/1"]. *)
-
 type check = {
   experiment : string;
   cname : string;
   pass : bool;
   detail : string;  (** threshold applied, or the offending row *)
 }
-
-val cell_num : string -> float option
-(** Numeric value of a display cell: strips ["x"] / ["%"] suffixes;
-    [None] for dashes and labels. *)
 
 val checks_for : string -> Report.t -> check list
 (** Shape verdicts for one experiment's freshly produced report (table3 /

@@ -18,7 +18,6 @@ val run_cell :
   rig:Runner.rig -> cfg:Asym_core.Client.config -> preload:int -> ops:int ->
   Runner.ds_kind -> cell
 
-val attr_ns : cell -> Asym_obs.Attr.cause -> int
 val attr_total : cell -> int
 
 val table : cell list -> Report.t

@@ -14,15 +14,6 @@ type scale = {
 val quick : scale
 val full : scale
 
-val run_tatp_asym : ?cache_pct:float -> cfg:Asym_core.Client.config -> sc:scale -> unit -> float
-val run_tatp_sym : cfg:Asym_baseline.Local_store.config -> sc:scale -> unit -> float
-
-val run_bank_asym :
-  ?cache_pct:float -> ?cust_gen:(unit -> int64) -> cfg:Asym_core.Client.config -> sc:scale ->
-  unit -> float
-
-val run_bank_sym : cfg:Asym_baseline.Local_store.config -> sc:scale -> unit -> float
-
 val table1 : scale -> Report.t
 (** RDMA wire cost per operation: KOPS, verbs/op and payload bytes/op for
     every asymmetric cell of the Table-3 matrix, from the NIC counters

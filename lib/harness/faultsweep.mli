@@ -16,12 +16,6 @@ type cell = {
   bad_reads : int;  (** read-back mismatches — any nonzero is a failure *)
 }
 
-val drops : float list
-(** The swept drop rates: 0 (faults off) through 0.1. *)
-
-val run_cell :
-  preload:int -> ops:int -> drop:float -> cfg:Asym_core.Client.config -> Runner.ds_kind -> cell
-
 val default_cells : ?preload:int -> ?ops:int -> unit -> cell list
 (** B+-tree puts under RCB and Naive, one cell per drop rate. *)
 

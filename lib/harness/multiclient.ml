@@ -178,7 +178,7 @@ let fig10_point ~kind ~backends ~preload ~ops =
   let keys = Array.init preload (fun i -> Int64.of_int (4 * i)) in
   Asym_util.Rng.shuffle (Asym_util.Rng.create ~seed:4321L) keys;
   Array.iter (fun k -> (route k).Runner.put k (Runner.value_of k)) keys;
-  Asym_structs.Multi_backend.iter_parts mb (fun _ inst -> inst.Runner.cleanup ());
+  Asym_structs.Multi_backend.iter_parts mb (fun inst -> inst.Runner.cleanup ());
   let rng = Asym_util.Rng.create ~seed:61L in
   let kops, _, _ =
     Runner.measure ~clock ~ops (fun _ ->

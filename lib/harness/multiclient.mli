@@ -34,11 +34,6 @@ val fig11 : preload:int -> ops:int -> Report.t
 (** Front-end vs back-end CPU utilization over windows of a 10% put / 90%
     get BST run. *)
 
-val lock_bench_point :
-  write_ratio:float -> readers:int -> duration:Asym_sim.Simtime.t -> float * float * float * float
-(** [(reader_avg, readers_total, writer, fail_ratio)] of the §6.3
-    ping-point test: 6 readers and 1 writer on a single 64-byte object. *)
-
 val lock_bench : duration:Asym_sim.Simtime.t -> Report.t
 
 type contention_point = {

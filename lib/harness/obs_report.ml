@@ -89,7 +89,7 @@ let counter_series name json =
   | _ -> []
 
 let count_series json =
-  [ "counters"; "gauges"; "histograms" ]
+  [ "counters"; "histograms" ]
   |> List.fold_left
        (fun acc k ->
          match Obs.Json.member k json with

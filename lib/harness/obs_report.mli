@@ -23,9 +23,6 @@ val phase : string -> (unit -> 'a) -> 'a
 val phase_snapshots : unit -> (string * Asym_obs.Json.t) list
 (** Snapshots collected by {!phase}, oldest first. *)
 
-val counter_total : string -> Asym_obs.Json.t -> int
-(** Sum of one counter's points (across labels) in a phase snapshot. *)
-
 val counter_series : string -> Asym_obs.Json.t -> ((string * string) list * int) list
 (** All (labels, value) points of one counter in a phase snapshot. *)
 

@@ -254,15 +254,14 @@ let preloaded rig ~kind ~preload ~value_size ~cache_pct cfg =
 (* One Table-3-style cell on the AsymNVM architecture: preload, warm the
    measurement client's cache and adaptive level threshold, measure. *)
 let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_ratio = 1.0)
-    ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ?warmup ~rig ~cfg ~kind ~preload ~ops
-    () =
+    ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ~rig ~cfg ~kind ~preload ~ops () =
   let c = preloaded rig ~kind ~preload ~value_size ~cache_pct cfg in
   let inst = client_instance ~shared kind c ~name:(ds_name kind) in
   let op =
     mix_op ~fifo:(is_fifo kind) ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) inst
   in
-  let warmup = match warmup with Some w -> w | None -> max 256 (ops / 2) in
-  ignore (measure ~clock:(Client.clock c) ~ops:warmup (op ~seed:(Int64.add seed 1L)));
+  ignore
+    (measure ~clock:(Client.clock c) ~ops:(max 256 (ops / 2)) (op ~seed:(Int64.add seed 1L)));
   measured c ~phase:(ds_name kind ^ "." ^ Client.config_name cfg) ~ops (op ~seed)
 
 (* A Figure-13 style run: the synthetic industry trace (power-law keys,

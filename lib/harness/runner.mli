@@ -48,9 +48,6 @@ val client_instance :
 (** Attach through {!Asym_structs.Catalog.Make} over the front-end, with
     {!ds_opts} and a 16384-bucket hash table. *)
 
-val local_instance : ds_kind -> Asym_baseline.Local_store.t -> name:string -> instance
-(** The same on the symmetric baseline. *)
-
 (** {2 Rigs} *)
 
 type rig = { bk : Asym_core.Backend.t; lat : Asym_sim.Latency.t }
@@ -67,7 +64,6 @@ val fifo_rcb : unit -> Asym_core.Client.config
 (** RCB with an unsignaled operation-log append: the configuration the
     queue/stack cells use. *)
 
-val used_bytes : rig -> int
 val with_cache_pct : rig -> Asym_core.Client.config -> float -> Asym_core.Client.config
 (** Size the front-end cache as a fraction of the NVM actually in use
     (Table 3 uses 10%). *)
@@ -130,7 +126,7 @@ val race :
 
 val run_asym :
   ?shared:bool -> ?value_size:int -> ?cache_pct:float -> ?put_ratio:float ->
-  ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 -> ?warmup:int -> rig:rig ->
+  ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 -> rig:rig ->
   cfg:Asym_core.Client.config -> kind:ds_kind -> preload:int -> ops:int -> unit -> result
 (** One Table-3-style cell on the AsymNVM architecture: preload through a
     throwaway client, warm the measurement client, measure. *)

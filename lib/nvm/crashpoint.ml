@@ -19,7 +19,6 @@ let reset () =
 
 let set_census () = mode := Census
 let arm n = mode := Armed n
-let active () = !mode <> Off
 let boundaries () = !counter
 
 let site_counts () =

@@ -32,7 +32,6 @@ val set_census : unit -> unit
 val arm : int -> unit
 (** [arm n] raises {!Crash_injected} at the [n]-th boundary (1-based). *)
 
-val active : unit -> bool
 val boundaries : unit -> int
 (** Boundaries counted since the last {!reset}. *)
 

@@ -49,7 +49,6 @@ let create ?(name = "nvm") ~capacity lat =
 
 let name t = t.name
 let capacity t = t.capacity
-let latency t = t.lat
 
 let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.capacity then
@@ -92,7 +91,7 @@ let blit_out t ~addr dst ~pos ~len =
   let addr = ref addr and pos = ref pos and len = ref len in
   while !len > 0 do
     let off = !addr land page_mask in
-    let n = min !len (page_size - off) in
+    let n = Int.min !len (page_size - off) in
     Bytes.blit t.pages.(!addr lsr page_bits) off dst !pos n;
     addr := !addr + n;
     pos := !pos + n;
@@ -105,7 +104,7 @@ let blit_in t ~addr src ~pos ~len =
   let addr = ref addr and pos = ref pos and len = ref len in
   while !len > 0 do
     let i = !addr lsr page_bits and off = !addr land page_mask in
-    let n = min !len (page_size - off) in
+    let n = Int.min !len (page_size - off) in
     if not (t.pages.(i) == zero_page && is_zero src ~pos:!pos ~len:n) then
       Bytes.blit src !pos (writable t i) off n;
     addr := !addr + n;
@@ -117,7 +116,7 @@ let fill_zero t ~addr ~len =
   let addr = ref addr and len = ref len in
   while !len > 0 do
     let i = !addr lsr page_bits and off = !addr land page_mask in
-    let n = min !len (page_size - off) in
+    let n = Int.min !len (page_size - off) in
     if t.pages.(i) == zero_page then ()
     else if n = page_size && Bytes.get t.owned i = '\000' then t.pages.(i) <- zero_page
     else Bytes.fill (writable t i) off n '\000';
@@ -148,7 +147,8 @@ let set_word t addr v =
 (* -- counted operations ------------------------------------------------- *)
 
 let save_pre t ~addr ~len =
-  if Bytes.length t.pre < len then t.pre <- Bytes.create (max len (2 * Bytes.length t.pre));
+  if Bytes.length t.pre < len then
+    t.pre <- Bytes.create (Int.max len (2 * Bytes.length t.pre));
   blit_out t ~addr t.pre ~pos:0 ~len;
   t.last_addr <- addr;
   t.last_len <- len
@@ -229,7 +229,7 @@ let write_cost t ~len = Latency.nvm_write_cost t.lat len
 let tear_last_write t ~keep =
   if t.last_len >= 0 then begin
     let len = t.last_len in
-    let keep = max 0 (min keep len) in
+    let keep = Int.max 0 (Int.min keep len) in
     (* Revert the suffix past [keep] to the pre-image. *)
     blit_in t ~addr:(t.last_addr + keep) t.pre ~pos:keep ~len:(len - keep);
     t.last_len <- -1;
@@ -258,9 +258,3 @@ let snapshot t =
   let b = Bytes.create t.capacity in
   blit_out t ~addr:0 b ~pos:0 ~len:t.capacity;
   b
-
-let load t b =
-  if Bytes.length b <> t.capacity then invalid_arg "Nvm.Device.load: capacity mismatch";
-  Array.fill t.pages 0 (Array.length t.pages) zero_page;
-  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
-  blit_in t ~addr:0 b ~pos:0 ~len:t.capacity

@@ -28,7 +28,6 @@ type addr = int
 val create : ?name:string -> capacity:int -> Asym_sim.Latency.t -> t
 val name : t -> string
 val capacity : t -> int
-val latency : t -> Asym_sim.Latency.t
 
 val page_size : int
 
@@ -83,10 +82,7 @@ val resident_pages : t -> int
 val copy_from : t -> src:t -> unit
 (** Make [t]'s contents equal to [src]'s (same capacity) by sharing its
     pages; either side copies a page the first time it writes it. Touches
-    no counter and no tear bookkeeping, like {!load}. *)
+    no counter and no tear bookkeeping. *)
 
 val snapshot : t -> bytes
 (** Copy of the full media contents (a capacity-sized buffer, for tests). *)
-
-val load : t -> bytes -> unit
-(** Overwrite media contents from a snapshot of the same capacity. *)

@@ -69,11 +69,8 @@ let of_name = function
   | "local_compute" -> Some Local_compute
   | _ -> None
 
+(* The global sink: every clock's charges since the last [reset]. *)
 let sink = Array.make ncauses 0
-
-let charge cause d = if Gate.enabled () && d > 0 then
-    let i = index cause in
-    sink.(i) <- sink.(i) + d
 
 let get cause = sink.(index cause)
 let total () = Array.fold_left ( + ) 0 sink
@@ -81,44 +78,11 @@ let reset () = Array.fill sink 0 ncauses 0
 
 type snapshot = int array
 
-let snapshot () = Array.copy sink
-
-let since snap =
-  List.map
-    (fun c ->
-      let i = index c in
-      let before = if Array.length snap = ncauses then snap.(i) else 0 in
-      (c, sink.(i) - before))
-    all
-
-(* Re-classify everything charged since [snap] as [cause]: the retry path
-   uses this so a failed optimistic read section counts as Read_retry
-   rather than as the RDMA reads it re-issued. Total charged ns is
-   preserved, so conservation still holds. *)
-let reattribute ~since:snap cause =
-  if Gate.enabled () then begin
-    let moved = ref 0 in
-    List.iter
-      (fun c ->
-        if c <> cause then begin
-          let i = index c in
-          let before = if Array.length snap = ncauses then snap.(i) else 0 in
-          let d = sink.(i) - before in
-          if d > 0 then begin
-            sink.(i) <- sink.(i) - d;
-            moved := !moved + d
-          end
-        end)
-      all;
-    let i = index cause in
-    sink.(i) <- sink.(i) + !moved
-  end
-
 (* -- per-clock local sinks --------------------------------------------------
 
-   Under the verb-granular co-simulation several clocks charge into the
-   global sink interleaved, so a window delta over the global sink would
-   absorb other clients' causes. Each clock therefore owns a local sink;
+   Under the verb-granular co-simulation several clocks charge
+   interleaved, so a window delta over the global sink would absorb
+   other clients' causes. Each clock therefore owns a local sink;
    [local_charge] updates both, keeping the invariant that the global
    sink is the sum of all local sinks (conservation still holds
    globally), while windowed queries ([local_since]/[local_reattribute])
@@ -146,28 +110,28 @@ let local_since l snap =
       (c, l.(i) - before))
     all
 
-(* Like {!reattribute}, but over one clock's local window — the same
-   deltas are mirrored into the global sink so it stays the sum of the
-   locals. *)
+(* Re-classify everything one clock charged since [snap] as [cause]: the
+   retry path uses this so a failed optimistic read section counts as
+   Read_retry rather than as the RDMA reads it re-issued. Total charged
+   ns is preserved, and the same deltas are mirrored into the global
+   sink so it stays the sum of the locals. *)
 let local_reattribute l ~since:snap cause =
   if Gate.enabled () then begin
-    let moved = ref 0 in
-    List.iter
-      (fun c ->
-        if c <> cause then begin
-          let i = index c in
-          let before = if Array.length snap = ncauses then snap.(i) else 0 in
-          let d = l.(i) - before in
-          if d > 0 then begin
+    let moved =
+      List.fold_left
+        (fun moved (c, d) ->
+          if c = cause || d <= 0 then moved
+          else begin
+            let i = index c in
             l.(i) <- l.(i) - d;
             sink.(i) <- sink.(i) - d;
-            moved := !moved + d
-          end
-        end)
-      all;
+            moved + d
+          end)
+        0 (local_since l snap)
+    in
     let i = index cause in
-    l.(i) <- l.(i) + !moved;
-    sink.(i) <- sink.(i) + !moved
+    l.(i) <- l.(i) + moved;
+    sink.(i) <- sink.(i) + moved
   end
 
 let breakdown () =
@@ -181,6 +145,3 @@ let flush_to_registry () =
     (fun (c, v) -> Registry.add ~labels:[ ("cause", name c) ] "attr.ns" v)
     (breakdown ());
   reset ()
-
-let to_json () =
-  Json.Obj (List.map (fun c -> (name c, Json.Int (get c))) all)

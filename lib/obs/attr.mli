@@ -1,10 +1,13 @@
 (** Latency attribution: a cause tag for every virtual nanosecond.
 
-    [Sim.Clock] charges each forward movement of a clock into a global
-    per-cause sink ({!charge} is called from [advance]/[wait_until], so
-    the per-cause sums equal elapsed virtual time by construction — the
-    conservation property the test suite asserts). Charging is a no-op
-    while the observability gate is off. *)
+    Each [Sim.Clock] owns a local per-cause sink and charges every
+    forward movement of the clock into it ({!local_charge} is called
+    from [advance]/[wait_until], so a clock's per-cause sums equal its
+    elapsed virtual time by construction — the conservation property the
+    test suite asserts). The same charge lands in the global sink
+    ({!get}, {!total}), which {!reset} clears (the locals stay), so it is
+    the sum of what every clock charged since the last reset. Charging
+    is a no-op while the observability gate is off. *)
 
 type cause =
   | Rdma_rtt  (** fixed RDMA round-trip / atomic-verb latency *)
@@ -24,9 +27,6 @@ val all : cause list
 val name : cause -> string
 val of_name : string -> cause option
 
-val charge : cause -> int -> unit
-(** Add [d] ns to a cause (no-op when disabled or [d <= 0]). *)
-
 val get : cause -> int
 val total : unit -> int
 val breakdown : unit -> (cause * int) list
@@ -34,43 +34,35 @@ val breakdown : unit -> (cause * int) list
 
 val reset : unit -> unit
 
-type snapshot
-
-val snapshot : unit -> snapshot
-(** A copy of the sink, for windowed deltas ({!since}). *)
-
-val since : snapshot -> (cause * int) list
-(** Per-cause ns charged since the snapshot (all causes). *)
-
-val reattribute : since:snapshot -> cause -> unit
-(** Re-classify everything charged since the snapshot as [cause]
-    (total preserved) — how failed read-section attempts become
-    [Read_retry]. *)
-
 (** {2 Per-clock local sinks}
 
     Under the verb-granular co-simulation several clocks interleave
-    their charges, so windowed deltas over the global sink would absorb
-    other clients' causes. Each [Sim.Clock] owns a local sink;
-    {!local_charge} updates both it and the global sink (which therefore
-    remains the sum of all locals — global conservation is unchanged),
-    while the windowed queries below see one clock only. *)
+    their charges, so a window over the global sink would absorb other
+    clients' causes. Windows are therefore taken over one clock's local
+    sink; {!local_charge} and {!local_reattribute} update the global sink
+    by the same amounts, so it remains the sum of all locals. *)
 
 type local
+type snapshot
 
 val local_create : unit -> local
 val local_charge : local -> cause -> int -> unit
+(** Add [d] ns to a cause, locally and globally (no-op when disabled or
+    [d <= 0]). *)
+
 val local_total : local -> int
 
 val local_snapshot : local -> snapshot
+(** A copy of the local sink, for windowed deltas. *)
+
 val local_since : local -> snapshot -> (cause * int) list
+(** Per-cause ns the clock charged since the snapshot (all causes). *)
 
 val local_reattribute : local -> since:snapshot -> cause -> unit
-(** {!reattribute} over one clock's window; the same deltas are mirrored
-    into the global sink. *)
+(** Re-classify everything the clock charged since the snapshot as
+    [cause] (total preserved) — how failed read-section attempts become
+    [Read_retry]. The same deltas are mirrored into the global sink. *)
 
 val flush_to_registry : unit -> unit
 (** Move the sink into [attr.ns{cause=...}] registry counters and clear
     it (phase scoping). *)
-
-val to_json : unit -> Json.t

@@ -7,9 +7,6 @@
     are simulated nanoseconds rendered in the format's microsecond unit
     (fractional [ts] is allowed by the spec). *)
 
-val to_json : unit -> Json.t
-(** Export the current contents of {!Span.events}. *)
-
 val to_string : unit -> string
 
 val write_file : string -> unit

@@ -64,20 +64,6 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
-let rec pp fmt = function
-  | List (_ :: _ as xs) ->
-      Format.fprintf fmt "[@[<v 1>";
-      List.iteri (fun i x -> Format.fprintf fmt "%s@,%a" (if i > 0 then "," else "") pp x) xs;
-      Format.fprintf fmt "@]@,]"
-  | Obj (_ :: _ as kvs) ->
-      Format.fprintf fmt "{@[<v 1>";
-      List.iteri
-        (fun i (k, v) ->
-          Format.fprintf fmt "%s@,%S: %a" (if i > 0 then "," else "") k pp v)
-        kvs;
-      Format.fprintf fmt "@]@,}"
-  | other -> Format.pp_print_string fmt (to_string other)
-
 (* -- parse ------------------------------------------------------------- *)
 
 type cursor = { src : string; mutable pos : int }

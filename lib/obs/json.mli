@@ -20,9 +20,6 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 
-val pp : Format.formatter -> t -> unit
-(** Indented rendering for human consumption. *)
-
 val parse : string -> t
 (** Raises {!Parse_error} on malformed input. Numbers with a fraction or
     exponent parse as [Float], others as [Int]. *)

@@ -5,15 +5,10 @@ type labels = (string * string) list
 (* Canonical series key: name plus sorted labels. *)
 type key = { kname : string; klabels : labels }
 
-type metric =
-  | Counter of int ref
-  | Gauge of float ref
-  | Histogram of Stats.Histogram.t
+type metric = Counter of int ref | Histogram of Stats.Histogram.t
 
-type t = { metrics : (key, metric) Hashtbl.t }
-
-let create () = { metrics = Hashtbl.create 64 }
-let default = create ()
+(* The process-wide registry every instrumentation site records into. *)
+let metrics : (key, metric) Hashtbl.t = Hashtbl.create 64
 
 let key name labels =
   { kname = name; klabels = List.sort compare labels }
@@ -24,93 +19,73 @@ let latency_buckets = Array.init 40 (fun i -> Float.of_int (1 lsl i))
 let kind_err name got want =
   invalid_arg (Printf.sprintf "Obs.Registry: %s is a %s, used as a %s" name got want)
 
-let find_or_add r k make =
-  match Hashtbl.find_opt r.metrics k with
+let find_or_add k make =
+  match Hashtbl.find_opt metrics k with
   | Some m -> m
   | None ->
       let m = make () in
-      Hashtbl.replace r.metrics k m;
+      Hashtbl.replace metrics k m;
       m
 
-let add ?(r = default) ?(labels = []) name n =
+let add ?(labels = []) name n =
   if Gate.enabled () then begin
     if n < 0 then invalid_arg "Obs.Registry.add: counters are monotonic";
-    match find_or_add r (key name labels) (fun () -> Counter (ref 0)) with
+    match find_or_add (key name labels) (fun () -> Counter (ref 0)) with
     | Counter c -> c := !c + n
-    | Gauge _ -> kind_err name "gauge" "counter"
     | Histogram _ -> kind_err name "histogram" "counter"
   end
 
-let inc ?r ?labels name = add ?r ?labels name 1
+let inc ?labels name = add ?labels name 1
 
-let set_gauge ?(r = default) ?(labels = []) name v =
-  if Gate.enabled () then begin
-    match find_or_add r (key name labels) (fun () -> Gauge (ref v)) with
-    | Gauge g -> g := v
-    | Counter _ -> kind_err name "counter" "gauge"
-    | Histogram _ -> kind_err name "histogram" "gauge"
-  end
-
-let observe ?(r = default) ?(labels = []) name v =
+let observe ?(labels = []) name v =
   if Gate.enabled () then begin
     match
-      find_or_add r (key name labels) (fun () ->
+      find_or_add (key name labels) (fun () ->
           Histogram (Stats.Histogram.create ~buckets:latency_buckets))
     with
     | Histogram h -> Stats.Histogram.add h v
     | Counter _ -> kind_err name "counter" "histogram"
-    | Gauge _ -> kind_err name "gauge" "histogram"
   end
 
-let counter_value ?(r = default) ?(labels = []) name =
-  match Hashtbl.find_opt r.metrics (key name labels) with
+let counter_value ?(labels = []) name =
+  match Hashtbl.find_opt metrics (key name labels) with
   | Some (Counter c) -> !c
   | _ -> 0
 
-let gauge_value ?(r = default) ?(labels = []) name =
-  match Hashtbl.find_opt r.metrics (key name labels) with
-  | Some (Gauge g) -> Some !g
-  | _ -> None
-
-let histogram ?(r = default) ?(labels = []) name =
-  match Hashtbl.find_opt r.metrics (key name labels) with
+let histogram ?(labels = []) name =
+  match Hashtbl.find_opt metrics (key name labels) with
   | Some (Histogram h) -> Some h
   | _ -> None
 
-let fold_counters ?(r = default) f acc =
+let fold_counters f acc =
   Hashtbl.fold
     (fun k m acc -> match m with Counter c -> f k.kname k.klabels !c acc | _ -> acc)
-    r.metrics acc
+    metrics acc
 
-let reset ?(r = default) () = Hashtbl.reset r.metrics
+let reset () = Hashtbl.reset metrics
 
 (* -- snapshot ----------------------------------------------------------- *)
 
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
-let sorted_series r want =
+let sorted_series want =
   Hashtbl.fold
     (fun k m acc -> match want k m with Some j -> (k, j) :: acc | None -> acc)
-    r.metrics []
+    metrics []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-let to_json ?(r = default) () =
+let to_json () =
   let series k extra =
     Json.Obj ([ ("name", Json.String k.kname); ("labels", labels_json k.klabels) ] @ extra)
   in
   let counters =
-    sorted_series r (fun k -> function
+    sorted_series (fun k -> function
       | Counter c -> Some (series k [ ("value", Json.Int !c) ])
       | _ -> None)
   in
-  let gauges =
-    sorted_series r (fun k -> function
-      | Gauge g -> Some (series k [ ("value", Json.Float !g) ])
-      | _ -> None)
-  in
   let histograms =
-    sorted_series r (fun k -> function
+    sorted_series (fun k -> function
       | Histogram h ->
           let buckets =
             Stats.Histogram.counts h |> Array.to_list
@@ -131,9 +106,4 @@ let to_json ?(r = default) () =
                ])
       | _ -> None)
   in
-  Json.Obj
-    [
-      ("counters", Json.List counters);
-      ("gauges", Json.List gauges);
-      ("histograms", Json.List histograms);
-    ]
+  Json.Obj [ ("counters", Json.List counters); ("histograms", Json.List histograms) ]

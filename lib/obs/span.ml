@@ -47,13 +47,6 @@ let instant ?(cat = "event") ?(track = "events") ?ts name =
     let ts = match ts with Some t -> t | None -> ring.latest in
     record { name; cat; track; ts; kind = Instant; args = [] }
 
-let with_span ?cat ~track ~now name f =
-  if not (Gate.enabled ()) then f ()
-  else begin
-    let t0 = now () in
-    Fun.protect ~finally:(fun () -> complete ?cat ~track ~ts:t0 ~dur:(now () - t0) name) f
-  end
-
 let events () =
   let cap = Array.length ring.buf in
   let n = min ring.written cap in
@@ -61,4 +54,3 @@ let events () =
   List.init n (fun i -> ring.buf.((first + i) mod cap))
 
 let dropped () = max 0 (ring.written - Array.length ring.buf)
-let last_ts () = ring.latest

@@ -4,10 +4,9 @@
     Every event carries a [track] — the simulated resource it happened on
     (a client clock, a NIC timeline, the back-end CPU) — which the Chrome
     exporter maps to one thread lane each. Spans are "complete" events
-    (start + duration), so a crash that unwinds a span mid-flight still
-    leaves the buffer balanced: {!with_span} emits exactly one event per
-    entry, exception or not. Instant events mark point occurrences (crash
-    injected, torn write detected, mirror promoted).
+    (start + duration), recorded once their end is known. Instant events
+    mark point occurrences (crash injected, torn write detected, mirror
+    promoted).
 
     The ring drops the oldest events once {!set_capacity} is exceeded;
     {!dropped} reports how many. All recording is a no-op while the
@@ -44,13 +43,6 @@ val instant : ?cat:string -> ?track:string -> ?ts:int -> string -> unit
     seen — the right anchor for sites (e.g. the NVM device) that have no
     clock of their own. [track] defaults to ["events"]. *)
 
-val with_span :
-  ?cat:string -> track:string -> now:(unit -> int) -> string -> (unit -> 'a) -> 'a
-(** [with_span ~track ~now name f] runs [f], then records a complete span
-    from the entry timestamp to [now ()] — also when [f] raises, so
-    crash-injection paths keep the trace balanced. Nesting works the
-    obvious way: inner spans lie within their enclosing span. *)
-
 (** {2 Reading} *)
 
 val events : unit -> event list
@@ -58,6 +50,3 @@ val events : unit -> event list
 
 val dropped : unit -> int
 (** Events lost to the ring cap since the last {!reset}. *)
-
-val last_ts : unit -> int
-(** Latest simulated timestamp seen by the tracer. *)

@@ -40,8 +40,8 @@ let render_name name labels =
       ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
       ^ "}"
 
-let counters ?r ?(top = 15) () =
-  Registry.fold_counters ?r
+let counters ?(top = 15) () =
+  Registry.fold_counters
     (fun name labels value rows -> { cname = render_name name labels; value } :: rows)
     []
   |> List.sort (fun a b -> compare (b.value, b.cname) (a.value, a.cname))

@@ -18,7 +18,7 @@ type counter_row = { cname : string; value : int }
 (** [cname] is the series name with its labels rendered inline, e.g.
     ["rdma.verbs{op=write}"]. *)
 
-val counters : ?r:Registry.t -> ?top:int -> unit -> counter_row list
+val counters : ?top:int -> unit -> counter_row list
 (** Counters sorted by value, largest first. *)
 
 val format_ns : int -> string

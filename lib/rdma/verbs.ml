@@ -56,7 +56,6 @@ let connect ~client ~remote_nic ~remote_mem lat =
   }
 
 let client_clock t = t.client
-let remote_mem t = t.remote_mem
 
 let set_fault t f =
   t.fault <-
@@ -65,7 +64,6 @@ let set_fault t f =
     | Some f -> Some (f, Asym_util.Rng.create ~seed:f.Fault.seed));
   if f = None then t.grey <- []
 
-let has_fault t = t.fault <> None
 let verb_timeouts t = t.n_timeouts
 let injected_delays t = t.n_delays
 
@@ -73,6 +71,7 @@ let arm_grey t ~from_ ~until =
   if until <= from_ then invalid_arg "Verbs.arm_grey: empty window";
   t.grey <- (from_, until) :: t.grey
 
+(* Whether the connection's clock sits inside an armed grey window. *)
 let in_grey t =
   let now = Clock.now t.client in
   List.exists (fun (a, b) -> now >= a && now < b) t.grey
@@ -97,9 +96,7 @@ let fate t ~atomic =
       let now = Clock.now t.client in
       t.grey <- List.filter (fun (_, b) -> b > now) t.grey;
       let drop_p =
-        if List.exists (fun (a, b) -> now >= a && now < b) t.grey then
-          Float.max f.Fault.drop_p f.Fault.grey_drop_p
-        else f.Fault.drop_p
+        if in_grey t then Float.max f.Fault.drop_p f.Fault.grey_drop_p else f.Fault.drop_p
       in
       if Asym_util.Rng.float rng < drop_p then
         Lost
@@ -222,8 +219,6 @@ let write_unsignaled t ~addr b =
   Asym_nvm.Crashpoint.in_verb "rdma.write_unsignaled" @@ fun () ->
   let len = Bytes.length b in
   let service = Latency.rdma_payload_ns t.lat len in
-  let media = Asym_nvm.Device.write_cost t.remote_mem ~len in
-  ignore media;
   let at = Clock.now t.client in
   let dur = t.lat.Latency.rdma_post_ns + service in
   let start = Timeline.acquire t.remote_nic ~at ~dur in

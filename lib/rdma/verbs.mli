@@ -60,21 +60,15 @@ val connect :
   conn
 
 val client_clock : conn -> Asym_sim.Clock.t
-val remote_mem : conn -> Asym_nvm.Device.t
 
 val set_fault : conn -> Fault.t option -> unit
 (** Install (or clear, with [None]) the transient-fault model. Clearing
     also disarms any remaining grey windows. *)
 
-val has_fault : conn -> bool
-
 val arm_grey : conn -> from_:Asym_sim.Simtime.t -> until:Asym_sim.Simtime.t -> unit
 (** Arm a grey period: verbs posted in [\[from_, until)] of virtual time
     are lost with [grey_drop_p] instead of [drop_p]. Windows auto-expire
     as the clock passes them. No effect until a fault model is set. *)
-
-val in_grey : conn -> bool
-(** Whether the connection's clock currently sits inside a grey window. *)
 
 val verb_timeouts : conn -> int
 (** Verbs lost to fault injection (each raised {!Verb_timeout}). *)

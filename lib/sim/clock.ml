@@ -57,7 +57,3 @@ let busy t = t.busy
 let utilization t ~since ~busy_since =
   let elapsed = t.now - since in
   if elapsed <= 0 then 0.0 else float_of_int (t.busy - busy_since) /. float_of_int elapsed
-
-let reset t =
-  t.now <- 0;
-  t.busy <- 0

@@ -52,5 +52,3 @@ val set_limit : t -> Simtime.t -> unit
 val utilization : t -> since:Simtime.t -> busy_since:Simtime.t -> float
 (** Utilization over the window from [since] (with [busy_since] the busy
     counter sampled at that moment) to now. *)
-
-val reset : t -> unit

@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = int_of_float (x *. 1e9)

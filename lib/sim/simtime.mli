@@ -7,7 +7,6 @@
 type t = int
 
 val zero : t
-val ns : int -> t
 val us : int -> t
 val ms : int -> t
 val sec : float -> t

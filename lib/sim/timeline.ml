@@ -133,10 +133,3 @@ let acquire t ~at ~dur =
 let free_at t = t.free
 let busy_total t = t.busy
 let queued_total t = t.queued
-
-let reset t =
-  t.count <- 0;
-  t.horizon <- 0;
-  t.free <- 0;
-  t.busy <- 0;
-  t.queued <- 0

@@ -31,5 +31,3 @@ val queued_total : t -> Simtime.t
     requests on this resource. With observability on, the same split is
     published as [timeline.queue_ns] / [timeline.service_ns] counters
     labelled by resource name. *)
-
-val reset : t -> unit

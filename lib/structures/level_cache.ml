@@ -18,8 +18,6 @@ type t = {
 let create ?(initial = 6) ?(period = 64) ~max_depth () =
   { n = initial; max_depth; period; ops = 0; last_hits = 0; last_misses = 0 }
 
-let threshold t = t.n
-
 let hint t ~depth : [ `Hot | `Cold ] = if depth <= t.n then `Hot else `Cold
 
 (* [stats] are the cumulative (hits, misses) of the front-end cache. *)

@@ -8,7 +8,6 @@
 type t
 
 val create : ?initial:int -> ?period:int -> max_depth:int -> unit -> t
-val threshold : t -> int
 val hint : t -> depth:int -> [ `Hot | `Cold ]
 
 val note_op : t -> stats:int * int -> unit

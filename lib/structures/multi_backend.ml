@@ -11,35 +11,30 @@
 open Asym_core
 module Pmap = Partition.Make (Client)
 
-type 'ds t = {
-  clients : Client.t array;
-  parts : 'ds array;
-  name : string;
-}
+type 'ds t = { clients : Client.t array; parts : 'ds Pmap.t }
 
 let create ?(cfg = Client.rcb ()) ?(name = "mb") ~clock ~backends ~attach () =
   let backends = Array.of_list backends in
   let n = Array.length backends in
   if n = 0 then invalid_arg "Multi_backend.create: no back-ends";
   let clients =
-    Array.mapi
-      (fun _i bk ->
+    Array.map
+      (fun bk ->
         Client.connect ~name:(Printf.sprintf "%s->%s" name (Backend.name bk)) cfg bk ~clock)
       backends
   in
-  (* Persist (or read back) the partition count on back-end 0. *)
-  let p = Pmap.npartitions (Pmap.create clients.(0) ~name ~n ~attach:Fun.id) in
+  (* Persist (or read back) the partition count on back-end 0, and check
+     it before any partition is attached. *)
+  let ids = Pmap.create clients.(0) ~name ~n ~attach:Fun.id in
+  let p = Pmap.npartitions ids in
   if p > n then
     invalid_arg
       (Printf.sprintf "Multi_backend.create: map says %d partitions, only %d back-ends" p n);
-  let parts = Array.init p (fun i -> attach clients.(i) i) in
-  { clients; parts; name }
+  { clients; parts = Pmap.map (fun i -> attach clients.(i) i) ids }
 
-let npartitions t = Array.length t.parts
-let route t key = t.parts.(Partition.hash key (Array.length t.parts))
-let part t i = t.parts.(i)
-let client t i = t.clients.(i)
-let iter_parts t f = Array.iteri f t.parts
+let npartitions t = Pmap.npartitions t.parts
+let route t key = Pmap.route t.parts key
+let iter_parts t f = Pmap.iter_parts t.parts f
 
 let flush_all t = Array.iter Client.flush t.clients
 

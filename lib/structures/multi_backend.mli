@@ -23,9 +23,7 @@ val create :
 
 val npartitions : 'ds t -> int
 val route : 'ds t -> int64 -> 'ds
-val part : 'ds t -> int -> 'ds
-val client : 'ds t -> int -> Asym_core.Client.t
-val iter_parts : 'ds t -> (int -> 'ds -> unit) -> unit
+val iter_parts : 'ds t -> ('ds -> unit) -> unit
 
 val flush_all : 'ds t -> unit
 (** [rnvm_tx_write] on every connection. *)

@@ -38,4 +38,5 @@ module Make (S : Store.S) = struct
   let route t key = t.parts.(hash key (Array.length t.parts))
   let part t i = t.parts.(i)
   let iter_parts t f = Array.iter f t.parts
+  let map f t = { t with parts = Array.map f t.parts }
 end

@@ -23,4 +23,8 @@ module Make (S : Asym_core.Store.S) : sig
   val route : 'ds t -> int64 -> 'ds
   val part : 'ds t -> int -> 'ds
   val iter_parts : 'ds t -> ('ds -> unit) -> unit
+
+  val map : ('a -> 'b) -> 'a t -> 'b t
+  (** The same map over [f] of each partition, applied in index order
+      (no store call). *)
 end

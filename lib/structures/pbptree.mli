@@ -8,7 +8,6 @@
 
 val op_put : int
 val op_delete : int
-val op_vinsert : int
 
 val fanout : int
 val max_keys : int

@@ -9,7 +9,6 @@
 
 val op_put : int
 val op_delete : int
-val op_vinsert : int
 
 (** The 32-byte node, [[left][right][key][valptr]], shared with
     {!Pmvbst}: byte offsets of each 8-byte field. *)

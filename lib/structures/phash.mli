@@ -7,9 +7,6 @@
     no benefit to an O(1) structure, which is why the paper's Table 3 has
     no RCB column for it. *)
 
-val op_put : int
-val op_delete : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

@@ -8,9 +8,6 @@
     leaf would need in-place updates); in-order traversal goes through
     the tree. *)
 
-val op_put : int
-val op_delete : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

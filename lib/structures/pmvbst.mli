@@ -6,9 +6,6 @@
     and always see a complete version. Superseded nodes wait out the §6.2
     grace period in the lazy GC before their NVM is reclaimed. *)
 
-val op_put : int
-val op_delete : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

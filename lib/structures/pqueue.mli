@@ -5,9 +5,6 @@
     dequeues unlink at the head — both ends are the only hot data, so the
     paper's observation that queues need almost no cache applies. *)
 
-val op_enqueue : int
-val op_dequeue : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

@@ -8,12 +8,6 @@
     through the front-end cache (taller nodes are visited exponentially
     more often); level-0 reads bypass it. *)
 
-val op_put : int
-val op_delete : int
-
-val max_level : int
-(** Tower height bound (16, with p = 0.5 as in the paper's setup). *)
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

@@ -7,9 +7,6 @@
     is still buffered is served entirely from the write overlay — the
     paper's push/pop annulment optimization falls out of the log design. *)
 
-val op_push : int
-val op_pop : int
-
 module Make (S : Asym_core.Store.S) : sig
   type t
 

@@ -29,9 +29,6 @@ module Enc : sig
   val string : t -> string -> unit
   (** Length-prefixed (u32) string. *)
 
-  val raw_string : t -> string -> unit
-  (** String bytes with no length prefix. *)
-
   val to_bytes : t -> bytes
 end
 
@@ -56,18 +53,3 @@ module Dec : sig
 
   val skip : t -> int -> unit
 end
-
-(** Direct positional accessors over a [bytes] buffer. *)
-
-val get_u8 : bytes -> int -> int
-val set_u8 : bytes -> int -> int -> unit
-val get_u16 : bytes -> int -> int
-val set_u16 : bytes -> int -> int -> unit
-val get_u32 : bytes -> int -> int32
-val set_u32 : bytes -> int -> int32 -> unit
-val get_u64 : bytes -> int -> int64
-val set_u64 : bytes -> int -> int64 -> unit
-
-val u64_of_int : int -> int64
-val int_of_u64 : int64 -> int
-(** Raises [Invalid_argument] if the value does not fit in an OCaml [int]. *)

@@ -32,9 +32,6 @@ val float : t -> float
 
 val bool : t -> bool
 
-val bits30 : t -> int
-(** 30 uniform random bits as a non-negative [int]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -53,5 +53,3 @@ let next_scrambled t =
   let h = fnv1a_64 (Int64.of_int rank) in
   Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int t.n))
 
-let theta t = t.theta
-let cardinality t = t.n

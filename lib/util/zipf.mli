@@ -18,6 +18,3 @@ val next : t -> int
 val next_scrambled : t -> int
 (** Like {!next} but hashes the rank so hot items are scattered uniformly
     across the key space, as YCSB's [ScrambledZipfianGenerator] does. *)
-
-val theta : t -> float
-val cardinality : t -> int

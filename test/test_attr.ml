@@ -1,7 +1,7 @@
 (* Latency attribution: the conservation property (every virtual
    nanosecond carries exactly one cause tag, so per-cause sums equal
    elapsed virtual time — zero tolerance), the Timeline queue/service
-   split, and the Attr sink's windowing primitives. *)
+   split, and the per-clock windowing primitives. *)
 
 open Asym_obs
 open Asym_sim
@@ -22,13 +22,16 @@ let with_obs f () =
 let test_gate () =
   set_enabled false;
   reset ();
-  Attr.charge Attr.Rdma_rtt 100;
+  let l = Attr.local_create () in
+  Attr.local_charge l Attr.Rdma_rtt 100;
   check Alcotest.int "gate off: charge is a no-op" 0 (Attr.total ());
+  check Alcotest.int "gate off: local untouched" 0 (Attr.local_total l);
   set_enabled true;
-  Attr.charge Attr.Rdma_rtt 100;
-  Attr.charge Attr.Nvm_media 0;
-  Attr.charge Attr.Nvm_media (-5);
-  check Alcotest.int "non-positive charges ignored" 100 (Attr.total ());
+  Attr.local_charge l Attr.Rdma_rtt 100;
+  Attr.local_charge l Attr.Nvm_media 0;
+  Attr.local_charge l Attr.Nvm_media (-5);
+  check Alcotest.int "non-positive charges ignored" 100 (Attr.local_total l);
+  check Alcotest.int "global sink charged too" 100 (Attr.total ());
   check Alcotest.int "charged cause" 100 (Attr.get Attr.Rdma_rtt);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
@@ -43,26 +46,45 @@ let test_names_roundtrip () =
     Attr.all;
   check Alcotest.bool "unknown name" true (Attr.of_name "bogus" = None)
 
+(* Two clocks charge interleaved; a window over clock A sees only A's
+   charges, and re-classifying it moves only A's ns. *)
 let test_since_reattribute () =
-  Attr.charge Attr.Rdma_rtt 50;
-  let mark = Attr.snapshot () in
-  Attr.charge Attr.Rdma_rtt 20;
-  Attr.charge Attr.Lock_wait 30;
-  let delta = Attr.since mark in
-  check Alcotest.int "since covers all nine causes" (List.length Attr.all)
-    (List.length delta);
+  let a = Clock.create ~name:"a" () and b = Clock.create ~name:"b" () in
+  let la = Clock.attr a and lb = Clock.attr b in
+  let zero_a = Attr.local_snapshot la and zero_b = Attr.local_snapshot lb in
+  Clock.advance ~cause:Attr.Rdma_rtt a 50;
+  Clock.advance ~cause:Attr.Rdma_rtt b 40;
+  let mark = Attr.local_snapshot la in
+  Clock.advance ~cause:Attr.Rdma_rtt a 20;
+  Clock.advance ~cause:Attr.Nvm_media b 15;
+  Clock.advance ~cause:Attr.Lock_wait a 30;
+  Clock.advance ~cause:Attr.Rdma_rtt b 5;
+  let delta = Attr.local_since la mark in
+  check Alcotest.int "since covers every cause" (List.length Attr.all) (List.length delta);
   check Alcotest.int "rtt delta" 20 (List.assoc Attr.Rdma_rtt delta);
   check Alcotest.int "lock delta" 30 (List.assoc Attr.Lock_wait delta);
-  check Alcotest.int "untouched cause delta" 0 (List.assoc Attr.Nvm_media delta);
-  (* Re-classify the window: total preserved, window moved to one cause. *)
-  Attr.reattribute ~since:mark Attr.Read_retry;
-  check Alcotest.int "total preserved" 100 (Attr.total ());
-  check Alcotest.int "window now read_retry" 50 (Attr.get Attr.Read_retry);
-  check Alcotest.int "pre-window rtt kept" 50 (Attr.get Attr.Rdma_rtt)
+  check Alcotest.int "other clock's media not in the window" 0
+    (List.assoc Attr.Nvm_media delta);
+  let b_before = Attr.local_since lb zero_b in
+  (* Re-classify A's window: A's total preserved, its window moved to one
+     cause; B's sink untouched; the global sink still sums the locals. *)
+  Attr.local_reattribute la ~since:mark Attr.Read_retry;
+  let a_after = Attr.local_since la zero_a in
+  check Alcotest.int "A's total preserved" 100 (Attr.local_total la);
+  check Alcotest.int "window now read_retry" 50 (List.assoc Attr.Read_retry a_after);
+  check Alcotest.int "pre-window rtt kept" 50 (List.assoc Attr.Rdma_rtt a_after);
+  check Alcotest.int "window lock moved" 0 (List.assoc Attr.Lock_wait a_after);
+  let pairs = Alcotest.(list (pair string int)) in
+  let named = List.map (fun (c, v) -> (Attr.name c, v)) in
+  check pairs "B's sink unchanged" (named b_before) (named (Attr.local_since lb zero_b));
+  check pairs "global = sum of the locals"
+    (named (List.map2 (fun (c, x) (_, y) -> (c, x + y)) a_after b_before))
+    (named (List.map (fun c -> (c, Attr.get c)) Attr.all))
 
 let test_flush_to_registry () =
-  Attr.charge Attr.Nvm_media 7;
-  Attr.charge Attr.Local_compute 3;
+  let l = Attr.local_create () in
+  Attr.local_charge l Attr.Nvm_media 7;
+  Attr.local_charge l Attr.Local_compute 3;
   Attr.flush_to_registry ();
   check Alcotest.int "sink cleared" 0 (Attr.total ());
   check Alcotest.int "media counter" 7

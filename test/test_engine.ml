@@ -54,10 +54,10 @@ let test_deterministic_json () =
    surface too: identical per-cause global deltas across two runs. *)
 let test_deterministic_attribution () =
   let run () =
-    let mark = Attr.snapshot () in
+    let before = List.map Attr.get Attr.all in
     ignore
       (Multiclient.contention_point ~writers:2 ~preload:64 ~duration:(Simtime.ms 2));
-    List.map (fun (c, v) -> (Attr.name c, v)) (Attr.since mark)
+    List.map2 (fun c v -> (Attr.name c, Attr.get c - v)) Attr.all before
   in
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))

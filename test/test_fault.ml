@@ -74,14 +74,15 @@ let test_grey_window () =
   Verbs.set_fault conn (Some (Verbs.Fault.make ~drop_p:0. ~grey_drop_p:1.0 ~seed:3L ()));
   Verbs.write conn ~addr:0 (Bytes.of_string "ok");
   let now = Clock.now clk in
-  Verbs.arm_grey conn ~from_:now ~until:(now + Simtime.us 100);
-  check Alcotest.bool "inside window" true (Verbs.in_grey conn);
+  Verbs.arm_grey conn ~from_:(now + Simtime.us 50) ~until:(now + Simtime.us 150);
+  check Alcotest.string "delivered before the window" "ok"
+    (Bytes.to_string (Verbs.read conn ~addr:0 ~len:2));
+  Clock.wait_until clk (now + Simtime.us 50);
   (match Verbs.read conn ~addr:0 ~len:2 with
   | _ -> Alcotest.fail "grey window must lose the verb"
   | exception Verbs.Verb_timeout _ -> ());
   (* Timeouts advance the clock; once past the window verbs flow again. *)
   Clock.wait_until clk (now + Simtime.us 200);
-  check Alcotest.bool "window expired" false (Verbs.in_grey conn);
   check Alcotest.string "delivered after grey" "ok"
     (Bytes.to_string (Verbs.read conn ~addr:0 ~len:2))
 

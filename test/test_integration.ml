@@ -384,6 +384,28 @@ let test_multi_backend_partition_count_persisted () =
   let mb2 = Multi_backend.create ~name:"p" ~clock:clock2 ~backends ~attach () in
   check Alcotest.int "persisted count wins" 2 (Multi_backend.npartitions mb2)
 
+(* Re-opening with fewer back-ends than the persisted map's partitions
+   fails before any partition is attached. *)
+let test_multi_backend_too_few_backends () =
+  let backends = List.init 3 (fun i -> mk_small_backend (Printf.sprintf "fk%d" i)) in
+  let attached = ref 0 in
+  let attach c i =
+    incr attached;
+    Hash.attach ~nbuckets:16 c ~name:(Printf.sprintf "f.%d" i)
+  in
+  let mb =
+    Multi_backend.create ~name:"f" ~clock:(Clock.create ~name:"fe" ()) ~backends ~attach ()
+  in
+  check Alcotest.int "created with three" 3 (Multi_backend.npartitions mb);
+  attached := 0;
+  Alcotest.check_raises "two back-ends for a three-partition map"
+    (Invalid_argument "Multi_backend.create: map says 3 partitions, only 2 back-ends") (fun () ->
+      ignore
+        (Multi_backend.create ~name:"f" ~clock:(Clock.create ~name:"fe2" ())
+           ~backends:(List.filteri (fun i _ -> i < 2) backends)
+           ~attach ()));
+  check Alcotest.int "no partition attached" 0 !attached
+
 let test_multi_backend_crash_recover () =
   let backends = List.init 2 (fun i -> mk_small_backend (Printf.sprintf "rk%d" i)) in
   let clock = Clock.create ~name:"fe" () in
@@ -472,6 +494,7 @@ let () =
             test_multi_backend_partition_count_persisted;
           Alcotest.test_case "crash + recover all partitions" `Quick
             test_multi_backend_crash_recover;
+          Alcotest.test_case "too few back-ends" `Quick test_multi_backend_too_few_backends;
         ] );
       ( "stress",
         [

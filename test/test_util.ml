@@ -293,19 +293,11 @@ let prop_positional_accessors =
     QCheck.(pair int64 (int_bound 56))
     (fun (v, pos) ->
       let b = Bytes.make 64 '\000' in
-      Codec.set_u64 b pos v;
-      Codec.get_u64 b pos = v)
+      Codec.Enc.u64 (Codec.Enc.into b ~pos) v;
+      Codec.Dec.u64 (Codec.Dec.of_bytes ~pos b) = v
+      && Bytes.get_int64_le b pos = v)
 
 (* -- Stats ------------------------------------------------------------- *)
-
-let test_running_stats () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.Running.mean r);
-  check Alcotest.int "count" 4 (Stats.Running.count r);
-  check (Alcotest.float 1e-9) "min" 1.0 (Stats.Running.min r);
-  check (Alcotest.float 1e-9) "max" 4.0 (Stats.Running.max r);
-  check (Alcotest.float 1e-9) "variance" (5.0 /. 3.0) (Stats.Running.variance r)
 
 let test_percentile () =
   let a = Array.init 101 (fun i -> float_of_int i) in
@@ -458,7 +450,6 @@ let () =
       ("index", [ QCheck_alcotest.to_alcotest prop_slot_index_matches_model ]);
       ( "stats",
         [
-          Alcotest.test_case "running" `Quick test_running_stats;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
