@@ -1,21 +1,19 @@
-(* Benchmark harness entry point.
+(* Benchmark harness entry point: command-line glue over {!Suite.all}.
 
    One subcommand per table/figure of the paper's evaluation (plus the
    in-text studies), each printing paper-style rows computed from the
-   simulation's virtual time. `all` runs everything — the output compared
-   against the paper lives in EXPERIMENTS.md.
+   simulation's virtual time and its shape checks. `smoke` runs the CI
+   bench gate set; `all` (the default) runs every experiment, then the
+   Bechamel micro-benchmarks. The output compared against the paper lives
+   in EXPERIMENTS.md.
 
-   `--json FILE` additionally serializes every cell produced, plus
-   EXPERIMENTS.md's shape expectations as pass/fail verdicts, into one
-   asymnvm-bench/1 document (see DESIGN.md §6) — the input format of
-   `asymnvm bench-diff`, gated in CI against bench/baseline.json. *)
+   `--json FILE` additionally serializes every cell produced, plus the
+   shape checks' pass/fail verdicts, into one asymnvm-bench/1 document
+   (see DESIGN.md §6) — the input format of `asymnvm bench-diff`, gated in
+   CI against bench/baseline.json. *)
 
 open Cmdliner
 open Asym_harness
-
-let scale_of full = if full then Experiments.full else Experiments.quick
-let scale_name full = if full then "full" else "quick"
-let duration_of full = Asym_sim.Simtime.ms (if full then 80 else 25)
 
 let full_flag =
   let doc = "Run at full scale (paper-sized preloads and op counts); slower." in
@@ -28,140 +26,55 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-(* One experiment -> its printable reports plus machine verdicts. *)
-let run_exp name full : (string * Report.t) list * Bench_json.check list =
-  let sc = scale_of full in
-  let dur = duration_of full in
-  let simple r = ([ (name, r) ], Bench_json.checks_for name r) in
-  match name with
-  | "table1" -> simple (Experiments.table1 sc)
-  | "table2" -> simple (Experiments.table2 sc)
-  | "table3" -> simple (Experiments.table3 sc)
-  | "fig6" -> simple (Experiments.fig6 sc)
-  | "fig7" -> simple (Experiments.fig7 sc)
-  | "fig8" -> simple (Multiclient.fig8 ~preload:sc.Experiments.preload ~duration:dur)
-  | "fig9" -> simple (Multiclient.fig9 ~preload:(sc.Experiments.preload / 2) ~duration:dur)
-  | "fig10" ->
-      simple
-        (Multiclient.fig10 ~preload:(sc.Experiments.preload / 2) ~ops:(sc.Experiments.ops / 2))
-  | "fig11" ->
-      simple (Multiclient.fig11 ~preload:sc.Experiments.preload ~ops:(sc.Experiments.ops * 2))
-  | "fig12" -> simple (Experiments.fig12 sc)
-  | "fig13" -> simple (Experiments.fig13 sc)
-  | "cache_policy" -> simple (Experiments.cache_policy sc)
-  | "sensitivity" -> simple (Experiments.sensitivity sc)
-  | "latency" -> simple (Experiments.latency sc)
-  | "ycsb" -> simple (Experiments.ycsb sc)
-  | "lock_bench" -> simple (Multiclient.lock_bench ~duration:dur)
-  | "contention" ->
-      simple (Multiclient.contention ~preload:(sc.Experiments.preload / 2) ~duration:dur)
-  | "ablation" -> simple (Experiments.ablation sc)
-  | "breakdown" ->
-      let cells =
-        Breakdown.default_cells ~preload:sc.Experiments.preload ~ops:sc.Experiments.ops ()
-      in
-      ( [
-          ("breakdown", Breakdown.table cells);
-          ("breakdown_resources", Breakdown.resource_table cells);
-        ],
-        Breakdown.checks cells )
-  | "faultsweep" ->
-      let cells =
-        Faultsweep.default_cells ~preload:(sc.Experiments.preload / 2)
-          ~ops:(sc.Experiments.ops / 2) ()
-      in
-      ([ ("faultsweep", Faultsweep.table cells) ], Faultsweep.checks cells)
-  | "bechamel" ->
-      Bechamel_micro.run ();
-      ([], [])
-  | other ->
-      Fmt.epr "unknown experiment: %s@." other;
-      ([], [])
-
 let print_check (c : Bench_json.check) =
-  Fmt.pr "  check %s/%s: %s — %s@." c.Bench_json.experiment c.Bench_json.cname
-    (if c.Bench_json.pass then "PASS" else "FAIL")
-    c.Bench_json.detail
+  Fmt.pr "  check %s/%s: %s — %s@." c.experiment c.cname
+    (if c.pass then "PASS" else "FAIL")
+    c.detail
 
-let execute names full json =
+let execute entries full json =
+  let scale = if full then Suite.full else Suite.quick in
   let experiments, checks =
     List.fold_left
-      (fun (racc, cacc) name ->
-        let reports, checks = run_exp name full in
+      (fun (racc, cacc) (e : Suite.t) ->
+        let reports, checks = e.run scale in
         List.iter (fun (_, r) -> Report.print r) reports;
         List.iter print_check checks;
         (racc @ reports, cacc @ checks))
-      ([], []) names
+      ([], []) entries
   in
   match json with
   | None -> ()
   | Some path ->
-      Bench_json.write ~path
-        (Bench_json.doc ~scale:(scale_name full) ~experiments ~checks);
+      Bench_json.write ~path (Bench_json.doc ~scale:scale.label ~experiments ~checks);
       Fmt.pr "wrote %s (%d experiments, %d checks)@." path (List.length experiments)
         (List.length checks)
 
-let experiments =
-  [
-    "table1"; "table2"; "table3"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13";
-    "cache_policy"; "lock_bench"; "contention"; "ablation"; "sensitivity"; "latency"; "ycsb";
-    "breakdown"; "faultsweep";
-  ]
-
-(* The CI bench gate: the cheap experiments whose cells and shape
-   verdicts are committed as bench/baseline.json. *)
-let smoke_experiments = [ "table3"; "contention" ]
-
-let all_cmd =
-  let run full json =
-    execute experiments full json;
-    Bechamel_micro.run ()
-  in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment (and the Bechamel micro-benchmarks)")
-    Term.(const run $ full_flag $ json_arg)
-
-let sub cmd_name doc =
-  let runner full json = execute [ cmd_name ] full json in
-  Cmd.v (Cmd.info cmd_name ~doc) Term.(const runner $ full_flag $ json_arg)
-
-let cmds =
-  [
-    sub "table1" "Table 1: RDMA verbs and wire bytes per operation";
-    sub "table2" "Table 2: allocator comparison";
-    sub "table3" "Table 3: overall performance, all configurations";
-    sub "fig6" "Figure 6: throughput vs batch size";
-    sub "fig7" "Figure 7: throughput vs cache size";
-    sub "fig8" "Figure 8: reader scalability (SWMR)";
-    sub "fig9" "Figure 9: multiple structures per back-end";
-    sub "fig10" "Figure 10: partitioning across back-ends";
-    sub "fig11" "Figure 11: CPU utilization";
-    sub "fig12" "Figure 12: skewed (Zipf) workloads";
-    sub "fig13" "Figure 13: industry-trace workload mixes";
-    sub "cache_policy" "In-text §4.4: LRU vs RR vs hybrid replacement";
-    sub "sensitivity" "Extension: latency sensitivity of the optimization stack";
-    sub "latency" "Extension: per-operation latency percentiles";
-    sub "ycsb" "Extension: YCSB core workloads A/B/C/D/F";
-    sub "lock_bench" "In-text §6.3: lock ping-point test";
-    sub "contention" "Lock-contention scaling: N writers racing for one shared structure";
-    (let runner full json = execute smoke_experiments full json in
-     Cmd.v
-       (Cmd.info "smoke"
-          ~doc:"CI bench gate: table3 + contention (the bench/baseline.json set)")
-       Term.(const runner $ full_flag $ json_arg));
-    sub "ablation" "Ablations of DESIGN.md design choices";
-    sub "breakdown" "Latency attribution: where each configuration's virtual time goes";
-    sub "faultsweep" "Transient faults: throughput, retries and read-back integrity vs drop rate";
-    sub "bechamel" "Bechamel wall-clock micro-benchmarks";
-    all_cmd;
-  ]
+(* Run [entries], write the document, then [after]. *)
+let term entries after =
+  Term.(
+    const (fun full json ->
+        execute entries full json;
+        after ())
+    $ full_flag $ json_arg)
 
 let () =
-  let default =
-    Term.(
-      const (fun full json ->
-          execute experiments full json;
-          Bechamel_micro.run ())
-      $ full_flag $ json_arg)
+  let smoke = List.filter (fun (e : Suite.t) -> e.smoke) Suite.all in
+  let everything = term Suite.all Bechamel_micro.run in
+  let cmds =
+    List.map (fun (e : Suite.t) -> Cmd.v (Cmd.info e.name ~doc:e.doc) (term [ e ] ignore)) Suite.all
+    @ [
+        Cmd.v
+          (Cmd.info "smoke"
+             ~doc:
+               (Printf.sprintf "CI bench gate: %s (the bench/baseline.json set)"
+                  (String.concat " + " (List.map (fun (e : Suite.t) -> e.name) smoke))))
+          (term smoke ignore);
+        Cmd.v (Cmd.info "bechamel" ~doc:"Bechamel wall-clock micro-benchmarks")
+          (term [] Bechamel_micro.run);
+        Cmd.v
+          (Cmd.info "all" ~doc:"Run every experiment (and the Bechamel micro-benchmarks)")
+          everything;
+      ]
   in
   let info = Cmd.info "asymnvm-bench" ~doc:"Regenerate the paper's tables and figures" in
-  exit (Cmd.eval (Cmd.group ~default info cmds))
+  exit (Cmd.eval (Cmd.group ~default:everything info cmds))

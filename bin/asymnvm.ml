@@ -108,20 +108,38 @@ let demo_cmd =
     let fe = Client.connect ~name:"fe" (Client.rcb ()) bk ~clock in
     let t = Bpt.attach fe ~name:"demo" in
     let rng = Asym_util.Rng.create ~seed:1L in
-    for _ = 1 to n do
-      let k = Int64.of_int (Asym_util.Rng.int rng (4 * n)) in
-      Bpt.put t ~key:k ~value:(Bytes.of_string (Int64.to_string k))
-    done;
+    let value k = Bytes.of_string (Int64.to_string k) in
+    let keys =
+      List.init n (fun _ ->
+          let k = Int64.of_int (Asym_util.Rng.int rng (4 * n)) in
+          Bpt.put t ~key:k ~value:(value k);
+          k)
+    in
     Client.flush fe;
     Fmt.pr "inserted %d keys in %a of virtual time (%d RDMA verbs)@." n Simtime.pp
       (Clock.now clock) (Client.rdma_ops fe);
     Client.crash fe;
     let ops = Client.recover fe in
+    (* Re-attach, replay what the memory logs did not cover, read back. *)
+    let t = Bpt.attach fe ~name:"demo" in
+    let reg = Asym_structs.Registry.create () in
+    Asym_structs.Registry.register reg ~ds:(Bpt.handle t).Types.id (Bpt.replay t);
+    Asym_structs.Registry.replay_all reg ops;
+    Client.flush fe;
     Fmt.pr "crash + recovery: %d operations replayed@." (List.length ops);
+    List.iter
+      (fun k ->
+        if Bpt.find t ~key:k <> Some (value k) then begin
+          Fmt.epr "asymnvm: demo: key %Ld does not read back after recovery@." k;
+          exit 1
+        end)
+      keys;
     Fmt.pr "demo OK@."
   in
   let n = Arg.(value & opt int 10_000 & info [ "ops" ] ~docv:"N" ~doc:"Operations to run") in
-  Cmd.v (Cmd.info "demo" ~doc:"End-to-end insert/crash/recover run")
+  Cmd.v
+    (Cmd.info "demo"
+       ~doc:"End-to-end insert/crash/recover run; exits 1 if a key does not read back")
     Term.(const run $ n $ trace_arg)
 
 (* -- drill ------------------------------------------------------------------ *)

@@ -18,7 +18,7 @@ open Asym_core
 type config = { log_batch : int }
 
 let symmetric = { log_batch = 1 }
-let symmetric_b ?(batch = 1024) () = { log_batch = batch }
+let symmetric_b = { log_batch = 1024 }
 
 type t = {
   clk : Clock.t;

@@ -17,7 +17,8 @@
 type config = { log_batch : int }
 
 val symmetric : config
-val symmetric_b : ?batch:int -> unit -> config
+val symmetric_b : config
+(** Ships the log in batches of 1024 operations. *)
 
 type t
 

@@ -114,12 +114,7 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
       match
         Client.crash fe;
         let ops = Client.recover fe in
-        let inst = subject.Subject.attach fe in
-        let reg = Asym_structs.Registry.create () in
-        inst.Asym_structs.Catalog.register reg;
-        Asym_structs.Registry.replay_all reg ops;
-        Client.flush fe;
-        inst
+        Subject.resume subject.Subject.attach fe ops
       with
       | exception e -> fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
       | inst -> (

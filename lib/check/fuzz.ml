@@ -118,11 +118,7 @@ let recover_client ?backend w c =
   (* A promotion opens a fresh connection: re-arm its loss schedule so
      faults survive the failover (the recovery reads ran before it). *)
   if backend <> None then install_fault w c;
-  w.insts.(c) <- w.subject.Subject.attach ~name:(inst_name c) fe;
-  let reg = Asym_structs.Registry.create () in
-  w.insts.(c).Asym_structs.Catalog.register reg;
-  Asym_structs.Registry.replay_all reg ops;
-  Client.flush fe
+  w.insts.(c) <- Subject.resume (w.subject.Subject.attach ~name:(inst_name c)) fe ops
 
 let validate w ~step ~event c =
   let fe = w.fes.(c) in

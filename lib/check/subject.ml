@@ -8,6 +8,14 @@ let apply (inst : instance) = function
   | Model.Push v -> inst.push v
   | Model.Pop -> ignore (inst.pop ())
 
+let resume attach fe ops =
+  let inst : instance = attach fe in
+  let reg = Registry.create () in
+  inst.register reg;
+  Registry.replay_all reg ops;
+  Asym_core.Client.flush fe;
+  inst
+
 module Attach (S : Asym_core.Store.S) = struct
   module C = Catalog.Make (S)
 

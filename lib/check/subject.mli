@@ -14,6 +14,14 @@ val apply : instance -> Model.op -> unit
 (** Puts and deletes on maps, pushes and pops on sequences; the wrong
     family raises [Invalid_argument]. *)
 
+val resume :
+  (Asym_core.Client.t -> instance) -> Asym_core.Client.t -> Asym_core.Log.Op_entry.t list ->
+  instance
+(** [resume attach fe ops] finishes a recovery: with [ops] what
+    {!Asym_core.Client.recover} returned for [fe], re-attach the instance
+    through [attach], replay [ops] through a {!Asym_structs.Registry} and
+    flush. *)
+
 (** The checker's attach over any store: default options (no lock), a
     64-bucket hash table, and a fresh fixed-seed generator per attach, so
     re-runs of one schedule draw the same skiplist tower heights. [name]

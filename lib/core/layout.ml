@@ -28,9 +28,10 @@ type t = {
 
 let align_up x a = (x + a - 1) / a * a
 
-let compute ?(naming_len = 64 * 1024) ?(meta_len = 256 * 1024) ?(memlog_cap = 4 * 1024 * 1024)
-    ?(oplog_cap = 2 * 1024 * 1024) ?(slab_size = 4096) ~capacity ~max_sessions () =
+let compute ?(memlog_cap = 4 * 1024 * 1024) ?(oplog_cap = 2 * 1024 * 1024) ?(slab_size = 4096)
+    ~capacity ~max_sessions () =
   if max_sessions < 1 then invalid_arg "Layout.compute: max_sessions < 1";
+  let naming_len = 64 * 1024 and meta_len = 256 * 1024 in
   let naming_base = superblock_len in
   let sessions_base = naming_base + naming_len in
   let meta_base = sessions_base + (max_sessions * session_slot_len) in

@@ -58,8 +58,6 @@ val slot_inuse : int
 val slot_cursors_len : int
 
 val compute :
-  ?naming_len:int ->
-  ?meta_len:int ->
   ?memlog_cap:int ->
   ?oplog_cap:int ->
   ?slab_size:int ->
@@ -67,7 +65,8 @@ val compute :
   max_sessions:int ->
   unit ->
   t
-(** Compute a layout for a device of [capacity] bytes. Raises
+(** Compute a layout for a device of [capacity] bytes, with a 64 KiB
+    naming space and a 256 KiB meta heap. Raises
     [Invalid_argument] if the fixed areas do not leave room for at least
     one slab. *)
 

@@ -13,10 +13,6 @@ type check = {
   detail : string;  (** threshold applied, or the offending row *)
 }
 
-val checks_for : string -> Report.t -> check list
-(** Shape verdicts for one experiment's freshly produced report (table3 /
-    latency / sensitivity / contention today; empty for the rest). *)
-
 val doc :
   scale:string -> experiments:(string * Report.t) list -> checks:check list -> Asym_obs.Json.t
 

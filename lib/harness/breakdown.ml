@@ -144,67 +144,9 @@ let resource_table cells =
     cells;
   t
 
-(* -- verdicts ---------------------------------------------------------------- *)
-
-let find cells kind config =
-  List.find_opt (fun cl -> cl.kind = kind && cl.config = config) cells
-
-let checks cells =
-  let check cname pass detail =
-    { Bench_json.experiment = "breakdown"; cname; pass; detail }
-  in
-  let conservation =
-    match
-      List.find_opt (fun cl -> attr_total cl <> cl.res.Runner.elapsed) cells
-    with
-    | None -> check "conservation" true "per-cause ns sum to elapsed virtual time in every cell"
-    | Some cl ->
-        check "conservation" false
-          (Printf.sprintf "%s/%s: %d ns attributed vs %d elapsed" (Runner.ds_name cl.kind)
-             cl.config (attr_total cl) cl.res.Runner.elapsed)
-  in
-  let naive_rtt =
-    match find cells Runner.Bpt "Naive" with
-    | Some cl ->
-        let rtt = attr_ns cl Obs.Attr.Rdma_rtt in
-        let dominant =
-          List.for_all (fun (c, v) -> c = Obs.Attr.Rdma_rtt || v <= rtt) cl.attr
-        in
-        check "naive_rtt_dominant" dominant
-          (Printf.sprintf "naive BPT: rdma_rtt %.0f%% of op time"
-             (100. *. float_of_int rtt /. float_of_int (max 1 (attr_total cl))))
-    | None -> check "naive_rtt_dominant" false "no naive BPT cell"
-  in
-  let rcb_shift =
-    (* The batched multi-version B+ tree is the paper's batching winner
-       (§6.2): the op log amortizes across the vput batch, so the
-       majority of its time lands on local compute + media. *)
-    match find cells Runner.Mv_bpt "RCB" with
-    | Some cl ->
-        let local = attr_ns cl Obs.Attr.Local_compute + attr_ns cl Obs.Attr.Nvm_media in
-        let rtt = attr_ns cl Obs.Attr.Rdma_rtt in
-        check "rcb_local_shift" (local > rtt)
-          (Printf.sprintf "RCB MV-BPT: local_compute+nvm_media %d ns vs rdma_rtt %d ns" local
-             rtt)
-    | None -> check "rcb_local_shift" false "no RCB MV-BPT cell"
-  in
-  let rtt_collapse =
-    (* Plain BPT keeps ~1 round trip per op under RCB (the signaled
-       op-log append and below-threshold leaf reads), but the absolute
-       RTT cost per op must still collapse several-fold vs Naive. *)
-    match (find cells Runner.Bpt "Naive", find cells Runner.Bpt "RCB") with
-    | Some n, Some r ->
-        let per cl = per_op cl (attr_ns cl Obs.Attr.Rdma_rtt) in
-        check "bpt_rtt_collapse"
-          (per r < per n /. 3.)
-          (Printf.sprintf "BPT rdma_rtt %.0f ns/op Naive -> %.0f ns/op RCB" (per n) (per r))
-    | _ -> check "bpt_rtt_collapse" false "missing BPT cells"
-  in
-  [ conservation; naive_rtt; rcb_shift; rtt_collapse ]
-
 (* The default `bench breakdown` cast: the structures whose Table 3
    movements EXPERIMENTS.md explains by hand today. *)
-let default_cells ?(preload = 4000) ?(ops = 4000) () =
+let default_cells ~preload ~ops =
   let lat = Latency.default in
   (* YCSB-A (50/50, zipf .99) for the key/value structures: the profile a
      structure serves in steady state, and the one EXPERIMENTS.md's drift

@@ -18,6 +18,9 @@ val run_cell :
   rig:Runner.rig -> cfg:Asym_core.Client.config -> preload:int -> ops:int ->
   Runner.ds_kind -> cell
 
+val attr_ns : cell -> Asym_obs.Attr.cause -> int
+(** Virtual ns the measured window charged to one cause. *)
+
 val attr_total : cell -> int
 
 val table : cell list -> Report.t
@@ -27,11 +30,6 @@ val table : cell list -> Report.t
 val resource_table : cell list -> Report.t
 (** Queue-wait vs service time per NIC/CPU/lock timeline. *)
 
-val checks : cell list -> Bench_json.check list
-(** Conservation plus the two headline expectations: naive BPT dominated
-    by [rdma_rtt]; RCB shifting the majority onto
-    [local_compute]+[nvm_media]. *)
-
-val default_cells : ?preload:int -> ?ops:int -> unit -> cell list
+val default_cells : preload:int -> ops:int -> cell list
 (** BPT across all four configs, plus HashTable / Queue / MV-BPT
     contrasts — the cells EXPERIMENTS.md discusses. *)

@@ -177,8 +177,15 @@ let table2 sc =
 (* Table 3 — overall performance                                        *)
 (* ------------------------------------------------------------------ *)
 
-let cell_kops v = Report.kops v
-let dash = "-"
+type table3_row = {
+  bench : string;
+  symmetric : float;
+  symmetric_b : float option;
+  naive : float;
+  r : float;
+  rc : float option;
+  rcb : float option;
+}
 
 let table3 sc =
   let t =
@@ -192,70 +199,53 @@ let table3 sc =
         ]
       ()
   in
+  let module L = Asym_baseline.Local_store in
   let asym = asym_kops sc in
   let sym cfg kind = (Runner.run_sym ~lat ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
-  (* SmallBank *)
-  Report.add_row t
-    [
-      "TX(SmallBank)";
-      cell_kops (run_bank_sym ~cfg:Asym_baseline.Local_store.symmetric ~sc ());
-      dash;
-      cell_kops (run_bank_asym ~cfg:(Client.naive ()) ~sc ());
-      cell_kops (run_bank_asym ~cfg:(Client.r ()) ~sc ());
-      cell_kops (run_bank_asym ~cfg:(Client.rc ()) ~sc ());
-      dash;
-    ];
-  (* TATP *)
-  Report.add_row t
-    [
-      "TX(TATP)";
-      cell_kops (run_tatp_sym ~cfg:Asym_baseline.Local_store.symmetric ~sc ());
-      cell_kops (run_tatp_sym ~cfg:(Asym_baseline.Local_store.symmetric_b ()) ~sc ());
-      cell_kops (run_tatp_asym ~cfg:(Client.naive ()) ~sc ());
-      cell_kops (run_tatp_asym ~cfg:(Client.r ()) ~sc ());
-      cell_kops (run_tatp_asym ~cfg:(Client.rc ()) ~sc ());
-      cell_kops (run_tatp_asym ~cfg:(Client.rcb ()) ~sc ());
-    ];
-  (* Queue / Stack *)
+  let bank =
+    let symmetric = run_bank_sym ~cfg:L.symmetric ~sc () in
+    let naive = run_bank_asym ~cfg:(Client.naive ()) ~sc () in
+    let r = run_bank_asym ~cfg:(Client.r ()) ~sc () in
+    let rc = run_bank_asym ~cfg:(Client.rc ()) ~sc () in
+    { bench = "TX(SmallBank)"; symmetric; symmetric_b = None; naive; r; rc = Some rc; rcb = None }
+  in
+  let tatp =
+    let symmetric = run_tatp_sym ~cfg:L.symmetric ~sc () in
+    let symmetric_b = run_tatp_sym ~cfg:L.symmetric_b ~sc () in
+    let naive = run_tatp_asym ~cfg:(Client.naive ()) ~sc () in
+    let r = run_tatp_asym ~cfg:(Client.r ()) ~sc () in
+    let rc = run_tatp_asym ~cfg:(Client.rc ()) ~sc () in
+    let rcb = run_tatp_asym ~cfg:(Client.rcb ()) ~sc () in
+    { bench = "TX(TATP)"; symmetric; symmetric_b = Some symmetric_b; naive; r; rc = Some rc;
+      rcb = Some rcb }
+  in
+  (* A structure row: the cache column is absent for queue/stack (whose
+     RCB cell is {!Runner.fifo_rcb}), the batch column for the hash table. *)
+  let structure kind =
+    let symmetric = sym L.symmetric kind in
+    let symmetric_b = if kind = Runner.Hash_table then None else Some (sym L.symmetric_b kind) in
+    let naive = asym (Client.naive ()) kind in
+    let r = asym (Client.r ()) kind in
+    let rc = if Runner.is_fifo kind then None else Some (asym (Client.rc ()) kind) in
+    let rcb =
+      if kind = Runner.Hash_table then None
+      else Some (asym (if Runner.is_fifo kind then Runner.fifo_rcb () else Client.rcb ()) kind)
+    in
+    { bench = Runner.ds_name kind; symmetric; symmetric_b; naive; r; rc; rcb }
+  in
+  let rows =
+    bank :: tatp
+    :: List.map structure
+         Runner.[ Queue; Stack; Hash_table; Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ]
+  in
+  let cell = function Some v -> Report.kops v | None -> "-" in
   List.iter
-    (fun kind ->
+    (fun w ->
       Report.add_row t
-        [
-          Runner.ds_name kind;
-          cell_kops (sym Asym_baseline.Local_store.symmetric kind);
-          cell_kops (sym (Asym_baseline.Local_store.symmetric_b ()) kind);
-          cell_kops (asym (Client.naive ()) kind);
-          cell_kops (asym (Client.r ()) kind);
-          dash;
-          cell_kops (asym (Runner.fifo_rcb ()) kind);
-        ])
-    [ Runner.Queue; Runner.Stack ];
-  (* HashTable *)
-  Report.add_row t
-    [
-      "HashTable";
-      cell_kops (sym Asym_baseline.Local_store.symmetric Runner.Hash_table);
-      dash;
-      cell_kops (asym (Client.naive ()) Runner.Hash_table);
-      cell_kops (asym (Client.r ()) Runner.Hash_table);
-      cell_kops (asym (Client.rc ()) Runner.Hash_table);
-      dash;
-    ];
-  (* Ordered structures *)
-  List.iter
-    (fun kind ->
-      Report.add_row t
-        [
-          Runner.ds_name kind;
-          cell_kops (sym Asym_baseline.Local_store.symmetric kind);
-          cell_kops (sym (Asym_baseline.Local_store.symmetric_b ()) kind);
-          cell_kops (asym (Client.naive ()) kind);
-          cell_kops (asym (Client.r ()) kind);
-          cell_kops (asym (Client.rc ()) kind);
-          cell_kops (asym (Client.rcb ()) kind);
-        ])
-    [ Runner.Skip_list; Runner.Bst; Runner.Bpt; Runner.Mv_bst; Runner.Mv_bpt ];
-  t
+        [ w.bench; Report.kops w.symmetric; cell w.symmetric_b; Report.kops w.naive; Report.kops w.r;
+          cell w.rc; cell w.rcb ])
+    rows;
+  (t, rows)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 — RDMA wire cost per operation                               *)
@@ -284,7 +274,7 @@ let table1 sc =
       [
         Runner.ds_name kind;
         Client.config_name cfg;
-        cell_kops r.Runner.kops;
+        Report.kops r.Runner.kops;
         Printf.sprintf "%.2f" (per_op r.Runner.verbs r);
         Printf.sprintf "%.1f" (per_op r.Runner.wire_bytes r);
       ]
@@ -507,22 +497,26 @@ let latency sc =
       ~notes:[ "p99 spikes under RCB are the batched rnvm_tx_write flushes" ]
       ()
   in
+  let rows =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun cfg -> (kind, Client.config_name cfg, asym_cell sc cfg kind))
+          [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ])
+      [ Runner.Hash_table; Runner.Bpt; Runner.Queue ]
+  in
   List.iter
-    (fun kind ->
-      List.iter
-        (fun cfg ->
-          let r = asym_cell sc cfg kind in
-          Report.add_row t
-            [
-              Runner.ds_name kind;
-              Client.config_name cfg;
-              Printf.sprintf "%.2f" r.Runner.lat_mean_us;
-              Printf.sprintf "%.2f" r.Runner.lat_p50_us;
-              Printf.sprintf "%.2f" r.Runner.lat_p99_us;
-            ])
-        [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ])
-    [ Runner.Hash_table; Runner.Bpt; Runner.Queue ];
-  t
+    (fun (kind, config, r) ->
+      Report.add_row t
+        [
+          Runner.ds_name kind;
+          config;
+          Printf.sprintf "%.2f" r.Runner.lat_mean_us;
+          Printf.sprintf "%.2f" r.Runner.lat_p50_us;
+          Printf.sprintf "%.2f" r.Runner.lat_p99_us;
+        ])
+    rows;
+  (t, rows)
 
 (* ------------------------------------------------------------------ *)
 (* YCSB core workloads (extension beyond the paper)                     *)
@@ -583,21 +577,26 @@ let sensitivity sc =
     let naive = run (Client.naive ()) in
     let rcb = run (Client.rcb ()) in
     Report.add_row t
-      [ label; Report.kops naive; Report.kops rcb; Report.ratio (rcb /. naive) ]
+      [ label; Report.kops naive; Report.kops rcb; Report.ratio (rcb /. naive) ];
+    (label, naive, rcb)
   in
-  List.iter
-    (fun rtt_us ->
-      cell
-        { lat with Latency.rdma_rtt_ns = rtt_us * 1000; rdma_atomic_ns = (rtt_us * 1000) + 100 }
-        (Printf.sprintf "RDMA RTT %d us" rtt_us))
-    [ 1; 2; 3; 5; 10 ];
-  List.iter
-    (fun (r, w) ->
-      cell
-        { lat with Latency.nvm_read_ns = r; nvm_write_ns = w }
-        (Printf.sprintf "NVM %d/%d ns" r w))
-    [ (100, 50); (300, 100); (600, 200); (1200, 400) ];
-  t
+  let rtts =
+    List.map
+      (fun rtt_us ->
+        cell
+          { lat with Latency.rdma_rtt_ns = rtt_us * 1000; rdma_atomic_ns = (rtt_us * 1000) + 100 }
+          (Printf.sprintf "RDMA RTT %d us" rtt_us))
+      [ 1; 2; 3; 5; 10 ]
+  in
+  let media =
+    List.map
+      (fun (r, w) ->
+        cell
+          { lat with Latency.nvm_read_ns = r; nvm_write_ns = w }
+          (Printf.sprintf "NVM %d/%d ns" r w))
+      [ (100, 50); (300, 100); (600, 200); (1200, 400) ]
+  in
+  (t, rtts @ media)
 
 (* ------------------------------------------------------------------ *)
 (* §4.4 — cache replacement policy study                                *)

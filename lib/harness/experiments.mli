@@ -23,7 +23,18 @@ val table2 : scale -> Report.t
 (** Allocator comparison: Glibc / Pmem / RPC-only / two-tier at 128 B and
     1024 B slabs (§5.2, Table 2). *)
 
-val table3 : scale -> Report.t
+type table3_row = {
+  bench : string;
+  symmetric : float;
+  symmetric_b : float option;
+  naive : float;
+  r : float;
+  rc : float option;  (** absent for queue/stack *)
+  rcb : float option;  (** absent for SmallBank and the hash table *)
+}
+(** One Table-3 row in KOPS; [None] is a cell the paper leaves empty. *)
+
+val table3 : scale -> Report.t * table3_row list
 (** Overall performance: 8 structures + TATP + SmallBank across
     Symmetric, Symmetric-B, Naive, R, RC, RCB (Table 3). *)
 
@@ -40,16 +51,18 @@ val fig13 : scale -> Report.t
 (** Industry-trace mixes (power-law keys, 64 B – 8 KB values) across
     Naive / R / RC. *)
 
-val latency : scale -> Report.t
+val latency : scale -> Report.t * (Runner.ds_kind * string * Runner.result) list
 (** Extension: per-operation virtual latency (mean/p50/p99) per
-    configuration. *)
+    configuration, with each row's structure, configuration name and
+    measured cell. *)
 
 val ycsb : scale -> Report.t
 (** Extension: the standard YCSB core workloads A/B/C/D/F. *)
 
-val sensitivity : scale -> Report.t
+val sensitivity : scale -> Report.t * (string * float * float) list
 (** Extension beyond the paper: sweep the RDMA round trip and the NVM
-    media latency, reporting how the RCB/Naive advantage responds. *)
+    media latency, reporting how the RCB/Naive advantage responds; each
+    row's hardware label with its Naive and RCB KOPS. *)
 
 val cache_policy : scale -> Report.t
 (** §4.4: LRU vs RR vs the hybrid choose-set policy. *)

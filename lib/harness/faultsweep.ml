@@ -33,7 +33,7 @@ let value_size = 64
 let run_cell ~preload ~ops ~drop ~cfg kind =
   let rig = Runner.make_rig Latency.default in
   let loader = Runner.fresh_client ~name:"fault-loader" rig (Client.rcb ()) in
-  let linst = Runner.client_instance kind loader ~name:"faultsweep" in
+  let linst = Runner.client_instance kind loader ~name:"sweep-tree" in
   Runner.preload_instance linst ~fifo:(Runner.is_fifo kind) ~n:preload ~value_size;
   linst.Runner.cleanup ();
   Client.close loader;
@@ -44,7 +44,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
          (Asym_rdma.Verbs.Fault.make ~drop_p:drop ~delay_p:(drop /. 2.) ~delay_ns:3_000
             ~seed:(Int64.logxor 0xFA17L (Int64.of_int (int_of_float (drop *. 1e6))))
             ()));
-  let inst = Runner.client_instance kind fe ~name:"faultsweep" in
+  let inst = Runner.client_instance kind fe ~name:"sweep-tree" in
   let base = Int64.of_int (4 * preload) in
   let kops, _, _ =
     Runner.measure ~clock:(Client.clock fe) ~ops (fun i ->
@@ -75,7 +75,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
     bad_reads = !bad_reads;
   }
 
-let default_cells ?(preload = 1000) ?(ops = 2000) () =
+let default_cells ~preload ~ops =
   List.concat_map
     (fun cfg ->
       List.map (fun drop -> run_cell ~preload ~ops ~drop ~cfg Runner.Bpt) drops)
@@ -113,51 +113,3 @@ let table cells =
         ])
     cells;
   t
-
-(* -- verdicts ---------------------------------------------------------------- *)
-
-let checks cells =
-  let check cname pass detail = { Bench_json.experiment = "faultsweep"; cname; pass; detail } in
-  let consistent =
-    match List.find_opt (fun c -> c.bad_reads > 0) cells with
-    | None -> check "zero_bad_reads" true "every written key read back intact at every drop rate"
-    | Some c ->
-        check "zero_bad_reads" false
-          (Printf.sprintf "%s drop=%.2f: %d read-back mismatches" c.config c.drop c.bad_reads)
-  in
-  let configs = List.sort_uniq compare (List.map (fun c -> c.config) cells) in
-  let per_config f =
-    List.for_all
-      (fun cfg ->
-        f (List.sort (fun a b -> compare a.drop b.drop)
-             (List.filter (fun c -> c.config = cfg) cells)))
-      configs
-  in
-  let monotone =
-    (* Throughput may only degrade as loss rises; 5% slack absorbs the
-       jitter the loss schedule itself injects into batching decisions. *)
-    let ok =
-      per_config (fun cs ->
-          let rec chain = function
-            | a :: (b :: _ as rest) -> b.kops <= a.kops *. 1.05 && chain rest
-            | _ -> true
-          in
-          chain cs)
-    in
-    check "throughput_degrades_monotonically" ok
-      (String.concat "; "
-         (List.map
-            (fun c -> Printf.sprintf "%s@%.2f=%.1f" c.config c.drop c.kops)
-            cells))
-  in
-  let retries_grow =
-    let ok =
-      per_config (fun cs ->
-          match (cs, List.rev cs) with
-          | zero :: _, top :: _ -> zero.retries = 0 && top.retries > 0
-          | _ -> false)
-    in
-    check "retries_track_drop_rate" ok
-      "faults off retries nothing; the top drop rate must retry (seeded, so counts reproduce)"
-  in
-  [ consistent; monotone; retries_grow ]

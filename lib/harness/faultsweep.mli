@@ -16,12 +16,7 @@ type cell = {
   bad_reads : int;  (** read-back mismatches — any nonzero is a failure *)
 }
 
-val default_cells : ?preload:int -> ?ops:int -> unit -> cell list
+val default_cells : preload:int -> ops:int -> cell list
 (** B+-tree puts under RCB and Naive, one cell per drop rate. *)
 
 val table : cell list -> Report.t
-
-val checks : cell list -> Bench_json.check list
-(** Verdicts: zero read-back mismatches at every drop rate, throughput
-    degrades monotonically (5% slack), and retries rise from exactly
-    zero (faults off) to nonzero at the top drop rate. *)

@@ -362,9 +362,11 @@ let contention ~preload ~duration =
         ]
       ()
   in
+  let points =
+    List.map (fun n -> (n, contention_point ~writers:n ~preload ~duration)) [ 1; 2; 3; 4; 6; 8 ]
+  in
   List.iter
-    (fun n ->
-      let p = contention_point ~writers:n ~preload ~duration in
+    (fun (n, p) ->
       Report.add_row t
         [
           string_of_int n;
@@ -372,5 +374,5 @@ let contention ~preload ~duration =
           Report.pct p.lock_wait_share;
           Printf.sprintf "%.0f" p.avg_lock_wait_ns;
         ])
-    [ 1; 2; 3; 4; 6; 8 ];
-  t
+    points;
+  (t, points)

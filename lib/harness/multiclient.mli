@@ -50,4 +50,6 @@ val contention_point :
     co-simulation suspension point, so the lock-wait share measures true
     verb-level contention. *)
 
-val contention : preload:int -> duration:Asym_sim.Simtime.t -> Report.t
+val contention :
+  preload:int -> duration:Asym_sim.Simtime.t -> Report.t * (int * contention_point) list
+(** 1, 2, 3, 4, 6 and 8 writers: the report and each writer count's point. *)

@@ -1,6 +1,8 @@
 module Obs = Asym_obs
 
-let span_summary ?(top = 15) () =
+let top = 15
+
+let span_summary () =
   let t =
     Report.create ~title:"Observability: top spans by total simulated time"
       ~header:[ "span"; "count"; "total"; "mean"; "max" ]
@@ -24,7 +26,7 @@ let span_summary ?(top = 15) () =
          dropped);
   t
 
-let counter_summary ?(top = 15) () =
+let counter_summary () =
   let t =
     Report.create ~title:"Observability: top counters" ~header:[ "counter"; "value" ] ()
   in

@@ -6,11 +6,11 @@
     disabled: the reports come out empty and {!phase} only runs its
     body. *)
 
-val span_summary : ?top:int -> unit -> Report.t
-(** Top-N spans by total simulated time (count / total / mean / max). *)
+val span_summary : unit -> Report.t
+(** Top-15 spans by total simulated time (count / total / mean / max). *)
 
-val counter_summary : ?top:int -> unit -> Report.t
-(** Top-N counters by value, labels rendered inline. *)
+val counter_summary : unit -> Report.t
+(** Top-15 counters by value, labels rendered inline. *)
 
 val phase : string -> (unit -> 'a) -> 'a
 (** [phase label f] scopes the metrics registry to [f]: the registry and

@@ -6,21 +6,22 @@ type t = {
   rng : Rng.t;
   zipf : Zipf.t;
   kind : [ `Kv of float | `Fifo of float ];
-  max_value : int;
 }
 
-let create ?(keyspace = 100_000) ?(max_value = 8192) ~kind rng =
+let max_value = 8192
+
+let create ?(keyspace = 100_000) ~kind rng =
   (* Power-law popularity: the paper's traces "satisfy the power-law
      distribution"; theta 0.99 is the conventional heavy-tail setting. *)
-  { rng; zipf = Zipf.create ~theta:0.99 ~n:keyspace (Rng.split rng); kind; max_value }
+  { rng; zipf = Zipf.create ~theta:0.99 ~n:keyspace (Rng.split rng); kind }
 
 (* Value sizes 64 B - 8 KB with a power-law tail: most values small. *)
 let value_size t =
   let u = Rng.float t.rng in
   let exponent = 2.0 in
-  let lo = 64.0 and hi = float_of_int t.max_value in
+  let lo = 64.0 and hi = float_of_int max_value in
   let x = lo /. ((1.0 -. (u *. (1.0 -. ((lo /. hi) ** exponent)))) ** (1.0 /. exponent)) in
-  min t.max_value (max 64 (int_of_float x))
+  min max_value (max 64 (int_of_float x))
 
 (* Keys "hashed to 64 bytes" in the trace; we keep the 8-byte hash the
    structures index by. *)

@@ -13,7 +13,6 @@ type t
 
 val create :
   ?keyspace:int ->
-  ?max_value:int ->
   kind:[ `Kv of float (* put ratio *) | `Fifo of float (* push ratio *) ] ->
   Asym_util.Rng.t ->
   t
@@ -21,4 +20,4 @@ val create :
 val next : t -> op
 
 val value_size : t -> int
-(** Draw one power-law value size in [\[64, max_value\]]. *)
+(** Draw one power-law value size in [\[64, 8192\]]. *)

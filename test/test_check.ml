@@ -235,7 +235,7 @@ let () =
         per_subject (test_subject_matches_model (Sym Asym_baseline.Local_store.symmetric)) );
       ( "subject symB",
         per_subject
-          (test_subject_matches_model (Sym (Asym_baseline.Local_store.symmetric_b ()))) );
+          (test_subject_matches_model (Sym (Asym_baseline.Local_store.symmetric_b))) );
       ( "census",
         [
           Alcotest.test_case "deterministic" `Quick test_census_deterministic;

@@ -10,6 +10,7 @@ module Attr = Asym_obs.Attr
 module Runner = Asym_harness.Runner
 module Multiclient = Asym_harness.Multiclient
 module Bench_json = Asym_harness.Bench_json
+module Suite = Asym_harness.Suite
 
 let check = Alcotest.check
 let lat = Latency.default
@@ -41,12 +42,17 @@ let test_deterministic_point () =
 (* Same seed twice -> the asymnvm-bench/1 document is byte-identical,
    cells and shape verdicts included (the CI bench-diff contract). *)
 let test_deterministic_json () =
+  let entry = List.find (fun (e : Suite.t) -> e.name = "contention") Suite.all in
+  let scale =
+    {
+      Suite.quick with
+      sizes = { Suite.quick.sizes with preload = 128 };
+      duration = Simtime.ms 2;
+    }
+  in
   let doc () =
-    let r = Multiclient.contention ~preload:64 ~duration:(Simtime.ms 2) in
-    Obs.Json.to_string
-      (Bench_json.doc ~scale:"test"
-         ~experiments:[ ("contention", r) ]
-         ~checks:(Bench_json.checks_for "contention" r))
+    let experiments, checks = entry.run scale in
+    Obs.Json.to_string (Bench_json.doc ~scale:scale.label ~experiments ~checks)
   in
   check Alcotest.string "bench JSON byte-identical across runs" (doc ()) (doc ())
 
