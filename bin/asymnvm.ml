@@ -115,7 +115,7 @@ let demo_cmd =
           Bpt.put t ~key:k ~value:(value k);
           k)
     in
-    Client.flush fe;
+    (* Crash with the last batch unflushed: recovery replays it. *)
     Fmt.pr "inserted %d keys in %a of virtual time (%d RDMA verbs)@." n Simtime.pp
       (Clock.now clock) (Client.rdma_ops fe);
     Client.crash fe;
@@ -475,9 +475,10 @@ let trace_cmd =
      with Sys_error msg ->
        Fmt.epr "asymnvm: cannot write trace: %s@." msg;
        exit 1);
+    (* Each phase resets the registry after its snapshot, so the phase
+       table is this run's counter view. *)
     Asym_harness.Report.print (Obs_report.phases_report ());
     Asym_harness.Report.print (Obs_report.span_summary ());
-    Asym_harness.Report.print (Obs_report.counter_summary ());
     Fmt.pr "@.trace: %d events (%d dropped) over %a of virtual time written to %s@."
       (List.length (Obs.Span.events ()))
       (Obs.Span.dropped ()) Simtime.pp (Clock.now clock) out;

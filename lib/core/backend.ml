@@ -62,21 +62,14 @@ let check_alive t = if t.crashed then raise (Verbs.Failure_detected t.bname)
 (* -- persistence helpers ---------------------------------------------- *)
 
 (* Replicate a write to all mirrors, charging the back-end NIC. *)
-let repl t ~at ~addr ?len b =
-  List.iter (fun m -> Mirror.replicate m ~from_nic:t.nic_tl ~at ~addr ?len b) t.mirror_list
-
-(* Functional-only mirror update for bytes that travel piggybacked inside
-   an already-charged replica message (e.g. data-area entries contained in
-   a forwarded transaction log). *)
-let repl_uncharged t ~addr ~pos ~len b =
-  List.iter (fun m -> Device.write (Mirror.device m) ~addr ~pos ~len b) t.mirror_list
+let replicate_raw t ~at ~addr b =
+  List.iter
+    (fun m -> Mirror.replicate m ~from_nic:t.nic_tl ~at ~addr ~pos:0 ~len:(Bytes.length b) b)
+    t.mirror_list
 
 let write_word t addr v =
   Device.write_u64 t.dev ~addr v;
-  List.iter (fun m -> Device.write_u64 (Mirror.device m) ~addr v) t.mirror_list
-
-let zero_uncharged t ~addr ~len =
-  List.iter (fun m -> Device.zero (Mirror.device m) ~addr ~len) t.mirror_list
+  List.iter (fun m -> Mirror.write_u64 m ~addr v) t.mirror_list
 
 (* -- session slots ------------------------------------------------------ *)
 
@@ -184,8 +177,9 @@ let rebuild_ds_registry t =
 
 (* -- memory-log replay -------------------------------------------------- *)
 
-(* The frame's [len] bytes are the start of [scan_buf]; each entry is
-   written to the device and the mirrors straight from there. *)
+(* The frame's [len] bytes are in [scan_buf], the walk's window, from
+   [tx.at]; each entry is written to the device and the mirrors straight
+   from there. *)
 let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
   let buf = t.scan_buf in
   let entries = tx.Log.Tx.count in
@@ -208,7 +202,7 @@ let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
   let write_entries () =
     Log.Tx.iter_entries buf tx (fun ~addr ~pos ~len ->
         Device.write t.dev ~addr ~pos ~len buf;
-        repl_uncharged t ~addr ~pos ~len buf)
+        List.iter (fun m -> Mirror.write m ~addr ~pos ~len buf) t.mirror_list)
   in
   (match Hashtbl.find_opt t.ds_by_id tx.Log.Tx.ds with
   | Some r ->
@@ -218,41 +212,39 @@ let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
   | None -> write_entries ());
   (* Forward the log record itself to the mirrors (one charged message);
      the data-area entry writes above piggyback inside it. *)
-  repl t ~at:stop ~addr:(ring_base + ring_off) ~len buf;
+  List.iter
+    (fun m ->
+      Mirror.replicate m ~from_nic:t.nic_tl ~at:stop ~addr:(ring_base + ring_off)
+        ~pos:tx.Log.Tx.at ~len buf)
+    t.mirror_list;
   t.n_replayed_txs <- t.n_replayed_txs + 1;
   t.n_replayed_entries <- t.n_replayed_entries + entries;
   stop
 
-(* Zero a consumed region of a log ring: log truncation. Keeping consumed
-   and never-written ring bytes zero is what lets a post-crash scan stop at
-   the first Empty byte instead of tripping over stale records from a
-   previous ring lap. *)
-let truncate_ring t ~ring_base ~off ~len =
-  Device.zero t.dev ~addr:(ring_base + off) ~len;
-  zero_uncharged t ~addr:(ring_base + off) ~len
+(* Log truncation: zero a ring's consumed span [from, upto), across the
+   wrap when [upto] is behind [from]. Keeping consumed and never-written
+   ring bytes zero is what lets a post-crash walk stop at the first zero
+   byte instead of tripping over stale records from a previous lap. *)
+let truncate_ring t ~ring_base ~cap ~from ~upto =
+  let zero_span off len =
+    let addr = ring_base + off in
+    if len > 0 then begin
+      Device.zero t.dev ~addr ~len;
+      List.iter (fun m -> Mirror.zero m ~addr ~len) t.mirror_list
+    end
+  in
+  if upto >= from then zero_span from (upto - from)
+  else begin
+    zero_span from (cap - from);
+    zero_span 0 upto
+  end
 
 (* Read [len] bytes of a ring at [pos] into [scan_buf], the window every
-   scan of either ring decodes from. *)
+   walk of either ring decodes from. *)
 let read_ring t ~ring_base ~pos ~len =
   if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
   Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
   t.scan_buf
-
-(* Scan the transaction frame at [pos] in [scan_buf], growing the window
-   while the frame runs past it: each step reads only the bytes past the
-   window it already holds. Bytes past the window are stale and never
-   decoded. *)
-let scan_tx t ~ring_base ~cap ~pos =
-  let rec go have len =
-    let len = min len (cap - pos) in
-    if Bytes.length t.scan_buf < len then
-      t.scan_buf <- Bytes.extend t.scan_buf 0 (len - Bytes.length t.scan_buf);
-    Device.read_into t.dev ~addr:(ring_base + pos + have) t.scan_buf ~pos:have ~len:(len - have);
-    match Log.Tx.scan t.scan_buf ~pos:0 ~lim:len with
-    | Log.Torn when len < cap - pos -> go len (len * 4)
-    | r -> r
-  in
-  go 0 16_384
 
 (* Op-log truncation, with the memory log's discipline: move the tail
    past covered records and zero them, so a later walk ends at the first
@@ -265,74 +257,58 @@ let gc_oplog t s =
   let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
   let held = ref [] in
   let covered = ref true in
-  let tail = ref s.oplog_tail in
+  let from = s.oplog_tail in
+  let tail = ref from in
   ignore
-    (Log.walk_ops ~read:(read_ring t ~ring_base) ~cap ~tail:s.oplog_tail (fun op ~pos ~len ->
+    (Log.walk ~scan:Log.Op_entry.scan ~read:(read_ring t ~ring_base) ~cap ~from
+       (fun op ~pos ~len ->
          if !covered && Int64.compare op.Log.Op_entry.opnum s.opn_covered <= 0 then begin
            held := Log.track_lock !held op;
            if !held = [] then tail := pos + len
          end
          else covered := false));
-  let from = s.oplog_tail in
   if !tail <> from then begin
     s.oplog_tail <- !tail;
     persist_session t s;
-    if !tail > from then truncate_ring t ~ring_base ~off:from ~len:(!tail - from)
-    else begin
-      (* The walk wrapped: the old tail's lap ends at the ring's end. *)
-      truncate_ring t ~ring_base ~off:from ~len:(cap - from);
-      if !tail > 0 then truncate_ring t ~ring_base ~off:0 ~len:!tail
-    end
+    truncate_ring t ~ring_base ~cap ~from ~upto:!tail
   end
 
-(* Replay every complete transaction sitting past the session's LPN, until
-   the scan hits the zeroed frontier (Empty) or a torn record. Consumed
-   bytes are zeroed; LPN/OPN are persisted. Returns [true] on a torn tail. *)
+(* Replay every complete transaction past the session's LPN, walking the
+   memory-log ring up to its zeroed frontier or a torn frame, then zero
+   the walked span once and persist LPN and OPN. No crash point lies
+   inside a drain, so truncating after the walk is as safe as after each
+   frame. Returns [true] on a torn tail. *)
 let replay_pending t ~at s =
   let ring_base, cap = Layout.memlog_region t.layout ~session:s.sid in
   let time = ref at in
-  let torn = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let pos = s.lpn in
-    match scan_tx t ~ring_base ~cap ~pos with
-    | Log.Record (tx, consumed) ->
+  let from = s.lpn in
+  let upto, torn =
+    Log.walk ~scan:Log.Tx.scan ~read:(read_ring t ~ring_base) ~cap ~from (fun tx ~pos ~len ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
            retry after a lost ack, or a re-drain racing a reconnect).
            Absorbing it is safe — entries are absolute-address redo
            records, so re-applying is idempotent — but it must never
            move the covered OPN backwards. *)
-        let covered_before = s.opn_covered in
-        if tx.Log.Tx.count > 0 && Int64.compare tx.Log.Tx.op_hi covered_before <= 0 then begin
+        if tx.Log.Tx.count > 0 && Int64.compare tx.Log.Tx.op_hi s.opn_covered <= 0 then begin
           t.n_dup_replays <- t.n_dup_replays + 1;
           if Asym_obs.enabled () then Asym_obs.Registry.inc "log.dup_replays"
         end;
-        time := apply_tx t ~at:!time ~ring_base ~ring_off:pos ~len:consumed tx;
+        time := apply_tx t ~at:!time ~ring_base ~ring_off:pos ~len tx;
         if Int64.compare tx.Log.Tx.op_hi s.opn_covered > 0 then
-          s.opn_covered <- tx.Log.Tx.op_hi;
-        assert (Int64.compare s.opn_covered covered_before >= 0);
-        truncate_ring t ~ring_base ~off:pos ~len:consumed;
-        s.lpn <- (pos + consumed) mod cap
-    | Log.Wrap ->
-        truncate_ring t ~ring_base ~off:pos ~len:1;
-        s.lpn <- 0
-    | Log.Empty -> continue_ := false
-    | Log.Torn ->
-        torn := true;
-        Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
-        continue_ := false
-  done;
+          s.opn_covered <- tx.Log.Tx.op_hi)
+  in
+  if torn then Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
+  truncate_ring t ~ring_base ~cap ~from ~upto;
+  s.lpn <- upto;
   persist_session t s;
   gc_oplog t s;
-  !torn
+  torn
 
 let drain_session t ~session ~arrival =
   check_alive t;
   let s = get_session t session in
   ignore (replay_pending t ~at:arrival s)
-
-let replicate_raw t ~at ~addr b = repl t ~at ~addr b
 
 (* -- sequence numbers ------------------------------------------------------------ *)
 
@@ -414,13 +390,11 @@ let fresh_session t =
       let base = Layout.session_slot t.layout ~session:sid in
       write_word t (base + Layout.slot_inuse) 1L;
       persist_session t s;
-      (* Zero the session's rings so scans terminate at Empty. *)
+      (* Zero the session's rings so walks end at a zero byte. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
-      Device.zero t.dev ~addr:mbase ~len:mcap;
+      truncate_ring t ~ring_base:mbase ~cap:mcap ~from:0 ~upto:mcap;
       let obase, ocap = Layout.oplog_region t.layout ~session:sid in
-      Device.zero t.dev ~addr:obase ~len:ocap;
-      zero_uncharged t ~addr:mbase ~len:mcap;
-      zero_uncharged t ~addr:obase ~len:ocap;
+      truncate_ring t ~ring_base:obase ~cap:ocap ~from:0 ~upto:ocap;
       Some sid
 
 let handle_register_ds t ~at ds_name =
@@ -445,7 +419,7 @@ let handle_register_ds t ~at ds_name =
             Device.read t.dev ~addr:t.layout.Layout.naming_base
               ~len:(Naming.persisted_len t.naming)
           in
-          repl t ~at ~addr:t.layout.Layout.naming_base nb;
+          replicate_raw t ~at ~addr:t.layout.Layout.naming_base nb;
           ignore (register_ds_record t ~ds ~ds_name ~root ~lock ~sn);
           Rpc_msg.R_handle { ds; root; lock; sn })
 
@@ -476,7 +450,7 @@ let handle t ~at ~session req =
           let b =
             Device.read t.dev ~addr:(t.layout.Layout.bitmap_base + lo) ~len:(hi - lo + 1)
           in
-          repl t ~at ~addr:(t.layout.Layout.bitmap_base + lo) b;
+          replicate_raw t ~at ~addr:(t.layout.Layout.bitmap_base + lo) b;
           Rpc_msg.R_addr addr
       | None -> Rpc_msg.R_error "out of NVM slabs")
   | Rpc_msg.Free { addr; slabs } ->
@@ -484,7 +458,7 @@ let handle t ~at ~session req =
       let s = Layout.slab_index t.layout addr in
       let lo = s / 8 and hi = (s + slabs) / 8 in
       let b = Device.read t.dev ~addr:(t.layout.Layout.bitmap_base + lo) ~len:(hi - lo + 1) in
-      repl t ~at ~addr:(t.layout.Layout.bitmap_base + lo) b;
+      replicate_raw t ~at ~addr:(t.layout.Layout.bitmap_base + lo) b;
       Rpc_msg.R_unit
   | Rpc_msg.Free_batch { addrs } ->
       List.iter (fun addr -> Backend_alloc.free t.alloc ~addr ~slabs:1) addrs;
@@ -492,7 +466,7 @@ let handle t ~at ~session req =
       let b =
         Device.read t.dev ~addr:t.layout.Layout.bitmap_base ~len:t.layout.Layout.bitmap_len
       in
-      repl t ~at ~addr:t.layout.Layout.bitmap_base b;
+      replicate_raw t ~at ~addr:t.layout.Layout.bitmap_base b;
       Rpc_msg.R_unit
   | Rpc_msg.Name_get { name } -> Rpc_msg.R_name (Naming.find t.naming name)
   | Rpc_msg.Register_ds { name } -> handle_register_ds t ~at name

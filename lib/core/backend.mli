@@ -67,16 +67,18 @@ val memlog_ring : t -> session:Types.session_id -> int * int
 val oplog_ring : t -> session:Types.session_id -> int * int
 
 val drain_session : t -> session:Types.session_id -> arrival:Asym_sim.Simtime.t -> unit
-(** Replay all complete transactions sitting in the session's memory-log
-    ring: apply entries to the data area, bump the per-structure sequence
-    number around each application (the SN optimistic readers validate
-    against, Algorithm 2), advance and persist the LPN and OPN, forward the
-    stream to mirrors, then truncate the op log past what the OPN covers
-    ({!Log.walk_ops} from the persisted tail; the new tail is persisted
-    too). The back-end keeps no other copy of a session's cursors: a
-    recovering front-end reads the slot and walks its op log itself.
-    Media changes immediately; the work is charged to the back-end CPU
-    timeline starting at [arrival], and the caller is not blocked. *)
+(** Replay all complete transactions in the session's memory-log ring,
+    one {!Log.walk} from the LPN: apply entries to the data area, bump the
+    per-structure sequence number around each application (the SN
+    optimistic readers validate against, Algorithm 2) and forward each
+    frame to the mirrors. Then zero the walked span, persist the LPN and
+    OPN, and truncate the op log past what the OPN covers (a walk from the
+    persisted tail; the new tail is persisted first). Both rings zero a
+    consumed span, across the wrap, on the back-end and every live mirror.
+    A recovering front-end reads the session slot and walks its op log
+    itself. Media changes immediately; the work is charged to the
+    back-end CPU timeline starting at [arrival], and the caller is not
+    blocked. *)
 
 val replicate_raw : t -> at:Asym_sim.Simtime.t -> addr:Types.addr -> bytes -> unit
 (** Forward bytes that a front-end wrote with a one-sided verb (operation

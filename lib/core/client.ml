@@ -385,21 +385,29 @@ let read_u64 t ?hint addr =
 
 (* -- operation log ---------------------------------------------------------- *)
 
+(* The ring offset for a [len]-byte record at append head [head]. A record
+   never ends on the ring's last byte, which a wrap marker may need; one
+   that would goes to the ring base, behind a marker at [head]. [forward]:
+   the op log's marker goes to the mirrors like its records. *)
+let ring_place t ~ring_base ~cap ~head ~len ~forward ~too_big =
+  if len + 1 > cap then failwith (t.cname ^ ": " ^ too_big);
+  if head + len + 1 <= cap then head
+  else begin
+    let addr = ring_base + head in
+    with_retry t (fun () -> Verbs.write t.conn ~addr Log.wrap_marker);
+    if forward then Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr Log.wrap_marker;
+    0
+  end
+
 let oplog_append ?(signaled = None) t raw =
   let signaled = match signaled with Some s -> s | None -> t.cfg.oplog_signaled in
   let ring_base, cap = Backend.oplog_ring t.bk ~session:t.sid in
   let len = Bytes.length raw in
   let obs_t0 = if Asym_obs.enabled () then Clock.now t.clk else 0 in
-  if len + 1 > cap then failwith (t.cname ^ ": operation record exceeds op-log ring");
-  (* Wrap: drop a marker and continue at the ring base. A record never
-     ends at the ring's last byte, which the marker may need. *)
-  if t.oplog_head + len + 1 > cap then begin
-    let addr = ring_base + t.oplog_head in
-    with_retry t (fun () -> Verbs.write t.conn ~addr Log.wrap_marker);
-    Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr Log.wrap_marker;
-    t.oplog_head <- 0
-  end;
-  let offset = t.oplog_head in
+  let offset =
+    ring_place t ~ring_base ~cap ~head:t.oplog_head ~len ~forward:true
+      ~too_big:"operation record exceeds op-log ring"
+  in
   (if signaled then with_retry t (fun () -> Verbs.write t.conn ~addr:(ring_base + offset) raw)
    else begin
      Verbs.write_unsignaled t.conn ~addr:(ring_base + offset) raw;
@@ -444,6 +452,7 @@ let write t ~ds ~addr value =
   match t.cfg.mode with
   | `Direct ->
       with_retry t (fun () -> Verbs.write t.conn ~addr value);
+      Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr value;
       (match t.cache with Some c -> Cache.patch c ~addr value | None -> ())
   | `Logged ->
       let from_op =
@@ -530,12 +539,9 @@ let flush t =
     Log.Frame.seal t.frames ~op_hi:(Int64.pred t.next_opnum);
     let total = Log.Frame.length t.frames and wire = Log.Frame.wire t.frames in
     let ring_base, cap = Backend.memlog_ring t.bk ~session:t.sid in
-    if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
-    if t.memlog_head + total + 1 > cap then begin
-      with_retry t (fun () ->
-          Verbs.write t.conn ~addr:(ring_base + t.memlog_head) Log.wrap_marker);
-      t.memlog_head <- 0
-    end;
+    t.memlog_head <-
+      ring_place t ~ring_base ~cap ~head:t.memlog_head ~len:total ~forward:false
+        ~too_big:"transaction exceeds memory-log ring";
     with_retry t (fun () ->
         Verbs.write ~wire_len:wire ~len:total t.conn ~addr:(ring_base + t.memlog_head)
           (Log.Frame.buffer t.frames));
@@ -777,8 +783,9 @@ let read_cursors t =
   let ring_base, cap = Backend.oplog_ring t.bk ~session:t.sid in
   let read ~pos ~len = with_retry t (fun () -> Verbs.read t.conn ~addr:(ring_base + pos) ~len) in
   let ops = ref [] and held = ref [] and last = ref opn and walked = ref 0 in
-  let head =
-    Log.walk_ops ~read ~cap ~tail:(Int64.to_int (word Layout.slot_tail)) (fun op ~pos:_ ~len ->
+  let head, _torn =
+    Log.walk ~scan:Log.Op_entry.scan ~read ~cap ~from:(Int64.to_int (word Layout.slot_tail))
+      (fun op ~pos:_ ~len ->
         let opnum = op.Log.Op_entry.opnum in
         walked := !walked + len;
         held := Log.track_lock !held op;

@@ -87,7 +87,7 @@ val recover : ?backend:Backend.t -> t -> Log.Op_entry.t list
     transaction and clears the cache") — and reopens the session. Then it
     reads its cursors the way every other front-end path touches the
     back-end, with verbs: one RDMA read of the session slot (LPN, OPN,
-    op-log tail) and one {!Log.walk_ops} of its op log from the tail over
+    op-log tail) and one {!Log.walk} of its op log from the tail over
     windowed RDMA reads. For each lock a previous incarnation still holds
     it writes 0 to the lock word and logs the release, as
     [writer_unlock] does. Returns the operations past the OPN — those

@@ -186,14 +186,14 @@ module Tx = struct
 
   let wire_size t = Frame.wire (frame t)
 
-  type view = { ds : Types.ds_id; op_hi : int64; count : int; first : int }
+  type view = { ds : Types.ds_id; op_hi : int64; count : int; at : int }
 
   (* The one reader of the entry layout: flag (1), for a pointer entry
      the op number (8), addr (8), value length (4), value. Calls [f] on
-     each of [count] entries from [first] and returns the end of the last;
-     [Exit] when one is malformed or runs past [lim]. *)
-  let walk_entries buf ~first ~count ~lim f =
-    let p = ref first in
+     each of [count] entries of the frame at [at] and returns the end of
+     the last; [Exit] when one is malformed or runs past [lim]. *)
+  let walk_entries buf ~at ~count ~lim f =
+    let p = ref (at + header_len) in
     for _ = 1 to count do
       if !p >= lim then raise Exit;
       let flag = Bytes.get_uint8 buf !p in
@@ -220,15 +220,14 @@ module Tx = struct
         let op_hi = Codec.Dec.u64 d in
         let count = Codec.Dec.u32i d in
         if count > 1_000_000 then raise Exit;
-        let first = Codec.Dec.pos d in
-        let stop = walk_entries buf ~first ~count ~lim (fun ~addr:_ ~pos:_ ~len:_ -> ()) in
-        Codec.Dec.skip d (stop - first);
+        let stop = walk_entries buf ~at:pos ~count ~lim (fun ~addr:_ ~pos:_ ~len:_ -> ()) in
+        Codec.Dec.skip d (stop - Codec.Dec.pos d);
         if Codec.Dec.u8 d <> tag_commit then raise Exit;
-        { ds; op_hi; count; first })
+        { ds; op_hi; count; at = pos })
 
   (* [scan] has checked every entry this walks. *)
   let iter_entries buf v f =
-    ignore (walk_entries buf ~first:v.first ~count:v.count ~lim:(Bytes.length buf) f)
+    ignore (walk_entries buf ~at:v.at ~count:v.count ~lim:(Bytes.length buf) f)
 end
 
 module Op_entry = struct
@@ -284,30 +283,31 @@ let track_lock held (op : Op_entry.t) =
     let others = List.filter (fun a -> a <> addr) held in
     if ty = optype_lock_acquire then addr :: others else others
 
-(* -- the op-log walk ------------------------------------------------------- *)
+(* -- the ring walk ---------------------------------------------------------- *)
 
-(* An op-log record is a few dozen bytes, so one window holds many. *)
+(* An op-log record is a few dozen bytes, so one window holds many; a
+   memory-log frame larger than a window grows it. *)
 let walk_window = 4096
 
 (* [buf] holds the ring's [len] bytes from [base]; [off] is the next
-   record's offset in it. A frame that runs past the window is re-read
+   frame's offset in it. A frame that runs past the window is re-read
    from its start, the window growing while the frame alone overruns it. *)
-let walk_ops ~read ~cap ~tail f =
+let walk ~(scan : ?lim:int -> bytes -> pos:int -> 'a scan) ~read ~cap ~from f =
   let rec fill pos walked len =
     let len = min len (cap - pos) in
     decode (read ~pos ~len) pos len 0 walked
   and decode buf base len off walked =
     let pos = base + off in
-    if walked >= cap then pos
+    if walked >= cap then (pos, false)
     else
-      match Op_entry.scan buf ~pos:off ~lim:len with
-      | Record (op, n) ->
-          f op ~pos ~len:n;
+      match scan ~lim:len buf ~pos:off with
+      | Record (x, n) ->
+          f x ~pos ~len:n;
           decode buf base len (off + n) (walked + n)
       | Wrap -> fill 0 (walked + cap - pos) walk_window
-      | Empty when off < len || pos >= cap -> pos
+      | Empty when off < len || pos >= cap -> (pos, false)
       | Empty -> fill pos walked walk_window
       | Torn when base + len < cap -> fill pos walked (if off = 0 then len * 4 else walk_window)
-      | Torn -> pos
+      | Torn -> (pos, true)
   in
-  fill tail 0 walk_window
+  fill from 0 walk_window

@@ -107,7 +107,7 @@ module Tx : sig
     ds : Types.ds_id;
     op_hi : int64;
     count : int;  (** entries in the frame *)
-    first : int;  (** buffer offset of the first entry's header *)
+    at : int;  (** buffer offset of the frame; its entries follow the header *)
   }
   (** A checked frame, read in place: its entries stay in the scanned
       buffer. *)
@@ -154,21 +154,22 @@ val track_lock : Types.addr list -> Op_entry.t -> Types.addr list
     record has no release record after it. Other records leave the set
     as it is. *)
 
-(** {2 The op-log walk} *)
+(** {2 The ring walk} *)
 
-val walk_ops :
+val walk :
+  scan:(?lim:int -> bytes -> pos:int -> 'a scan) ->
   read:(pos:int -> len:int -> bytes) ->
   cap:int ->
-  tail:int ->
-  (Op_entry.t -> pos:int -> len:int -> unit) ->
-  int
-(** Walk a [cap]-byte op-log ring from ring offset [tail], calling
-    [f op ~pos ~len] on each record in log order, and return the ring
-    offset where the walk ended: the first zero byte or torn frame, which
-    is the append head. [read ~pos ~len] returns a buffer whose first
-    [len] bytes are the ring's from [pos]. The walk reads 4 KiB at a time
-    and decodes every whole record in a window before it reads the next;
-    a record cut by a window's end is read again from its start. It never
-    walks more than one lap: a front-end that overran its own records
-    leaves no zero byte to stop at. The back-end's op-log GC and
-    front-end recovery both walk with it. *)
+  from:int ->
+  ('a -> pos:int -> len:int -> unit) ->
+  int * bool
+(** Walk a [cap]-byte ring of [scan]'s frames ({!Op_entry.scan} or
+    {!Tx.scan}) from ring offset [from], calling [f x ~pos ~len] on each in
+    log order while the buffer [read ~pos ~len] returned last holds it.
+    Returns where the walk ended, the append head, and [true] when a torn
+    frame ended it rather than a zero byte. It reads 4 KiB windows and
+    decodes every whole frame in one before reading the next; a frame cut
+    by a window's end is re-read from its start, the window growing 4x
+    while the frame alone overruns it. It walks one lap at most: a ring
+    overrun by its writer has no zero byte. Memory-log replay, op-log GC
+    and front-end recovery all walk with it. *)

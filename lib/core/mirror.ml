@@ -34,10 +34,8 @@ let media_cost t len =
   | Nvm_backed -> Latency.nvm_write_cost t.lat len
   | Ssd_backed -> t.lat.Latency.ssd_write_ns
 
-let replicate t ~from_nic ~at ~addr ?len b =
-  if t.crashed then ()
-  else begin
-    let len = match len with Some n -> n | None -> Bytes.length b in
+let replicate t ~from_nic ~at ~addr ~pos ~len b =
+  if not t.crashed then begin
     let payload = Latency.rdma_payload_ns t.lat len in
     (* The back-end NIC sends, the mirror NIC receives and its media absorbs. *)
     let sent = Timeline.acquire from_nic ~at ~dur:(t.lat.Latency.rdma_post_ns + payload) in
@@ -45,10 +43,15 @@ let replicate t ~from_nic ~at ~addr ?len b =
       Timeline.acquire t.nic ~at:(sent + (t.lat.Latency.rdma_rtt_ns / 2))
         ~dur:(t.lat.Latency.rdma_post_ns + payload + media_cost t len)
     in
-    Asym_nvm.Device.write t.dev ~addr ~len b;
+    Asym_nvm.Device.write t.dev ~addr ~pos ~len b;
     t.bytes <- t.bytes + len;
     t.writes <- t.writes + 1
   end
+
+let write t ~addr ~pos ~len b =
+  if not t.crashed then Asym_nvm.Device.write t.dev ~addr ~pos ~len b
+let write_u64 t ~addr v = if not t.crashed then Asym_nvm.Device.write_u64 t.dev ~addr v
+let zero t ~addr ~len = if not t.crashed then Asym_nvm.Device.zero t.dev ~addr ~len
 
 let bytes_replicated t = t.bytes
 let writes_replicated t = t.writes

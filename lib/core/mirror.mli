@@ -7,20 +7,29 @@
     back-end. The replication never blocks the front-end: the back-end
     forwards writes after acknowledging the transaction. *)
 
+open Asym_sim
+
 type kind = Nvm_backed | Ssd_backed
 
 type t
 
-val create : ?name:string -> kind:kind -> capacity:int -> Asym_sim.Latency.t -> t
+val create : ?name:string -> kind:kind -> capacity:int -> Latency.t -> t
 val kind : t -> kind
 val name : t -> string
 val device : t -> Asym_nvm.Device.t
 
 val replicate :
-  t -> from_nic:Asym_sim.Timeline.t -> at:Asym_sim.Simtime.t -> addr:int -> ?len:int -> bytes -> unit
-(** Apply one forwarded write of the first [len] bytes of the buffer
-    (default: all of it). Charges the sending NIC, this mirror's NIC and
-    its media; never blocks the caller's clock. *)
+  t -> from_nic:Timeline.t -> at:Simtime.t -> addr:int -> pos:int -> len:int -> bytes -> unit
+(** Apply one forwarded write of the [len] bytes of the buffer from [pos].
+    Charges the sending NIC, this mirror's NIC and its media; never blocks
+    the caller's clock. A crashed mirror takes nothing. *)
+
+val write : t -> addr:int -> pos:int -> len:int -> bytes -> unit
+val write_u64 : t -> addr:int -> int64 -> unit
+val zero : t -> addr:int -> len:int -> unit
+(** Uncharged updates, skipped on a crashed mirror too: a replayed
+    frame's data-area entries (inside the frame {!replicate} charged),
+    cursor words and ring truncation. *)
 
 val bytes_replicated : t -> int
 val writes_replicated : t -> int

@@ -217,10 +217,10 @@ let test_memlog_ring_wraps () =
     (String.make 100 (Char.chr 200))
     (Bytes.to_string (Asym_nvm.Device.read (Backend.device bk) ~addr ~len:100))
 
-(* Replay reads each frame through one reused window that starts at 16 KiB
-   and grows; later, smaller frames are read into the grown buffer with
-   stale bytes behind them. Every frame must still land, on the back-end
-   and on its mirror. *)
+(* Replay walks the ring through one reused window that starts at 4 KiB
+   and grows while a frame overruns it; later, smaller frames are read
+   into the grown buffer with stale bytes behind them. Every frame must
+   still land, on the back-end and on its mirror. *)
 let test_large_tx_replays_through_growth () =
   let bk = mk_backend () in
   let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
@@ -262,13 +262,13 @@ let test_large_tx_replays_through_growth () =
     (Bytes.equal (image dev) (image (Mirror.device m)))
 
 (* One frame bigger than 64 KiB, written straight into a session's ring,
-   with entries that straddle the 16 KiB first window (and the 64 KiB
-   second one) and overlap each other. Replay grows the window twice,
-   reading only the bytes past it, and writes every entry from the window:
-   the data area and the mirror must hold what applying the entries one by
-   one gives, after the same device reads as reading each grown window
-   whole (16 KiB, 64 KiB, then the rest of the ring; one 16 KiB read finds
-   the ring empty after the frame; the op-log GC walk reads one window). *)
+   with entries that straddle 16 KiB and 64 KiB and overlap each other.
+   The replay walk grows its window from 4 KiB while the frame overruns
+   it and writes every entry from the window: the data area and the
+   mirror must hold what applying the entries one by one gives, after one
+   device read per window (4 KiB, 16 KiB, 64 KiB, then the whole 256 KiB
+   ring, which also holds the zero byte after the frame) and one for the
+   op-log GC walk. *)
 let test_replay_frame_past_two_windows () =
   let bk = mk_backend () in
   let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
@@ -313,6 +313,66 @@ let test_replay_frame_past_two_windows () =
     (Bytes.to_string (Asym_nvm.Device.read dev ~addr:region ~len:16_384));
   check Alcotest.string "mirror" (Bytes.to_string expect)
     (Bytes.to_string (Asym_nvm.Device.read (Mirror.device m) ~addr:region ~len:16_384))
+
+(* One drain walks frames on both sides of the memory-log wrap: it zeroes
+   the whole walked span and leaves the LPN where the walk stopped, on
+   the back-end and on its mirror. *)
+let test_drain_across_the_wrap_truncates () =
+  let ring_cap = 4096 in
+  let bk = mk_backend ~memlog_cap:ring_cap () in
+  let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
+  Backend.attach_mirror bk m;
+  let fe, _ = mk_client bk in
+  let h = Client.register_ds fe "kv" in
+  let region = Client.malloc fe 4096 in
+  let session = Client.session fe in
+  let ring_base, _ = Backend.memlog_ring bk ~session in
+  let dev = Backend.device bk in
+  let lpn () =
+    let slot = Layout.session_slot (Backend.layout bk) ~session in
+    Int64.to_int (Asym_nvm.Device.read_u64 dev ~addr:(slot + Layout.slot_lpn))
+  in
+  let frame op_hi off len c =
+    Log.Tx.encode
+      {
+        Log.Tx.ds = h.Types.id;
+        op_hi = Int64.of_int op_hi;
+        entries = [ Log.Mem_entry.make ~addr:(region + off) (Bytes.make len c) ];
+      }
+  in
+  let put at b = Asym_nvm.Device.write dev ~addr:(ring_base + at) b in
+  (* A first drain moves the LPN near the ring's end. *)
+  put 0 (frame 100 0 3400 'f');
+  Backend.drain_session bk ~session ~arrival:0;
+  let from = lpn () in
+  check Alcotest.bool "LPN near the end" true (from > 3400 && from < 3500);
+  (* A frame that fits, the marker, then two frames from the ring base. *)
+  let a = frame 101 0 200 'a' and b = frame 102 1000 400 'b' and c = frame 103 2000 300 'c' in
+  put from a;
+  let marker = from + Bytes.length a in
+  check Alcotest.bool "the next frame does not fit" true
+    (marker + Bytes.length b + 1 > ring_cap);
+  put marker Log.wrap_marker;
+  put 0 b;
+  put (Bytes.length b) c;
+  let upto, torn =
+    Log.walk ~scan:Log.Tx.scan ~cap:ring_cap ~from
+      ~read:(fun ~pos ~len -> Asym_nvm.Device.read dev ~addr:(ring_base + pos) ~len)
+      (fun _ ~pos:_ ~len:_ -> ())
+  in
+  check Alcotest.bool "the walk ends at a zero byte" false torn;
+  check Alcotest.int "past the three frames" (Bytes.length b + Bytes.length c) upto;
+  let txs = Backend.replayed_txs bk in
+  Backend.drain_session bk ~session ~arrival:0;
+  check Alcotest.int "three frames replayed" (txs + 3) (Backend.replayed_txs bk);
+  check Alcotest.int "LPN is the walk's stop" upto (lpn ());
+  let zeros = String.make ring_cap '\000' in
+  check Alcotest.string "ring zeroed" zeros
+    (Bytes.to_string (Asym_nvm.Device.read dev ~addr:ring_base ~len:ring_cap));
+  check Alcotest.string "mirror ring zeroed" zeros
+    (Bytes.to_string (Asym_nvm.Device.read (Mirror.device m) ~addr:ring_base ~len:ring_cap));
+  check Alcotest.string "frames after the wrap applied" (String.make 300 'c')
+    (Bytes.to_string (Asym_nvm.Device.read dev ~addr:(region + 2000) ~len:300))
 
 let test_drain_busies_backend_cpu () =
   let bk = mk_backend () in
@@ -429,6 +489,8 @@ let () =
           Alcotest.test_case "seqno bumped" `Quick test_seqno_bumped_twice_per_tx;
           Alcotest.test_case "memlog ring wraps" `Quick test_memlog_ring_wraps;
           Alcotest.test_case "drain busies cpu" `Quick test_drain_busies_backend_cpu;
+          Alcotest.test_case "drain across the wrap zeroes the ring" `Quick
+            test_drain_across_the_wrap_truncates;
           Alcotest.test_case "frame past two windows replays in place" `Quick
             test_replay_frame_past_two_windows;
           Alcotest.test_case "large tx replays through window growth" `Quick

@@ -386,18 +386,19 @@ let prop_client_frames_scan_back =
       List.map (fun (d, n, _) -> (d, n)) frames = runs
       && List.concat_map (fun (_, _, es) -> es) frames = written)
 
-(* -- the op-log walk --------------------------------------------------------- *)
+(* -- the ring walk ---------------------------------------------------------- *)
 
-(* A ring written the way a front-end appends: records of varying size
-   from [tail] (one of them bigger than a 4 KiB walk window), a wrap
-   marker where the next one no longer fits before the last byte, then
-   on from the ring base. *)
-let walk_ring ~cap ~tail ~n =
+(* A ring written the way a front-end appends: frames of varying size
+   from [tail] (the fifth bigger than a 4 KiB walk window, the others a
+   few hundred bytes at most, so several share a window), a wrap marker
+   where the next one no longer fits before the last byte, then on from
+   the ring base. [frame i ~size] is the [i]-th frame, its payload [size]
+   bytes long. *)
+let lay_ring ~cap ~tail ~n frame =
   let ring = Bytes.make cap '\000' in
   let head = ref tail in
   for i = 1 to n do
-    let params = Bytes.make (if i = 5 then 6000 else i * 97 mod 301) 'p' in
-    let raw = Log.Op_entry.encode { Log.Op_entry.ds = 1; opnum = Int64.of_int i; optype = 1; params } in
+    let raw = frame i ~size:(if i = 5 then 6000 else i * 97 mod 301) in
     if !head + Bytes.length raw + 1 > cap then begin
       Bytes.set_uint8 ring !head 0xFF;
       head := 0
@@ -407,48 +408,70 @@ let walk_ring ~cap ~tail ~n =
   done;
   (ring, !head)
 
-let walk ring ~tail =
+let op_frame i ~size =
+  Log.Op_entry.encode
+    { Log.Op_entry.ds = 1; opnum = Int64.of_int i; optype = 1; params = Bytes.make size 'p' }
+
+let tx_frame i ~size =
+  Log.Tx.encode
+    {
+      Log.Tx.ds = 1;
+      op_hi = Int64.of_int i;
+      entries =
+        [ Log.Mem_entry.make ~addr:(8 * i) (Bytes.make size 'v'); entry (4096 + i) "w" ];
+    }
+
+(* What the op and memory-log walks report of a frame: its op number. *)
+let op_key (op : Log.Op_entry.t) = op.Log.Op_entry.opnum
+let tx_key (v : Log.Tx.view) = v.Log.Tx.op_hi
+
+let walk_with scan key ring ~tail =
   let read ~pos ~len = Bytes.sub ring pos len in
   let seen = ref [] in
-  let head =
-    Log.walk_ops ~read ~cap:(Bytes.length ring) ~tail (fun op ~pos ~len:_ ->
-        seen := (op.Log.Op_entry.opnum, pos) :: !seen)
+  let head, torn =
+    Log.walk ~scan ~read ~cap:(Bytes.length ring) ~from:tail (fun x ~pos ~len:_ ->
+        seen := (key x, pos) :: !seen)
   in
-  (List.rev !seen, head)
+  (List.rev !seen, head, torn)
 
-(* The reference walk: one scan per record over the whole ring. *)
-let walk_reference ring ~tail =
+let walk = walk_with Log.Op_entry.scan op_key
+
+(* The reference walk: one scan per frame over the whole ring. *)
+let walk_reference scan key ring ~tail =
   let cap = Bytes.length ring in
   let rec go pos walked acc =
-    if walked >= cap then (List.rev acc, pos)
+    if walked >= cap then (List.rev acc, pos, false)
     else
-      match Log.Op_entry.scan ring ~pos with
-      | Log.Record (op, n) -> go (pos + n) (walked + n) ((op.Log.Op_entry.opnum, pos) :: acc)
+      match scan ?lim:None ring ~pos with
+      | Log.Record (x, n) -> go (pos + n) (walked + n) ((key x, pos) :: acc)
       | Log.Wrap -> go 0 (walked + cap - pos) acc
-      | Log.Empty | Log.Torn -> (List.rev acc, pos)
+      | Log.Empty -> (List.rev acc, pos, false)
+      | Log.Torn -> (List.rev acc, pos, true)
   in
   go tail 0 []
 
-let walk_result = Alcotest.(pair (list (pair int64 int)) int)
+let op_reference = walk_reference Log.Op_entry.scan op_key
+let walk_result = Alcotest.(triple (list (pair int64 int)) int bool)
 
 let test_walk_windows () =
   (* Records cut by a window's end, one longer than a window and a wrap:
      the windowed walk sees what a scan per record sees. *)
-  let ring, head = walk_ring ~cap:20_000 ~tail:12_000 ~n:60 in
+  let ring, head = lay_ring ~cap:20_000 ~tail:12_000 ~n:60 op_frame in
   check Alcotest.bool "the records wrap" true (head < 12_000);
-  let seen, head' = walk ring ~tail:12_000 in
+  let ((seen, head', _) as got) = walk ring ~tail:12_000 in
   check Alcotest.int "ends at the append head" head head';
   check Alcotest.(list int64) "every record, in order" (List.init 60 (fun i -> Int64.of_int (i + 1)))
     (List.map fst seen);
-  check walk_result "as the reference walk" (walk_reference ring ~tail:12_000) (seen, head')
+  check walk_result "as the reference walk" (op_reference ring ~tail:12_000) got
 
 let test_walk_stops_at_torn_frame () =
-  let ring, head = walk_ring ~cap:20_000 ~tail:0 ~n:40 in
+  let ring, head = lay_ring ~cap:20_000 ~tail:0 ~n:40 op_frame in
   (* Tear the last record's CRC: the walk ends where that record starts. *)
   Bytes.set_uint8 ring (head - 1) (Bytes.get_uint8 ring (head - 1) lxor 0xFF);
-  let seen, head' = walk ring ~tail:0 in
+  let ((seen, _, torn) as got) = walk ring ~tail:0 in
   check Alcotest.int "every whole record" 39 (List.length seen);
-  check walk_result "as the reference walk" (walk_reference ring ~tail:0) (seen, head')
+  check Alcotest.bool "reports the tear" true torn;
+  check walk_result "as the reference walk" (op_reference ring ~tail:0) got
 
 let test_walk_one_lap () =
   (* A ring with no zero byte anywhere, 400 records and the wrap marker
@@ -462,10 +485,37 @@ let test_walk_one_lap () =
     in
     Bytes.blit raw 0 ring (i * 32) 32
   done;
-  let seen, head = walk ring ~tail:32 in
+  let ((seen, head, _) as got) = walk ring ~tail:32 in
   check Alcotest.int "one lap of records" 400 (List.length seen);
   check Alcotest.int "stops where it began" 32 head;
-  check walk_result "as the reference walk" (walk_reference ring ~tail:32) (seen, head)
+  check walk_result "as the reference walk" (op_reference ring ~tail:32) got
+
+(* Memory-log frames through the same walk: several in one window, one
+   longer than a window, a wrap, and a torn last frame. *)
+let test_walk_memlog_frames () =
+  let walk_tx = walk_with Log.Tx.scan tx_key in
+  let tx_reference = walk_reference Log.Tx.scan tx_key in
+  let ring, head = lay_ring ~cap:20_000 ~tail:12_000 ~n:60 tx_frame in
+  check Alcotest.bool "the frames wrap" true (head < 12_000);
+  check Alcotest.bool "the fifth frame outgrows a window" true
+    (Bytes.length (tx_frame 5 ~size:6000) > 4096);
+  let ((seen, head', torn) as got) = walk_tx ring ~tail:12_000 in
+  check Alcotest.int "ends at the append head" head head';
+  check Alcotest.bool "at a zero byte" false torn;
+  check Alcotest.(list int64) "every frame, in order"
+    (List.init 60 (fun i -> Int64.of_int (i + 1)))
+    (List.map fst seen);
+  let first_window = List.filter (fun (_, pos) -> pos >= 12_000 && pos < 12_000 + 4096) seen in
+  check Alcotest.bool "several frames in the first window" true (List.length first_window > 2);
+  check walk_result "as the reference walk" (tx_reference ring ~tail:12_000) got;
+  (* Tear the last frame's CRC: the walk stops at its start, torn. *)
+  let last = snd (List.nth seen 59) in
+  Bytes.set_uint8 ring (head - 1) (Bytes.get_uint8 ring (head - 1) lxor 0xFF);
+  let ((seen, head', torn) as got) = walk_tx ring ~tail:12_000 in
+  check Alcotest.int "every whole frame" 59 (List.length seen);
+  check Alcotest.int "stops at the torn frame" last head';
+  check Alcotest.bool "reports the tear" true torn;
+  check walk_result "as the reference walk, torn" (tx_reference ring ~tail:12_000) got
 
 let test_track_lock () =
   let record ~acquire ~opnum addr = Log.lock_record ~acquire ~opnum addr in
@@ -528,6 +578,7 @@ let () =
           Alcotest.test_case "windows match a per-record scan" `Quick test_walk_windows;
           Alcotest.test_case "stops at a torn frame" `Quick test_walk_stops_at_torn_frame;
           Alcotest.test_case "at most one lap" `Quick test_walk_one_lap;
+          Alcotest.test_case "memory-log frames" `Quick test_walk_memlog_frames;
           Alcotest.test_case "held-lock tracking" `Quick test_track_lock;
         ] );
     ]

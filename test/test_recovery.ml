@@ -262,6 +262,31 @@ let test_case4_failover_helper () =
       let t = Bst.attach fe ~name:"b" in
       check (Alcotest.option bytes_eq) "survived" (Some (v "one")) (Bst.find t ~key:1L)
 
+(* A front-end puts 100 keys with one NVM mirror attached; the back-end
+   dies, the mirror is promoted, and the front-end recovers and replays
+   what its memory logs did not cover: every key is on the successor,
+   whatever path the front-end's writes took to the back-end. *)
+let test_case4_promotion_keeps_every_key cfg () =
+  let bk = mk_backend () in
+  let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:(16 * 1024 * 1024) lat in
+  Backend.attach_mirror bk m;
+  let fe = mk_client ~cfg bk in
+  let h = Hash.attach ~nbuckets:32 fe ~name:"h" in
+  for i = 0 to 99 do
+    Hash.put h ~key:(Int64.of_int i) ~value:(v (string_of_int i))
+  done;
+  Backend.crash bk;
+  let ops = Client.recover ~backend:(Asym_cluster.Failover.promote m lat) fe in
+  let h = Hash.attach ~nbuckets:32 fe ~name:"h" in
+  let reg = Registry.create () in
+  Registry.register reg ~ds:(Hash.handle h).Types.id (Hash.replay h);
+  Registry.replay_all reg ops;
+  Client.flush fe;
+  check Alcotest.(list int) "no key missing" []
+    (List.filter
+       (fun i -> Hash.get h ~key:(Int64.of_int i) <> Some (v (string_of_int i)))
+       (List.init 100 Fun.id))
+
 (* -- Case 5: mirror crash --------------------------------------------------- *)
 
 let test_case5_mirror_crash_service_continues () =
@@ -301,8 +326,12 @@ let test_crashed_mirror_skipped_then_restarted () =
   let t = Bst.attach fe ~name:"b" in
   Mirror.crash m;
   let w0 = Mirror.writes_replicated m in
+  let image0 = Asym_nvm.Device.snapshot (Mirror.device m) in
   Bst.put t ~key:1L ~value:(v "lost-to-mirror");
+  Client.flush fe;
   check Alcotest.int "crashed mirror receives nothing" w0 (Mirror.writes_replicated m);
+  check Alcotest.bool "crashed mirror's image unchanged" true
+    (Bytes.equal image0 (Asym_nvm.Device.snapshot (Mirror.device m)));
   Mirror.restart m;
   Bst.put t ~key:2L ~value:(v "replicated-again");
   check Alcotest.bool "restarted mirror receives again" true (Mirror.writes_replicated m > w0)
@@ -414,7 +443,9 @@ let held_locks bk fe =
   let ring_base, cap = Backend.oplog_ring bk ~session in
   let read ~pos ~len = Asym_nvm.Device.read dev ~addr:(ring_base + pos) ~len in
   let held = ref [] in
-  ignore (Log.walk_ops ~read ~cap ~tail (fun op ~pos:_ ~len:_ -> held := Log.track_lock !held op));
+  ignore
+    (Log.walk ~scan:Log.Op_entry.scan ~read ~cap ~from:tail (fun op ~pos:_ ~len:_ ->
+         held := Log.track_lock !held op));
   !held
 
 let test_abandoned_lock_released_on_recovery () =
@@ -772,6 +803,12 @@ let () =
           Alcotest.test_case "promote nvm mirror" `Quick test_case4_promote_nvm_mirror;
           Alcotest.test_case "promote ssd mirror" `Quick test_case4_promote_ssd_mirror;
           Alcotest.test_case "failover helper" `Quick test_case4_failover_helper;
+          Alcotest.test_case "naive promotion keeps every key" `Quick
+            (test_case4_promotion_keeps_every_key (Client.naive ()));
+          Alcotest.test_case "r promotion keeps every key" `Quick
+            (test_case4_promotion_keeps_every_key (Client.r ()));
+          Alcotest.test_case "rcb promotion keeps every key" `Quick
+            (test_case4_promotion_keeps_every_key (Client.rcb ~batch_size:16 ()));
         ] );
       ( "case5-mirror",
         [
