@@ -34,7 +34,6 @@ type t = {
   mutable remote_log_head : int;
   mutable pending_log_bytes : int;
   mutable ops_since_ship : int;
-  mutable lines_written : int;
 }
 
 (* Local layout: a small meta region for roots/locks/seqnos, then the slab
@@ -123,7 +122,6 @@ let create ?(name = "sym") ?(capacity = 64 * 1024 * 1024) ?(cfg = symmetric) lat
       remote_log_head = 0;
       pending_log_bytes = 0;
       ops_since_ship = 0;
-      lines_written = 0;
     }
   in
   t_ref := Some t;
@@ -185,8 +183,7 @@ let write t ~ds ~addr value =
   Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.clk
     (Latency.nvm_write_cost t.lat (Bytes.length value));
   Asym_nvm.Device.write t.dev ~addr value;
-  t.pending_log_bytes <- t.pending_log_bytes + Bytes.length value + 13;
-  t.lines_written <- t.lines_written + Latency.lines (Bytes.length value)
+  t.pending_log_bytes <- t.pending_log_bytes + Bytes.length value + 13
 
 let write_u64 t ~ds addr v =
   let b = Bytes.create 8 in
@@ -226,11 +223,6 @@ let op_end t ~ds =
     ship_log t;
     t.ops_since_ship <- 0
   end
-
-let pending_ops t ~ds =
-  ignore t;
-  ignore ds;
-  []
 
 let flush t = ship_log t
 

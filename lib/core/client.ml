@@ -221,10 +221,7 @@ let make_falloc t =
         (fun addr -> data_base + ((addr - data_base) / slab_size * slab_size));
     }
 
-let connect ?(name = "frontend") ?rng cfg bk ~clock =
-  let rng =
-    match rng with Some r -> r | None -> Asym_util.Rng.create ~seed:(Int64.of_int 777)
-  in
+let connect ?(name = "frontend") cfg bk ~clock =
   let lat = Backend.latency bk in
   let conn =
     Verbs.connect ~client:clock ~remote_nic:(Backend.nic bk) ~remote_mem:(Backend.device bk) lat
@@ -233,7 +230,8 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
     if cfg.use_cache then
       Some
         (Cache.create ~policy:cfg.cache_policy ~page_size:cfg.page_size
-           ~capacity_bytes:cfg.cache_bytes rng)
+           ~capacity_bytes:cfg.cache_bytes
+           (Asym_util.Rng.create ~seed:(Int64.of_int 777)))
     else None
   in
   let t =
@@ -587,20 +585,13 @@ let op_end t ~ds =
   if Asym_obs.enabled () then begin
     let now = Clock.now t.clk in
     Asym_obs.Registry.inc ~labels:[ ("ds", string_of_int ds) ] "client.ops";
-    Asym_obs.Registry.observe "client.op_ns" (float_of_int (now - t.op_started));
     (* Per-operation breakdown: everything charged since op_begin, by
-       cause — into histograms and onto the op span for the trace. *)
+       cause, rides on the op span for the trace. *)
     let by_cause =
       List.filter
         (fun (_, v) -> v > 0)
         (Asym_obs.Attr.local_since (Clock.attr t.clk) t.attr_mark)
     in
-    List.iter
-      (fun (c, v) ->
-        Asym_obs.Registry.observe
-          ~labels:[ ("cause", Asym_obs.Attr.name c) ]
-          "attr.op_ns" (float_of_int v))
-      by_cause;
     let args = List.map (fun (c, v) -> (Asym_obs.Attr.name c, v)) by_cause in
     Asym_obs.Span.complete ~cat:"core" ~args ~track:t.cname ~ts:t.op_started
       ~dur:(now - t.op_started) "client.op"

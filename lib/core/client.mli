@@ -40,11 +40,17 @@ val config_name : config -> string
 
 type t
 
-val connect :
-  ?name:string -> ?rng:Asym_util.Rng.t -> config -> Backend.t -> clock:Asym_sim.Clock.t -> t
-(** Open a session on the back-end. *)
+val connect : ?name:string -> config -> Backend.t -> clock:Asym_sim.Clock.t -> t
+(** Open a session on the back-end. A cache's random and hybrid policies
+    draw their victims from a fixed seed, so a rerun evicts the same
+    pages. *)
 
 include Store.S with type t := t
+
+val pending_ops : t -> ds:Types.ds_id -> (int64 * int * bytes) list
+(** Operations of one structure logged since the last flush, oldest
+    first: [(opnum, optype, params)]. Push/pop annulment (§8.1) does not
+    read it: the write overlay serves a pop of an unflushed push. *)
 
 val persist_fence : t -> unit
 (** §4.1 persistency fence: when it returns, every preceding write is

@@ -63,10 +63,6 @@ module type S = sig
   val op_end : t -> ds:Types.ds_id -> unit
   (** Finish the operation: triggers [rnvm_tx_write] per batching policy. *)
 
-  val pending_ops : t -> ds:Types.ds_id -> (int64 * int * bytes) list
-  (** Operations logged but whose memory logs are still buffered locally —
-      the set the stack/queue annulment optimization inspects (§8.1). *)
-
   val flush : t -> unit
   (** Force [rnvm_tx_write] of all buffered memory logs. *)
 

@@ -19,9 +19,9 @@ let attr_ns cell cause = match List.assoc_opt cause cell.attr with Some v -> v |
 let attr_total cell = List.fold_left (fun acc (_, v) -> acc + v) 0 cell.attr
 
 (* One Table-3-style cell with observability forced on; the measured
-   window's registry snapshot (Runner wraps it in Obs_report.phase) is
-   parsed back into the cell. *)
-let run_cell ?(shared = false) ?put_ratio ?dist ~rig ~cfg ~preload ~ops kind =
+   window's counters (Runner wraps it in Obs_report.phase) are read back
+   into the cell. *)
+let run_cell ?put_ratio ?dist ~rig ~cfg ~preload ~ops kind =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
@@ -29,11 +29,11 @@ let run_cell ?(shared = false) ?put_ratio ?dist ~rig ~cfg ~preload ~ops kind =
     (fun () ->
       Obs_report.reset_phases ();
       Obs.reset ();
-      let res = Runner.run_asym ~shared ?put_ratio ?dist ~rig ~cfg ~kind ~preload ~ops () in
+      let res = Runner.run_asym ?put_ratio ?dist ~rig ~cfg ~kind ~preload ~ops () in
       let snap =
         match List.rev (Obs_report.phase_snapshots ()) with
-        | (_, json) :: _ -> json
-        | [] -> Obs.Json.Obj []
+        | (_, snap) :: _ -> snap
+        | [] -> []
       in
       let attr =
         List.filter_map
@@ -153,9 +153,9 @@ let default_cells ~preload ~ops =
      discussion needs — cached reads are where the cache converts round
      trips into local time, writes are where the log batching does. FIFO
      structures keep the 100%-push drive (they have no read mix). *)
-  let cell ?shared cfg kind =
+  let cell cfg kind =
     let put_ratio = if Runner.is_fifo kind then 1.0 else 0.5 in
-    run_cell ?shared ~put_ratio ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
+    run_cell ~put_ratio ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
       ~rig:(Runner.make_rig lat) ~cfg ~preload ~ops kind
   in
   let open Asym_core in

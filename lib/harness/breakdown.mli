@@ -14,7 +14,7 @@ type cell = {
 }
 
 val run_cell :
-  ?shared:bool -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution ->
+  ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution ->
   rig:Runner.rig -> cfg:Asym_core.Client.config -> preload:int -> ops:int ->
   Runner.ds_kind -> cell
 

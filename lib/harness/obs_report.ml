@@ -1,6 +1,15 @@
 module Obs = Asym_obs
 
+(* Both summary tables keep their 15 largest rows. *)
 let top = 15
+
+let take xs = List.filteri (fun i _ -> i < top) xs
+
+let format_ns ns =
+  if ns >= 1_000_000_000 then Printf.sprintf "%.3fs" (float_of_int ns /. 1e9)
+  else if ns >= 1_000_000 then Printf.sprintf "%.3fms" (float_of_int ns /. 1e6)
+  else if ns >= 1_000 then Printf.sprintf "%.3fus" (float_of_int ns /. 1e3)
+  else Printf.sprintf "%dns" ns
 
 let span_summary () =
   let t =
@@ -8,17 +17,32 @@ let span_summary () =
       ~header:[ "span"; "count"; "total"; "mean"; "max" ]
       ()
   in
+  (* Complete spans grouped by name: count, total, max. *)
+  let acc = Hashtbl.create 32 in
   List.iter
-    (fun (r : Obs.Summary.span_row) ->
-      Report.add_row t
-        [
-          r.Obs.Summary.sname;
-          string_of_int r.Obs.Summary.count;
-          Obs.Summary.format_ns r.Obs.Summary.total_ns;
-          Obs.Summary.format_ns (int_of_float r.Obs.Summary.mean_ns);
-          Obs.Summary.format_ns r.Obs.Summary.max_ns;
-        ])
-    (Obs.Summary.spans ~top ());
+    (fun (ev : Obs.Span.event) ->
+      match ev.Obs.Span.kind with
+      | Obs.Span.Instant -> ()
+      | Obs.Span.Complete dur ->
+          let name = ev.Obs.Span.name in
+          let count, total, mx =
+            match Hashtbl.find_opt acc name with Some v -> v | None -> (0, 0, 0)
+          in
+          Hashtbl.replace acc name (count + 1, total + dur, max mx dur))
+    (Obs.Span.events ());
+  Hashtbl.fold (fun name (count, total, mx) rows -> (name, count, total, mx) :: rows) acc []
+  |> List.sort (fun (a, _, ta, _) (b, _, tb, _) -> compare (tb, b) (ta, a))
+  |> take
+  |> List.iter (fun (name, count, total, mx) ->
+         let mean = float_of_int total /. float_of_int count in
+         Report.add_row t
+           [
+             name;
+             string_of_int count;
+             format_ns total;
+             format_ns (int_of_float mean);
+             format_ns mx;
+           ]);
   let dropped = Obs.Span.dropped () in
   if dropped > 0 then
     Report.note t
@@ -26,19 +50,26 @@ let span_summary () =
          dropped);
   t
 
+let render_name name labels =
+  match labels with
+  | [] -> name
+  | ls -> name ^ "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls) ^ "}"
+
 let counter_summary () =
   let t =
     Report.create ~title:"Observability: top counters" ~header:[ "counter"; "value" ] ()
   in
-  List.iter
-    (fun (r : Obs.Summary.counter_row) ->
-      Report.add_row t [ r.Obs.Summary.cname; string_of_int r.Obs.Summary.value ])
-    (Obs.Summary.counters ~top ());
+  Obs.Registry.fold_counters (fun name labels v rows -> (render_name name labels, v) :: rows) []
+  |> List.sort (fun (a, va) (b, vb) -> compare (vb, b) (va, a))
+  |> take
+  |> List.iter (fun (name, v) -> Report.add_row t [ name; string_of_int v ]);
   t
 
 (* -- phases -------------------------------------------------------------- *)
 
-let snapshots : (string * Obs.Json.t) list ref = ref []
+type series = string * Obs.Registry.labels * int
+
+let snapshots : (string * series list) list ref = ref []
 
 let phase label f =
   if not (Obs.enabled ()) then f ()
@@ -51,7 +82,11 @@ let phase label f =
     Fun.protect
       ~finally:(fun () ->
         Obs.Attr.flush_to_registry ();
-        snapshots := !snapshots @ [ (label, Obs.Registry.to_json ()) ];
+        let snap =
+          Obs.Registry.fold_counters (fun name labels v acc -> (name, labels, v) :: acc) []
+          |> List.sort compare
+        in
+        snapshots := !snapshots @ [ (label, snap) ];
         Obs.Registry.reset ())
       f
   end
@@ -59,45 +94,11 @@ let phase label f =
 let phase_snapshots () = !snapshots
 let reset_phases () = snapshots := []
 
-(* Pull one counter total back out of a snapshot document. *)
-let counter_total name json =
-  match Obs.Json.member "counters" json with
-  | Some (Obs.Json.List series) ->
-      List.fold_left
-        (fun acc s ->
-          match (Obs.Json.member "name" s, Obs.Json.member "value" s) with
-          | Some (Obs.Json.String n), Some v when n = name -> acc + Obs.Json.to_int v
-          | _ -> acc)
-        0 series
-  | _ -> 0
+let counter_series name snap =
+  List.filter_map (fun (n, labels, v) -> if n = name then Some (labels, v) else None) snap
 
-(* All (labels, value) points of one counter in a snapshot document. *)
-let counter_series name json =
-  match Obs.Json.member "counters" json with
-  | Some (Obs.Json.List series) ->
-      List.filter_map
-        (fun s ->
-          match (Obs.Json.member "name" s, Obs.Json.member "value" s) with
-          | Some (Obs.Json.String n), Some v when n = name ->
-              let labels =
-                match Obs.Json.member "labels" s with
-                | Some (Obs.Json.Obj kvs) ->
-                    List.map (fun (k, j) -> (k, Obs.Json.to_str j)) kvs
-                | _ -> []
-              in
-              Some (labels, Obs.Json.to_int v)
-          | _ -> None)
-        series
-  | _ -> []
-
-let count_series json =
-  [ "counters"; "histograms" ]
-  |> List.fold_left
-       (fun acc k ->
-         match Obs.Json.member k json with
-         | Some (Obs.Json.List xs) -> acc + List.length xs
-         | _ -> acc)
-       0
+let counter_total name snap =
+  List.fold_left (fun acc (_, v) -> acc + v) 0 (counter_series name snap)
 
 let phases_report () =
   let t =
@@ -106,13 +107,13 @@ let phases_report () =
       ()
   in
   List.iter
-    (fun (label, json) ->
+    (fun (label, snap) ->
       Report.add_row t
         [
           label;
-          string_of_int (count_series json);
-          string_of_int (counter_total "rdma.verbs" json);
-          string_of_int (counter_total "rdma.wire_bytes" json);
+          string_of_int (List.length snap);
+          string_of_int (counter_total "rdma.verbs" snap);
+          string_of_int (counter_total "rdma.wire_bytes" snap);
         ])
     !snapshots;
   t

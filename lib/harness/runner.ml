@@ -219,21 +219,21 @@ let race ~duration racers =
    generator. For key/value structures [put_ratio] selects between insert
    (PUT) and find (GET); for queue/stack it selects between push and
    pop. *)
-let mix_op ~fifo ~value_size ~put_ratio ~dist ~keyspace ~seed inst =
+let mix_op ~fifo ~put_ratio ~dist ~keyspace ~seed inst =
   let rng = Asym_util.Rng.create ~seed in
   let gen =
-    Asym_workload.Ycsb.create ~value_size ~distribution:dist ~keyspace:(max 1 keyspace)
+    Asym_workload.Ycsb.create ~value_size:64 ~distribution:dist ~keyspace:(max 1 keyspace)
       ~put_ratio rng
   in
   fun i ->
     if fifo then begin
       if Asym_util.Rng.float rng < put_ratio then
-        inst.push (value_of ~size:value_size (Int64.of_int i))
+        inst.push (value_of (Int64.of_int i))
       else ignore (inst.pop ())
     end
     else if Asym_util.Rng.float rng < put_ratio then begin
       let k = Asym_workload.Ycsb.key gen in
-      inst.put k (value_of ~size:value_size k)
+      inst.put k (value_of k)
     end
     else ignore (inst.get (Asym_workload.Ycsb.key gen))
 
@@ -245,35 +245,31 @@ let measured c ~phase ~ops op =
   let m = Obs_report.phase phase (fun () -> measure ~clock:(Client.clock c) ~ops op) in
   result ~ops ~before ~after:(counters c) m
 
-let preloaded rig ~kind ~preload ~value_size ~cache_pct cfg =
+let preloaded rig ~kind ~preload ~cache_pct cfg =
   let nm = ds_name kind in
   loaded_client rig ~name:nm ~cache_pct cfg ~load:(fun pre ->
       preload_instance (client_instance kind pre ~name:nm) ~fifo:(is_fifo kind) ~n:preload
-        ~value_size)
+        ~value_size:64)
 
 (* One Table-3-style cell on the AsymNVM architecture: preload, warm the
    measurement client's cache and adaptive level threshold, measure. *)
-let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_ratio = 1.0)
-    ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ~rig ~cfg ~kind ~preload ~ops () =
-  let c = preloaded rig ~kind ~preload ~value_size ~cache_pct cfg in
-  let inst = client_instance ~shared kind c ~name:(ds_name kind) in
-  let op =
-    mix_op ~fifo:(is_fifo kind) ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) inst
-  in
-  ignore
-    (measure ~clock:(Client.clock c) ~ops:(max 256 (ops / 2)) (op ~seed:(Int64.add seed 1L)));
-  measured c ~phase:(ds_name kind ^ "." ^ Client.config_name cfg) ~ops (op ~seed)
+let run_asym ?(cache_pct = 0.10) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform) ~rig
+    ~cfg ~kind ~preload ~ops () =
+  let c = preloaded rig ~kind ~preload ~cache_pct cfg in
+  let inst = client_instance kind c ~name:(ds_name kind) in
+  let op = mix_op ~fifo:(is_fifo kind) ~put_ratio ~dist ~keyspace:(preload * 4) inst in
+  ignore (measure ~clock:(Client.clock c) ~ops:(max 256 (ops / 2)) (op ~seed:100L));
+  measured c ~phase:(ds_name kind ^ "." ^ Client.config_name cfg) ~ops (op ~seed:99L)
 
 (* A Figure-13 style run: the synthetic industry trace (power-law keys,
    64 B - 8 KB values) instead of the fixed-size YCSB generator. *)
-let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~ops ~put_ratio ()
-    =
-  let c = preloaded rig ~kind ~preload ~value_size:64 ~cache_pct cfg in
+let run_asym_trace ~rig ~cfg ~kind ~preload ~ops ~put_ratio () =
+  let c = preloaded rig ~kind ~preload ~cache_pct:0.10 cfg in
   let inst = client_instance kind c ~name:(ds_name kind) in
   let tr =
     Asym_workload.Trace.create
       ~kind:(if is_fifo kind then `Fifo put_ratio else `Kv put_ratio)
-      (Asym_util.Rng.create ~seed)
+      (Asym_util.Rng.create ~seed:7L)
   in
   measured c ~phase:(ds_name kind ^ ".trace." ^ Client.config_name cfg) ~ops (fun _ ->
       match Asym_workload.Trace.next tr with
@@ -283,17 +279,17 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
       | Asym_workload.Trace.Get k -> ignore (inst.get k))
 
 (* The same cell on the symmetric baseline. *)
-let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform)
-    ?(seed = 99L) ~lat ~cfg ~kind ~preload ~ops () =
+let run_sym ~lat ~cfg ~kind ~preload ~ops () =
   let fifo = is_fifo kind in
   let nm = ds_name kind in
   let s = local_store ~name:nm ~cfg lat in
   let inst = local_instance kind s ~name:nm in
-  preload_instance inst ~fifo ~n:preload ~value_size;
+  preload_instance inst ~fifo ~n:preload ~value_size:64;
   let clock = Asym_baseline.Local_store.clock s in
   let m =
     Obs_report.phase (nm ^ ".sym") (fun () ->
         measure ~clock ~ops
-          (mix_op ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~seed inst))
+          (mix_op ~fifo ~put_ratio:1.0 ~dist:Asym_workload.Ycsb.Uniform ~keyspace:(preload * 4)
+             ~seed:99L inst))
   in
   result ~ops ~before:no_counters ~after:no_counters m

@@ -125,20 +125,21 @@ val race :
     of completed steps. *)
 
 val run_asym :
-  ?shared:bool -> ?value_size:int -> ?cache_pct:float -> ?put_ratio:float ->
-  ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 -> rig:rig ->
+  ?cache_pct:float -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution -> rig:rig ->
   cfg:Asym_core.Client.config -> kind:ds_kind -> preload:int -> ops:int -> unit -> result
 (** One Table-3-style cell on the AsymNVM architecture: preload through a
-    throwaway client, warm the measurement client, measure. *)
+    throwaway client, warm the measurement client, measure. Values are
+    64 bytes; the cache defaults to 10% of the preloaded NVM, the mix to
+    100% PUT over uniform keys. *)
 
 val run_asym_trace :
-  ?cache_pct:float -> ?seed:int64 -> rig:rig -> cfg:Asym_core.Client.config -> kind:ds_kind ->
-  preload:int -> ops:int -> put_ratio:float -> unit -> result
+  rig:rig -> cfg:Asym_core.Client.config -> kind:ds_kind -> preload:int -> ops:int ->
+  put_ratio:float -> unit -> result
 (** Figure-13 variant: the synthetic industry trace (power-law keys,
-    64 B – 8 KB values). *)
+    64 B – 8 KB values), with the cache at 10% of the preloaded NVM. *)
 
 val run_sym :
-  ?value_size:int -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 ->
   lat:Asym_sim.Latency.t -> cfg:Asym_baseline.Local_store.config -> kind:ds_kind ->
   preload:int -> ops:int -> unit -> result
-(** The same cell on the symmetric baseline. *)
+(** The same cell on the symmetric baseline: 64-byte values, 100% PUT
+    over uniform keys. *)

@@ -11,7 +11,6 @@ module Registry = Registry
 module Attr = Attr
 module Span = Span
 module Export_chrome = Export_chrome
-module Summary = Summary
 
 let set_enabled = Gate.set_enabled
 let enabled = Gate.enabled

@@ -22,11 +22,9 @@ let test_registry_disabled () =
   reset ();
   Registry.inc "c";
   Registry.add "c" 5;
-  Registry.observe "h" 10.0;
   Span.complete ~track:"t" ~ts:0 ~dur:1 "s";
   Span.instant "i";
   check Alcotest.int "counter untouched" 0 (Registry.counter_value "c");
-  check Alcotest.bool "histogram untouched" true (Registry.histogram "h" = None);
   check Alcotest.int "no series at all" 0 (Registry.fold_counters (fun _ _ _ n -> n + 1) 0);
   check (Alcotest.list Alcotest.string) "no spans" []
     (List.map (fun (e : Span.event) -> e.Span.name) (Span.events ()))
@@ -46,44 +44,12 @@ let test_registry_counters () =
   check Alcotest.int "absent series reads 0" 0 (Registry.counter_value "nope");
   Alcotest.check_raises "counters are monotonic"
     (Invalid_argument "Obs.Registry.add: counters are monotonic") (fun () ->
-      Registry.add "ops" (-1));
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Obs.Registry: ops is a counter, used as a histogram") (fun () ->
-      Registry.observe "ops" 1.0)
+      Registry.add "ops" (-1))
 
 let test_registry_reset () =
   Registry.inc "a";
-  Registry.observe "c" 3.0;
   Registry.reset ();
-  check Alcotest.int "counter gone" 0 (Registry.counter_value "a");
-  check Alcotest.bool "histogram gone" true (Registry.histogram "c" = None)
-
-let test_registry_json () =
-  Registry.inc ~labels:[ ("op", "write") ] "verbs";
-  for i = 1 to 100 do
-    Registry.observe "lat" (float_of_int i)
-  done;
-  (* Round-trip through text so the snapshot is known-parseable. *)
-  let doc = Json.parse (Json.to_string (Registry.to_json ())) in
-  let series key =
-    match Json.member key doc with Some j -> Json.to_list j | None -> Alcotest.fail key
-  in
-  (match series "counters" with
-  | [ c ] ->
-      check Alcotest.string "counter name" "verbs"
-        (Json.to_str (Option.get (Json.member "name" c)));
-      check Alcotest.int "counter value" 1 (Json.to_int (Option.get (Json.member "value" c)))
-  | l -> Alcotest.failf "expected 1 counter, got %d" (List.length l));
-  check (Alcotest.list Alcotest.string) "counters and histograms only"
-    [ "counters"; "histograms" ]
-    (match doc with Json.Obj kvs -> List.map fst kvs | _ -> []);
-  match series "histograms" with
-  | [ h ] ->
-      check Alcotest.int "histogram total" 100
-        (Json.to_int (Option.get (Json.member "total" h)));
-      let p50 = Json.to_float (Option.get (Json.member "p50" h)) in
-      check Alcotest.bool "p50 in a sane bucket" true (p50 >= 32.0 && p50 <= 64.0)
-  | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l)
+  check Alcotest.int "counter gone" 0 (Registry.counter_value "a")
 
 (* -- span ring ------------------------------------------------------------- *)
 
@@ -120,6 +86,100 @@ let test_chrome_export () =
   check Alcotest.int "two tracks named" 2 (List.length meta);
   let tid e = Json.to_int (Option.get (Json.member "tid" e)) in
   check Alcotest.bool "tracks on distinct lanes" true (tid x <> tid (named "client.op"))
+
+(* -- harness reports ---------------------------------------------------------- *)
+
+module Obs_report = Asym_harness.Obs_report
+module Report = Asym_harness.Report
+
+let series_t = Alcotest.(list (triple string (list (pair string string)) int))
+
+let n_series () = Registry.fold_counters (fun _ _ _ n -> n + 1) 0
+
+(* Each phase keeps exactly the counters recorded inside it: the registry
+   is cleared on entry and on exit, labels come back sorted, and the
+   phase table's totals are read off the same snapshots. *)
+let test_typed_phases () =
+  Obs_report.reset_phases ();
+  Fun.protect ~finally:Obs_report.reset_phases @@ fun () ->
+  Registry.inc "before";
+  Obs_report.phase "a" (fun () ->
+      Registry.inc ~labels:[ ("op", "write"); ("dev", "x") ] "rdma.verbs";
+      Registry.add ~labels:[ ("op", "read") ] "rdma.verbs" 3;
+      Registry.add "rdma.wire_bytes" 100);
+  check Alcotest.int "registry empty after a phase" 0 (n_series ());
+  Registry.inc "between";
+  Obs_report.phase "b" (fun () ->
+      Registry.add ~labels:[ ("op", "write") ] "rdma.verbs" 2;
+      Registry.inc "only.b");
+  let snaps = Obs_report.phase_snapshots () in
+  check Alcotest.(list string) "phases in order" [ "a"; "b" ] (List.map fst snaps);
+  check series_t "phase a"
+    [
+      ("rdma.verbs", [ ("dev", "x"); ("op", "write") ], 1);
+      ("rdma.verbs", [ ("op", "read") ], 3);
+      ("rdma.wire_bytes", [], 100);
+    ]
+    (List.assoc "a" snaps);
+  check series_t "phase b"
+    [ ("only.b", [], 1); ("rdma.verbs", [ ("op", "write") ], 2) ]
+    (List.assoc "b" snaps);
+  check
+    Alcotest.(list (pair (list (pair string string)) int))
+    "counter_series" [ ([ ("op", "write") ], 2) ]
+    (Obs_report.counter_series "rdma.verbs" (List.assoc "b" snaps));
+  check Alcotest.(list (list string)) "phase table"
+    [ [ "a"; "3"; "4"; "100" ]; [ "b"; "2"; "2"; "0" ] ]
+    (Report.rows (Obs_report.phases_report ()))
+
+(* Both summaries keep the 15 largest rows, ties broken by name
+   (descending), including a tie across the cut. *)
+let test_summaries () =
+  let span name durs =
+    List.iteri (fun i dur -> Span.complete ~track:"t" ~ts:i ~dur name) durs
+  in
+  span "big" [ 2_500_000_000 ];
+  span "mid" [ 1_000_000; 2_000_000 ];
+  span "small" [ 1_500; 500 ];
+  span "tiny" [ 999 ];
+  span "tie_a" [ 700 ];
+  span "tie_b" [ 300; 400 ];
+  for i = 1 to 12 do
+    span (Printf.sprintf "f%02d" i) [ (if i = 3 then 4 else i) ]
+  done;
+  Span.instant "not a span";
+  let fillers = List.init 9 (fun i -> 12 - i) in
+  check Alcotest.(list (list string)) "spans"
+    ([
+       [ "big"; "1"; "2.500s"; "2.500s"; "2.500s" ];
+       [ "mid"; "2"; "3.000ms"; "1.500ms"; "2.000ms" ];
+       [ "small"; "2"; "2.000us"; "1.000us"; "1.500us" ];
+       [ "tiny"; "1"; "999ns"; "999ns"; "999ns" ];
+       [ "tie_b"; "2"; "700ns"; "350ns"; "400ns" ];
+       [ "tie_a"; "1"; "700ns"; "700ns"; "700ns" ];
+     ]
+    @ List.map
+        (fun i ->
+          let ns = Printf.sprintf "%dns" i in
+          [ Printf.sprintf "f%02d" i; "1"; ns; ns; ns ])
+        fillers)
+    (Report.rows (Obs_report.span_summary ()));
+  Registry.add ~labels:[ ("op", "write"); ("dev", "a") ] "rdma.verbs" 50;
+  Registry.add ~labels:[ ("op", "read"); ("dev", "a") ] "rdma.verbs" 50;
+  Registry.add "plain" 40;
+  for i = 0 to 13 do
+    Registry.add (Printf.sprintf "k%02d" i) (if i = 1 then 3 else i + 1)
+  done;
+  check Alcotest.(list (list string)) "counters"
+    ([
+       [ "rdma.verbs{dev=a,op=write}"; "50" ];
+       [ "rdma.verbs{dev=a,op=read}"; "50" ];
+       [ "plain"; "40" ];
+     ]
+    @ List.init 12 (fun j ->
+          let i = 13 - j in
+          [ Printf.sprintf "k%02d" i; string_of_int (i + 1) ]))
+    (Report.rows (Obs_report.counter_summary ()))
 
 (* -- end-to-end: spans from every layer ------------------------------------ *)
 
@@ -161,7 +221,6 @@ let () =
           Alcotest.test_case "disabled is inert" `Quick (with_obs test_registry_disabled);
           Alcotest.test_case "counters + labels" `Quick (with_obs test_registry_counters);
           Alcotest.test_case "reset" `Quick (with_obs test_registry_reset);
-          Alcotest.test_case "json snapshot" `Quick (with_obs test_registry_json);
         ] );
       ( "span",
         [
@@ -169,6 +228,11 @@ let () =
         ] );
       ( "export",
         [ Alcotest.test_case "chrome trace_event" `Quick (with_obs test_chrome_export) ] );
+      ( "report",
+        [
+          Alcotest.test_case "typed phases" `Quick (with_obs test_typed_phases);
+          Alcotest.test_case "summaries" `Quick (with_obs test_summaries);
+        ] );
       ( "end-to-end",
         [ Alcotest.test_case "three layers traced" `Quick (with_obs test_three_layers) ] );
     ]

@@ -305,42 +305,6 @@ let test_percentile () =
   check (Alcotest.float 1e-9) "p0" 0.0 (Stats.percentile a 0.0);
   check (Alcotest.float 1e-9) "p100" 100.0 (Stats.percentile a 100.0)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~buckets:[| 1.0; 10.0; 100.0 |] in
-  List.iter (Stats.Histogram.add h) [ 0.5; 5.0; 50.0; 500.0; 7.0 ];
-  let counts = Array.map snd (Stats.Histogram.counts h) in
-  check (Alcotest.array Alcotest.int) "bucket counts" [| 1; 2; 1; 1 |] counts;
-  check Alcotest.int "total" 5 (Stats.Histogram.total h)
-
-let test_histogram_percentile () =
-  (* Everything in the first bucket: interpolate from the implicit 0 edge. *)
-  let h = Stats.Histogram.create ~buckets:[| 10.0; 20.0; 30.0 |] in
-  for _ = 1 to 10 do
-    Stats.Histogram.add h 5.0
-  done;
-  check (Alcotest.float 1e-9) "p50 single bucket" 5.0 (Stats.Histogram.percentile h 50.0);
-  check (Alcotest.float 1e-9) "p100 single bucket" 10.0 (Stats.Histogram.percentile h 100.0);
-  (* Spread across buckets: the rank walks the cumulative counts. *)
-  let h = Stats.Histogram.create ~buckets:[| 1.0; 2.0; 4.0 |] in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 3.0; 3.5 ];
-  check (Alcotest.float 1e-9) "p25" 1.0 (Stats.Histogram.percentile h 25.0);
-  check (Alcotest.float 1e-9) "p50" 2.0 (Stats.Histogram.percentile h 50.0);
-  check (Alcotest.float 1e-9) "p99" 3.96 (Stats.Histogram.percentile h 99.0);
-  (* The open-ended overflow bucket reports the last finite edge. *)
-  let h = Stats.Histogram.create ~buckets:[| 1.0; 2.0; 4.0 |] in
-  Stats.Histogram.add h 100.0;
-  check (Alcotest.float 1e-9) "overflow clamps" 4.0 (Stats.Histogram.percentile h 100.0)
-
-let test_histogram_percentile_errors () =
-  let h = Stats.Histogram.create ~buckets:[| 1.0 |] in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Stats.Histogram.percentile: empty histogram") (fun () ->
-      ignore (Stats.Histogram.percentile h 50.0));
-  Stats.Histogram.add h 0.5;
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Stats.Histogram.percentile: p out of [0,100]") (fun () ->
-      ignore (Stats.Histogram.percentile h 101.0))
-
 (* -- slot index ----------------------------------------------------------------- *)
 
 (* A table that keeps its keys in slots [0, n), the way the page cache
@@ -451,9 +415,5 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
-          Alcotest.test_case "histogram percentile errors" `Quick
-            test_histogram_percentile_errors;
         ] );
     ]
