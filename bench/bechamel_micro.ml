@@ -113,10 +113,15 @@ let tests () =
            ignore (Bpt.find bpt ~key:(Int64.of_int (Asym_util.Rng.int rng 1000)))));
     (* Figure 12: the Zipf generator itself. *)
     Test.make ~name:"fig12/zipf-next" (Staged.stage (fun () -> ignore (Asym_util.Zipf.next zipf)));
-    (* Figure 13: trace value sizing + crc of a log record. *)
+    (* Figure 13: trace value sizing + crc of a log record, and of a
+       frame-sized memory-log write. *)
     Test.make ~name:"fig13/crc32-4k"
       (Staged.stage
          (let b = Bytes.make 4096 'z' in
+          fun () -> ignore (Asym_util.Crc32.digest_bytes b)));
+    Test.make ~name:"fig13/crc32-64k"
+      (Staged.stage
+         (let b = Bytes.make 65536 'z' in
           fun () -> ignore (Asym_util.Crc32.digest_bytes b)));
     (* §4.2: transaction encode, scan and a walk over its entries. *)
     Test.make ~name:"tx/encode-scan"
@@ -180,8 +185,9 @@ let run () =
     Benchmark.all cfg instances (Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ()))
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "@.== Bechamel micro-benchmarks (wall-clock ns/op, dune profile %s) ==@."
-    Build_profile.name;
+  Format.printf
+    "@.== Bechamel micro-benchmarks (wall-clock ns/op, dune profile %s, crc32 kernel %s) ==@."
+    Build_profile.name Asym_util.Crc32.kernel;
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with

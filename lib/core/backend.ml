@@ -221,30 +221,48 @@ let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
   t.n_replayed_entries <- t.n_replayed_entries + entries;
   stop
 
-(* Log truncation: zero a ring's consumed span [from, upto), across the
-   wrap when [upto] is behind [from]. Keeping consumed and never-written
-   ring bytes zero is what lets a post-crash walk stop at the first zero
-   byte instead of tripping over stale records from a previous lap. *)
-let truncate_ring t ~ring_base ~cap ~from ~upto =
-  let zero_span off len =
-    let addr = ring_base + off in
-    if len > 0 then begin
-      Device.zero t.dev ~addr ~len;
-      List.iter (fun m -> Mirror.zero m ~addr ~len) t.mirror_list
-    end
-  in
-  if upto >= from then zero_span from (upto - from)
-  else begin
-    zero_span from (cap - from);
-    zero_span 0 upto
+(* Zero [len] bytes at [addr] on the device and every mirror. *)
+let zero_span t ~addr ~len =
+  if len > 0 then begin
+    Device.zero t.dev ~addr ~len;
+    List.iter (fun m -> Mirror.zero m ~addr ~len) t.mirror_list
   end
 
-(* Read [len] bytes of a ring at [pos] into [scan_buf], the window every
-   walk of either ring decodes from. *)
-let read_ring t ~ring_base ~pos ~len =
-  if Bytes.length t.scan_buf < len then t.scan_buf <- Bytes.create len;
-  Device.read_into t.dev ~addr:(ring_base + pos) t.scan_buf ~pos:0 ~len;
-  t.scan_buf
+(* Log truncation: zero a ring's consumed span [from, upto), across the
+   wrap when [upto] is behind [from]: then the span's first part ends at
+   [lap_end], one past the wrap marker, since the ring bytes behind the
+   marker were zero already. Keeping consumed and never-written ring
+   bytes zero is what lets a post-crash walk stop at the first zero byte
+   instead of tripping over stale records from a previous lap. *)
+let truncate_ring t ~ring_base ~from ~upto ~lap_end =
+  if upto >= from then zero_span t ~addr:(ring_base + from) ~len:(upto - from)
+  else begin
+    zero_span t ~addr:(ring_base + from) ~len:(lap_end - from);
+    zero_span t ~addr:ring_base ~len:upto
+  end
+
+(* The reader of one walk over a ring: [read ~pos ~len] leaves the
+   ring's [len] bytes from [pos] in [scan_buf], the window every walk of
+   either ring decodes from. When the walk asks again for the [pos] it
+   read last, the window growing over a frame that overran it, the bytes
+   already held stay and only the rest is read. Nothing writes a ring
+   while it is walked, so what the reader holds is valid until the walk
+   ends; the next walk takes a new reader. *)
+let read_ring t ~ring_base =
+  let held_pos = ref (-1) and held = ref 0 in
+  fun ~pos ~len ->
+    let keep = if pos = !held_pos then !held else 0 in
+    if len > keep then begin
+      if Bytes.length t.scan_buf < len then begin
+        let grown = Bytes.create len in
+        Bytes.blit t.scan_buf 0 grown 0 keep;
+        t.scan_buf <- grown
+      end;
+      Device.read_into t.dev ~addr:(ring_base + pos + keep) t.scan_buf ~pos:keep ~len:(len - keep)
+    end;
+    held_pos := pos;
+    held := Int.max len keep;
+    t.scan_buf
 
 (* Op-log truncation, with the memory log's discipline: move the tail
    past covered records and zero them, so a later walk ends at the first
@@ -259,18 +277,19 @@ let gc_oplog t s =
   let covered = ref true in
   let from = s.oplog_tail in
   let tail = ref from in
-  ignore
-    (Log.walk ~scan:Log.Op_entry.scan ~read:(read_ring t ~ring_base) ~cap ~from
-       (fun op ~pos ~len ->
-         if !covered && Int64.compare op.Log.Op_entry.opnum s.opn_covered <= 0 then begin
-           held := Log.track_lock !held op;
-           if !held = [] then tail := pos + len
-         end
-         else covered := false));
+  let { Log.lap_end; _ } =
+    Log.walk ~scan:Log.Op_entry.scan ~read:(read_ring t ~ring_base) ~cap ~from
+      (fun op ~pos ~len ->
+        if !covered && Int64.compare op.Log.Op_entry.opnum s.opn_covered <= 0 then begin
+          held := Log.track_lock !held op;
+          if !held = [] then tail := pos + len
+        end
+        else covered := false)
+  in
   if !tail <> from then begin
     s.oplog_tail <- !tail;
     persist_session t s;
-    truncate_ring t ~ring_base ~cap ~from ~upto:!tail
+    truncate_ring t ~ring_base ~from ~upto:!tail ~lap_end
   end
 
 (* Replay every complete transaction past the session's LPN, walking the
@@ -282,7 +301,7 @@ let replay_pending t ~at s =
   let ring_base, cap = Layout.memlog_region t.layout ~session:s.sid in
   let time = ref at in
   let from = s.lpn in
-  let upto, torn =
+  let { Log.head = upto; torn; lap_end } =
     Log.walk ~scan:Log.Tx.scan ~read:(read_ring t ~ring_base) ~cap ~from (fun tx ~pos ~len ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
@@ -299,7 +318,7 @@ let replay_pending t ~at s =
           s.opn_covered <- tx.Log.Tx.op_hi)
   in
   if torn then Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
-  truncate_ring t ~ring_base ~cap ~from ~upto;
+  truncate_ring t ~ring_base ~from ~upto ~lap_end;
   s.lpn <- upto;
   persist_session t s;
   gc_oplog t s;
@@ -392,9 +411,9 @@ let fresh_session t =
       persist_session t s;
       (* Zero the session's rings so walks end at a zero byte. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
-      truncate_ring t ~ring_base:mbase ~cap:mcap ~from:0 ~upto:mcap;
+      zero_span t ~addr:mbase ~len:mcap;
       let obase, ocap = Layout.oplog_region t.layout ~session:sid in
-      truncate_ring t ~ring_base:obase ~cap:ocap ~from:0 ~upto:ocap;
+      zero_span t ~addr:obase ~len:ocap;
       Some sid
 
 let handle_register_ds t ~at ds_name =

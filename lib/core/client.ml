@@ -774,7 +774,7 @@ let read_cursors t =
   let ring_base, cap = Backend.oplog_ring t.bk ~session:t.sid in
   let read ~pos ~len = with_retry t (fun () -> Verbs.read t.conn ~addr:(ring_base + pos) ~len) in
   let ops = ref [] and held = ref [] and last = ref opn and walked = ref 0 in
-  let head, _torn =
+  let { Log.head; _ } =
     Log.walk ~scan:Log.Op_entry.scan ~read ~cap ~from:(Int64.to_int (word Layout.slot_tail))
       (fun op ~pos:_ ~len ->
         let opnum = op.Log.Op_entry.opnum in

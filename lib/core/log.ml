@@ -289,25 +289,31 @@ let track_lock held (op : Op_entry.t) =
    memory-log frame larger than a window grows it. *)
 let walk_window = 4096
 
+type walk_end = { head : int; torn : bool; lap_end : int }
+
 (* [buf] holds the ring's [len] bytes from [base]; [off] is the next
    frame's offset in it. A frame that runs past the window is re-read
    from its start, the window growing while the frame alone overruns it. *)
 let walk ~(scan : ?lim:int -> bytes -> pos:int -> 'a scan) ~read ~cap ~from f =
+  let lap_end = ref cap in
+  let stop head torn = { head; torn; lap_end = !lap_end } in
   let rec fill pos walked len =
     let len = min len (cap - pos) in
     decode (read ~pos ~len) pos len 0 walked
   and decode buf base len off walked =
     let pos = base + off in
-    if walked >= cap then (pos, false)
+    if walked >= cap then stop pos false
     else
       match scan ~lim:len buf ~pos:off with
       | Record (x, n) ->
           f x ~pos ~len:n;
           decode buf base len (off + n) (walked + n)
-      | Wrap -> fill 0 (walked + cap - pos) walk_window
-      | Empty when off < len || pos >= cap -> (pos, false)
+      | Wrap ->
+          lap_end := pos + Bytes.length wrap_marker;
+          fill 0 (walked + cap - pos) walk_window
+      | Empty when off < len || pos >= cap -> stop pos false
       | Empty -> fill pos walked walk_window
       | Torn when base + len < cap -> fill pos walked (if off = 0 then len * 4 else walk_window)
-      | Torn -> (pos, true)
+      | Torn -> stop pos true
   in
   fill from 0 walk_window

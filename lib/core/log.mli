@@ -156,20 +156,27 @@ val track_lock : Types.addr list -> Op_entry.t -> Types.addr list
 
 (** {2 The ring walk} *)
 
+type walk_end = {
+  head : int;  (** Where the walk ended: the append head. *)
+  torn : bool;  (** A torn frame ended it rather than a zero byte. *)
+  lap_end : int;
+      (** One past the wrap marker the walk crossed, or [cap] when it
+          crossed none: where the bytes walked before the wrap end. *)
+}
+
 val walk :
   scan:(?lim:int -> bytes -> pos:int -> 'a scan) ->
   read:(pos:int -> len:int -> bytes) ->
   cap:int ->
   from:int ->
   ('a -> pos:int -> len:int -> unit) ->
-  int * bool
+  walk_end
 (** Walk a [cap]-byte ring of [scan]'s frames ({!Op_entry.scan} or
     {!Tx.scan}) from ring offset [from], calling [f x ~pos ~len] on each in
     log order while the buffer [read ~pos ~len] returned last holds it.
-    Returns where the walk ended, the append head, and [true] when a torn
-    frame ended it rather than a zero byte. It reads 4 KiB windows and
-    decodes every whole frame in one before reading the next; a frame cut
-    by a window's end is re-read from its start, the window growing 4x
-    while the frame alone overruns it. It walks one lap at most: a ring
-    overrun by its writer has no zero byte. Memory-log replay, op-log GC
-    and front-end recovery all walk with it. *)
+    It reads 4 KiB windows and decodes every whole frame in one before
+    reading the next; a frame cut by a window's end is re-read from its
+    start, the window growing 4x while the frame alone overruns it (the
+    same [pos] asked for again with a larger [len]). It walks one lap at
+    most: a ring overrun by its writer has no zero byte. Memory-log
+    replay, op-log GC and front-end recovery all walk with it. *)

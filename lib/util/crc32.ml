@@ -23,12 +23,13 @@ let tables =
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-(* Every index below is an input byte or a CRC byte (< 256) plus a table
-   offset, and every load lies in the slice checked on entry. *)
-let digest ?(init = 0l) b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.digest";
+(* The slicing-by-8 loop: the CRC state [c] (pre-inverted) after the
+   [len] bytes at [pos]. Every index below is an input byte or a CRC byte
+   (< 256) plus a table offset, and every load lies in the slice [digest]
+   checked on entry. *)
+let table_fold c b ~pos ~len =
   let t = tables in
-  let c = ref (Int32.to_int init land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  let c = ref c in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
@@ -53,7 +54,34 @@ let digest ?(init = 0l) b ~pos ~len =
     c :=
       Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  !c
 
+(* The carry-less multiply fold (crc32_stubs.c): the same state as
+   [table_fold] for [len >= 64] bytes, [len] a multiple of 16. *)
+external clmul_fold :
+  bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "asym_crc32_clmul_fold_byte" "asym_crc32_clmul_fold"
+[@@noalloc]
+
+external clmul_supported : unit -> bool = "asym_crc32_clmul_supported" [@@noalloc]
+
+let clmul = clmul_supported ()
+let kernel = if clmul then "clmul" else "table"
+
+(* [digest] runs the fold on whole 16-byte blocks of a slice of 64 bytes
+   or more and the loop on the rest; [table_digest] runs the loop alone. *)
+let digest_with ~clmul ?(init = 0l) b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.digest";
+  let c = Int32.to_int init land 0xFFFFFFFF lxor 0xFFFFFFFF in
+  let c =
+    if clmul && len >= 64 then
+      let n = len land lnot 15 in
+      table_fold (clmul_fold b pos n c) b ~pos:(pos + n) ~len:(len - n)
+    else table_fold c b ~pos ~len
+  in
+  Int32.of_int (c lxor 0xFFFFFFFF)
+
+let digest ?init b ~pos ~len = digest_with ~clmul ?init b ~pos ~len
+let table_digest ?init b ~pos ~len = digest_with ~clmul:false ?init b ~pos ~len
 let digest_bytes b = digest b ~pos:0 ~len:(Bytes.length b)
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)

@@ -268,7 +268,8 @@ let test_large_tx_replays_through_growth () =
    mirror must hold what applying the entries one by one gives, after one
    device read per window (4 KiB, 16 KiB, 64 KiB, then the whole 256 KiB
    ring, which also holds the zero byte after the frame) and one for the
-   op-log GC walk. *)
+   op-log GC walk. Each growth reads only the bytes past the window it
+   already holds, so the memory-log ring is read once. *)
 let test_replay_frame_past_two_windows () =
   let bk = mk_backend () in
   let m = Mirror.create ~name:"m" ~kind:Mirror.Nvm_backed ~capacity:cap lat in
@@ -305,8 +306,22 @@ let test_replay_frame_past_two_windows () =
   let ring_base, _ = Backend.memlog_ring bk ~session:(Client.session fe) in
   Asym_nvm.Device.write dev ~addr:ring_base frame;
   let reads0 = Asym_nvm.Device.reads_performed dev in
-  Backend.drain_session bk ~session:(Client.session fe) ~arrival:0;
+  let read_bytes =
+    Asym_obs.set_enabled true;
+    Asym_obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Asym_obs.reset ();
+        Asym_obs.set_enabled false)
+      (fun () ->
+        Backend.drain_session bk ~session:(Client.session fe) ~arrival:0;
+        Asym_obs.Registry.counter_value
+          ~labels:[ ("dev", Asym_nvm.Device.name dev); ("op", "read") ]
+          "nvm.media_bytes")
+  in
   check Alcotest.int "device reads" 5 (Asym_nvm.Device.reads_performed dev - reads0);
+  check Alcotest.int "bytes read: the memory-log ring once, one op-log window"
+    ((256 * 1024) + 4096) read_bytes;
   check Alcotest.int "one tx replayed" 1 (Backend.replayed_txs bk);
   check Alcotest.int "every entry replayed" 200 (Backend.replayed_entries bk);
   check Alcotest.string "data area" (Bytes.to_string expect)
@@ -355,12 +370,13 @@ let test_drain_across_the_wrap_truncates () =
   put marker Log.wrap_marker;
   put 0 b;
   put (Bytes.length b) c;
-  let upto, torn =
+  let { Log.head = upto; torn; lap_end } =
     Log.walk ~scan:Log.Tx.scan ~cap:ring_cap ~from
       ~read:(fun ~pos ~len -> Asym_nvm.Device.read dev ~addr:(ring_base + pos) ~len)
       (fun _ ~pos:_ ~len:_ -> ())
   in
   check Alcotest.bool "the walk ends at a zero byte" false torn;
+  check Alcotest.int "the lap ends one past the marker" (marker + 1) lap_end;
   check Alcotest.int "past the three frames" (Bytes.length b + Bytes.length c) upto;
   let txs = Backend.replayed_txs bk in
   Backend.drain_session bk ~session ~arrival:0;

@@ -428,7 +428,7 @@ let tx_key (v : Log.Tx.view) = v.Log.Tx.op_hi
 let walk_with scan key ring ~tail =
   let read ~pos ~len = Bytes.sub ring pos len in
   let seen = ref [] in
-  let head, torn =
+  let { Log.head; torn; _ } =
     Log.walk ~scan ~read ~cap:(Bytes.length ring) ~from:tail (fun x ~pos ~len:_ ->
         seen := (key x, pos) :: !seen)
   in

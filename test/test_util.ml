@@ -219,15 +219,24 @@ let prop_crc32_chains =
       = Crc32.digest ~init:(Crc32.digest_string a) b ~pos:0 ~len:(Bytes.length b)
       && Crc32.digest_bytes ab = reference_crc32 ab ~pos:0 ~len:(Bytes.length ab))
 
-(* The word-wise kernel against the bytewise table: slices of 0-4100
-   bytes (every [len mod 8] tail) at offsets 0-15, odd ones included,
-   over random bytes or bytes all >= 0x80 (the top bit of each 64-bit
-   load), from a random [init] and chained across a random cut. *)
+(* [Crc32.digest] (the carry-less multiply kernel on CPUs that have it)
+   and [Crc32.table_digest] (slicing-by-8 alone) against the bytewise
+   table: slices of 0-64 KiB at offsets 0-15, odd ones included, built as
+   16 k + tail so every [len mod 16] tail is drawn, with most lengths near
+   the 64 bytes where [digest] starts to fold; over random bytes or bytes
+   all >= 0x80 (the top bit of each load), from a random [init] and
+   chained across a random cut. *)
 let prop_crc32_word_kernel =
-  QCheck.Test.make ~count:300 ~name:"word kernel = bytewise table, 0-4100 B"
+  QCheck.Test.make ~count:300 ~name:"word kernel = bytewise table, 0-64 KiB"
     (QCheck.make
        ~print:QCheck.Print.(quad int int int bool)
-       QCheck.Gen.(quad (0 -- 4100) (0 -- 15) int bool))
+       QCheck.Gen.(
+         quad
+           (map2
+              (fun k tail -> (16 * k) + tail)
+              (frequency [ (4, 0 -- 12); (3, 13 -- 256); (2, 257 -- 4095) ])
+              (0 -- 15))
+           (0 -- 15) int bool))
     (fun (len, pos, seed, high) ->
       let r = Rng.create ~seed:(Int64.of_int seed) in
       let b =
@@ -238,10 +247,18 @@ let prop_crc32_word_kernel =
       let cut = Rng.int r (len + 1) in
       let whole = reference_crc32 ~init b ~pos ~len in
       Crc32.digest ~init b ~pos ~len = whole
+      && Crc32.table_digest ~init b ~pos ~len = whole
       && Crc32.digest
            ~init:(Crc32.digest ~init b ~pos ~len:cut)
            b ~pos:(pos + cut) ~len:(len - cut)
          = whole)
+
+let test_crc32_1mib_odd_offset () =
+  let b = random_bytes (Rng.create ~seed:13L) ((1 lsl 20) + 8) in
+  let pos = 3 and len = (1 lsl 20) + 1 in
+  let want = reference_crc32 b ~pos ~len in
+  check Alcotest.int32 "digest" want (Crc32.digest b ~pos ~len);
+  check Alcotest.int32 "table digest" want (Crc32.table_digest b ~pos ~len)
 
 (* -- Codec ------------------------------------------------------------ *)
 
@@ -402,6 +419,7 @@ let () =
             test_crc32_matches_reference_4k;
           QCheck_alcotest.to_alcotest prop_crc32_chains;
           QCheck_alcotest.to_alcotest prop_crc32_word_kernel;
+          Alcotest.test_case "1 MiB slice at an odd offset" `Quick test_crc32_1mib_odd_offset;
         ] );
       ( "codec",
         [
