@@ -1,7 +1,6 @@
 open Asym_sim
 open Asym_core
 module Crash = Asym_nvm.Crashpoint
-module Device = Asym_nvm.Device
 
 type failure = {
   point : int;
@@ -39,12 +38,12 @@ let fresh_world ~seed ~drop () =
   if drop > 0. then
     Asym_rdma.Verbs.set_fault (Client.connection fe)
       (Some (Asym_rdma.Verbs.Fault.make ~drop_p:drop ~seed:(Int64.logxor seed 0xFA17L) ()));
-  (bk, fe)
+  fe
 
 let census (subject : Subject.t) ~seed ~drop opl =
   Crash.reset ();
   Crash.set_census ();
-  let _bk, fe = fresh_world ~seed ~drop () in
+  let fe = fresh_world ~seed ~drop () in
   let inst = subject.Subject.attach fe in
   List.iter (Subject.apply inst) opl;
   Client.flush fe;
@@ -64,17 +63,15 @@ let pp_dump fmt d =
     (List.filteri (fun i _ -> i < 4) d)
     (if List.length d > 4 then "; ..." else "")
 
-(* An atomic verb cannot tear: the NIC applies RDMA CAS/fetch-add as one
-   8-byte unit. Everything else (signaled and unsignaled writes) can. *)
-let tearable site = String.length site >= 10 && String.sub site 0 10 = "rdma.write"
-
 (* Replay the schedule with a crash armed at [point]; recover; validate.
    Returns [Ok ()], a failure, or [`Skip] when the tear variant was
    requested for a non-tearable (atomic) boundary. *)
 let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
   Crash.reset ();
-  Crash.arm point;
-  let bk, fe = fresh_world ~seed ~drop () in
+  (* A torn run clips the CRC plus a few payload bytes: the frame parses
+     structurally but fails the checksum — the §4.2 torn-write shape. *)
+  Crash.arm ?torn:(if tear then Some (fun len -> len - 7) else None) point;
+  let fe = fresh_world ~seed ~drop () in
   let completed = ref 0 in
   let crashed =
     try
@@ -88,7 +85,7 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
       false
     with Crash.Crash_injected _ -> true
   in
-  let fired = Crash.fired () in
+  let fired = Crash.fired () and torn = Crash.torn_keep () in
   Crash.reset ();
   if not crashed then
     (* The armed point lies past this schedule's boundary count — only
@@ -96,20 +93,9 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
     `Skip
   else begin
     let site = match fired with Some (_, s) -> s | None -> "?" in
-    let torn =
-      if not tear then None
-      else if not (tearable site) then None
-      else
-        match Device.last_write_len (Backend.device bk) with
-        | None -> None
-        | Some len ->
-            (* Clip the CRC plus a few payload bytes: parses structurally,
-               fails the checksum — the §4.2 torn-write shape. *)
-            Some (max 0 (len - 7))
-    in
+    (* An atomic boundary lands whole, so its torn run is skipped. *)
     if tear && torn = None then `Skip
     else begin
-      (match torn with Some keep -> Device.tear_last_write (Backend.device bk) ~keep | None -> ());
       let fail detail = `Fail { point; site; torn; completed = !completed; detail } in
       match
         Client.crash fe;

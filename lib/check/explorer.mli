@@ -10,8 +10,8 @@
       armed. The injected {!Asym_nvm.Crashpoint.Crash_injected} leaves the
       world exactly as a front-end crash would: the boundary's write is on
       the media, its ack was never observed. Each tearable boundary is
-      additionally re-run with {!Asym_nvm.Device.tear_last_write} clipping
-      the write's tail (atomic verbs are never torn — RDMA atomics cannot
+      additionally re-run with its write landing torn, without its last
+      7 bytes (atomic verbs are never torn — RDMA atomics cannot
       tear). Then [Client.crash], [Client.recover], structure re-attach,
       op replay through {!Asym_structs.Registry}, and a flush.
     + {e Validate}: the recovered dump must equal the reference model

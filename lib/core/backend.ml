@@ -180,7 +180,7 @@ let rebuild_ds_registry t =
 (* The frame's [len] bytes are in [scan_buf], the walk's window, from
    [tx.at]; each entry is written to the device and the mirrors straight
    from there. *)
-let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
+let apply_tx t ~at ~len (tx : Log.Tx.view) =
   let buf = t.scan_buf in
   let entries = tx.Log.Tx.count in
   (* Cost: per-entry CPU + NVM media, plus the two sequence-number bumps. *)
@@ -208,15 +208,13 @@ let apply_tx t ~at ~ring_base ~ring_off ~len (tx : Log.Tx.view) =
   | Some r ->
       ignore (Device.fetch_add t.dev ~addr:r.sn 1L);
       write_entries ();
-      ignore (Device.fetch_add t.dev ~addr:r.sn 1L)
+      let sn = Int64.succ (Device.fetch_add t.dev ~addr:r.sn 1L) in
+      List.iter (fun m -> Mirror.write_u64 m ~addr:r.sn sn) t.mirror_list
   | None -> write_entries ());
   (* Forward the log record itself to the mirrors (one charged message);
-     the data-area entry writes above piggyback inside it. *)
-  List.iter
-    (fun m ->
-      Mirror.replicate m ~from_nic:t.nic_tl ~at:stop ~addr:(ring_base + ring_off)
-        ~pos:tx.Log.Tx.at ~len buf)
-    t.mirror_list;
+     the data-area entry writes above piggyback inside it. The mirror
+     does not store the frame: this drain's truncation would zero it. *)
+  List.iter (fun m -> Mirror.forward m ~from_nic:t.nic_tl ~at:stop ~len) t.mirror_list;
   t.n_replayed_txs <- t.n_replayed_txs + 1;
   t.n_replayed_entries <- t.n_replayed_entries + entries;
   stop
@@ -302,7 +300,7 @@ let replay_pending t ~at s =
   let time = ref at in
   let from = s.lpn in
   let { Log.head = upto; torn; lap_end } =
-    Log.walk ~scan:Log.Tx.scan ~read:(read_ring t ~ring_base) ~cap ~from (fun tx ~pos ~len ->
+    Log.walk ~scan:Log.Tx.scan ~read:(read_ring t ~ring_base) ~cap ~from (fun tx ~pos:_ ~len ->
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
            retry after a lost ack, or a re-drain racing a reconnect).
@@ -313,7 +311,7 @@ let replay_pending t ~at s =
           t.n_dup_replays <- t.n_dup_replays + 1;
           if Asym_obs.enabled () then Asym_obs.Registry.inc "log.dup_replays"
         end;
-        time := apply_tx t ~at:!time ~ring_base ~ring_off:pos ~len tx;
+        time := apply_tx t ~at:!time ~len tx;
         if Int64.compare tx.Log.Tx.op_hi s.opn_covered > 0 then
           s.opn_covered <- tx.Log.Tx.op_hi)
   in
@@ -343,14 +341,12 @@ let oplog_ring t ~session = Layout.oplog_region t.layout ~session
 
 (* -- crash and restart --------------------------------------------------- *)
 
-let crash ?torn_keep t =
-  (match torn_keep with Some keep -> Device.tear_last_write t.dev ~keep | None -> ());
+let crash t =
   t.crashed <- true;
   Asym_obs.Span.instant ~cat:"fault" ~track:t.bname "backend.crash"
 
 let restart t =
   Asym_obs.Span.instant ~cat:"fault" ~track:t.bname "backend.restart";
-  Device.crash_restart t.dev;
   t.layout <- Layout.load t.dev;
   t.naming <- Naming.load t.dev ~base:t.layout.Layout.naming_base ~len:t.layout.Layout.naming_len;
   t.alloc <- Backend_alloc.load t.dev t.layout;

@@ -38,10 +38,8 @@ val mirrors : t -> Mirror.t list
 
 (** {2 Failure injection} *)
 
-val crash : ?torn_keep:int -> t -> unit
-(** Crash the back-end. [torn_keep] tears the most recent NVM write down
-    to its first [torn_keep] bytes (simulating a partially drained RDMA
-    write). Until {!restart}, every RPC and replay raises
+val crash : t -> unit
+(** Crash the back-end. Until {!restart}, every RPC and replay raises
     {!Asym_rdma.Verbs.Failure_detected}. *)
 
 type session_status = Session_consistent | Session_torn_tail
@@ -70,9 +68,10 @@ val drain_session : t -> session:Types.session_id -> arrival:Asym_sim.Simtime.t 
 (** Replay all complete transactions in the session's memory-log ring,
     one {!Log.walk} from the LPN: apply entries to the data area, bump the
     per-structure sequence number around each application (the SN
-    optimistic readers validate against, Algorithm 2) and forward each
-    frame to the mirrors. Then zero the walked span, persist the LPN and
-    OPN, and truncate the op log past what the OPN covers (a walk from the
+    optimistic readers validate against, Algorithm 2; the mirrors get
+    the new value) and forward each frame to the mirrors, charged but not
+    stored. Then zero the walked span, persist the LPN and OPN, and
+    truncate the op log past what the OPN covers (a walk from the
     persisted tail; the new tail is persisted first). Both rings zero a
     consumed span, across the wrap, on the back-end and every live mirror.
     A recovering front-end reads the session slot and walks its op log

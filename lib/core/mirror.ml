@@ -34,7 +34,7 @@ let media_cost t len =
   | Nvm_backed -> Latency.nvm_write_cost t.lat len
   | Ssd_backed -> t.lat.Latency.ssd_write_ns
 
-let replicate t ~from_nic ~at ~addr ~pos ~len b =
+let forward t ~from_nic ~at ~len =
   if not t.crashed then begin
     let payload = Latency.rdma_payload_ns t.lat len in
     (* The back-end NIC sends, the mirror NIC receives and its media absorbs. *)
@@ -43,13 +43,16 @@ let replicate t ~from_nic ~at ~addr ~pos ~len b =
       Timeline.acquire t.nic ~at:(sent + (t.lat.Latency.rdma_rtt_ns / 2))
         ~dur:(t.lat.Latency.rdma_post_ns + payload + media_cost t len)
     in
-    Asym_nvm.Device.write t.dev ~addr ~pos ~len b;
     t.bytes <- t.bytes + len;
     t.writes <- t.writes + 1
   end
 
 let write t ~addr ~pos ~len b =
   if not t.crashed then Asym_nvm.Device.write t.dev ~addr ~pos ~len b
+
+let replicate t ~from_nic ~at ~addr ~pos ~len b =
+  forward t ~from_nic ~at ~len;
+  write t ~addr ~pos ~len b
 let write_u64 t ~addr v = if not t.crashed then Asym_nvm.Device.write_u64 t.dev ~addr v
 let zero t ~addr ~len = if not t.crashed then Asym_nvm.Device.zero t.dev ~addr ~len
 

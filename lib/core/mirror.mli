@@ -18,18 +18,22 @@ val kind : t -> kind
 val name : t -> string
 val device : t -> Asym_nvm.Device.t
 
+val forward : t -> from_nic:Timeline.t -> at:Simtime.t -> len:int -> unit
+(** Charge one forwarded write of [len] bytes and store nothing (a
+    replayed frame, which its drain zeroes anyway): the sending NIC, this
+    mirror's NIC and its media; never blocks the caller's clock. A
+    crashed mirror takes nothing. *)
+
 val replicate :
   t -> from_nic:Timeline.t -> at:Simtime.t -> addr:int -> pos:int -> len:int -> bytes -> unit
-(** Apply one forwarded write of the [len] bytes of the buffer from [pos].
-    Charges the sending NIC, this mirror's NIC and its media; never blocks
-    the caller's clock. A crashed mirror takes nothing. *)
+(** {!forward}, then store the [len] bytes of the buffer from [pos]. *)
 
 val write : t -> addr:int -> pos:int -> len:int -> bytes -> unit
 val write_u64 : t -> addr:int -> int64 -> unit
 val zero : t -> addr:int -> len:int -> unit
 (** Uncharged updates, skipped on a crashed mirror too: a replayed
-    frame's data-area entries (inside the frame {!replicate} charged),
-    cursor words and ring truncation. *)
+    frame's data-area entries (inside the frame {!forward} charged),
+    sequence-number and cursor words, and ring truncation. *)
 
 val bytes_replicated : t -> int
 val writes_replicated : t -> int

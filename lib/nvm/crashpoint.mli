@@ -13,10 +13,13 @@
     each verb with {!in_verb} so that (a) boundaries are attributed to the
     initiating verb and (b) back-end–local mutations (log replay, RPC
     bookkeeping, mirror replication) are {e not} crash points — a
-    front-end crash does not stop the back-end.
+    front-end crash does not stop the back-end. The hook also owns
+    tearing: a tear is decided before its write lands ({!landing}), so
+    no device keeps a pre-image.
 
     All state is global: the checker runs one schedule at a time. When the
-    hook is {!Off} (the default) the per-write overhead is one ref read. *)
+    hook is {!Off} and no tear is pending (the default), the per-write
+    overhead is one ref read each in {!landing} and {!hit}. *)
 
 exception Crash_injected of int
 (** Raised by {!hit} when the armed boundary is reached; carries the
@@ -24,13 +27,26 @@ exception Crash_injected of int
     recovery code running during unwinding is not re-interrupted. *)
 
 val reset : unit -> unit
-(** Disarm, zero the counter, clear census bookkeeping. *)
+(** Disarm, drop any tear, zero the counter, clear census bookkeeping. *)
 
 val set_census : unit -> unit
 (** Count boundaries and record site labels; never raise. *)
 
-val arm : int -> unit
-(** [arm n] raises {!Crash_injected} at the [n]-th boundary (1-based). *)
+val arm : ?torn:(int -> int) -> int -> unit
+(** [arm n] raises {!Crash_injected} at the [n]-th boundary (1-based).
+    With [torn], that boundary, if its verb is an [rdma.write*], lands
+    only the first [torn len] of its [len] bytes; atomics land whole. *)
+
+val tear_next : keep:int -> unit
+(** The next plain mutation lands only its first [keep] bytes; atomics
+    leave the tear pending. *)
+
+val torn_keep : unit -> int option
+(** Bytes the last torn mutation landed since {!reset}, if any. *)
+
+val landing : len:int -> int
+(** Bytes of a [len]-byte write, word write or zero that land (called by
+    {!Device} before applying it): [len], unless a tear is due. *)
 
 val boundaries : unit -> int
 (** Boundaries counted since the last {!reset}. *)

@@ -20,9 +20,6 @@ type t = {
   pages : bytes array;
   owned : bytes;  (* '\001' iff [pages.(i)] is this device's alone and may change in place *)
   lat : Latency.t;
-  mutable pre : bytes;  (* pre-image of the last write, reused across writes *)
-  mutable last_addr : addr;
-  mutable last_len : int;  (* -1: nothing to tear *)
   word : bytes;  (* scratch for an 8-byte word that straddles two pages *)
   mutable reads : int;
   mutable writes : int;
@@ -38,9 +35,6 @@ let create ?(name = "nvm") ~capacity lat =
     pages = Array.make n zero_page;
     owned = Bytes.make n '\000';
     lat;
-    pre = Bytes.create 64;
-    last_addr = 0;
-    last_len = -1;
     word = Bytes.create 8;
     reads = 0;
     writes = 0;
@@ -132,26 +126,29 @@ let get_word t addr =
     Bytes.get_int64_le t.word 0
   end
 
-let set_word t addr v =
+(* The first [len] bytes of [v]'s little-endian image: fewer than 8 only
+   when a tear cuts a word write. *)
+let set_word t ~len addr v =
   let off = addr land page_mask in
-  if off <= page_size - 8 then begin
+  if len = 8 && off <= page_size - 8 then begin
     let i = addr lsr page_bits in
     if not (Int64.equal v 0L && t.pages.(i) == zero_page) then
       Bytes.set_int64_le (writable t i) off v
   end
   else begin
     Bytes.set_int64_le t.word 0 v;
-    blit_in t ~addr t.word ~pos:0 ~len:8
+    blit_in t ~addr t.word ~pos:0 ~len
   end
 
 (* -- counted operations ------------------------------------------------- *)
 
-let save_pre t ~addr ~len =
-  if Bytes.length t.pre < len then
-    t.pre <- Bytes.create (Int.max len (2 * Bytes.length t.pre));
-  blit_out t ~addr t.pre ~pos:0 ~len;
-  t.last_addr <- addr;
-  t.last_len <- len
+(* The bytes of a plain mutation that land: all, unless the crash
+   injector tears it. The device has no clock; the tracer anchors the
+   torn-write instant at the latest simulated timestamp it has seen. *)
+let landing t ~len =
+  let n = Crashpoint.landing ~len in
+  if n < len then Asym_obs.Span.instant ~cat:"fault" ~track:t.name "nvm.torn_write";
+  n
 
 let count_write t ~len =
   t.writes <- t.writes + 1;
@@ -184,22 +181,19 @@ let write t ~addr ?(pos = 0) ?len b =
   let len = match len with Some n -> n | None -> Bytes.length b - pos in
   if pos < 0 || pos + len > Bytes.length b then invalid_arg "Nvm.Device.write: len";
   check t addr len;
-  save_pre t ~addr ~len;
-  blit_in t ~addr b ~pos ~len;
+  blit_in t ~addr b ~pos ~len:(landing t ~len);
   count_write t ~len;
   Crashpoint.hit ~site:"nvm.write"
 
 let write_u64 t ~addr v =
   check t addr 8;
-  save_pre t ~addr ~len:8;
-  set_word t addr v;
+  set_word t ~len:(landing t ~len:8) addr v;
   count_write t ~len:8;
   Crashpoint.hit ~site:"nvm.write"
 
 let zero t ~addr ~len =
   check t addr len;
-  save_pre t ~addr ~len;
-  fill_zero t ~addr ~len;
+  fill_zero t ~addr ~len:(landing t ~len);
   count_write t ~len;
   Crashpoint.hit ~site:"nvm.write"
 
@@ -207,8 +201,7 @@ let compare_and_swap t ~addr ~expected ~desired =
   check t addr 8;
   let old = get_word t addr in
   if Int64.equal old expected then begin
-    save_pre t ~addr ~len:8;
-    set_word t addr desired;
+    set_word t ~len:8 addr desired;
     count_write t ~len:8;
     Crashpoint.hit ~site:"nvm.cas"
   end;
@@ -217,8 +210,7 @@ let compare_and_swap t ~addr ~expected ~desired =
 let fetch_add t ~addr delta =
   check t addr 8;
   let old = get_word t addr in
-  save_pre t ~addr ~len:8;
-  set_word t addr (Int64.add old delta);
+  set_word t ~len:8 addr (Int64.add old delta);
   count_write t ~len:8;
   Crashpoint.hit ~site:"nvm.fetch_add";
   old
@@ -226,20 +218,6 @@ let fetch_add t ~addr delta =
 let read_cost t ~len = Latency.nvm_read_cost t.lat len
 let write_cost t ~len = Latency.nvm_write_cost t.lat len
 
-let tear_last_write t ~keep =
-  if t.last_len >= 0 then begin
-    let len = t.last_len in
-    let keep = Int.max 0 (Int.min keep len) in
-    (* Revert the suffix past [keep] to the pre-image. *)
-    blit_in t ~addr:(t.last_addr + keep) t.pre ~pos:keep ~len:(len - keep);
-    t.last_len <- -1;
-    (* The device has no clock; the tracer anchors the instant at the
-       latest simulated timestamp it has seen. *)
-    Asym_obs.Span.instant ~cat:"fault" ~track:t.name "nvm.torn_write"
-  end
-
-let crash_restart t = t.last_len <- -1
-let last_write_len t = if t.last_len < 0 then None else Some t.last_len
 let reads_performed t = t.reads
 let writes_performed t = t.writes
 let bytes_written t = t.bytes_written

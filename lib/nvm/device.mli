@@ -4,14 +4,13 @@
     - any completed write is durable (the ack the RDMA NIC returns after
       DDIO/ADR drains to the persistence domain);
     - a write in flight when the host crashes may be {e torn}: only a
-      prefix of it reaches the media. {!tear_last_write} reverts the
-      suffix of the most recent write, which is exactly the failure the
-      per-transaction checksum (paper §4.2) exists to detect.
+      prefix of it reaches the media, which is exactly the failure the
+      per-transaction checksum (paper §4.2) exists to detect. A torn
+      write lands torn: {!Crashpoint.landing} says how many bytes of a
+      plain mutation land; atomics always land whole.
 
-    The device never loses completed writes across {!crash_restart}; only
-    the torn suffix (if injected) differs. Media latencies are exposed as
-    cost functions; charging them to the right clock is the caller's
-    (NIC's / backend CPU's) job.
+    Media latencies are exposed as cost functions; charging them to the
+    right clock is the caller's (NIC's / backend CPU's) job.
 
     The media is sparse: {!page_size}-byte pages that all start as one
     shared, never-written zero page. A page is allocated on its first
@@ -44,9 +43,9 @@ val write : t -> addr:addr -> ?pos:int -> ?len:int -> bytes -> unit
 val write_u64 : t -> addr:addr -> int64 -> unit
 
 val zero : t -> addr:addr -> len:int -> unit
-(** Exactly a {!write} of [len] zero bytes — counters, crash site and the
-    pre-image {!tear_last_write} restores — without building them. Whole
-    pages shared with another device are dropped back to the zero page. *)
+(** Exactly a {!write} of [len] zero bytes — counters, crash site and
+    tearing — without building them. Whole pages shared with another
+    device are dropped back to the zero page. *)
 
 val compare_and_swap : t -> addr:addr -> expected:int64 -> desired:int64 -> int64
 (** Atomic 8-byte CAS; returns the previous value. *)
@@ -56,20 +55,6 @@ val fetch_add : t -> addr:addr -> int64 -> int64
 
 val read_cost : t -> len:int -> Asym_sim.Simtime.t
 val write_cost : t -> len:int -> Asym_sim.Simtime.t
-
-val tear_last_write : t -> keep:int -> unit
-(** Simulate a crash tearing the most recent write: only its first [keep]
-    bytes persist; the rest revert to the previous contents. No-op if
-    there was no write yet. *)
-
-val crash_restart : t -> unit
-(** Power-cycle the device. Durable contents are preserved; the
-    tear-injection bookkeeping is reset. *)
-
-val last_write_len : t -> int option
-(** Length of the most recent write (the one {!tear_last_write} would
-    tear), or [None] after {!crash_restart} / before any write. Used by
-    the crash-point explorer to pick a tear offset. *)
 
 val reads_performed : t -> int
 val writes_performed : t -> int
@@ -82,7 +67,7 @@ val resident_pages : t -> int
 val copy_from : t -> src:t -> unit
 (** Make [t]'s contents equal to [src]'s (same capacity) by sharing its
     pages; either side copies a page the first time it writes it. Touches
-    no counter and no tear bookkeeping. *)
+    no counter. *)
 
 val snapshot : t -> bytes
 (** Copy of the full media contents (a capacity-sized buffer, for tests). *)

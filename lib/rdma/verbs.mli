@@ -8,8 +8,8 @@
     Cost model per verb: the remote NIC is occupied for the posting cost
     plus payload serialization plus NVM media time; the initiating client
     blocks for the full round trip. [write] is durable when it returns
-    (the ack): crash-in-flight tearing is injected via
-    {!Asym_nvm.Device.tear_last_write} by failure tests. *)
+    (the ack): a write torn in flight lands torn, as
+    {!Asym_nvm.Crashpoint} decides for failure tests. *)
 
 exception Failure_detected of string
 (** The RNIC feedback a front-end gets from a crashed back-end (paper §7.2

@@ -126,6 +126,65 @@ let test_census_sites_gated () =
   check Alcotest.bool "mv structures expose CAS boundaries" true
     (List.exists (fun (site, _) -> site = "rdma.cas/nvm.cas") o.Explorer.sites)
 
+(* The explorer's torn arm, on the verbs it crashes: the boundary's
+   plain write lands all but its last 7 bytes and reports what landed;
+   an atomic boundary lands whole and reports nothing. *)
+let test_torn_arm_lands_at_the_boundary () =
+  let module Crash = Asym_nvm.Crashpoint in
+  let module Device = Asym_nvm.Device in
+  let module Verbs = Asym_rdma.Verbs in
+  let lat = Asym_sim.Latency.default in
+  let dev = Device.create ~name:"bk" ~capacity:4096 lat in
+  let conn =
+    Verbs.connect ~client:(Asym_sim.Clock.create ~name:"fe" ())
+      ~remote_nic:(Asym_sim.Timeline.create ~name:"nic" ()) ~remote_mem:dev lat
+  in
+  let crash_at point f =
+    Crash.reset ();
+    Crash.arm ~torn:(fun len -> len - 7) point;
+    match f () with
+    | () -> Alcotest.fail "no crash"
+    | exception Crash.Crash_injected n ->
+        check Alcotest.int "fired at the armed point" point n;
+        let torn = Crash.torn_keep () in
+        Crash.reset ();
+        torn
+  in
+  Device.write dev ~addr:0 (Bytes.make 20 'o');
+  let torn =
+    crash_at 2 (fun () ->
+        Verbs.write conn ~addr:0 (Bytes.make 20 'a');
+        Verbs.write conn ~addr:0 (Bytes.make 20 'b'))
+  in
+  check (Alcotest.option Alcotest.int) "rdma.write keeps len - 7" (Some 13) torn;
+  check Alcotest.string "the boundary's write landed torn"
+    (String.make 13 'b' ^ String.make 7 'a')
+    (Bytes.to_string (Device.read dev ~addr:0 ~len:20));
+  let torn =
+    crash_at 1 (fun () ->
+        ignore (Verbs.compare_and_swap conn ~addr:64 ~expected:0L ~desired:9L))
+  in
+  check (Alcotest.option Alcotest.int) "an atomic boundary is not torn" None torn;
+  check Alcotest.int64 "the CAS landed whole" 9L (Device.read_u64 dev ~addr:64)
+
+(* A torn run at an atomic boundary is skipped: the torn sweep runs every
+   point twice except pmvbst's CAS boundaries (root swaps), 7 of the
+   crash census's 64. *)
+let test_torn_runs_skip_atomics () =
+  let s = Option.get (Subject.find "pmvbst") in
+  let clean = Explorer.sweep ~tear:false s ~ops:50 ~seed:1L in
+  let torn = Explorer.sweep s ~ops:50 ~seed:1L in
+  let atomic =
+    List.fold_left
+      (fun n (site, k) -> if String.starts_with ~prefix:"rdma.write" site then n else n + k)
+      0 clean.Explorer.sites
+  in
+  check Alcotest.int "CAS boundaries" 7 atomic;
+  check Alcotest.int "clean runs" clean.Explorer.boundaries clean.Explorer.points_run;
+  check Alcotest.int "torn runs skip the atomics"
+    ((2 * clean.Explorer.boundaries) - atomic)
+    torn.Explorer.points_run
+
 (* ---------------- the sweep (tentpole acceptance) ---------------- *)
 
 (* One structure exhaustively at every crash point... *)
@@ -240,6 +299,9 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_census_deterministic;
           Alcotest.test_case "client-initiated sites only" `Quick test_census_sites_gated;
+          Alcotest.test_case "torn arm lands len - 7" `Quick
+            test_torn_arm_lands_at_the_boundary;
+          Alcotest.test_case "torn runs skip atomics" `Quick test_torn_runs_skip_atomics;
         ] );
       ( "sweep",
         [

@@ -39,65 +39,76 @@ let test_fetch_add () =
   check Alcotest.int64 "faa old" 10L (Device.fetch_add d ~addr:0 5L);
   check Alcotest.int64 "faa new" 15L (Device.read_u64 d ~addr:0)
 
+(* Tears are global crash-injector state: each tear test starts and ends
+   with none pending. *)
+let with_tears f () =
+  Fun.protect ~finally:Crashpoint.reset (fun () ->
+      Crashpoint.reset ();
+      f ())
+
 let test_torn_write () =
   let d = mk () in
   Device.write d ~addr:0 (Bytes.of_string "AAAAAAAA");
+  Crashpoint.tear_next ~keep:3;
   Device.write d ~addr:0 (Bytes.of_string "BBBBBBBB");
-  Device.tear_last_write d ~keep:3;
   check Alcotest.string "prefix new, suffix old" "BBBAAAAA"
     (Bytes.to_string (Device.read d ~addr:0 ~len:8))
 
 let test_torn_write_keep_zero () =
   let d = mk () in
   Device.write d ~addr:10 (Bytes.of_string "xyz");
+  Crashpoint.tear_next ~keep:0;
   Device.write d ~addr:10 (Bytes.of_string "abc");
-  Device.tear_last_write d ~keep:0;
   check Alcotest.string "fully reverted" "xyz" (Bytes.to_string (Device.read d ~addr:10 ~len:3))
 
 let test_tear_only_once () =
   let d = mk () in
+  Crashpoint.tear_next ~keep:0;
   Device.write d ~addr:0 (Bytes.of_string "new");
-  Device.tear_last_write d ~keep:0;
-  (* Second tear is a no-op: bookkeeping was consumed. *)
-  Device.tear_last_write d ~keep:0;
-  check Alcotest.string "still empty" "\000\000\000" (Bytes.to_string (Device.read d ~addr:0 ~len:3))
+  let got () = Bytes.to_string (Device.read d ~addr:0 ~len:3) in
+  check Alcotest.string "still empty" "\000\000\000" (got ());
+  (* The tear was consumed: the next write lands whole. *)
+  Device.write d ~addr:0 (Bytes.of_string "new");
+  check Alcotest.string "second write whole" "new" (got ())
 
 let test_torn_write_keep_full () =
   let d = mk () in
   Device.write d ~addr:4 (Bytes.of_string "old!");
-  Device.write d ~addr:4 (Bytes.of_string "new!");
-  check (Alcotest.option Alcotest.int) "last write is tearable" (Some 4) (Device.last_write_len d);
   (* keep = full length: the boundary case where the "tear" clips nothing. *)
-  Device.tear_last_write d ~keep:4;
+  Crashpoint.tear_next ~keep:4;
+  Device.write d ~addr:4 (Bytes.of_string "new!");
   check Alcotest.string "write fully intact" "new!" (Bytes.to_string (Device.read d ~addr:4 ~len:4));
-  check (Alcotest.option Alcotest.int) "tear bookkeeping still consumed" None
-    (Device.last_write_len d);
+  check (Alcotest.option Alcotest.int) "the tear landed the whole write" (Some 4)
+    (Crashpoint.torn_keep ());
   (* keep past the write length clamps to a no-op too. *)
+  Crashpoint.tear_next ~keep:99;
   Device.write d ~addr:4 (Bytes.of_string "more");
-  Device.tear_last_write d ~keep:99;
   check Alcotest.string "over-long keep clamps" "more"
-    (Bytes.to_string (Device.read d ~addr:4 ~len:4))
+    (Bytes.to_string (Device.read d ~addr:4 ~len:4));
+  check (Alcotest.option Alcotest.int) "clamped to the write's length" (Some 4)
+    (Crashpoint.torn_keep ())
 
-let test_tear_after_crash_restart () =
+(* A pending tear waits for a plain mutation: atomics land whole and
+   leave it pending, one write consumes it, and a reset drops it. *)
+let test_tear_next_pending () =
   let d = mk () in
-  Device.write d ~addr:0 (Bytes.of_string "acked");
-  Device.crash_restart d;
-  (* A restart fences torn writes: whatever reached the media before the
-     crash is either fully there or was already torn at crash time. *)
-  check (Alcotest.option Alcotest.int) "nothing tearable after restart" None
-    (Device.last_write_len d);
-  Device.tear_last_write d ~keep:0;
-  check Alcotest.string "pre-crash write not revertible" "acked"
-    (Bytes.to_string (Device.read d ~addr:0 ~len:5))
-
-let test_crash_restart_preserves () =
-  let d = mk () in
-  Device.write d ~addr:0 (Bytes.of_string "durable");
-  Device.crash_restart d;
-  check Alcotest.string "survives" "durable" (Bytes.to_string (Device.read d ~addr:0 ~len:7));
-  (* After a clean restart there is nothing to tear. *)
-  Device.tear_last_write d ~keep:0;
-  check Alcotest.string "still there" "durable" (Bytes.to_string (Device.read d ~addr:0 ~len:7))
+  Device.write_u64 d ~addr:0 5L;
+  Crashpoint.tear_next ~keep:0;
+  ignore (Device.compare_and_swap d ~addr:0 ~expected:5L ~desired:7L);
+  ignore (Device.fetch_add d ~addr:0 1L);
+  check Alcotest.int64 "atomics land whole" 8L (Device.read_u64 d ~addr:0);
+  check (Alcotest.option Alcotest.int) "nothing torn yet" None (Crashpoint.torn_keep ());
+  Device.zero d ~addr:0 ~len:8;
+  check Alcotest.int64 "the zero is torn to nothing" 8L (Device.read_u64 d ~addr:0);
+  check (Alcotest.option Alcotest.int) "torn" (Some 0) (Crashpoint.torn_keep ());
+  Device.write_u64 d ~addr:0 9L;
+  check Alcotest.int64 "consumed by one mutation" 9L (Device.read_u64 d ~addr:0);
+  Crashpoint.tear_next ~keep:0;
+  Crashpoint.reset ();
+  Device.write_u64 d ~addr:0 10L;
+  check Alcotest.int64 "reset drops a pending tear" 10L (Device.read_u64 d ~addr:0);
+  check (Alcotest.option Alcotest.int) "reset clears what landed" None
+    (Crashpoint.torn_keep ())
 
 (* A snapshot is a detached copy of the media, and a device saved with
    [copy_from] loads back into the original. *)
@@ -145,8 +156,11 @@ let prop_tear_is_prefix =
       let d = mk () in
       let old = String.make (String.length s) 'o' in
       Device.write d ~addr (Bytes.of_string old);
-      Device.write d ~addr (Bytes.of_string s);
-      Device.tear_last_write d ~keep;
+      with_tears
+        (fun () ->
+          Crashpoint.tear_next ~keep;
+          Device.write d ~addr (Bytes.of_string s))
+        ();
       let got = Bytes.to_string (Device.read d ~addr ~len:(String.length s)) in
       let k = min keep (String.length s) in
       got = String.sub s 0 k ^ String.sub old k (String.length s - k))
@@ -165,7 +179,6 @@ type op =
   | Fetch_add of int * int64
   | Zero of int * int
   | Tear of int
-  | Restart
   | Read of int * int
 
 let show_op = function
@@ -177,7 +190,6 @@ let show_op = function
   | Fetch_add (a, d) -> Printf.sprintf "Fetch_add(%d,%Ld)" a d
   | Zero (a, n) -> Printf.sprintf "Zero(%d,%d)" a n
   | Tear k -> Printf.sprintf "Tear %d" k
-  | Restart -> "Restart"
   | Read (a, n) -> Printf.sprintf "Read(%d,%d)" a n
 
 (* Addresses crowd page boundaries, where the paging logic splits. *)
@@ -209,27 +221,38 @@ let gen_op =
         oneof [ len; map (fun k -> k * ps) (int_range 1 2) ] >>= fun n ->
         gen_addr n >|= fun a -> Zero (a, n) );
       (1, int_bound 300 >|= fun k -> Tear k);
-      (1, return Restart);
       (3, len >>= fun n -> gen_addr n >|= fun a -> Read (a, n));
     ]
 
-(* The reference: a flat buffer, the last write's pre-image and the three
-   counters, updated exactly as the device documents. *)
-type model = {
-  mem : bytes;
-  mutable last : (int * bytes) option;
-  mutable reads : int;
-  mutable writes : int;
-  mutable bytes : int;
-}
+(* The reference: a flat buffer and the three counters, updated exactly
+   as the device documents. A [Tear k] arms one pending tear, shared by
+   every device ([pending]), which the next plain mutation consumes by
+   landing only its first [k] bytes; atomics land whole. *)
+type model = { mem : bytes; mutable reads : int; mutable writes : int; mutable bytes : int }
 
-let model_create () = { mem = Bytes.make pcap '\000'; last = None; reads = 0; writes = 0; bytes = 0 }
+let pending = ref None
 
-let model_write m a b =
-  m.last <- Some (a, Bytes.sub m.mem a (Bytes.length b));
-  Bytes.blit b 0 m.mem a (Bytes.length b);
+let fresh_tears f =
+  with_tears
+    (fun () ->
+      pending := None;
+      f ())
+    ()
+
+let model_create () = { mem = Bytes.make pcap '\000'; reads = 0; writes = 0; bytes = 0 }
+
+let model_store m a b ~lands =
+  Bytes.blit b 0 m.mem a lands;
   m.writes <- m.writes + 1;
   m.bytes <- m.bytes + Bytes.length b
+
+let model_atomic m a b = model_store m a b ~lands:(Bytes.length b)
+
+let model_write m a b =
+  let len = Bytes.length b in
+  let lands = match !pending with Some k -> Int.min k len | None -> len in
+  pending := None;
+  model_store m a b ~lands
 
 let word v =
   let b = Bytes.create 8 in
@@ -251,29 +274,20 @@ let step d m op =
       let cur = Bytes.get_int64_le m.mem a in
       let expected = if hit then cur else Int64.succ cur in
       let old = Device.compare_and_swap d ~addr:a ~expected ~desired:v in
-      if hit then model_write m a (word v);
+      if hit then model_atomic m a (word v);
       old = cur
   | Fetch_add (a, delta) ->
       let cur = Bytes.get_int64_le m.mem a in
       let old = Device.fetch_add d ~addr:a delta in
-      model_write m a (word (Int64.add cur delta));
+      model_atomic m a (word (Int64.add cur delta));
       old = cur
   | Zero (a, n) ->
       Device.zero d ~addr:a ~len:n;
       model_write m a (Bytes.make n '\000');
       true
   | Tear keep ->
-      Device.tear_last_write d ~keep;
-      (match m.last with
-      | Some (a, pre) ->
-          let k = min keep (Bytes.length pre) in
-          Bytes.blit pre k m.mem (a + k) (Bytes.length pre - k)
-      | None -> ());
-      m.last <- None;
-      true
-  | Restart ->
-      Device.crash_restart d;
-      m.last <- None;
+      Crashpoint.tear_next ~keep;
+      pending := Some keep;
       true
   | Read (a, n) ->
       m.reads <- m.reads + 1;
@@ -281,7 +295,6 @@ let step d m op =
 
 let agrees d m =
   Bytes.equal (Device.snapshot d) m.mem
-  && Device.last_write_len d = Option.map (fun (_, pre) -> Bytes.length pre) m.last
   && Device.reads_performed d = m.reads
   && Device.writes_performed d = m.writes
   && Device.bytes_written d = m.bytes
@@ -292,7 +305,7 @@ let prop_paged_matches_flat =
   QCheck.Test.make ~count:300 ~name:"paged device = flat reference" arb_ops (fun ops ->
       let d = Device.create ~name:"p" ~capacity:pcap lat in
       let m = model_create () in
-      List.for_all (fun op -> step d m op && agrees d m) ops)
+      fresh_tears (fun () -> List.for_all (fun op -> step d m op && agrees d m) ops))
 
 (* Two devices, each op on either side, and copies in both directions:
    after a copy, neither side ever sees the other's later writes. *)
@@ -313,16 +326,19 @@ let prop_copy_isolated =
       let da = Device.create ~name:"a" ~capacity:pcap lat in
       let db = Device.create ~name:"b" ~capacity:pcap lat in
       let ma = model_create () and mb = model_create () in
-      List.for_all
-        (function
-          | `Op (true, op) -> step da ma op && agrees da ma && agrees db mb
-          | `Op (false, op) -> step db mb op && agrees da ma && agrees db mb
-          | `Copy into_a ->
-              let dst, src, mdst, msrc = if into_a then (da, db, ma, mb) else (db, da, mb, ma) in
-              Device.copy_from dst ~src;
-              Bytes.blit msrc.mem 0 mdst.mem 0 pcap;
-              agrees da ma && agrees db mb)
-        steps)
+      fresh_tears (fun () ->
+          List.for_all
+            (function
+              | `Op (true, op) -> step da ma op && agrees da ma && agrees db mb
+              | `Op (false, op) -> step db mb op && agrees da ma && agrees db mb
+              | `Copy into_a ->
+                  let dst, src, mdst, msrc =
+                    if into_a then (da, db, ma, mb) else (db, da, mb, ma)
+                  in
+                  Device.copy_from dst ~src;
+                  Bytes.blit msrc.mem 0 mdst.mem 0 pcap;
+                  agrees da ma && agrees db mb)
+            steps))
 
 let test_copy_from_isolated () =
   let a = Device.create ~name:"a" ~capacity:pcap lat in
@@ -373,12 +389,12 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "cas" `Quick test_cas;
           Alcotest.test_case "fetch_add" `Quick test_fetch_add;
-          Alcotest.test_case "torn write" `Quick test_torn_write;
-          Alcotest.test_case "torn write keep=0" `Quick test_torn_write_keep_zero;
-          Alcotest.test_case "tear only once" `Quick test_tear_only_once;
-          Alcotest.test_case "torn write keep=len" `Quick test_torn_write_keep_full;
-          Alcotest.test_case "tear after crash/restart" `Quick test_tear_after_crash_restart;
-          Alcotest.test_case "crash/restart durability" `Quick test_crash_restart_preserves;
+          Alcotest.test_case "torn write" `Quick (with_tears test_torn_write);
+          Alcotest.test_case "torn write keep=0" `Quick (with_tears test_torn_write_keep_zero);
+          Alcotest.test_case "tear only once" `Quick (with_tears test_tear_only_once);
+          Alcotest.test_case "torn write keep=len" `Quick
+            (with_tears test_torn_write_keep_full);
+          Alcotest.test_case "pending tear" `Quick (with_tears test_tear_next_pending);
           Alcotest.test_case "snapshot/load" `Quick test_snapshot_load;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "costs" `Quick test_costs;

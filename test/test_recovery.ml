@@ -14,6 +14,7 @@ let bytes_eq = Alcotest.testable (fun fmt b -> Fmt.string fmt (Bytes.to_string b
 module Bst = Pbst.Make (Client)
 module Hash = Phash.Make (Client)
 module Stack = Pstack.Make (Client)
+module Bpt = Pbptree.Make (Client)
 
 let mk_backend ?(name = "bk") () =
   Backend.create ~name ~max_sessions:8 ~memlog_cap:(512 * 1024) ~oplog_cap:(256 * 1024)
@@ -123,8 +124,9 @@ let test_case2b_torn_memlog_detected () =
         entries = [ Log.Mem_entry.make ~addr (Bytes.of_string "DEADBEEF") ];
       }
   in
+  Asym_nvm.Crashpoint.tear_next ~keep:(Bytes.length tx - 3);
   Asym_nvm.Device.write (Backend.device bk) ~addr:(ring_base + Int64.to_int lpn) tx;
-  Backend.crash ~torn_keep:(Bytes.length tx - 3) bk;
+  Backend.crash bk;
   let statuses = Backend.restart bk in
   check Alcotest.bool "torn tail reported" true
     (List.mem (Client.session fe, Backend.Session_torn_tail) statuses);
@@ -194,8 +196,7 @@ let test_mirror_image_tracks_backend () =
     Bst.put t ~key:(Int64.of_int i) ~value:(v (string_of_int i))
   done;
   Client.flush fe;
-  (* The replicated regions (everything except transient lock words and
-     sequence numbers in the meta heap) must match byte for byte. *)
+  (* The replicated regions must match byte for byte. *)
   let l = Backend.layout bk in
   let a = Asym_nvm.Device.snapshot (Backend.device bk) in
   let b = Asym_nvm.Device.snapshot (Mirror.device m1) in
@@ -206,6 +207,28 @@ let test_mirror_image_tracks_backend () =
   region "naming" l.Layout.naming_base l.Layout.naming_len;
   region "bitmap" l.Layout.bitmap_base l.Layout.bitmap_len;
   region "data" l.Layout.data_base (l.Layout.n_slabs * l.Layout.slab_size)
+
+(* After a drain, a live NVM mirror holds the back-end's whole image,
+   each structure's sequence number included, so a promoted mirror keeps
+   counting where the back-end stopped. A replayed frame is forwarded and
+   charged but never stored: the mirror's memory-log ring pages are still
+   the shared zero page, while the back-end's hold the frames the client
+   wrote (and the drain zeroed). *)
+let test_mirror_image_equals_backend () =
+  let bk, m1, _ = mirrored_backend () in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:16 ()) bk in
+  let t = Bpt.attach fe ~name:"b" in
+  for i = 0 to 499 do
+    Bpt.put t ~key:(Int64.of_int i) ~value:(v (string_of_int i))
+  done;
+  Client.flush fe;
+  let dev = Backend.device bk and mdev = Mirror.device m1 in
+  check Alcotest.bool "sequence number bumped" true
+    (Backend.seqno bk ~ds:(Bpt.handle t).Types.id > 0L);
+  check Alcotest.bool "whole image equal" true
+    (Bytes.equal (Asym_nvm.Device.snapshot dev) (Asym_nvm.Device.snapshot mdev));
+  check Alcotest.bool "the mirror's ring never held a frame" true
+    (Asym_nvm.Device.resident_pages mdev < Asym_nvm.Device.resident_pages dev)
 
 let test_case4_promote_nvm_mirror () =
   let bk, m1, m2 = mirrored_backend () in
@@ -478,10 +501,10 @@ let test_torn_oplog_entry_ignored () =
   let t = Stack.attach fe ~name:"s" in
   Stack.push t (v "acked");
   (* A push whose op-log write tears: the client never got the ack, so the
-     operation never happened. Simulate by tearing the device's last
+     operation never happened. Simulate by tearing the push's first
      write (the op-log record of a second push). *)
+  Asym_nvm.Crashpoint.tear_next ~keep:5;
   Stack.push t (v "torn-victim");
-  Asym_nvm.Device.tear_last_write (Backend.device bk) ~keep:5;
   Client.crash fe;
   let ops = Client.recover fe in
   (* Only the first push is recoverable. *)
@@ -511,8 +534,8 @@ let test_ack_after_torn_oplog_survives () =
   let t = Stack.attach fe ~name:"s" in
   Stack.push t (v "flushed");
   Client.flush fe;
+  Asym_nvm.Crashpoint.tear_next ~keep:5;
   Stack.push t (v "torn-victim");
-  Asym_nvm.Device.tear_last_write (Backend.device bk) ~keep:5;
   Client.crash fe;
   let t, ops = recover_stack fe ~name:"s" in
   check Alcotest.int "nothing to replay" 0 (List.length ops);
@@ -663,7 +686,6 @@ let test_oplog_flush_before_overrun () =
 
 (* -- crash + replay for each remaining structure kind --------------------------- *)
 
-module Bpt = Pbptree.Make (Client)
 module Skip = Pskiplist.Make (Client)
 module Mv = Pmvbst.Make (Client)
 module Mvb = Pmvbptree.Make (Client)
@@ -800,6 +822,8 @@ let () =
       ( "case4-promotion",
         [
           Alcotest.test_case "mirror tracks backend" `Quick test_mirror_image_tracks_backend;
+          Alcotest.test_case "mirror image equals backend" `Quick
+            test_mirror_image_equals_backend;
           Alcotest.test_case "promote nvm mirror" `Quick test_case4_promote_nvm_mirror;
           Alcotest.test_case "promote ssd mirror" `Quick test_case4_promote_ssd_mirror;
           Alcotest.test_case "failover helper" `Quick test_case4_failover_helper;

@@ -87,8 +87,9 @@ let test_tx_write_atomicity_under_torn_write () =
   (* The memory-log head is the LPN: every flush is replayed before it returns. *)
   let slot = Layout.session_slot (Backend.layout bk) ~session:(Client.session fe) in
   let lpn = Asym_nvm.Device.read_u64 (Backend.device bk) ~addr:(slot + Layout.slot_lpn) in
+  Asym_nvm.Crashpoint.tear_next ~keep:(Bytes.length tx - 2);
   Asym_nvm.Device.write (Backend.device bk) ~addr:(ring_base + Int64.to_int lpn) tx;
-  Backend.crash ~torn_keep:(Bytes.length tx - 2) bk;
+  Backend.crash bk;
   ignore (Backend.restart bk);
   let dev = Backend.device bk in
   check Alcotest.bool "first entry not applied" true
