@@ -2,15 +2,14 @@
 
    One subcommand per table/figure of the paper's evaluation (plus the
    in-text studies), each printing paper-style rows computed from the
-   simulation's virtual time and its shape checks. `smoke` runs the CI
-   bench gate set; `all` (the default) runs every experiment, then the
-   Bechamel micro-benchmarks. The output compared against the paper lives
-   in EXPERIMENTS.md.
+   simulation's virtual time and its shape checks. `all` (the default)
+   runs every experiment, then the Bechamel micro-benchmarks. The output
+   compared against the paper lives in EXPERIMENTS.md.
 
    `--json FILE` additionally serializes every cell produced, plus the
    shape checks' pass/fail verdicts, into one asymnvm-bench/1 document
    (see DESIGN.md §6) — the input format of `asymnvm bench-diff`, gated in
-   CI against bench/baseline.json. *)
+   CI against bench/all_baseline.json. *)
 
 open Cmdliner
 open Asym_harness
@@ -58,17 +57,10 @@ let term entries after =
     $ full_flag $ json_arg)
 
 let () =
-  let smoke = List.filter (fun (e : Suite.t) -> e.smoke) Suite.all in
   let everything = term Suite.all Bechamel_micro.run in
   let cmds =
     List.map (fun (e : Suite.t) -> Cmd.v (Cmd.info e.name ~doc:e.doc) (term [ e ] ignore)) Suite.all
     @ [
-        Cmd.v
-          (Cmd.info "smoke"
-             ~doc:
-               (Printf.sprintf "CI bench gate: %s (the bench/baseline.json set)"
-                  (String.concat " + " (List.map (fun (e : Suite.t) -> e.name) smoke))))
-          (term smoke ignore);
         Cmd.v (Cmd.info "bechamel" ~doc:"Bechamel wall-clock micro-benchmarks")
           (term [] Bechamel_micro.run);
         Cmd.v

@@ -47,9 +47,9 @@ let census (subject : Subject.t) ~seed ~drop opl =
   let inst = subject.Subject.attach fe in
   List.iter (Subject.apply inst) opl;
   Client.flush fe;
-  let n = Crash.boundaries () and sites = Crash.site_counts () in
+  let labels = Crash.sites () and counts = Crash.site_counts () in
   Crash.reset ();
-  (n, sites)
+  (labels, counts)
 
 let prefix_models (subject : Subject.t) opl =
   let n = List.length opl in
@@ -93,7 +93,8 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
     `Skip
   else begin
     let site = match fired with Some (_, s) -> s | None -> "?" in
-    (* An atomic boundary lands whole, so its torn run is skipped. *)
+    (* An atomic boundary lands whole, so its torn run is skipped (the
+       sweep never asks for one; [run_point] has no census). *)
     if tear && torn = None then `Skip
     else begin
       let fail detail = `Fail { point; site; torn; completed = !completed; detail } in
@@ -145,7 +146,8 @@ let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) (subject : Subject.t) ~ops ~
   if stride < 1 then invalid_arg "Explorer.sweep: stride must be >= 1";
   if drop < 0. || drop >= 1. then invalid_arg "Explorer.sweep: drop must be in [0, 1)";
   let opl = Model.generate ~kind:subject.Subject.kind ~ops ~seed in
-  let boundaries, sites = census subject ~seed ~drop opl in
+  let labels, sites = census subject ~seed ~drop opl in
+  let boundaries = Array.length labels in
   let prefixes = prefix_models subject opl in
   let points_run = ref 0 and failures = ref [] in
   let point = ref 1 in
@@ -158,7 +160,8 @@ let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) (subject : Subject.t) ~ops ~
         | `Fail f ->
             incr points_run;
             failures := f :: !failures)
-      (if tear then [ false; true ] else [ false ]);
+      (* An atomic boundary lands whole, so its torn run is not made. *)
+      (if tear && Crash.tearable labels.(!point - 1) then [ false; true ] else [ false ]);
     point := !point + stride
   done;
   {

@@ -11,9 +11,10 @@
       world exactly as a front-end crash would: the boundary's write is on
       the media, its ack was never observed. Each tearable boundary is
       additionally re-run with its write landing torn, without its last
-      7 bytes (atomic verbs are never torn — RDMA atomics cannot
-      tear). Then [Client.crash], [Client.recover], structure re-attach,
-      op replay through {!Asym_structs.Registry}, and a flush.
+      7 bytes (RDMA atomics cannot tear, so the census's site label of
+      an atomic boundary rules its torn run out before it starts). Then
+      [Client.crash], [Client.recover], structure re-attach, op replay
+      through {!Asym_structs.Registry}, and a flush.
     + {e Validate}: the recovered dump must equal the reference model
       after the [k] completed operations, or after [k + 1] (the in-flight
       operation is atomic: fully applied iff its operation-log record

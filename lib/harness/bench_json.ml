@@ -102,7 +102,8 @@ let str_member key json =
 
 (* Compare two bench documents. Numeric cells must agree within
    [tolerance] (relative); non-numeric cells exactly; shape-check
-   verdicts must not flip. Returns human-readable failure lines. *)
+   verdicts must not flip; each document must hold the same experiments
+   and checks. Returns human-readable failure lines. *)
 let diff ?(tolerance = 0.02) ~old_doc ~new_doc () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -141,12 +142,18 @@ let diff ?(tolerance = 0.02) ~old_doc ~new_doc () =
                   orow)
               orows)
     olds;
+  let added olds news = List.filter (fun (k, _) -> not (List.mem_assoc k olds)) news in
+  List.iter (fun (name, _) -> fail "%s: not in baseline; refresh it" name) (added olds news);
+  let nchecks = check_list new_doc and ochecks = check_list old_doc in
   List.iter
     (fun ((e, n), opass) ->
-      match List.assoc_opt (e, n) (check_list new_doc) with
+      match List.assoc_opt (e, n) nchecks with
       | None -> fail "%s/%s: shape check missing from new document" e n
       | Some npass ->
           if opass && not npass then fail "%s/%s: shape check regressed (pass -> FAIL)" e n
           else if (not opass) && npass then fail "%s/%s: shape check now passes (refresh baseline)" e n)
-    (check_list old_doc);
+    ochecks;
+  List.iter
+    (fun ((e, n), _) -> fail "%s/%s: shape check not in baseline; refresh it" e n)
+    (added ochecks nchecks);
   List.rev !failures

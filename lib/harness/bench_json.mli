@@ -4,7 +4,7 @@
     printed, plus EXPERIMENTS.md's shape expectations as pass/fail
     verdicts, into one [asymnvm-bench/1] document; [asymnvm bench-diff]
     compares two such documents cell by cell for regression gating
-    (bench/baseline.json is the committed quick-scale reference). *)
+    (bench/all_baseline.json is the committed quick-scale reference). *)
 
 type check = {
   experiment : string;
@@ -23,5 +23,6 @@ val diff :
   ?tolerance:float -> old_doc:Asym_obs.Json.t -> new_doc:Asym_obs.Json.t -> unit -> string list
 (** Failure lines: numeric cells differing beyond [tolerance] (relative,
     default 2%), non-numeric cells differing at all, missing
-    experiments/rows, and shape-check verdict flips. Empty means the
+    experiments/rows, experiments or checks only the new document holds,
+    and shape-check verdict flips. Empty means the
     documents agree. *)

@@ -1,4 +1,4 @@
-(** Single-client experiments: Table 2, Table 3, Figures 6/7/12/13, the
+(** Single-client experiments: Tables 1–3, Figures 6/7/12/13, the
     §4.4 cache-policy study and the design-choice ablations. Multi-client
     experiments (Figures 8–11, the §6.3 lock test) live in
     {!Multiclient}. *)
@@ -174,7 +174,7 @@ let table2 sc =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Table 3 — overall performance                                        *)
+(* Tables 1 and 3 — wire cost and overall performance                   *)
 (* ------------------------------------------------------------------ *)
 
 type table3_row = {
@@ -187,7 +187,21 @@ type table3_row = {
   rcb : float option;
 }
 
+(* Paper Table 1 counts network round trips per operation; here every
+   asymmetric structure cell of Table 3 adds its measured verbs/op and
+   payload bytes/op to Table 1 as it completes, from the Verbs counters
+   surfaced through {!Runner.result}. *)
 let table3 sc =
+  let t1 =
+    Report.create ~title:"Table 1: RDMA wire cost per operation (100% write)"
+      ~header:[ "Benchmark"; "Config"; "KOPS"; "verbs/op"; "bytes/op" ]
+      ~notes:
+        [
+          "verbs/op counts posted verbs including unsignaled writes and atomics";
+          "bytes/op is payload on the wire (headers excluded), per measured operation";
+        ]
+      ()
+  in
   let t =
     Report.create ~title:"Table 3: performance comparison (KOPS), 100% write, 1 FE : 1 BE"
       ~header:[ "Benchmark"; "Symmetric"; "Symmetric-B"; "Naive"; "R"; "RC"; "RCB" ]
@@ -200,7 +214,6 @@ let table3 sc =
       ()
   in
   let module L = Asym_baseline.Local_store in
-  let asym = asym_kops sc in
   let sym cfg kind = (Runner.run_sym ~lat ~cfg ~kind ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
   let bank =
     let symmetric = run_bank_sym ~cfg:L.symmetric ~sc () in
@@ -219,6 +232,19 @@ let table3 sc =
     { bench = "TX(TATP)"; symmetric; symmetric_b = Some symmetric_b; naive; r; rc = Some rc;
       rcb = Some rcb }
   in
+  let per_op n r = float_of_int n /. float_of_int r.Runner.ops in
+  let asym cfg kind =
+    let r = asym_cell sc cfg kind in
+    Report.add_row t1
+      [
+        Runner.ds_name kind;
+        Client.config_name cfg;
+        Report.kops r.Runner.kops;
+        Printf.sprintf "%.2f" (per_op r.Runner.verbs r);
+        Printf.sprintf "%.1f" (per_op r.Runner.wire_bytes r);
+      ];
+    r.Runner.kops
+  in
   (* A structure row: the cache column is absent for queue/stack (whose
      RCB cell is {!Runner.fifo_rcb}), the batch column for the hash table. *)
   let structure kind =
@@ -233,11 +259,7 @@ let table3 sc =
     in
     { bench = Runner.ds_name kind; symmetric; symmetric_b; naive; r; rc; rcb }
   in
-  let rows =
-    bank :: tatp
-    :: List.map structure
-         Runner.[ Queue; Stack; Hash_table; Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ]
-  in
+  let rows = bank :: tatp :: List.map structure Runner.all_ds in
   let cell = function Some v -> Report.kops v | None -> "-" in
   List.iter
     (fun w ->
@@ -245,50 +267,7 @@ let table3 sc =
         [ w.bench; Report.kops w.symmetric; cell w.symmetric_b; Report.kops w.naive; Report.kops w.r;
           cell w.rc; cell w.rcb ])
     rows;
-  (t, rows)
-
-(* ------------------------------------------------------------------ *)
-(* Table 1 — RDMA wire cost per operation                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Paper Table 1 counts network round trips per operation; here every
-   asymmetric cell of the Table-3 matrix gets its measured verbs/op and
-   payload bytes/op, from the Verbs counters surfaced through
-   {!Runner.result}. The Table-3 support matrix applies (no cache column
-   for queue/stack, no batching for the O(1) hash table). *)
-let table1 sc =
-  let t =
-    Report.create ~title:"Table 1: RDMA wire cost per operation (100% write)"
-      ~header:[ "Benchmark"; "Config"; "KOPS"; "verbs/op"; "bytes/op" ]
-      ~notes:
-        [
-          "verbs/op counts posted verbs including unsignaled writes and atomics";
-          "bytes/op is payload on the wire (headers excluded), per measured operation";
-        ]
-      ()
-  in
-  let per_op n r = float_of_int n /. float_of_int r.Runner.ops in
-  let cell kind cfg =
-    let r = asym_cell sc cfg kind in
-    Report.add_row t
-      [
-        Runner.ds_name kind;
-        Client.config_name cfg;
-        Report.kops r.Runner.kops;
-        Printf.sprintf "%.2f" (per_op r.Runner.verbs r);
-        Printf.sprintf "%.1f" (per_op r.Runner.wire_bytes r);
-      ]
-  in
-  List.iter
-    (fun kind ->
-      let cfgs =
-        if Runner.is_fifo kind then [ Client.naive (); Client.r (); Runner.fifo_rcb () ]
-        else if kind = Runner.Hash_table then [ Client.naive (); Client.r (); Client.rc () ]
-        else [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ]
-      in
-      List.iter (cell kind) cfgs)
-    Runner.all_ds;
-  t
+  (t1, t, rows)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6 — batching sweep                                            *)

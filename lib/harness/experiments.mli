@@ -1,4 +1,4 @@
-(** Single-client experiments of the paper's evaluation: Tables 2 and 3,
+(** Single-client experiments of the paper's evaluation: Tables 1–3,
     Figures 6/7/12/13, the §4.4 cache-policy study and the design-choice
     ablations. Each function runs its experiment at the given scale and
     returns a printable report; see EXPERIMENTS.md for paper-vs-measured
@@ -13,11 +13,6 @@ type scale = {
 
 val quick : scale
 val full : scale
-
-val table1 : scale -> Report.t
-(** RDMA wire cost per operation: KOPS, verbs/op and payload bytes/op for
-    every asymmetric cell of the Table-3 matrix, from the NIC counters
-    ({!Asym_rdma.Verbs.ops_posted} / [bytes_on_wire]). *)
 
 val table2 : scale -> Report.t
 (** Allocator comparison: Glibc / Pmem / RPC-only / two-tier at 128 B and
@@ -34,9 +29,12 @@ type table3_row = {
 }
 (** One Table-3 row in KOPS; [None] is a cell the paper leaves empty. *)
 
-val table3 : scale -> Report.t * table3_row list
-(** Overall performance: 8 structures + TATP + SmallBank across
-    Symmetric, Symmetric-B, Naive, R, RC, RCB (Table 3). *)
+val table3 : scale -> Report.t * Report.t * table3_row list
+(** Tables 1 and 3 from one set of runs, with Table 3's rows. Table 3:
+    8 structures + TATP + SmallBank across Symmetric, Symmetric-B, Naive,
+    R, RC, RCB. Table 1: KOPS, verbs/op and payload bytes/op of each
+    structure's Naive/R/RC/RCB cell in {!Runner.all_ds} order, from the
+    NIC counters ({!Asym_rdma.Verbs.ops_posted} / [bytes_on_wire]). *)
 
 val fig6 : scale -> Report.t
 (** Throughput vs batch size 1…4096; BST/BPT via sorted vector writes. *)

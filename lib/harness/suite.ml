@@ -1,5 +1,5 @@
-(* The bench experiments, each declared once: its name, doc line, smoke-set
-   membership and run, next to the shape checks EXPERIMENTS.md states in
+(* The bench experiments, each declared once: its name, doc line and run,
+   next to the shape checks EXPERIMENTS.md states in
    prose. A check is computed from the typed values its experiment's cells
    were rendered from. Thresholds carry slack so quick-scale noise does not
    flap them (e.g. HashTable's best/Naive is only ~1.95x at quick scale). *)
@@ -14,7 +14,6 @@ let full = { label = "full"; sizes = Experiments.full; duration = Asym_sim.Simti
 type t = {
   name : string;
   doc : string;
-  smoke : bool;
   run : scale -> (string * Report.t) list * Bench_json.check list;
 }
 
@@ -213,8 +212,7 @@ let faultsweep_checks e (cells : Faultsweep.cell list) =
 (* -- the table --------------------------------------------------------------- *)
 
 (* [run name scale]: the entry's name names its reports and its checks. *)
-let entry name doc run = { name; doc; smoke = false; run = run name }
-let smoke e = { e with smoke = true }
+let entry name doc run = { name; doc; run = run name }
 
 (* One report under the entry's name, without checks. *)
 let report f name s = ([ (name, f s) ], [])
@@ -227,11 +225,13 @@ let checked f checks name s =
 
 let all =
   [
-    entry "table1" "Table 1: RDMA verbs and wire bytes per operation" (sized Experiments.table1);
     entry "table2" "Table 2: allocator comparison" (sized Experiments.table2);
-    smoke
-      (entry "table3" "Table 3: overall performance, all configurations"
-         (checked (fun s -> Experiments.table3 s.sizes) table3_checks));
+    (* Table 1 is read from Table 3's runs, so it is reported here. *)
+    entry "table3"
+      "Tables 1 and 3: RDMA verbs and wire bytes per operation, and overall performance"
+      (fun name s ->
+        let t1, t3, rows = Experiments.table3 s.sizes in
+        ([ ("table1", t1); (name, t3) ], table3_checks name rows));
     entry "fig6" "Figure 6: throughput vs batch size" (sized Experiments.fig6);
     entry "fig7" "Figure 7: throughput vs cache size" (sized Experiments.fig7);
     entry "fig8" "Figure 8: reader scalability (SWMR)"
@@ -248,11 +248,10 @@ let all =
       (sized Experiments.cache_policy);
     entry "lock_bench" "In-text §6.3: lock ping-point test"
       (report (fun s -> Multiclient.lock_bench ~duration:s.duration));
-    smoke
-      (entry "contention" "Lock-contention scaling: N writers racing for one shared structure"
-         (checked
-            (fun s -> Multiclient.contention ~preload:(s.sizes.preload / 2) ~duration:s.duration)
-            contention_checks));
+    entry "contention" "Lock-contention scaling: N writers racing for one shared structure"
+      (checked
+         (fun s -> Multiclient.contention ~preload:(s.sizes.preload / 2) ~duration:s.duration)
+         contention_checks);
     entry "ablation" "Ablations of DESIGN.md design choices" (sized Experiments.ablation);
     entry "sensitivity" "Extension: latency sensitivity of the optimization stack"
       (checked (fun s -> Experiments.sensitivity s.sizes) sensitivity_checks);

@@ -1,10 +1,9 @@
 (** The bench experiments, each declared once (DESIGN.md §6): one ordered
     table of the paper's evaluation, each entry holding its name, its doc
-    line, whether it belongs to the CI smoke set, and a [run] returning
-    its named reports and its shape checks. Each check is computed from
-    the typed values its experiment's cells were rendered from, never by
-    parsing the rendered cells back. [bench/main.exe] is command-line glue
-    over {!all}. *)
+    line and a [run] returning its named reports and its shape checks.
+    Each check is computed from the typed values its experiment's cells
+    were rendered from, never by parsing the rendered cells back.
+    [bench/main.exe] is command-line glue over {!all}. *)
 
 type scale = {
   label : string;  (** ["quick"] or ["full"]: the bench document's [scale] *)
@@ -16,9 +15,8 @@ val quick : scale
 val full : scale
 
 type t = {
-  name : string;  (** subcommand, report and check prefix *)
+  name : string;  (** subcommand, check prefix and the name of its main report *)
   doc : string;
-  smoke : bool;  (** in the CI bench gate set (bench/baseline.json) *)
   run : scale -> (string * Report.t) list * Bench_json.check list;
 }
 

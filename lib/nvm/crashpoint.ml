@@ -11,7 +11,8 @@ let tear = ref Whole
 let counter = ref 0
 let depth = ref 0
 let context = ref "?"
-let sites : (string, int) Hashtbl.t = Hashtbl.create 32
+(* Census: each boundary's site label, newest first. *)
+let labels : string list ref = ref []
 let fired_at : (int * string) option ref = ref None
 let landed : int option ref = ref None
 
@@ -23,7 +24,7 @@ let reset () =
   context := "?";
   fired_at := None;
   landed := None;
-  Hashtbl.reset sites
+  labels := []
 
 let set_census () = mode := Census
 
@@ -32,17 +33,19 @@ let arm ?torn n =
   Option.iter (fun f -> tear := At (n, f)) torn
 
 let tear_next ~keep = tear := Next keep
-let boundaries () = !counter
+let sites () = Array.of_list (List.rev !labels)
 
 let site_counts () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sites []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.map
+    (fun l -> (l, List.length (List.filter (String.equal l) !labels)))
+    (List.sort_uniq compare !labels)
 
 let fired () = !fired_at
 let torn_keep () = !landed
 
 (* An atomic verb cannot tear: the NIC applies RDMA CAS/fetch-add as one
-   8-byte unit. Everything else (signaled and unsignaled writes) can. *)
+   8-byte unit. Everything else (signaled and unsignaled writes) can. A
+   site label starts with its verb, so this reads either. *)
 let tearable verb = String.starts_with ~prefix:"rdma.write" verb
 
 let land_torn ~len keep =
@@ -78,9 +81,7 @@ let hit ~site =
     incr counter;
     let label = !context ^ "/" ^ site in
     match !mode with
-    | Census ->
-        Hashtbl.replace sites label
-          (1 + Option.value ~default:0 (Hashtbl.find_opt sites label))
+    | Census -> labels := label :: !labels
     | Armed n when !counter = n ->
         (* Disarm before raising: recovery and validation code that runs
            after the injected crash must see a quiescent hook. *)

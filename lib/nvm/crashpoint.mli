@@ -30,7 +30,7 @@ val reset : unit -> unit
 (** Disarm, drop any tear, zero the counter, clear census bookkeeping. *)
 
 val set_census : unit -> unit
-(** Count boundaries and record site labels; never raise. *)
+(** Count boundaries and record each one's site label; never raise. *)
 
 val arm : ?torn:(int -> int) -> int -> unit
 (** [arm n] raises {!Crash_injected} at the [n]-th boundary (1-based).
@@ -48,12 +48,15 @@ val landing : len:int -> int
 (** Bytes of a [len]-byte write, word write or zero that land (called by
     {!Device} before applying it): [len], unless a tear is due. *)
 
-val boundaries : unit -> int
-(** Boundaries counted since the last {!reset}. *)
+val sites : unit -> string array
+(** Census: the ["verb/device-site"] label of each boundary, boundary [n]
+    at index [n - 1]. *)
 
 val site_counts : unit -> (string * int) list
-(** Census histogram: ["verb/device-site"] label to occurrence count,
-    sorted by label. *)
+(** Census histogram of {!sites}, sorted by label. *)
+
+val tearable : string -> bool
+(** Whether a verb or site label can tear: [rdma.write*] yes, atomics no. *)
 
 val fired : unit -> (int * string) option
 (** After an armed run: the boundary index and site label where the crash

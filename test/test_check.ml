@@ -167,6 +167,39 @@ let test_torn_arm_lands_at_the_boundary () =
   check (Alcotest.option Alcotest.int) "an atomic boundary is not torn" None torn;
   check Alcotest.int64 "the CAS landed whole" 9L (Device.read_u64 dev ~addr:64)
 
+(* The census labels every boundary in order; its histogram is read from
+   those labels, and the labels tell which boundaries can tear. *)
+let test_census_labels_each_boundary () =
+  let module Crash = Asym_nvm.Crashpoint in
+  let module Verbs = Asym_rdma.Verbs in
+  let lat = Asym_sim.Latency.default in
+  let dev = Asym_nvm.Device.create ~name:"bk" ~capacity:4096 lat in
+  let conn =
+    Verbs.connect ~client:(Asym_sim.Clock.create ~name:"fe" ())
+      ~remote_nic:(Asym_sim.Timeline.create ~name:"nic" ()) ~remote_mem:dev lat
+  in
+  Fun.protect ~finally:Crash.reset (fun () ->
+      Crash.reset ();
+      Crash.set_census ();
+      Verbs.write conn ~addr:0 (Bytes.make 20 'a');
+      ignore (Verbs.compare_and_swap conn ~addr:64 ~expected:0L ~desired:9L);
+      Verbs.write conn ~addr:0 (Bytes.make 20 'b');
+      let sites = Crash.sites () in
+      check
+        Alcotest.(array string)
+        "one label per boundary, in order"
+        [| "rdma.write/nvm.write"; "rdma.cas/nvm.cas"; "rdma.write/nvm.write" |]
+        sites;
+      check
+        Alcotest.(list (pair string int))
+        "histogram of the labels"
+        [ ("rdma.cas/nvm.cas", 1); ("rdma.write/nvm.write", 2) ]
+        (Crash.site_counts ());
+      check
+        Alcotest.(list bool)
+        "only the writes can tear" [ true; false; true ]
+        (Array.to_list (Array.map Crash.tearable sites)))
+
 (* A torn run at an atomic boundary is skipped: the torn sweep runs every
    point twice except pmvbst's CAS boundaries (root swaps), 7 of the
    crash census's 64. *)
@@ -301,6 +334,8 @@ let () =
           Alcotest.test_case "client-initiated sites only" `Quick test_census_sites_gated;
           Alcotest.test_case "torn arm lands len - 7" `Quick
             test_torn_arm_lands_at_the_boundary;
+          Alcotest.test_case "census labels each boundary" `Quick
+            test_census_labels_each_boundary;
           Alcotest.test_case "torn runs skip atomics" `Quick test_torn_runs_skip_atomics;
         ] );
       ( "sweep",

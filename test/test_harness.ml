@@ -128,14 +128,8 @@ let test_suite_names_unique () =
   check Alcotest.int "no name twice" (List.length entry_names)
     (List.length (List.sort_uniq compare entry_names))
 
-let test_suite_smoke_set () =
-  check
-    Alcotest.(list string)
-    "smoke set" [ "table3"; "contention" ]
-    (List.filter_map (fun (e : Suite.t) -> if e.smoke then Some e.name else None) Suite.all)
-
-(* The entries that carry checks, at a tiny scale: the first report
-   carries the entry's name and every check is filed under it. The other
+(* The entries that carry checks, at a tiny scale: a report carries the
+   entry's name and every check is filed under it. The other
    entries return none (the bench-all gate holds all 15), and running
    them all here would cost seconds of fixed set-up each. *)
 let test_suite_checks_named () =
@@ -153,8 +147,8 @@ let test_suite_checks_named () =
         if not (List.mem e.name checked) then n
         else
           let reports, checks = e.run scale in
-          check Alcotest.(option string) "first report named after its entry" (Some e.name)
-            (Option.map fst (List.nth_opt reports 0));
+          check Alcotest.bool "a report named after its entry" true
+            (List.mem_assoc e.name reports);
           List.iter
             (fun (c : Bench_json.check) ->
               check Alcotest.string (e.name ^ "/" ^ c.cname) e.name c.experiment)
@@ -163,6 +157,33 @@ let test_suite_checks_named () =
       0 Suite.all
   in
   check Alcotest.int "checks across the table" 15 nchecks
+
+(* Table 1 is read from Table 3's runs: one row per non-empty Naive/R/RC/RCB
+   structure cell of Table 3, in catalog order, with the same KOPS string. *)
+let test_table1_from_table3_cells () =
+  let t1, t3, _ =
+    Experiments.table3 { Experiments.preload = 64; ops = 64; subscribers = 50; accounts = 100 }
+  in
+  let structures = List.map Runner.ds_name Runner.all_ds in
+  let t3_rows = List.filter (fun row -> List.mem (List.hd row) structures) (Report.rows t3) in
+  check Alcotest.(list string) "Table 3 structures in catalog order" structures
+    (List.map List.hd t3_rows);
+  let configs = List.filteri (fun i _ -> i >= 3) (Report.header t3) in
+  let expected =
+    List.concat_map
+      (fun row ->
+        let bench = List.hd row and kops = List.filteri (fun i _ -> i >= 3) row in
+        List.filter_map
+          (fun (cfg, k) -> if k = "-" then None else Some [ bench; cfg; k ])
+          (List.combine configs kops))
+      t3_rows
+  in
+  check Alcotest.(list string) "Naive/R/RC/RCB columns" [ "Naive"; "R"; "RC"; "RCB" ] configs;
+  check Alcotest.int "29 asymmetric structure cells" 29 (List.length expected);
+  check
+    Alcotest.(list (list string))
+    "Table 1 rows are Table 3's cells" expected
+    (List.map (List.filteri (fun i _ -> i < 3)) (Report.rows t1))
 
 (* -- shape checks on typed input ------------------------------------------------ *)
 
@@ -427,9 +448,15 @@ let test_diff_rows () =
 let test_diff_missing_experiment () =
   check lines "experiment gone"
     [ "exp: experiment missing from new document" ]
-    (diff (bench_doc ()) (bench_doc ~experiments:[] ()));
-  check lines "a new experiment is not a failure" []
-    (diff (bench_doc ()) (bench_doc ~experiments:[ "exp"; "extra" ] ()))
+    (diff (bench_doc ()) (bench_doc ~experiments:[] ()))
+
+let test_diff_new_entries () =
+  check lines "a new experiment"
+    [ "extra: not in baseline; refresh it" ]
+    (diff (bench_doc ()) (bench_doc ~experiments:[ "exp"; "extra" ] ()));
+  check lines "a new check"
+    [ "exp/d: shape check not in baseline; refresh it" ]
+    (diff (bench_doc ()) (bench_doc ~checks:[ ("c", true); ("d", false) ] ()))
 
 let test_diff_checks () =
   check lines "pass -> FAIL"
@@ -469,7 +496,7 @@ let () =
       ( "suite",
         [
           Alcotest.test_case "names unique" `Quick test_suite_names_unique;
-          Alcotest.test_case "smoke set" `Quick test_suite_smoke_set;
+          Alcotest.test_case "table1 from table3's cells" `Quick test_table1_from_table3_cells;
           Alcotest.test_case "checks filed under their entry" `Quick test_suite_checks_named;
         ] );
       ( "checks",
@@ -488,6 +515,7 @@ let () =
           Alcotest.test_case "text cell" `Quick test_diff_text;
           Alcotest.test_case "row count" `Quick test_diff_rows;
           Alcotest.test_case "missing experiment" `Quick test_diff_missing_experiment;
+          Alcotest.test_case "new entries" `Quick test_diff_new_entries;
           Alcotest.test_case "verdict flips" `Quick test_diff_checks;
           Alcotest.test_case "scale mismatch" `Quick test_diff_scale;
         ] );
