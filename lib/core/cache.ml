@@ -5,26 +5,30 @@ let policy_name = function Lru -> "LRU" | Rr -> "RR" | Hybrid -> "Hybrid"
 module Index = Asym_util.Slot_index
 
 (* A structure of arrays over [cap] slots. A held page owns one slot:
-   [ids], [lens], [last_use] and its [page] bytes at [s * page] in
-   [arena] describe it, [prev]/[next] link it into
-   the circular recency list around the sentinel slot [cap], and [pos] is
-   its index in [dense], whose first [count] entries are the held slots
-   the samplers draw from. Slots [0, count) are exactly the held ones: an
-   eviction frees a slot only for the insert that caused it, so the arena
-   only ever grows to the pages held, at most [cap]. [index] maps
-   a page id to its slot and is never iterated, so its layout cannot leak
-   into any result. Once the arena has grown, no operation allocates. *)
+   [ids], [lens] and its [page] bytes at [s * page] in [arena] describe
+   it, and [pos] is its index in [dense], whose first [count] entries are
+   the held slots the samplers draw from. Each policy keeps only what it
+   reads: under [Lru], [prev]/[next] link the slot into the circular
+   recency list around the sentinel slot [cap]; under [Hybrid], its
+   last-use tick sits at [last_use.(pos.(s))], beside its dense entry, so
+   a sample is one load; [Rr] keeps neither. Slots [0, count) are
+   exactly the held ones: an eviction frees a slot only for the insert
+   that caused it, so the arena only ever grows to the pages held, at
+   most [cap]. [index] maps a page id to its slot and is never iterated,
+   so its layout cannot leak into any result. Once the arena has grown,
+   no operation allocates. *)
 type t = {
   policy : policy;
   page : int;
   cap : int;  (* capacity in pages; also the sentinel slot *)
   choose_set : int;
   rng : Asym_util.Rng.t;
+  bound : Asym_util.Rng.bound;  (* [cap], the population whenever [insert] evicts *)
   index : Index.t;
   ids : int array;
   mutable arena : bytes;
   lens : int array;  (* bytes held; a device's last page may be short *)
-  last_use : int array;
+  last_use : int array;  (* by dense position; [Hybrid] only *)
   prev : int array;  (* towards MRU; [cap + 1] entries, the sentinel last *)
   next : int array;  (* towards LRU *)
   dense : int array;
@@ -33,7 +37,7 @@ type t = {
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  mutable relinks : int;  (* recency-list moves that were not already-MRU no-ops *)
+  mutable relinks : int;  (* [Lru] recency-list moves that were not already-MRU no-ops *)
 }
 
 let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
@@ -45,6 +49,7 @@ let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
     cap;
     choose_set;
     rng;
+    bound = Asym_util.Rng.bound cap;
     index = Index.create cap;
     ids = Array.make cap 0;
     arena = Bytes.empty;
@@ -88,40 +93,40 @@ let push_front t s =
   t.next.(t.cap) <- s
 
 let touch t s =
-  t.tick <- t.tick + 1;
-  t.last_use.(s) <- t.tick;
-  if t.next.(t.cap) <> s then begin
-    t.relinks <- t.relinks + 1;
-    detach t s;
-    push_front t s
-  end
+  match t.policy with
+  | Lru ->
+      if t.next.(t.cap) <> s then begin
+        t.relinks <- t.relinks + 1;
+        detach t s;
+        push_front t s
+      end
+  | Hybrid ->
+      t.tick <- t.tick + 1;
+      t.last_use.(t.pos.(s)) <- t.tick
+  | Rr -> ()
 
 (* -- eviction ------------------------------------------------------------ *)
 
-let sample t = t.dense.(Asym_util.Rng.int t.rng t.count)
-
+(* Only a full cache evicts, so the population is [cap]. [Hybrid] samples
+   [choose_set] pages and evicts the least recently used one, the first
+   of equally old samples winning (ticks are unique, so only a page drawn
+   twice ties); [Rr] is one sample. *)
 let victim t =
   match t.policy with
   | Lru -> t.prev.(t.cap)
-  | Rr -> sample t
-  | Hybrid ->
-      (* Sample [choose_set] pages, evict the least recently used one; the
-         first of equally old samples wins. *)
-      let best = ref (sample t) in
-      for _ = 2 to t.choose_set do
-        let s = sample t in
-        if t.last_use.(s) < t.last_use.(!best) then best := s
-      done;
-      !best
+  | Rr -> t.dense.(Asym_util.Rng.argmin t.rng t.bound ~draws:1 t.last_use)
+  | Hybrid -> t.dense.(Asym_util.Rng.argmin t.rng t.bound ~draws:t.choose_set t.last_use)
 
-(* Drop slot [s]'s page: the last dense entry moves into its place. *)
+(* Drop slot [s]'s page: the last dense entry (and its tick) moves into
+   its place. *)
 let evict t s =
   Index.remove t.index ~keys:t.ids t.ids.(s);
-  detach t s;
-  let last = t.count - 1 in
+  if t.policy = Lru then detach t s;
+  let last = t.count - 1 and p = t.pos.(s) in
   let moved = t.dense.(last) in
-  t.dense.(t.pos.(s)) <- moved;
-  t.pos.(moved) <- t.pos.(s);
+  t.dense.(p) <- moved;
+  t.pos.(moved) <- p;
+  t.last_use.(p) <- t.last_use.(last);
   t.count <- last
 
 (* -- public operations ---------------------------------------------------- *)
@@ -172,9 +177,9 @@ let insert t id src ~len =
     t.dense.(t.count) <- s;
     t.pos.(s) <- t.count;
     t.count <- t.count + 1;
-    push_front t s;
-    t.tick <- t.tick + 1;
-    t.last_use.(s) <- t.tick;
+    (match t.policy with
+    | Lru -> push_front t s
+    | Hybrid | Rr -> touch t s);
     s
   end
 

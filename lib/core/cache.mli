@@ -1,12 +1,18 @@
 (** Front-end DRAM page cache (§4.4).
 
     Maps back-end NVM pages to local DRAM copies. Three replacement
-    policies are provided:
-    - [Lru]: exact least-recently-used (doubly linked recency list);
-    - [Rr]: random replacement;
+    policies are provided, each keeping only what its eviction reads:
+    - [Lru]: exact least-recently-used. It alone keeps a doubly linked
+      recency list, relinked by every hit on a page that is not MRU;
+    - [Rr]: random replacement. It keeps no recency at all;
     - [Hybrid]: the paper's policy — sample a random {e choose set} and
       evict the least recently used page of the sample. It approaches LRU's
-      miss ratio at RR's bookkeeping cost.
+      miss ratio at RR's bookkeeping cost: a hit stores one last-use tick,
+      kept in sample order (beside the page's entry in the array the
+      samples are drawn from), so each sample is one load, and an eviction
+      draws its samples in one loop with no division ({!Asym_util.Rng.argmin}).
+      The victims are exactly those of [choose_set] [Rng.int] draws
+      compared by tick, the first of equally old samples winning.
 
     Dirty data never needs writing back: writes travel through the memory
     log, the cache only ever holds a coherent copy (the front-end patches
@@ -36,7 +42,8 @@ val length : t -> int
 
 val find : t -> int -> int
 (** [find t page_id] returns the page's slot and refreshes its recency:
-    one index probe and, unless the page is already MRU, one relink. A
+    one index probe, then under [Lru] one relink unless the page is
+    already MRU, under [Hybrid] one tick store, under [Rr] nothing. A
     page that is not cached gives [-1] and counts a miss. Allocates
     nothing. *)
 
@@ -72,6 +79,7 @@ val misses : t -> int
 (** {!find} successes/failures since creation. *)
 
 val relinks : t -> int
-(** Recency-list moves performed by touches. A hit on the page that is
-    already MRU must not relink (the fast path the recency list exists
-    for), so repeated hits on one page leave this flat. *)
+(** Recency-list moves performed by touches, which only [Lru] makes:
+    under [Hybrid] and [Rr] it stays 0. A hit on the page that is already
+    MRU must not relink (the fast path the recency list exists for), so
+    repeated hits on one page leave this flat. *)

@@ -1,6 +1,9 @@
 (* Reference model of the front-end page cache: the node-and-Hashtbl
    implementation [Cache] replaced, kept verbatim but for [peek], which
-   reads a held page without moving recency or counters. The cache
+   reads a held page without moving recency or counters, and for
+   [relinks], which counts moves under [Lru] only (the one policy whose
+   cache keeps a recency list). Its victims are the oracle for [Cache]'s:
+   [Rng.int] per draw, two loads per sample and a branchy minimum. The cache
    reference property in test_cache drives both with the same traces and
    the same random streams and requires identical observations, page
    bytes included. *)
@@ -42,7 +45,7 @@ type t = {
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  mutable relinks : int;  (* recency-list moves that were not already-MRU no-ops *)
+  mutable relinks : int;  (* [Lru] recency-list moves that were not already-MRU no-ops *)
 }
 
 let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
@@ -94,7 +97,7 @@ let touch t n =
   t.tick <- t.tick + 1;
   n.last_use <- t.tick;
   if t.sentinel.next != n then begin
-    t.relinks <- t.relinks + 1;
+    if t.policy = Lru then t.relinks <- t.relinks + 1;
     detach n;
     push_front t n
   end

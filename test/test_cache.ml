@@ -36,6 +36,24 @@ let test_mru_hit_does_not_relink () =
   check Alcotest.int "non-MRU hit relinks" (before + 1) (Cache.relinks t);
   check Alcotest.int "all hits counted" 11 (Cache.hits t)
 
+(* Only [Lru] keeps a recency list: [Hybrid] and [Rr] hits, on any page,
+   never relink. *)
+let test_sampling_hits_do_not_relink () =
+  List.iter
+    (fun policy ->
+      let t = mk policy in
+      for id = 0 to 3 do
+        insert t id (page 'a')
+      done;
+      for i = 0 to 39 do
+        ignore (cached t (i land 3));
+        insert t (i land 3) (page 'b')
+      done;
+      check Alcotest.int
+        (Cache.policy_name policy ^ " hits do not relink")
+        0 (Cache.relinks t))
+    [ Cache.Hybrid; Cache.Rr ]
+
 let test_mru_recency_still_correct () =
   (* After a run of MRU hits, eviction order must be unchanged: page 0 is
      still the LRU victim. *)
@@ -394,6 +412,60 @@ let prop_cache_matches_reference =
         ops;
       !evicted_a = !evicted_r)
 
+(* The same at the front-end's scale: a full [Hybrid] cache of 1,000 to
+   3,000 pages sampling 32, under a trace of mostly evicting inserts and
+   skewed finds. After each insert that evicts, the page [Cache] gave up
+   (read from the slot it reused) is gone from [Cache_ref] too; both
+   start from the same pages and each drops one, so the held sets stay
+   equal, and the final sets are compared whole. *)
+let prop_hybrid_matches_reference_at_scale =
+  QCheck.Test.make ~count:6 ~name:"Hybrid matches the reference cache at 1,000-3,000 pages"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int int)
+       QCheck.Gen.(pair (int_range 1000 3000) (int_bound 1_000_000)))
+    (fun (cap, seed) ->
+      let trace = Asym_util.Rng.create ~seed:(Int64.of_int seed) in
+      let rng = Asym_util.Rng.create ~seed:(Int64.of_int (seed + 1)) in
+      let c =
+        Cache.create ~policy:Cache.Hybrid ~page_size:8 ~capacity_bytes:(cap * 8)
+          (Asym_util.Rng.copy rng)
+      in
+      let r =
+        Cache_ref.create ~policy:Cache_ref.Hybrid ~page_size:8 ~capacity_bytes:(cap * 8)
+          (Asym_util.Rng.copy rng)
+      in
+      let ids = 4 * cap and src = Bytes.make 8 'p' in
+      let slot_id = Array.make cap (-1) and evictions = ref 0 in
+      for step = 1 to 20 * cap do
+        let id = Asym_util.Rng.int trace ids in
+        if Asym_util.Rng.int trace 10 < 3 then begin
+          (* a find, mostly on the hot quarter of the ids *)
+          let id = if Asym_util.Rng.bool trace then id / 4 else id in
+          let hit = Cache.find c id >= 0 in
+          match Cache_ref.find r id with
+          | _ -> if not hit then fail "step %d: find %d hits only the reference" step id
+          | exception Not_found ->
+              if hit then fail "step %d: find %d misses only the reference" step id
+        end
+        else begin
+          let full = Cache.length c = cap and held = Cache.peek c id >= 0 in
+          let s = Cache.insert c id src ~len:8 in
+          Cache_ref.insert r id src;
+          if full && not held then begin
+            incr evictions;
+            let v = slot_id.(s) in
+            if Cache_ref.peek r v <> None then
+              fail "step %d: %d evicted, the reference kept it" step v
+          end;
+          slot_id.(s) <- id
+        end
+      done;
+      let held_by peek = List.filter (fun id -> peek id) (List.init ids Fun.id) in
+      let held = held_by (fun id -> Cache.peek c id >= 0) in
+      if held <> held_by (fun id -> Cache_ref.peek r id <> None) then fail "held sets differ";
+      if !evictions < 5 * cap then fail "only %d evictions" !evictions;
+      true)
+
 (* -- allocation ---------------------------------------------------------------- *)
 
 let minor_words f =
@@ -441,6 +513,8 @@ let () =
       ( "recency",
         [
           Alcotest.test_case "MRU hit leaves list untouched" `Quick test_mru_hit_does_not_relink;
+          Alcotest.test_case "Hybrid and RR hits never relink" `Quick
+            test_sampling_hits_do_not_relink;
           Alcotest.test_case "recency order preserved" `Quick test_mru_recency_still_correct;
         ] );
       ( "eviction",
@@ -462,5 +536,6 @@ let () =
             prop_lru_matches_list_model;
             prop_hybrid_victim_is_oldest_of_sample;
             prop_cache_matches_reference;
+            prop_hybrid_matches_reference_at_scale;
           ] );
     ]

@@ -95,6 +95,75 @@ let test_rng_uniformity () =
       if dev > n / 50 then Alcotest.failf "bucket deviation too large: %d" c)
     buckets
 
+(* [Rng.rem] is [mod] for every 30-bit draw: small bounds exhaustively,
+   the bounds on either side of each power of two, and random ones, each
+   at the draws where a multiply-shift remainder goes wrong first. *)
+let test_rng_rem_is_mod () =
+  let r = Rng.create ~seed:23L in
+  let top = 1 lsl 30 in
+  let bounds =
+    List.init 4096 (fun i -> i + 1)
+    @ List.concat_map
+        (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+        (List.init 30 (fun k -> k + 1))
+    @ List.init 300 (fun _ -> 1 + Rng.int r top)
+  in
+  List.iter
+    (fun n ->
+      if n >= 1 && n <= top then begin
+        let b = Rng.bound n in
+        let multiple = (top - 1) / n * n in
+        let draws =
+          [ 0; 1; n - 1; n; n + 1; top - 1; multiple; multiple - 1 ]
+          @ List.init 16 (fun _ -> Rng.int r top)
+        in
+        List.iter
+          (fun x ->
+            if x >= 0 && x < top && Rng.rem b x <> x mod n then
+              Alcotest.failf "rem %d %d = %d, mod gives %d" x n (Rng.rem b x) (x mod n))
+          draws
+      end)
+    bounds;
+  List.iter
+    (fun n ->
+      match Rng.bound n with
+      | _ -> Alcotest.failf "bound %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; top + 1 ]
+
+(* [Rng.argmin] draws what as many [Rng.int] calls draw, returns the first
+   of the smallest keys among them, and leaves the generator where those
+   calls leave it. *)
+let test_rng_argmin_matches_int () =
+  let r = Rng.create ~seed:29L in
+  List.iter
+    (fun n ->
+      let b = Rng.bound n in
+      let unique = Array.init n Fun.id in
+      Rng.shuffle r unique;
+      List.iter
+        (fun keys ->
+          List.iter
+            (fun draws ->
+              let a = Rng.copy r and o = Rng.copy r in
+              for _ = 1 to 50 do
+                let best = ref (Rng.int o n) in
+                for _ = 2 to draws do
+                  let p = Rng.int o n in
+                  if keys.(p) < keys.(!best) then best := p
+                done;
+                let got = Rng.argmin a b ~draws keys in
+                if got <> !best then
+                  Alcotest.failf "n=%d draws=%d: argmin %d, reference %d" n draws got !best
+              done;
+              check Alcotest.int64
+                (Printf.sprintf "n=%d draws=%d: same state" n draws)
+                (Rng.next_int64 o) (Rng.next_int64 a);
+              ignore (Rng.next_int64 r))
+            [ 0; 1; 2; 32; 100 ])
+        [ unique; Array.make n 0; Array.init n (fun i -> i mod 3) ])
+    [ 1; 2; 3; 7; 64; 1203; 1562; 4097 ]
+
 (* -- Zipf ------------------------------------------------------------- *)
 
 let test_zipf_range () =
@@ -398,6 +467,8 @@ let () =
           Alcotest.test_case "copy continues" `Quick test_rng_copy_continues;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
+          Alcotest.test_case "reciprocal remainder is mod" `Quick test_rng_rem_is_mod;
+          Alcotest.test_case "argmin draws as int does" `Quick test_rng_argmin_matches_int;
         ] );
       ( "zipf",
         [
