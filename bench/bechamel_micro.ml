@@ -83,6 +83,21 @@ let tests () =
   let frames = Log.Frame.create () and entry = Bytes.make 64 'f' in
   let dev = Backend.device bk and scratch = Bytes.create 256 in
   let tl = Asym_sim.Timeline.create () in
+  (* A second timeline of 8,000 intervals, 50 ns long and 100 ns apart,
+     swept by bookings behind the newest one, as a front-end warming
+     behind the others books: each fills the next idle gap exactly, from
+     6,000 intervals behind the newest up to 2,000 behind, then 4,000
+     appends restore the 8,000 (one append per booking, amortized). *)
+  let behind = Asym_sim.Timeline.create () and edge = ref 0 and sweep = ref 0 and left = ref 0 in
+  let restore n =
+    for _ = 1 to n do
+      edge := !edge + 100;
+      ignore (Asym_sim.Timeline.acquire behind ~at:!edge ~dur:50)
+    done;
+    sweep := !edge - 600_000;
+    left := 4_000
+  in
+  restore 8_000;
   let i = ref 0 and j = ref 0 and k = ref 0 and next_id = ref pages and at = ref 0 in
   [
     (* Table 2: the allocator fast path. *)
@@ -173,6 +188,12 @@ let tests () =
       (Staged.stage (fun () ->
            at := !at + 100;
            ignore (Asym_sim.Timeline.acquire tl ~at:!at ~dur:50)));
+    Test.make ~name:"timeline/behind"
+      (Staged.stage (fun () ->
+           if !left = 0 then restore 4_000;
+           ignore (Asym_sim.Timeline.acquire behind ~at:(!sweep + 50) ~dur:50);
+           sweep := !sweep + 100;
+           decr left));
   ]
 
 let run () =

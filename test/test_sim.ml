@@ -106,10 +106,16 @@ let prop_timeline_no_overlap =
       ok sorted
       && List.for_all2 (fun (at, _) (start, _) -> start >= at) reqs slots)
 
-(* The append fast path against the general search it short-cuts: random
-   booking sequences, mostly in order with some out-of-order requests and
-   some zero-length ones, long enough to prune the interval arrays several
-   times. *)
+(* The append fast path and the gap-buffer store against the general
+   search over plain arrays: random booking sequences, mostly in order with
+   some out-of-order requests and some zero-length ones, long enough to
+   prune the interval arrays several times. One more kind of request comes
+   from a second stream that sweeps forward, gap by gap, 1,000 to 3,000
+   intervals behind the edge, as a front-end warming behind the others
+   does: it fills a gap exactly (merging with both neighbours), books
+   inside one (a new interval), or books at random. In half the cases
+   that stream also makes every booking that grows or prunes the arrays,
+   so both happen while the gap sits mid-array. *)
 let prop_timeline_matches_reference =
   QCheck.Test.make ~count:40 ~name:"timeline append fast path matches the general search"
     QCheck.(triple (int_bound 1_000_000) (int_bound 20_000) (int_bound 40))
@@ -118,23 +124,95 @@ let prop_timeline_matches_reference =
       let draw = Asym_util.Rng.int rng in
       let tl = Timeline.create () and r = Timeline_ref.create () in
       let edge = ref 0 (* the end of the latest booking *) in
+      let sweep = ref 0 (* where the sweeping stream has got to *) in
+      let rec behind () =
+        let starts = r.Timeline_ref.starts and stops = r.stops and n = r.count in
+        let c = max !sweep r.horizon in
+        let i = Timeline_ref.first_after r c in
+        (* the first gap at or after [c] starts at [g0] and ends at starts.(i) *)
+        let g0, i = if i < n && starts.(i) <= c then (stops.(i), i + 1) else (c, i) in
+        if i >= n || i < n - 3_000 then
+          (* at the edge, or left far behind it: start again 1,000-3,000
+             intervals back *)
+          if n < 2 then (!edge, 1 + draw 300)
+          else begin
+            sweep := stops.(max 0 (n - 1_000 - draw 2_000));
+            behind ()
+          end
+        else
+          let room = starts.(i) - g0 in
+          match draw 4 with
+          | (0 | 1) when room >= 3 ->
+              let at = g0 + 1 + draw (room - 2) in
+              (at, 1 + draw (starts.(i) - at - 1))
+          | 0 | 1 | 2 -> (g0, room)
+          | _ -> (g0 + draw 50, 1 + draw 300)
+      in
+      let drive_full = late_pct land 1 = 1 in
+      let merges = ref 0 and grown = ref 0 and pruned = ref 0 in
       for _ = 1 to 25_000 + extra do
         let kind = draw 100 in
-        let at =
-          if kind < late_pct then max 0 (!edge - draw 5_000)
-          else if kind < late_pct + 15 then !edge
-          else !edge + 1 + draw 500
+        let count = r.count and cap = Array.length r.starts and horizon = r.horizon in
+        let swept = kind = 99 || (drive_full && count + 2 >= cap) in
+        let at, dur =
+          if swept then behind ()
+          else
+            ( (if kind < late_pct then max 0 (!edge - draw 5_000)
+               else if kind < late_pct + 15 then !edge
+               else !edge + 1 + draw 500),
+              if draw 20 = 0 then 0 else 1 + draw 300 )
         in
-        let dur = if draw 20 = 0 then 0 else 1 + draw 300 in
         let a = Timeline.acquire tl ~at ~dur and b = Timeline_ref.acquire r ~at ~dur in
         if a <> b then QCheck.Test.fail_reportf "at=%d dur=%d: %d vs %d" at dur a b;
+        if swept then begin
+          sweep := a + dur;
+          if a + dur < !edge then begin
+            if r.count = count - 1 then incr merges;
+            if Array.length r.starts > cap then incr grown;
+            if r.horizon > horizon then incr pruned
+          end
+        end;
         edge := max !edge (a + dur)
       done;
       (* the reference's horizon moves only when it prunes *)
       if r.Timeline_ref.horizon = 0 then QCheck.Test.fail_reportf "never pruned";
+      if !merges = 0 then QCheck.Test.fail_reportf "no booking behind merged two intervals";
+      if drive_full && (!grown = 0 || !pruned = 0) then
+        QCheck.Test.fail_reportf "behind the edge: %d growths, %d prunes" !grown !pruned;
       Timeline.busy_total tl = Timeline_ref.busy_total r
       && Timeline.queued_total tl = Timeline_ref.queued_total r
       && Timeline.free_at tl = Timeline_ref.free_at r)
+
+(* With observability off a booking allocates nothing, in order or behind
+   the newest one: 10,000 of each, once the arrays have grown, stay within
+   the few words the measurement itself costs. *)
+let test_timeline_no_allocation () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let tl = Timeline.create () and edge = ref 0 in
+  let in_order () =
+    for _ = 1 to 10_000 do
+      edge := !edge + 100;
+      ignore (Timeline.acquire tl ~at:!edge ~dur:50)
+    done
+  in
+  (* forward sweeps 1,000 to 4,000 intervals behind the newest: each books
+     in the idle gap after an interval, or the first one that fits *)
+  let behind () =
+    for k = 0 to 9_999 do
+      ignore (Timeline.acquire tl ~at:(!edge - 400_000 + (k mod 3_000 * 100) + 60) ~dur:10)
+    done
+  in
+  Asym_obs.set_enabled false;
+  List.iter
+    (fun (name, f) ->
+      f ();
+      let words = minor_words f in
+      if words > 64. then Alcotest.failf "%s allocated %.0f words" name words)
+    [ ("in order", in_order); ("behind", behind) ]
 
 (* -- Sched ----------------------------------------------------------------- *)
 
@@ -254,6 +332,7 @@ let () =
           Alcotest.test_case "gap too small" `Quick test_timeline_gap_too_small;
           QCheck_alcotest.to_alcotest prop_timeline_no_overlap;
           QCheck_alcotest.to_alcotest prop_timeline_matches_reference;
+          Alcotest.test_case "bookings allocate nothing" `Quick test_timeline_no_allocation;
         ] );
       ( "sched",
         [
